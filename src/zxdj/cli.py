@@ -13,7 +13,7 @@ import sys
 
 from .circuit import Circuit, dj_run_circuit, plus_amplitude, to_zx_tracked
 from .diagram import ZxDiagram
-from .errors import NotChainError, NotPromiseError, ZxError
+from .errors import ZxError
 from .mbqc import (
     MeasurementPattern,
     dj_pattern_1q,
@@ -37,7 +37,6 @@ from .oracle import (
 from .rewrite import simplify_mbqc
 
 DEFAULT_SEED = 2024
-DEFAULT_SHOTS = 1000
 
 
 class UsageError(Exception):
@@ -153,6 +152,8 @@ def _cmd_compile_mbqc(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.shots < 0:
+        raise UsageError("--shots must not be negative")
     if args.circuit:
         c = _load_circuit(args.circuit)
         verdict = dj_run_circuit(c)
@@ -359,9 +360,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
-    except (NotPromiseError, NotChainError) as exc:
-        sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
-        return 1
     except ZxError as exc:
         sys.stdout.write(json.dumps({"error": str(exc)}) + "\n")
         return 1

@@ -3,7 +3,8 @@
 A diagram is a plain value: spiders live in a dict keyed by stable NodeIds
 (never reused within a diagram's lifetime), edges in a dict keyed by EdgeIds.
 Boundaries are ordered lists of spider ids; a spider listed in ``inputs`` or
-``outputs`` carries one dangling tensor leg per occurrence.
+``outputs`` carries one dangling tensor leg per occurrence.  Incident edges
+are indexed per spider, so only diagram methods may change the two dicts.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class ZxDiagram:
     def __init__(self) -> None:
         self.spiders: dict[int, Spider] = {}
         self.edges: dict[int, Edge] = {}
+        self._incident: dict[int, set[int]] = {}
         self.inputs: list[int] = []
         self.outputs: list[int] = []
         self._next_node = 0
@@ -72,21 +74,40 @@ class ZxDiagram:
         nid = self._next_node
         self._next_node += 1
         self.spiders[nid] = Spider(kind, phase)
+        self._incident[nid] = set()
         return nid
 
     def add_edge(self, a: int, b: int, kind: EdgeKind = EdgeKind.PLAIN) -> int:
+        eid = self._next_edge
+        self._link(eid, a, b, kind)
+        self._next_edge += 1
+        return eid
+
+    def remove_edge(self, eid: int) -> None:
+        self._unlink(eid)
+
+    def replace_edge(self, eid: int, a: int, b: int, kind: EdgeKind) -> None:
+        """Give an existing edge new endpoints and kind, keeping its id."""
+        old = self.edges[eid]
+        self._link(eid, a, b, kind)
+        for v in {old.a, old.b} - {a, b}:
+            self._incident[v].discard(eid)
+
+    def _link(self, eid: int, a: int, b: int, kind: EdgeKind) -> None:
+        """Check the endpoints, then store the edge and index it."""
         if a == b:
             raise SelfLoopError(f"self-loop on node {a}")
         for v in (a, b):
             if v not in self.spiders:
                 raise UnknownNodeError(f"unknown node {v}")
-        eid = self._next_edge
-        self._next_edge += 1
         self.edges[eid] = Edge(a, b, kind)
-        return eid
+        self._incident[a].add(eid)
+        self._incident[b].add(eid)
 
-    def remove_edge(self, eid: int) -> None:
-        del self.edges[eid]
+    def _unlink(self, eid: int) -> None:
+        e = self.edges.pop(eid)
+        self._incident[e.a].discard(eid)
+        self._incident[e.b].discard(eid)
 
     def remove_spider(self, v: int) -> None:
         """Remove a spider together with its incident edges.
@@ -95,24 +116,25 @@ class ZxDiagram:
         """
         if v in self.inputs or v in self.outputs:
             raise ValueError(f"cannot remove boundary spider {v}")
-        for eid in [e for e, edge in self.edges.items() if v in (edge.a, edge.b)]:
-            del self.edges[eid]
+        for eid in list(self._incident[v]):
+            self._unlink(eid)
+        del self._incident[v]
         del self.spiders[v]
 
     # -- queries ----------------------------------------------------------
 
     def edges_at(self, v: int) -> list[int]:
-        return [eid for eid, e in sorted(self.edges.items()) if v in (e.a, e.b)]
+        return sorted(self._incident.get(v, ()))
 
     def degree(self, v: int) -> int:
-        return len(self.edges_at(v))
+        return len(self._incident.get(v, ()))
 
     def neighbors(self, v: int) -> set[int]:
-        return {self.edges[eid].other(v) for eid in self.edges_at(v)}
+        return {self.edges[eid].other(v) for eid in self._incident.get(v, ())}
 
     def edges_between(self, a: int, b: int) -> list[int]:
-        return [eid for eid, e in sorted(self.edges.items())
-                if {e.a, e.b} == {a, b}]
+        return sorted(eid for eid in self._incident.get(a, ())
+                      if self.edges[eid].other(a) == b)
 
     def boundary_legs(self, v: int) -> int:
         return self.inputs.count(v) + self.outputs.count(v)
@@ -129,6 +151,7 @@ class ZxDiagram:
         d = ZxDiagram()
         d.spiders = {v: Spider(s.kind, s.phase) for v, s in self.spiders.items()}
         d.edges = dict(self.edges)
+        d._incident = {v: set(ids) for v, ids in self._incident.items()}
         d.inputs = list(self.inputs)
         d.outputs = list(self.outputs)
         d._next_node = self._next_node

@@ -30,7 +30,7 @@ from .oracle import (
     phase_polynomial,
     two_qubit_spider_angles,
 )
-from .phase import HALF_PI, MINUS_HALF_PI, Phase, PI, ZERO
+from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
 from .rewrite import decouple_x_state, fuse_spiders, local_complement
 from .tensor import collapse_floor, evaluate
 
@@ -62,8 +62,12 @@ class MeasurementPattern:
                 raise NotGraphLikeError(f"self-edge {set(e)}")
             if not e <= set(self.angles):
                 raise NotGraphLikeError(f"edge {set(e)} references unknown qubit")
-        if sorted(self.order) != self.qubits():
+        qubits = self.qubits()
+        if sorted(self.order) != qubits:
             raise NotGraphLikeError("order must enumerate every qubit once")
+        unknown = [q for q in self.readouts if q not in qubits]
+        if unknown:
+            raise NotGraphLikeError(f"readouts {unknown} are not qubits")
         for q in self.z_basis:
             if not self.angles[q].is_zero():
                 raise NotGraphLikeError(f"z-basis qubit {q} carries an angle")

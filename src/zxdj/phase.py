@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +21,14 @@ class Phase:
     denominator: int
 
     def __init__(self, numerator: int, denominator: int = 1):
-        frac = Fraction(numerator, denominator) % 2
-        object.__setattr__(self, "numerator", frac.numerator)
-        object.__setattr__(self, "denominator", frac.denominator)
+        if denominator == 0:
+            raise ValueError("phase denominator must be nonzero")
+        # dividing by the signed gcd leaves a positive denominator, and
+        # reducing before the modulus keeps the fraction reduced after it
+        g = math.gcd(numerator, denominator) * (-1 if denominator < 0 else 1)
+        denominator //= g
+        object.__setattr__(self, "numerator", numerator // g % (2 * denominator))
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def from_fraction(cls, frac: Fraction) -> "Phase":
@@ -42,7 +48,7 @@ class Phase:
 
     @property
     def radians(self) -> float:
-        return float(self.fraction) * cmath.pi
+        return self.numerator / self.denominator * cmath.pi
 
     def phase_factor(self) -> complex:
         """exp(i * angle), exact for the dyadic angles used here."""
@@ -52,13 +58,15 @@ class Phase:
         return self.numerator == 0
 
     def __add__(self, other: "Phase") -> "Phase":
-        return Phase.from_fraction(self.fraction + other.fraction)
+        return Phase(self.numerator * other.denominator
+                     + other.numerator * self.denominator,
+                     self.denominator * other.denominator)
 
     def __sub__(self, other: "Phase") -> "Phase":
-        return Phase.from_fraction(self.fraction - other.fraction)
+        return self + -other
 
     def __neg__(self) -> "Phase":
-        return Phase.from_fraction(-self.fraction)
+        return Phase(-self.numerator, self.denominator)
 
     def __str__(self) -> str:
         if self.denominator == 1:

@@ -8,7 +8,7 @@ rather than trusting the derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import (
@@ -18,7 +18,7 @@ from .errors import (
     UnknownNodeError,
     WouldSelfLoopError,
 )
-from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
+from .phase import HALF_PI, MINUS_HALF_PI, ZERO
 
 
 @dataclass
@@ -26,7 +26,6 @@ class RewriteStep:
     rule: str
     before: tuple[int, ...]
     after: tuple[int, ...]
-    diagram: ZxDiagram = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -63,8 +62,8 @@ def color_change(d: ZxDiagram, v: int) -> RewriteStep:
     s.kind = s.kind.toggled()
     for eid in d.edges_at(v):
         e = d.edges[eid]
-        d.edges[eid] = type(e)(e.a, e.b, e.kind.toggled())
-    return RewriteStep("color_change", (v,), (v, *created), d)
+        d.replace_edge(eid, e.a, e.b, e.kind.toggled())
+    return RewriteStep("color_change", (v,), (v, *created))
 
 
 def fuse_spiders(d: ZxDiagram, a: int, b: int) -> RewriteStep:
@@ -87,12 +86,12 @@ def fuse_spiders(d: ZxDiagram, a: int, b: int) -> RewriteStep:
     d.spiders[a].phase = d.spiders[a].phase + d.spiders[b].phase
     for eid in d.edges_at(b):
         e = d.edges[eid]
-        d.edges[eid] = type(e)(a if e.a == b else e.a,
-                               a if e.b == b else e.b, e.kind)
+        d.replace_edge(eid, a if e.a == b else e.a,
+                       a if e.b == b else e.b, e.kind)
     d.inputs = [a if v == b else v for v in d.inputs]
     d.outputs = [a if v == b else v for v in d.outputs]
-    del d.spiders[b]
-    return RewriteStep("fuse_spiders", (a, b), (a,), d)
+    d.remove_spider(b)
+    return RewriteStep("fuse_spiders", (a, b), (a,))
 
 
 def hadamard_cancel(d: ZxDiagram, v: int) -> RewriteStep:
@@ -110,7 +109,7 @@ def hadamard_cancel(d: ZxDiagram, v: int) -> RewriteStep:
     _require(n1 != n2, "cancelling would create a self-loop")
     d.remove_spider(v)
     d.add_edge(n1, n2, EdgeKind.PLAIN)
-    return RewriteStep("hadamard_cancel", (v, n1, n2), (n1, n2), d)
+    return RewriteStep("hadamard_cancel", (v, n1, n2), (n1, n2))
 
 
 def expand_hadamard_edge(d: ZxDiagram, eid: int) -> RewriteStep:
@@ -126,7 +125,7 @@ def expand_hadamard_edge(d: ZxDiagram, eid: int) -> RewriteStep:
     d.add_edge(z1, x, EdgeKind.PLAIN)
     d.add_edge(x, z2, EdgeKind.PLAIN)
     d.add_edge(z2, e.b, EdgeKind.PLAIN)
-    return RewriteStep("expand_hadamard_edge", (e.a, e.b), (z1, x, z2), d)
+    return RewriteStep("expand_hadamard_edge", (e.a, e.b), (z1, x, z2))
 
 
 def collapse_hadamard_chain(d: ZxDiagram, v1: int, v2: int, v3: int) -> RewriteStep:
@@ -145,17 +144,15 @@ def collapse_hadamard_chain(d: ZxDiagram, v1: int, v2: int, v3: int) -> RewriteS
         link = d.edges_between(a, b)
         _require(len(link) == 1 and d.edges[link[0]].kind is EdgeKind.PLAIN,
                  "chain must be joined by single plain edges")
-    (outer1,) = [d.edges[e].other(v1) for e in d.edges_at(v1)
-                 if d.edges[e].other(v1) != v2]
-    (outer3,) = [d.edges[e].other(v3) for e in d.edges_at(v3)
-                 if d.edges[e].other(v3) != v2]
+    (outer1,) = d.neighbors(v1) - {v2}
+    (outer3,) = d.neighbors(v3) - {v2}
     for e in (d.edges_between(v1, outer1) + d.edges_between(v3, outer3)):
         _require(d.edges[e].kind is EdgeKind.PLAIN, "outer edges must be plain")
     _require(outer1 != outer3, "collapse would create a self-loop")
     for v in (v1, v2, v3):
         d.remove_spider(v)
     d.add_edge(outer1, outer3, EdgeKind.HADAMARD)
-    return RewriteStep("collapse_hadamard_chain", (v1, v2, v3), (outer1, outer3), d)
+    return RewriteStep("collapse_hadamard_chain", (v1, v2, v3), (outer1, outer3))
 
 
 def decouple_x_state(d: ZxDiagram, x: int) -> RewriteStep:
@@ -192,7 +189,7 @@ def decouple_x_state(d: ZxDiagram, x: int) -> RewriteStep:
         created.append(cap)
     d.remove_spider(x)
     d.remove_spider(z)
-    return RewriteStep("decouple_x_state", (x, z), tuple(created), d)
+    return RewriteStep("decouple_x_state", (x, z), tuple(created))
 
 
 def local_complement(d: ZxDiagram, v: int) -> RewriteStep:
@@ -232,7 +229,7 @@ def local_complement(d: ZxDiagram, v: int) -> RewriteStep:
                 d.add_edge(u, w, EdgeKind.HADAMARD)
     for n in nbrs:
         d.spiders[n].phase = d.spiders[n].phase + delta
-    return RewriteStep("local_complement", (v,), tuple(nbrs), d)
+    return RewriteStep("local_complement", (v,), tuple(nbrs))
 
 
 def _reduce_parallel_hadamard(d: ZxDiagram, steps: list[RewriteStep]) -> bool:
@@ -252,7 +249,7 @@ def _reduce_parallel_hadamard(d: ZxDiagram, steps: list[RewriteStep]) -> bool:
         while len(hadamards) >= 2:
             d.remove_edge(hadamards.pop())
             d.remove_edge(hadamards.pop())
-            steps.append(RewriteStep("hopf_pair", pair, pair, d))
+            steps.append(RewriteStep("hopf_pair", pair, pair))
             changed = True
     return changed
 
@@ -304,7 +301,7 @@ def _plug_inplace(d: ZxDiagram, steps: list[RewriteStep]) -> None:
         for v in boundary:
             cap = d.add_spider(SpiderKind.Z, ZERO)
             d.add_edge(cap, v, EdgeKind.PLAIN)
-            steps.append(RewriteStep("plug_plus_state", (v,), (cap,), d))
+            steps.append(RewriteStep("plug_plus_state", (v,), (cap,)))
     d.inputs = []
     d.outputs = []
 

@@ -5,11 +5,13 @@ tensor with 1 at 0...0 and e^{i*alpha} at 1...1; the X spider is the same
 object in the unnormalized plus/minus basis).  A Hadamard edge carries the
 matrix [[1,1],[1,-1]]/sqrt(2) so that two consecutive Hadamard edges are
 the identity (to machine precision).  All cross-model comparisons go
-through ``equivalent_up_to_scalar``.
+through ``equivalent_up_to_scalar``.  A contraction is planned on index
+labels alone (:func:`plan_contraction`), then executed by :func:`evaluate`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -62,41 +64,84 @@ def spider_tensor(kind: SpiderKind, phase_factor: complex, rank: int) -> np.ndar
     return flat.reshape((2,) * rank) if rank else np.array(flat[0])
 
 
-def _greedy_order(d: ZxDiagram, score) -> list[int]:
-    boundary = set(d.inputs) | set(d.outputs)
-    adj: dict[int, set[int]] = {v: set() for v in d.spiders}
-    for e in d.edges.values():
-        adj[e.a].add(e.b)
-        adj[e.b].add(e.a)
-    remaining = set(v for v in d.spiders if v not in boundary)
+def _degree_score(u: int, adj: dict[int, set[int]]) -> tuple:
+    return (len(adj[u]),)
+
+
+def _fill_score(u: int, adj: dict[int, set[int]]) -> tuple:
+    """Neighbor pairs not yet adjacent, then the degree."""
+    nbrs = adj[u]
+    k = len(nbrs)
+    linked = sum(len(adj[a] & nbrs) for a in nbrs)  # each pair counted twice
+    return (k * (k - 1) // 2 - linked // 2, k)
+
+
+def _greedy_order(d: ZxDiagram, internal: list[int], score) -> list[int]:
+    """Eliminate spiders least (score, id) first.  Eliminating v makes a
+    clique of its neighbors, which can rescore only them and their
+    neighbors; stale heap entries are skipped, so this equals a rescan."""
+    adj = {v: d.neighbors(v) for v in d.spiders}
+    current = {v: score(v, adj) for v in internal}
+    heap = [(s, v) for v, s in current.items()]
+    heapq.heapify(heap)
     order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (*score(u, adj), u))
+    while heap:
+        s, v = heapq.heappop(heap)
+        if current.get(v) != s:
+            continue
+        del current[v]
         order.append(v)
-        remaining.discard(v)
         nbrs = adj.pop(v)
         for u in nbrs:
             adj[u].discard(v)
-        for u in nbrs:
-            for w in nbrs:
-                if u != w:
-                    adj[u].add(w)
+            adj[u] |= nbrs - {u}
+        for u in nbrs.union(*(adj[w] for w in nbrs)) & current.keys():
+            s = score(u, adj)
+            if s != current[u]:
+                current[u] = s
+                heapq.heappush(heap, (s, u))
     return order
 
 
-def _simulated_max_rank(d: ZxDiagram, order: list[int]) -> int:
-    """Largest factor rank a contraction with this order would materialize,
-    tracked on edge-label sets alone (no tensors are built)."""
-    labels: dict[int, set] = {v: set() for v in d.spiders}
-    for eid, e in d.edges.items():
-        labels[e.a].add(("e", eid, 0))
-        labels[e.b].add(("e", eid, 1))
+def elimination_order(d: ZxDiagram) -> list[int]:
+    """Deterministic elimination ordering over the internal spiders.
+
+    Tries min-degree greedy, min-fill greedy and ascending-id order, and
+    returns the one whose plan peaks lowest (the first, on a tie).
+    """
+    boundary = set(d.inputs) | set(d.outputs)
+    ascending = [v for v in sorted(d.spiders) if v not in boundary]
+    candidates = [_greedy_order(d, ascending, _degree_score),
+                  _greedy_order(d, ascending, _fill_score), ascending]
+    return min(candidates, key=lambda o: plan_contraction(d, o).peak_rank)
+
+
+@dataclass
+class ContractionPlan:
+    """A contraction worked out on index labels alone.  ``merges`` lists
+    ``(keep, absorb)`` factor ids, a factor named by the spider it starts
+    as: the merges along each eliminated spider's edges, then the fold of
+    the rest into the lowest id.  ``peak_rank`` is the largest factor rank,
+    the initial spider factors included."""
+
+    order: list[int]
+    merges: list[tuple[int, int]]
+    peak_rank: int
+
+
+def plan_contraction(d: ZxDiagram, order: list[int] | None = None) -> ContractionPlan:
+    """Plan the contraction of ``d`` with the given (default: the
+    :func:`elimination_order`) order, without building any tensor."""
+    if order is None:
+        order = elimination_order(d)
+    incident = {v: d.edges_at(v) for v in d.spiders}
+    # a merge contracts the shared edge ids: the symmetric difference stays
+    legs = {v: set(eids) for v, eids in incident.items()}
     for side, ids in (("in", d.inputs), ("out", d.outputs)):
         for i, b in enumerate(ids):
-            labels[b].add((side, i))
-    # strands of one edge share a label, so identify the two endpoints' copies
-    def canon(lab):
-        return lab[:2] if lab[0] == "e" else lab
+            legs[b].add((side, i))
+    peak = max(map(len, legs.values()), default=0)
+    merges: list[tuple[int, int]] = []
     merged_into: dict[int, int] = {}
 
     def find(v: int) -> int:
@@ -104,127 +149,76 @@ def _simulated_max_rank(d: ZxDiagram, order: list[int]) -> int:
             v = merged_into[v]
         return v
 
-    best = max((len(ls) for ls in labels.values()), default=0)
-    pool = {v: {canon(l) for l in ls} for v, ls in labels.items()}
-    if not pool:
-        return 0
+    def merge(keep: int, absorb: int) -> None:
+        nonlocal peak
+        legs[keep] ^= legs.pop(absorb)
+        merged_into[absorb] = keep
+        merges.append((keep, absorb))
+        peak = max(peak, len(legs[keep]))
+
     for v in order:
-        for eid in d.edges_at(v):
+        for eid in incident[v]:
             e = d.edges[eid]
             ka, kb = find(e.a), find(e.b)
-            if ka == kb:
-                continue
-            la, lb = pool.pop(ka), pool.pop(kb)
-            pool[ka] = la ^ lb
-            merged_into[kb] = ka
-            best = max(best, len(pool[ka]))
-    keys = sorted(pool)
-    acc = pool[keys[0]]
-    for k in keys[1:]:
-        acc = acc ^ pool[k]
-        best = max(best, len(acc))
-    return best
+            if ka != kb:
+                merge(ka, kb)
+    remaining = sorted(legs)
+    for k in remaining[1:]:
+        merge(remaining[0], k)
+    return ContractionPlan(list(order), merges, peak)
 
 
-def elimination_order(d: ZxDiagram) -> list[int]:
-    """Deterministic elimination ordering over the internal spiders.
-
-    Tries min-degree greedy, min-fill greedy, and plain ascending-id order,
-    simulates the factor ranks each would materialize, and returns the
-    cheapest (first wins ties).
-    """
-    def degree(u, adj):
-        return (len(adj[u]),)
-
-    def fill(u, adj):
-        nbrs = sorted(adj[u])
-        missing = sum(1 for i, a in enumerate(nbrs)
-                      for b in nbrs[i + 1:] if b not in adj[a])
-        return (missing, len(nbrs))
-
-    boundary = set(d.inputs) | set(d.outputs)
-    ascending = [v for v in sorted(d.spiders) if v not in boundary]
-    candidates = [_greedy_order(d, degree), _greedy_order(d, fill), ascending]
-    return min(candidates, key=lambda o: _simulated_max_rank(d, o))
-
-
+@dataclass(slots=True)
 class _Factor:
-    __slots__ = ("data", "labels")
-
-    def __init__(self, data: np.ndarray, labels: list):
-        self.data = data
-        self.labels = labels
+    data: np.ndarray
+    labels: list
 
 
 def _merge(f1: _Factor, f2: _Factor) -> _Factor:
-    shared = [lab for lab in f1.labels if lab in f2.labels]
-    ax1 = [f1.labels.index(lab) for lab in shared]
-    ax2 = [f2.labels.index(lab) for lab in shared]
-    data = np.tensordot(f1.data, f2.data, axes=(ax1, ax2))
-    labels = [lab for lab in f1.labels if lab not in shared] + [
-        lab for lab in f2.labels if lab not in shared
-    ]
-    return _Factor(data, labels)
+    """Contract the shared labels: the transposes and the one matrix product
+    ``np.tensordot`` would make, without its general argument handling."""
+    ax1 = [i for i, lab in enumerate(f1.labels) if lab in f2.labels]
+    ax2 = [f2.labels.index(f1.labels[i]) for i in ax1]
+    keep1 = [i for i in range(len(f1.labels)) if i not in ax1]
+    keep2 = [j for j in range(len(f2.labels)) if j not in ax2]
+    data = np.dot(f1.data.transpose(keep1 + ax1).reshape(2 ** len(keep1), -1),
+                  f2.data.transpose(ax2 + keep2).reshape(2 ** len(ax2), -1))
+    labels = [f1.labels[i] for i in keep1] + [f2.labels[j] for j in keep2]
+    return _Factor(data.reshape((2,) * len(labels)), labels)
 
 
 def _build_factors(d: ZxDiagram) -> dict[int, _Factor]:
     factors: dict[int, _Factor] = {}
     for v in d.node_ids():
         s = d.spiders[v]
-        labels: list = []
-        for eid in d.edges_at(v):
-            e = d.edges[eid]
-            # a parallel edge contributes one leg per strand at each endpoint
-            labels.append(("e", eid))
-        for i, b in enumerate(d.inputs):
-            if b == v:
-                labels.append(("in", i))
-        for i, b in enumerate(d.outputs):
-            if b == v:
-                labels.append(("out", i))
+        # a parallel edge contributes one leg per strand at each endpoint
+        labels = [("e", eid) for eid in d.edges_at(v)]
+        labels += [("in", i) for i, b in enumerate(d.inputs) if b == v]
+        labels += [("out", i) for i, b in enumerate(d.outputs) if b == v]
         data = spider_tensor(s.kind, s.phase.phase_factor(), len(labels))
         factors[v] = _Factor(data, labels)
-    # fold each Hadamard edge's matrix into the lower-id endpoint
+    # fold each Hadamard edge's matrix into the lower-id endpoint: the
+    # product leaves H's free leg last, and ``back`` returns it to its axis
     for eid, e in sorted(d.edges.items()):
         if e.kind is EdgeKind.HADAMARD:
-            v = min(e.a, e.b)
-            f = factors[v]
-            axis = f.labels.index(("e", eid))
-            f.data = np.moveaxis(
-                np.tensordot(f.data, HADAMARD, axes=([axis], [0])), -1, axis
-            )
+            f = factors[min(e.a, e.b)]
+            back = list(range(len(f.labels) - 1))
+            back.insert(f.labels.index(("e", eid)), len(f.labels) - 1)
+            folded = _merge(f, _Factor(HADAMARD, [("e", eid), None]))
+            f.data = folded.data.transpose(back)
     return factors
 
 
 def evaluate(d: ZxDiagram, order: list[int] | None = None) -> Tensor:
     """Contract the diagram; resulting axes are ordered outputs then inputs."""
-    pool: dict[int, _Factor] = _build_factors(d)
-    merged_into: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        k = v
-        while k in merged_into:
-            k = merged_into[k]
-        return k
-
     if order is None:
         order = elimination_order(d)
-    for v in order:
-        for eid in d.edges_at(v):
-            e = d.edges[eid]
-            ka, kb = find(e.a), find(e.b)
-            if ka == kb:
-                continue
-            fa, fb = pool.pop(ka), pool.pop(kb)
-            pool[ka] = _merge(fa, fb)
-            merged_into[kb] = ka
-    # merge whatever remains (boundary spiders, disconnected parts)
-    keys = sorted(pool)
-    if not keys:
+    pool = _build_factors(d)
+    for keep, absorb in plan_contraction(d, order).merges:
+        pool[keep] = _merge(pool[keep], pool.pop(absorb))
+    if not pool:
         return Tensor(np.array(1 + 0j))
-    result = pool[keys[0]]
-    for k in keys[1:]:
-        result = _merge(result, pool[k])
+    (result,) = pool.values()
     perm = [result.labels.index(("out", i)) for i in range(len(d.outputs))] + [
         result.labels.index(("in", i)) for i in range(len(d.inputs))
     ]
@@ -235,31 +229,7 @@ def evaluate(d: ZxDiagram, order: list[int] | None = None) -> Tensor:
 
 def max_intermediate_rank(d: ZxDiagram, order: list[int] | None = None) -> int:
     """Largest factor rank materialized while contracting with the given order."""
-    factors = _build_factors(d)
-    pool: dict[int, _Factor] = dict(factors)
-    merged_into: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        k = v
-        while k in merged_into:
-            k = merged_into[k]
-        return k
-
-    best = max((f.data.ndim for f in pool.values()), default=0)
-    if order is None:
-        order = elimination_order(d)
-    for v in order:
-        for eid in d.edges_at(v):
-            e = d.edges[eid]
-            ka, kb = find(e.a), find(e.b)
-            if ka == kb:
-                continue
-            fa, fb = pool.pop(ka), pool.pop(kb)
-            merged = _merge(fa, fb)
-            pool[ka] = merged
-            merged_into[kb] = ka
-            best = max(best, merged.data.ndim)
-    return best
+    return plan_contraction(d, order).peak_rank
 
 
 def collapse_floor(d: ZxDiagram) -> float:

@@ -1,11 +1,14 @@
 """Command-line interface: JSON contract, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from zxdj.cli import main
 from zxdj.circuit import Circuit, hadamard, pauli_z
+from zxdj.mbqc import dj_pattern_2q
+from zxdj.oracle import BooleanFunction
 
 
 def run(capsys, *argv):
@@ -119,3 +122,49 @@ def test_export_dot(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["nodes"] == 6 and doc["edges"] == 4
     assert path.read_text().startswith("graph pattern {")
+
+
+def test_simulate_negative_shots_is_usage_error(capsys):
+    code, out = run(capsys, "simulate", "--n", "2", "--table", "0110",
+                    "--shots", "-5")
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_zero_denominator_angle_is_usage_error(capsys, tmp_path):
+    pattern = dj_pattern_2q(BooleanFunction.parse(2, "0110")).to_json_dict()
+    pattern["qubits"][1]["angle"] = "1/0"
+    circuit = Circuit(1, [hadamard(0)]).to_json_dict()
+    circuit["gates"].append({"op": "phase", "qubits": [0], "phase": "1/0"})
+    for flag, doc in (("--pattern", pattern), ("--circuit", circuit)):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "simulate", flag, str(path))
+        assert code == 2, flag
+        assert "error" in json.loads(out), flag
+
+
+def test_unknown_readout_is_rejected(capsys, tmp_path):
+    pattern = dj_pattern_2q(BooleanFunction.parse(2, "0110")).to_json_dict()
+    pattern["readouts"].append(99)
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(pattern))
+    code, out = run(capsys, "simulate", "--pattern", str(path))
+    assert code == 1
+    assert "99" in json.loads(out)["error"]
+
+
+# SHA-256 of the verify-all stdout, fixed when the contraction planner and
+# the diagram's incidence index were introduced: a refactor must not change
+# a byte of the cross-model report
+VERIFY_ALL_DIGESTS = {
+    "3": "e145d3a5b733089886a9d3d8b730893e4497dfe52ae21107e7a7af1ddfad1c4b",
+    "2": "b1c64980ec3b6b5594a78898aa3a954a1d4ba17aad4b7765cf38dee8ae9f4c8d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_output_is_byte_identical(capsys, n):
+    code, out = run(capsys, "verify-all", "--n", n)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[n]

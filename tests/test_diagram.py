@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
-from zxdj.errors import ArityMismatchError, SelfLoopError, UnknownNodeError
+from zxdj.errors import (
+    ArityMismatchError,
+    SelfLoopError,
+    UnknownNodeError,
+    ZxError,
+)
 from zxdj.phase import HALF_PI, PI, Phase, ZERO
+from zxdj.rewrite import color_change, fuse_spiders, local_complement
 from zxdj.tensor import equivalent_up_to_scalar, evaluate
 
 
@@ -178,3 +184,65 @@ def test_to_dot_shapes():
     dot = d.to_dot()
     assert "ellipse" in dot and "box" in dot and "dashed" in dot
     assert dot.startswith("graph zx {") and dot.endswith("}")
+
+
+def assert_index_matches_scan(d):
+    """The incidence-backed queries equal a brute-force scan of d.edges."""
+    for v in d.spiders:
+        incident = [eid for eid, e in sorted(d.edges.items())
+                    if v in (e.a, e.b)]
+        assert d.edges_at(v) == incident
+        assert d.degree(v) == len(incident)
+        assert d.neighbors(v) == {d.edges[eid].other(v) for eid in incident}
+        for u in d.spiders:
+            assert d.edges_between(v, u) == [
+                eid for eid, e in sorted(d.edges.items())
+                if {e.a, e.b} == {v, u}]
+
+
+@given(diagrams, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_incidence_index_matches_edge_scan(d, rng):
+    # every diagram made along the way, so copies are checked independent
+    seen = [d]
+    for _ in range(15):
+        nodes = sorted(d.spiders)
+        pick = lambda: rng.choice(nodes)
+        op = rng.randrange(8)
+        try:
+            if op == 0 or not nodes:
+                d.add_spider(rng.choice(list(SpiderKind)),
+                             Phase(rng.randrange(8), 4))
+            elif op == 1:
+                d.add_edge(pick(), pick(), rng.choice(list(EdgeKind)))
+            elif op == 2 and d.edges:
+                d.remove_edge(rng.choice(sorted(d.edges)))
+            elif op == 3:
+                d.remove_spider(pick())
+            elif op == 4 and d.edges:
+                e = d.edges[rng.choice(sorted(d.edges))]
+                fuse_spiders(d, e.a, e.b)
+            elif op == 5:
+                color_change(d, pick())
+            elif op == 6:
+                local_complement(d, pick())
+            else:
+                d = d.copy()
+                seen.append(d)
+        except (ZxError, ValueError):
+            pass  # a refused operation must leave the index intact too
+        for x in seen:
+            assert_index_matches_scan(x)
+
+
+def test_incidence_index_under_local_complement():
+    # a graph state where local complementation applies and rewires edges
+    d = ZxDiagram()
+    v = [d.add_spider(SpiderKind.Z, HALF_PI if i == 0 else ZERO)
+         for i in range(5)]
+    for a, b in [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]:
+        d.add_edge(v[a], v[b], EdgeKind.HADAMARD)
+    local_complement(d, v[0])
+    assert_index_matches_scan(d)
+    assert d.neighbors(v[1]) == {v[3]}
+    assert d.neighbors(v[3]) == {v[1], v[2], v[4]}

@@ -47,6 +47,10 @@ def test_validate_guards():
     bad = MeasurementPattern({0: PI}, set(), [0], [0], z_basis={0})
     with pytest.raises(NotGraphLikeError):
         bad.validate()  # z-basis qubit with a nonzero angle
+    for readouts in ([0, 5], [[0]]):  # JSON may give an unhashable one
+        bad = MeasurementPattern({0: ZERO}, set(), [0], readouts)
+        with pytest.raises(NotGraphLikeError):
+            bad.validate()  # readout names no qubit
 
 
 def test_json_round_trip_keeps_z_basis():

@@ -48,6 +48,33 @@ def test_parse_rejects_garbage():
         Phase.parse("one half")
 
 
+def test_zero_denominator_rejected():
+    with pytest.raises(ValueError):
+        Phase(1, 0)
+    with pytest.raises(ValueError):
+        Phase.parse("1/0")
+
+
+wide = st.integers(min_value=-10**6, max_value=10**6)
+nonzero = wide.filter(bool)
+
+
+@given(wide, nonzero)
+def test_normalization_matches_fraction(n, d):
+    ref = Fraction(n, d) % 2
+    p = Phase(n, d)
+    assert (p.numerator, p.denominator) == (ref.numerator, ref.denominator)
+    assert p.radians == float(ref) * math.pi
+
+
+@given(wide, nonzero, wide, nonzero)
+def test_arithmetic_matches_fraction(n1, d1, n2, d2):
+    a, b = Phase(n1, d1), Phase(n2, d2)
+    assert (a + b).fraction == (a.fraction + b.fraction) % 2
+    assert (a - b).fraction == (a.fraction - b.fraction) % 2
+    assert (-a).fraction == -a.fraction % 2
+
+
 @given(phases, phases, phases)
 def test_addition_associative(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -1,6 +1,7 @@
 """Dense contraction semantics against independently constructed matrices."""
 
 import math
+from types import SimpleNamespace as _Factor
 
 import numpy as np
 import pytest
@@ -8,15 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
 from zxdj.errors import ShapeMismatchError
+from zxdj.mbqc import dj_pattern_3q, lattice_pattern_3q, pattern_to_diagram
+from zxdj.oracle import BooleanFunction
 from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.tensor import (
     HADAMARD,
     Tensor,
+    _degree_score,
+    _fill_score,
+    _greedy_order,
     collapse_floor,
     elimination_order,
     equivalent_up_to_scalar,
     evaluate,
     max_intermediate_rank,
+    plan_contraction,
     spider_tensor,
 )
 
@@ -195,3 +202,144 @@ def test_collapse_floor_scales_with_spider_norms():
     d.add_spider(SpiderKind.X, ZERO)  # degree-0: max |entry| = 2
     assert collapse_floor(d) == pytest.approx(2e-9)
     assert collapse_floor(new_diagram(0, 0)) == pytest.approx(1e-9)
+
+
+# -- the planner against the loops it replaced ---------------------------------
+
+def _reference_merge(f1, f2):
+    shared = [lab for lab in f1.labels if lab in f2.labels]
+    ax1 = [f1.labels.index(lab) for lab in shared]
+    ax2 = [f2.labels.index(lab) for lab in shared]
+    data = np.tensordot(f1.data, f2.data, axes=(ax1, ax2))
+    labels = [lab for lab in f1.labels if lab not in shared] + [
+        lab for lab in f2.labels if lab not in shared]
+    return _Factor(data=data, labels=labels)
+
+
+def _reference_factors(d):
+    factors = {}
+    for v in d.node_ids():
+        s = d.spiders[v]
+        labels = [("e", eid) for eid in d.edges_at(v)]
+        labels += [("in", i) for i, b in enumerate(d.inputs) if b == v]
+        labels += [("out", i) for i, b in enumerate(d.outputs) if b == v]
+        data = spider_tensor(s.kind, s.phase.phase_factor(), len(labels))
+        factors[v] = _Factor(data=data, labels=labels)
+    for eid, e in sorted(d.edges.items()):
+        if e.kind is EdgeKind.HADAMARD:
+            f = factors[min(e.a, e.b)]
+            axis = f.labels.index(("e", eid))
+            f.data = np.moveaxis(
+                np.tensordot(f.data, HADAMARD, axes=([axis], [0])), -1, axis)
+    return factors
+
+
+def _reference_contraction(d, order):
+    """The tensor-materializing merge loop the planner replaced, on
+    np.tensordot: merge along each eliminated spider's edges, then fold the
+    rest in id order.  Returns the result factor and the largest ndim seen."""
+    pool = _reference_factors(d)
+    merged_into = {}
+
+    def find(v):
+        while v in merged_into:
+            v = merged_into[v]
+        return v
+
+    best = max((f.data.ndim for f in pool.values()), default=0)
+    for v in order:
+        for eid in d.edges_at(v):
+            e = d.edges[eid]
+            ka, kb = find(e.a), find(e.b)
+            if ka == kb:
+                continue
+            fa, fb = pool.pop(ka), pool.pop(kb)
+            pool[ka] = _reference_merge(fa, fb)
+            merged_into[kb] = ka
+            best = max(best, pool[ka].data.ndim)
+    keys = sorted(pool)
+    result = pool[keys[0]] if keys else None
+    for k in keys[1:]:
+        result = _reference_merge(result, pool[k])
+        best = max(best, result.data.ndim)
+    return result, best
+
+
+def _reference_greedy_order(d, score):
+    """Greedy elimination that rescans every remaining spider per step."""
+    boundary = set(d.inputs) | set(d.outputs)
+    adj = {v: set() for v in d.spiders}
+    for e in d.edges.values():
+        adj[e.a].add(e.b)
+        adj[e.b].add(e.a)
+    remaining = set(v for v in d.spiders if v not in boundary)
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (*score(u, adj), u))
+        order.append(v)
+        remaining.discard(v)
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u].discard(v)
+        for u in nbrs:
+            for w in nbrs:
+                if u != w:
+                    adj[u].add(w)
+    return order
+
+
+def _reference_fill(u, adj):
+    nbrs = sorted(adj[u])
+    missing = sum(1 for i, a in enumerate(nbrs)
+                  for b in nbrs[i + 1:] if b not in adj[a])
+    return (missing, len(nbrs))
+
+
+def _assert_plan_matches_reference(d):
+    for order in (elimination_order(d), None):
+        plan = plan_contraction(d, order)
+        result, best = _reference_contraction(d, plan.order)
+        assert plan.peak_rank == best
+        assert max_intermediate_rank(d, order) == best
+        assert len(plan.merges) == max(len(d.spiders) - 1, 0)
+        if result is not None:
+            # the same products in the same order: bit-identical numbers
+            t = evaluate(d, order)
+            perm = [result.labels.index(("out", i)) for i in range(len(d.outputs))]
+            perm += [result.labels.index(("in", i)) for i in range(len(d.inputs))]
+            assert np.array_equal(t.data, np.transpose(result.data, perm))
+
+
+def _internal(d):
+    return [v for v in sorted(d.spiders) if v not in d.inputs + d.outputs]
+
+
+def _assert_greedy_matches_reference(d):
+    assert _greedy_order(d, _internal(d), _degree_score) == (
+        _reference_greedy_order(d, lambda u, adj: (len(adj[u]),)))
+    assert _greedy_order(d, _internal(d), _fill_score) == (
+        _reference_greedy_order(d, _reference_fill))
+
+
+@given(diagrams)
+@settings(max_examples=80, deadline=None)
+def test_plan_matches_reference_contraction(d):
+    _assert_plan_matches_reference(d)
+    _assert_greedy_matches_reference(d)
+
+
+def test_plan_and_orders_on_pattern_and_lattice():
+    f = BooleanFunction(3, 0)
+    pattern = pattern_to_diagram(dj_pattern_3q(f))
+    lattice = pattern_to_diagram(lattice_pattern_3q(f))
+    for d in (pattern, lattice, _grid_diagram(4, 4)):
+        _assert_plan_matches_reference(d)
+        _assert_greedy_matches_reference(d)
+    assert elimination_order(pattern) == [0, 4, 5, 1, 3, 6, 7, 8, 2, 9, 10]
+    assert plan_contraction(pattern).peak_rank == 3
+    # both greedy orders lose on the lattice, so ascending ids win
+    assert elimination_order(lattice) == list(range(48))
+    assert plan_contraction(lattice).peak_rank == 11
+    for score in (_degree_score, _fill_score):
+        greedy = _greedy_order(lattice, list(range(48)), score)
+        assert plan_contraction(lattice, greedy).peak_rank > 11
