@@ -24,7 +24,7 @@ from .errors import (
     ArityMismatchError,
     KindMismatchError,
     NotAdjacentError,
-    NotChainError,
+    NoFlowError,
     NotGraphLikeError,
     NotPromiseError,
     PreconditionFailed,
@@ -42,6 +42,7 @@ from .mbqc import (
     dj_pattern_1q,
     dj_pattern_2q,
     dj_pattern_3q,
+    find_gflow,
     lattice_pattern_3q,
     pattern_from_graph_like,
     pattern_to_diagram,

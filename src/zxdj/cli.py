@@ -13,7 +13,7 @@ import sys
 
 from .circuit import Circuit, dj_run_circuit, plus_amplitude, to_zx_tracked
 from .diagram import ZxDiagram
-from .errors import ZxError
+from .errors import WidthTooLargeError, ZxError
 from .mbqc import (
     MeasurementPattern,
     dj_pattern_1q,
@@ -67,7 +67,7 @@ def _parse_function(args) -> BooleanFunction:
         raise UsageError("--n and --table (or --variant) are required")
     try:
         return BooleanFunction.parse(n, args.table)
-    except ValueError as exc:
+    except (ValueError, WidthTooLargeError) as exc:
         raise UsageError(str(exc))
 
 
@@ -171,6 +171,12 @@ def _cmd_simulate(args) -> int:
         p = maker(f)
     if args.shots:
         out = run_sampled(p, seed=args.seed, shots=args.shots)
+        if out.agreeing_shots < out.shots:
+            doc = {"error": "readout is not deterministic: the shots disagree",
+                   "shots": out.shots, "agreeing_shots": out.agreeing_shots}
+            _emit(doc, args, [f"error: {doc['error']} "
+                              f"({out.agreeing_shots}/{out.shots} agree)"])
+            return 1
         doc = {"verdict": out.verdict.value, "shots": out.shots,
                "agreeing_shots": out.agreeing_shots}
         _emit(doc, args, [f"verdict={out.verdict.value} "

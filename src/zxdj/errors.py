@@ -49,8 +49,8 @@ class NotGraphLikeError(ZxError):
     pass
 
 
-class NotChainError(ZxError):
-    pass
+class NoFlowError(ZxError):
+    """The pattern has no XY-plane gflow, so it cannot run adaptively."""
 
 
 class ReductionStuckError(ZxError):

@@ -2,14 +2,13 @@
 
 A pattern is a cluster-state graph plus an XY-plane measurement angle per
 qubit.  Post-selected execution contracts the equivalent closed diagram;
-sampled execution (path graphs only) simulates the cluster state shot by
-shot with adaptive byproduct corrections.
+sampled execution runs any pattern with an XY-plane gflow, all shots at
+once, measuring in gflow order with adaptive byproduct corrections.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -17,10 +16,11 @@ import numpy as np
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import (
-    NotChainError,
+    NoFlowError,
     NotGraphLikeError,
     NotPromiseError,
     ReductionStuckError,
+    WidthTooLargeError,
 )
 from .oracle import (
     BooleanFunction,
@@ -68,6 +68,8 @@ class MeasurementPattern:
         unknown = [q for q in self.readouts if q not in qubits]
         if unknown:
             raise NotGraphLikeError(f"readouts {unknown} are not qubits")
+        if len(set(self.readouts)) != len(self.readouts):
+            raise NotGraphLikeError("readouts name a qubit twice")
         for q in self.z_basis:
             if not self.angles[q].is_zero():
                 raise NotGraphLikeError(f"z-basis qubit {q} carries an angle")
@@ -246,87 +248,222 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     return PatternOutcome(verdict, amplitude)
 
 
-def _chains_of(p: MeasurementPattern):
-    """Split a path-graph pattern into measurement-ordered chains."""
-    g = nx.Graph()
-    g.add_nodes_from(p.qubits())
-    for e in p.edges:
-        g.add_edge(*sorted(e))
-    position = {q: i for i, q in enumerate(p.order)}
-    chains = []
-    for comp in nx.connected_components(g):
-        sub = g.subgraph(comp)
-        degrees = sorted(d for _, d in sub.degree())
-        if len(comp) > 1 and (degrees[-1] > 2 or degrees.count(1) != 2):
-            raise NotChainError("pattern component is not a path")
-        walk = sorted(comp, key=position.get)
-        for a, b in zip(walk, walk[1:]):
-            if not sub.has_edge(a, b):
-                raise NotChainError(
-                    "measurement order must follow the chain")
-        chains.append(walk)
-    chains.sort(key=lambda walk: position[walk[0]])
-    return chains
+def _adjacency(p: MeasurementPattern) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {q: set() for q in p.angles}
+    for a, b in p.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
-def _measure_chain(angles, rng) -> int:
-    """Simulate one shot of an adaptively measured linear cluster state.
+def _odd(adj: dict[int, set[int]], k) -> set[int]:
+    """Odd(K): the qubits with an odd number of neighbours in K."""
+    odd: set[int] = set()
+    for q in k:
+        odd ^= adj[q]
+    return odd
 
-    Returns the corrected readout bit of the final qubit.  The angle of
-    qubit j is adapted by the two preceding raw outcomes: the immediate
-    predecessor flips the sign (X byproduct), the one before adds pi
-    (Z byproduct folded into the basis label).
+
+def _solve_layer(adj, solved: list[int], todo: list[int]) -> dict:
+    """Map every u in ``todo`` that has a K within ``solved`` whose Odd(K)
+    meets ``todo`` in {u} alone to one such K.
+
+    One GF(2) elimination of the todo x solved adjacency matrix M serves
+    every u: each row holds its solved-column bits and, as a mask over the
+    original rows, the row operations that made it.  M x = e_u is solvable
+    iff no row reduced to zero took in row u.
     """
-    k = len(angles)
-    state = np.full((2,) * k, 2 ** (-k / 2), dtype=complex)
-    for i in range(k - 1):  # CZ between consecutive qubits
-        idx = [slice(None)] * k
-        idx[i] = 1
-        idx[i + 1] = 1
-        state[tuple(idx)] *= -1
-    outcomes = []
-    for j in range(k):
-        theta = angles[j].radians
-        if j >= 1 and outcomes[j - 1]:
-            theta = -theta
-        if j >= 2 and outcomes[j - 2]:
-            theta += math.pi
-        # project qubit axis 0 (measured qubits are dropped as we go)
-        bra0 = np.array([1, np.exp(-1j * theta)]) / math.sqrt(2)
-        branch0 = np.tensordot(bra0, state, axes=([0], [0]))
-        p0 = float(np.vdot(branch0, branch0).real)
-        if rng.random() < p0:
-            outcomes.append(0)
-            state = branch0 / math.sqrt(max(p0, 1e-300))
-        else:
-            bra1 = np.array([1, -np.exp(-1j * theta)]) / math.sqrt(2)
-            branch1 = np.tensordot(bra1, state, axes=([0], [0]))
-            p1 = float(np.vdot(branch1, branch1).real)
-            outcomes.append(1)
-            state = branch1 / math.sqrt(max(p1, 1e-300))
-    return outcomes[-1]
+    column = {q: j for j, q in enumerate(solved)}
+    rows = [[sum(1 << column[q] for q in adj[u] if q in column), 1 << i]
+            for i, u in enumerate(todo)]
+    pivots: list[int] = []
+    for j in range(len(solved)):
+        r = len(pivots)
+        hit = next((k for k in range(r, len(rows)) if rows[k][0] >> j & 1), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        for k, row in enumerate(rows):
+            if k != r and row[0] >> j & 1:
+                row[0] ^= rows[r][0]
+                row[1] ^= rows[r][1]
+        pivots.append(j)
+    unsolvable = 0
+    for row in rows[len(pivots):]:
+        unsolvable |= row[1]
+    return {u: frozenset(solved[j] for j, row in zip(pivots, rows)
+                         if row[1] >> i & 1)
+            for i, u in enumerate(todo) if not unsolvable >> i & 1}
+
+
+def find_gflow(p: MeasurementPattern):
+    """XY-plane gflow ``(g, layer)`` of the pattern's open graph, with no
+    inputs and the readouts as outputs.
+
+    The layer-by-layer search of Mhalla & Perdrix ("Finding optimal flows
+    efficiently", ICALP 2008): the outputs form layer 0, and layer d holds
+    every unlayered qubit u with a K among the layered qubits whose Odd(K)
+    meets the unlayered qubits in {u} alone; then g(u) = K.  Higher layers
+    are measured first.  Raises ``NoFlowError`` when a layer comes out
+    empty, and on computational-basis qubits, which would need Pauli flow.
+    """
+    p.validate()
+    if p.z_basis:
+        raise NoFlowError("z-basis qubits need Pauli flow, not XY gflow")
+    adj = _adjacency(p)
+    solved = sorted(set(p.readouts))
+    layer = dict.fromkeys(solved, 0)
+    g: dict[int, frozenset] = {}
+    todo = [q for q in p.qubits() if q not in layer]
+    depth = 0
+    while todo:
+        found = _solve_layer(adj, solved, todo)
+        if not found:
+            raise NoFlowError(f"no XY gflow: qubits {todo} cannot be corrected")
+        depth += 1
+        g.update(found)
+        layer.update(dict.fromkeys(found, depth))
+        solved += found
+        todo = [q for q in todo if q not in found]
+    return g, layer
+
+
+# Widest open frontier run_sampled simulates: 2^12 amplitudes per shot.
+MAX_FRONTIER = 12
+# Amplitudes held in one state array; more shots than fit run in blocks.
+_BLOCK_AMPLITUDES = 1 << 18
+
+
+@dataclass
+class _Step:
+    """One measurement: add ``added`` qubits as |+>, multiply by the CZ
+    ``signs`` (or none), then measure frontier bit ``bit``."""
+
+    added: int
+    signs: np.ndarray | None
+    bit: int
+    row: int            # the qubit's row in the signal array
+    bras: np.ndarray    # <+_phi| weight on |1>, indexed by the signal
+    x_rows: list[int]   # g(v): X byproduct on outcome 1
+    z_rows: list[int]   # Odd(g(v)) \ {v}: Z byproduct on outcome 1
+    readout: bool
+
+
+def _cz_signs(width: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """(-1)^(number of CZ pairs both 1) over the 2^width frontier states;
+    bit 0 is the most significant."""
+    index = np.arange(1 << width)
+    parity = np.zeros(1 << width, dtype=np.int64)
+    for a, b in pairs:
+        parity ^= (index >> (width - 1 - a)) & (index >> (width - 1 - b)) & 1
+    return 1.0 - 2.0 * parity
+
+
+def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
+    """The measurement schedule of the gflow and the widest frontier.
+
+    Non-outputs go in descending layer, then the readouts.  A qubit joins
+    the frontier just before its first neighbour is measured; every edge
+    is applied when its second end joins.  Raises ``WidthTooLargeError``
+    before building any sign vector wider than ``MAX_FRONTIER``.
+    """
+    adj = _adjacency(p)
+    row = {q: i for i, q in enumerate(p.qubits())}
+    readouts = set(p.readouts)
+    joined: set[int] = set()
+    front: list[int] = []
+    steps = []
+    width = 0
+    for v in sorted(g, key=lambda u: (-layer[u], u)) + list(p.readouts):
+        pairs = []
+        added = 0
+        for q in (v, *sorted(adj[v])):
+            if q not in joined:
+                joined.add(q)
+                pairs += [(front.index(r), len(front))
+                          for r in sorted(adj[q]) if r in front]
+                front.append(q)
+                added += 1
+        width = max(width, len(front))
+        if len(front) > MAX_FRONTIER:
+            raise WidthTooLargeError(
+                f"sampling needs a {len(front)}-qubit frontier; "
+                f"the cap is {MAX_FRONTIER}")
+        c = p.angles[v].phase_factor()
+        k = g.get(v, frozenset())
+        steps.append(_Step(
+            added, _cz_signs(len(front), pairs) if pairs else None,
+            front.index(v), row[v],
+            np.array([c.conjugate(), -c.conjugate(), c, -c]),
+            [row[q] for q in sorted(k)],
+            [row[q] for q in sorted(_odd(adj, k) - {v})],
+            v in readouts))
+        front.remove(v)
+    return steps, width
+
+
+def _squared_norms(b: np.ndarray) -> np.ndarray:
+    """Per-shot squared norm of a contiguous (shots, ...) complex array."""
+    flat = b.reshape(len(b), -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _sample_block(steps: list[_Step], n_qubits: int, shots: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Run ``shots`` shots of the schedule at once; True where a shot read
+    some readout bit as 1 (a Balanced answer).
+
+    The state is a (shots, 2^w) array over the w frontier qubits.  Byproduct
+    signals are per-shot bits, 2 for X and 1 for Z, so the adapted angle
+    (-1)^sX * theta + sZ * pi picks its bra weight from ``_Step.bras``.
+    """
+    state = np.ones((shots, 1), dtype=complex)
+    signals = np.zeros((n_qubits, shots), dtype=np.uint8)
+    balanced = np.zeros(shots, dtype=bool)
+    for s in steps:
+        if s.added:
+            state = np.repeat(state, 1 << s.added, axis=1)
+        if s.signs is not None:
+            state *= s.signs
+        halves = state.reshape(shots, 1 << s.bit, 2, -1)
+        lifted = s.bras[signals[s.row]][:, None, None] * halves[:, :, 1]
+        b0 = halves[:, :, 0] + lifted
+        b1 = halves[:, :, 0] - lifted
+        n0, n1 = _squared_norms(b0), _squared_norms(b1)
+        one = rng.random(shots) >= n0 / (n0 + n1)
+        state = np.where(one[:, None, None], b1, b0).reshape(shots, -1)
+        state /= np.sqrt(np.where(one, n1, n0))[:, None]
+        signals[s.x_rows] ^= one.astype(np.uint8) << 1
+        signals[s.z_rows] ^= one.astype(np.uint8)
+        if s.readout:
+            balanced |= one
+    return balanced
 
 
 def run_sampled(p: MeasurementPattern, seed: int = 2024,
                 shots: int = 1000) -> PatternOutcome:
-    """Shot-by-shot execution of a chain pattern with byproduct correction.
+    """Sample the adaptively corrected pattern ``shots`` times.
 
-    Each chain's corrected final outcome contributes one answer bit; a shot
-    reads Constant exactly when every bit is zero.
+    Measures in the order of the XY gflow from :func:`find_gflow`, all shots
+    at once (in blocks of ``_BLOCK_AMPLITUDES`` amplitudes), each outcome
+    drawn from its shot's Born probability.  An outcome 1 at v pushes an X
+    byproduct onto g(v) and a Z byproduct onto Odd(g(v)) \\ {v}
+    (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007), which later
+    measurements absorb into their angles; readouts are measured the same
+    way.  A shot reads Constant exactly when every readout bit is zero.
+    ``verdict`` is the majority, with ``agreeing_shots`` the shots behind it.
+    Raises ``NoFlowError`` without a gflow and ``WidthTooLargeError`` when
+    the frontier would exceed ``MAX_FRONTIER`` qubits.
     """
-    p.validate()
-    if p.z_basis:
-        raise NotChainError("z-basis qubits are not supported in sampling")
-    chains = _chains_of(p)
+    g, layer = find_gflow(p)
+    steps, width = _sampling_plan(p, g, layer)
     rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_AMPLITUDES >> width)
     constant_shots = 0
-    last_verdict = Verdict.CONSTANT
-    for _ in range(shots):
-        bits = [_measure_chain([p.angles[q] for q in walk], rng)
-                for walk in chains]
-        last_verdict = Verdict.CONSTANT if not any(bits) else Verdict.BALANCED
-        if last_verdict is Verdict.CONSTANT:
-            constant_shots += 1
+    for start in range(0, shots, block):
+        n = min(block, shots - start)
+        balanced = _sample_block(steps, len(p.angles), n, rng)
+        constant_shots += n - int(np.count_nonzero(balanced))
     majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
     agreeing = constant_shots if majority is Verdict.CONSTANT else shots - constant_shots
     return PatternOutcome(majority, complex(0), shots, agreeing)

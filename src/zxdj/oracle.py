@@ -8,8 +8,13 @@ from enum import Enum
 from fractions import Fraction
 
 from .circuit import Circuit, cnot, phase_gate
-from .errors import NotPromiseError
+from .errors import NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
+
+
+# Most input bits a BooleanFunction takes: its table is a 2^n-bit integer,
+# 128 KiB at n = 20.
+MAX_INPUT_BITS = 20
 
 
 class Verdict(Enum):
@@ -30,6 +35,11 @@ class BooleanFunction:
     table: int
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n={self.n} is negative")
+        if self.n > MAX_INPUT_BITS:
+            raise WidthTooLargeError(
+                f"n={self.n} exceeds the cap of {MAX_INPUT_BITS} input bits")
         if not 0 <= self.table < (1 << (1 << self.n)):
             raise ValueError(f"table {self.table} out of range for n={self.n}")
 
@@ -60,7 +70,8 @@ class BooleanFunction:
     def parse(cls, n: int, text: str) -> "BooleanFunction":
         """Accepts a decimal table value or a binary output string."""
         text = text.strip()
-        if set(text) <= {"0", "1"} and len(text) == (1 << n):
+        if (set(text) <= {"0", "1"} and 0 <= n <= MAX_INPUT_BITS
+                and len(text) == 1 << n):
             return cls(n, int(text, 2))
         return cls(n, int(text, 10))
 

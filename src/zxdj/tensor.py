@@ -241,10 +241,20 @@ def collapse_floor(d: ZxDiagram) -> float:
     product = 1.0
     for v in d.node_ids():
         s = d.spiders[v]
-        rank = d.degree(v) + d.boundary_legs(v)
-        base = spider_tensor(s.kind, s.phase.phase_factor(), rank)
-        product *= max(float(np.max(np.abs(base))), 1.0)
+        product *= max(_spider_max_norm(
+            s.kind, s.phase.phase_factor(), d.degree(v) + d.boundary_legs(v)), 1.0)
     return 1e-9 * product
+
+
+def _spider_max_norm(kind: SpiderKind, z: complex, rank: int) -> float:
+    """Largest |entry| of ``spider_tensor(kind, z, rank)`` without building
+    it: a rank-0 spider is the scalar 1 + z; a Z spider's entries are 1, z
+    and zeros; an X spider's are 1 + z and 1 - z."""
+    if rank == 0:
+        return abs(1 + z)
+    if kind is SpiderKind.Z:
+        return max(1.0, abs(z))
+    return max(abs(1 + z), abs(1 - z))
 
 
 def equivalent_up_to_scalar(t1: Tensor, t2: Tensor, tol: float = 1e-9):

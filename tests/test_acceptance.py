@@ -348,13 +348,18 @@ def test_criterion_7_lattice():
 def test_criterion_8_sampling():
     ok = True
     detail = ""
-    for f in enumerate_promise(2):
-        out = run_sampled(dj_pattern_2q(f), seed=2024, shots=1000)
+    cases = [(maker, f) for maker, n in ((dj_pattern_3q, 3), (dj_pattern_2q, 2),
+                                         (dj_pattern_1q, 1))
+             for f in enumerate_promise(n)]
+    assert len(cases) == 72 + 8 + 4
+    for maker, f in cases:
+        out = run_sampled(maker(f), seed=2024, shots=1000)
         if out.verdict is not classify(f) or out.agreeing_shots != 1000:
-            ok, detail = False, (f"table {f.table}: "
+            ok, detail = False, (f"n={f.n} table {f.table}: "
                                  f"{out.agreeing_shots}/1000 shots")
             break
-    _report(8, "1000-shot runs are deterministic and correct", ok, detail)
+    _report(8, "1000-shot runs of 72 + 8 + 4 variants are deterministic "
+            "and correct", ok, detail)
 
 
 # -- 9: erratum regression ---------------------------------------------------

@@ -7,8 +7,9 @@ import pytest
 
 from zxdj.cli import main
 from zxdj.circuit import Circuit, hadamard, pauli_z
-from zxdj.mbqc import dj_pattern_2q
+from zxdj.mbqc import MeasurementPattern, dj_pattern_2q, lattice_pattern_3q
 from zxdj.oracle import BooleanFunction
+from zxdj.phase import HALF_PI
 
 
 def run(capsys, *argv):
@@ -129,6 +130,43 @@ def test_simulate_negative_shots_is_usage_error(capsys):
                     "--shots", "-5")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_out_of_range_n_is_usage_error(capsys):
+    for n in ("40", "-1"):
+        code, out = run(capsys, "classify", "--n", n, "--table", "1")
+        assert code == 2, n
+        assert list(json.loads(out)) == ["error"], n
+
+
+def test_simulate_shots_three_qubit_pattern(capsys):
+    code, out = run(capsys, "simulate", "--n", "3", "--table", "01101001",
+                    "--shots", "100")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "balanced", "shots": 100,
+                               "agreeing_shots": 100}
+
+
+def test_simulate_shots_refuses_non_deterministic_readout(capsys, tmp_path):
+    # |+> read at pi/2 gives 0 or 1 with probability 1/2 each
+    path = tmp_path / "coin.json"
+    path.write_text(MeasurementPattern({0: HALF_PI}, set(), [0], [0]).to_json())
+    code, out = run(capsys, "simulate", "--pattern", str(path),
+                    "--shots", "200")
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error", "shots", "agreeing_shots"}
+    assert "not deterministic" in doc["error"]
+    assert doc["shots"] == 200 and 100 <= doc["agreeing_shots"] < 200
+
+
+def test_simulate_shots_without_gflow_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "lattice.json"
+    path.write_text(lattice_pattern_3q(BooleanFunction(3, 0)).to_json())
+    code, out = run(capsys, "simulate", "--pattern", str(path),
+                    "--shots", "10")
+    assert code == 1
+    assert "gflow" in json.loads(out)["error"]
 
 
 def test_zero_denominator_angle_is_usage_error(capsys, tmp_path):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from zxdj.circuit import unitary
-from zxdj.errors import NotPromiseError
+from zxdj.errors import NotPromiseError, WidthTooLargeError
 from zxdj.oracle import (
+    MAX_INPUT_BITS,
     BooleanFunction,
     PhasePolynomial,
     TABLE2_AS_PRINTED,
@@ -43,6 +44,17 @@ def test_from_values_guard():
         BooleanFunction.from_values([0, 1, 1])
     with pytest.raises(ValueError):
         BooleanFunction(2, 16)
+
+
+def test_width_cap_precedes_the_table_shift():
+    # 1 << (1 << 40) would need 128 GiB
+    with pytest.raises(WidthTooLargeError):
+        BooleanFunction(40, 1)
+    with pytest.raises(WidthTooLargeError):
+        BooleanFunction.parse(40, "1")
+    with pytest.raises(ValueError):
+        BooleanFunction(-1, 0)
+    assert BooleanFunction(MAX_INPUT_BITS, 1).size == 1 << MAX_INPUT_BITS
 
 
 def test_parse_binary_and_decimal():

@@ -9,8 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
 from zxdj.errors import ShapeMismatchError
-from zxdj.mbqc import dj_pattern_3q, lattice_pattern_3q, pattern_to_diagram
-from zxdj.oracle import BooleanFunction
+from zxdj.mbqc import (
+    dj_pattern_2q,
+    dj_pattern_3q,
+    lattice_pattern_3q,
+    pattern_to_diagram,
+)
+from zxdj.oracle import BooleanFunction, enumerate_promise
 from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.tensor import (
     HADAMARD,
@@ -202,6 +207,52 @@ def test_collapse_floor_scales_with_spider_norms():
     d.add_spider(SpiderKind.X, ZERO)  # degree-0: max |entry| = 2
     assert collapse_floor(d) == pytest.approx(2e-9)
     assert collapse_floor(new_diagram(0, 0)) == pytest.approx(1e-9)
+
+
+def _reference_collapse_floor(d):
+    """The dense definition: build each spider tensor, read its max |entry|."""
+    product = 1.0
+    for v in d.node_ids():
+        s = d.spiders[v]
+        rank = d.degree(v) + d.boundary_legs(v)
+        base = spider_tensor(s.kind, s.phase.phase_factor(), rank)
+        product *= max(float(np.max(np.abs(base))), 1.0)
+    return 1e-9 * product
+
+
+def test_collapse_floor_matches_dense_reference():
+    # every phase here is a multiple of pi/2: bit-identical to the dense form
+    diagrams_ = [pattern_to_diagram(dj_pattern_2q(f))
+                 for f in enumerate_promise(2)]
+    for f in enumerate_promise(3):
+        diagrams_.append(pattern_to_diagram(dj_pattern_3q(f)))
+        diagrams_.append(pattern_to_diagram(lattice_pattern_3q(f)))
+    assert len(diagrams_) == 152
+    for d in diagrams_:
+        assert collapse_floor(d) == _reference_collapse_floor(d)
+
+
+def _close_in_ulps(a, b):
+    # abs() and numpy's array abs may round |z| differently in the last bit
+    return abs(a - b) <= 4 * np.finfo(float).eps * max(abs(a), abs(b))
+
+
+def test_collapse_floor_closed_form_on_every_eighth_turn():
+    for kind in SpiderKind:
+        for num in range(16):
+            for rank in range(4):
+                d = ZxDiagram()
+                v = d.add_spider(kind, Phase(num, 8))
+                for _ in range(rank):
+                    d.add_edge(v, d.add_spider(SpiderKind.Z), EdgeKind.PLAIN)
+                assert _close_in_ulps(collapse_floor(d),
+                                      _reference_collapse_floor(d))
+
+
+@given(diagrams)
+@settings(max_examples=60, deadline=None)
+def test_collapse_floor_matches_dense_reference_on_random_diagrams(d):
+    assert _close_in_ulps(collapse_floor(d), _reference_collapse_floor(d))
 
 
 # -- the planner against the loops it replaced ---------------------------------
