@@ -126,10 +126,20 @@ def _load_pattern(path: str) -> MeasurementPattern:
         raise UsageError(f"malformed pattern JSON: {exc}")
 
 
-def _compile(c: Circuit):
+# The phase gates of oracle_circuit_3q whose carriers are read out: the
+# x0^x1^x2, x0^x1 and x1^x2 coefficients, as in dj_pattern_3q.
+_ORACLE_READOUT_GATES = (6, 3, 5)
+
+
+def _compile(c: Circuit, oracle: bool = False):
+    """Compile a circuit to a pattern.  An ``oracle_circuit_3q`` circuit
+    reads out the carriers of its parity coefficients, which gives the
+    pattern an XY gflow; any other circuit keeps the default readout of
+    ``pattern_from_graph_like`` (the highest qubit id)."""
     d, carriers = to_zx_tracked(c)
     reduced, steps = simplify_mbqc(d, frozenset(carriers))
-    return pattern_from_graph_like(reduced), steps
+    readouts = [carriers[i] for i in _ORACLE_READOUT_GATES] if oracle else None
+    return pattern_from_graph_like(reduced, readouts), steps
 
 
 def _cmd_compile_mbqc(args) -> int:
@@ -140,7 +150,7 @@ def _cmd_compile_mbqc(args) -> int:
         if f.n != 3:
             raise UsageError("compile-mbqc without --circuit supports --n 3 only")
         c = oracle_circuit_3q(f)
-    pattern, steps = _compile(c)
+    pattern, steps = _compile(c, oracle=not args.circuit)
     doc = {"pattern": pattern.to_json_dict()}
     if args.trace:
         doc["trace"] = [s.to_json_dict() for s in steps]
@@ -193,7 +203,7 @@ def _cmd_simulate(args) -> int:
 def _verify_record_3q(f: BooleanFunction) -> dict:
     expected = classify(f)
     circuit_v = dj_run_circuit(oracle_circuit_3q(f))
-    pipeline, _ = _compile(oracle_circuit_3q(f))
+    pipeline, _ = _compile(oracle_circuit_3q(f), oracle=True)
     pipeline_v = run_postselected(pipeline).verdict
     pattern_v = run_postselected(dj_pattern_3q(f)).verdict
     lattice_v = run_postselected(lattice_pattern_3q(f)).verdict

@@ -53,9 +53,6 @@ class MeasurementPattern:
     def qubits(self) -> list[int]:
         return sorted(self.angles)
 
-    def neighbors(self, q: int) -> set[int]:
-        return {next(iter(e - {q})) for e in self.edges if q in e}
-
     def validate(self) -> None:
         for e in self.edges:
             if len(e) != 2:
@@ -123,8 +120,14 @@ class PatternOutcome:
     agreeing_shots: int = 0
 
 
-def pattern_from_graph_like(d: ZxDiagram) -> MeasurementPattern:
-    """Read a closed graph-like diagram as a measurement pattern."""
+def pattern_from_graph_like(d: ZxDiagram,
+                            readouts: list[int] | None = None) -> MeasurementPattern:
+    """Read a closed graph-like diagram as a measurement pattern.
+
+    Qubit ids are the spider ids.  ``readouts`` names the readout qubits;
+    without it the single highest id is read out, which need not leave the
+    pattern an XY gflow (:func:`find_gflow`), so ``run_sampled`` may refuse it.
+    """
     if not d.is_closed():
         raise NotGraphLikeError("diagram has open boundary legs")
     for v, s in d.spiders.items():
@@ -140,7 +143,11 @@ def pattern_from_graph_like(d: ZxDiagram) -> MeasurementPattern:
         edges.add(pair)
     angles = {v: d.spiders[v].phase for v in d.spiders}
     order = sorted(angles)
-    return MeasurementPattern(angles, edges, order, list(order[-1:]))
+    readouts = list(order[-1:] if readouts is None else readouts)
+    unknown = [q for q in readouts if q not in angles]
+    if unknown:
+        raise NotGraphLikeError(f"readouts {unknown} are not spiders")
+    return MeasurementPattern(angles, edges, order, readouts)
 
 
 def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
@@ -553,7 +560,8 @@ def reduce_lattice(p: MeasurementPattern):
     Computational-basis spares are decoupled away; the remaining spares are
     removed by neighborhood complementation in the fixed segment order of
     ``_LATTICE_REDUCTION_ORDER``, whose pre-compensated phases make every
-    residue cancel.  Returns the reduced pattern and the rewrite trace.
+    residue cancel.  Returns the reduced pattern, which keeps the lattice's
+    readouts, and the rewrite trace.
     """
     if not p.angles:
         return p, []
@@ -580,4 +588,4 @@ def reduce_lattice(p: MeasurementPattern):
             raise ReductionStuckError(
                 f"spare qubit {q} stuck at angle {d.spiders[v].phase}")
         steps.append(local_complement(d, v))
-    return pattern_from_graph_like(d), steps
+    return pattern_from_graph_like(d, [node_of[q] for q in p.readouts]), steps

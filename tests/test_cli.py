@@ -8,7 +8,7 @@ import pytest
 from zxdj.cli import main
 from zxdj.circuit import Circuit, hadamard, pauli_z
 from zxdj.mbqc import MeasurementPattern, dj_pattern_2q, lattice_pattern_3q
-from zxdj.oracle import BooleanFunction
+from zxdj.oracle import BooleanFunction, classify, enumerate_promise
 from zxdj.phase import HALF_PI
 
 
@@ -190,6 +190,34 @@ def test_unknown_readout_is_rejected(capsys, tmp_path):
     code, out = run(capsys, "simulate", "--pattern", str(path))
     assert code == 1
     assert "99" in json.loads(out)["error"]
+
+
+def test_compiled_and_reduced_patterns_sample_deterministically(capsys, tmp_path):
+    # both read out the parity-coefficient carriers, so each has an XY gflow
+    path = tmp_path / "pattern.json"
+    for f in enumerate_promise(3):
+        table = format(f.table, "08b")
+        for argv, key in ((["compile-mbqc"], "pattern"),
+                          (["lattice", "--reduce"], "reduced")):
+            code, out = run(capsys, *argv, "--n", "3", "--table", table)
+            assert code == 0
+            path.write_text(json.dumps(json.loads(out)[key]))
+            code, out = run(capsys, "simulate", "--pattern", str(path),
+                            "--shots", "100")
+            assert code == 0, (table, argv, out)
+            assert json.loads(out) == {"verdict": classify(f).value,
+                                       "shots": 100, "agreeing_shots": 100}
+
+
+def test_compiled_circuit_file_keeps_highest_id_readout(capsys, tmp_path):
+    code, out = run(capsys, "synth-circuit", "--n", "3", "--table", "01101001")
+    assert code == 0
+    path = tmp_path / "oracle.json"
+    path.write_text(out)
+    code, out = run(capsys, "compile-mbqc", "--circuit", str(path))
+    assert code == 0
+    pattern = json.loads(out)["pattern"]
+    assert pattern["readouts"] == [max(q["id"] for q in pattern["qubits"])]
 
 
 # SHA-256 of the verify-all stdout, fixed when the contraction planner and

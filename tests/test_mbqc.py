@@ -117,6 +117,26 @@ def test_pattern_from_graph_like_guards():
         pattern_from_graph_like(d)  # parallel edge
 
 
+def test_pattern_from_graph_like_readouts():
+    d = ZxDiagram()
+    a = d.add_spider(SpiderKind.Z, HALF_PI)
+    b = d.add_spider(SpiderKind.Z, ZERO)
+    d.add_edge(a, b, EdgeKind.HADAMARD)
+    assert pattern_from_graph_like(d).readouts == [b]
+    assert pattern_from_graph_like(d, [a]).readouts == [a]
+    with pytest.raises(NotGraphLikeError):
+        pattern_from_graph_like(d, [a, 7])
+
+
+def test_reduced_lattice_keeps_the_lattice_readouts():
+    for f in enumerate_promise(3)[::9]:
+        lattice = lattice_pattern_3q(f)
+        reduced, _ = reduce_lattice(lattice)
+        # pattern_to_diagram numbers the qubits in ascending order
+        node_of = {q: i for i, q in enumerate(lattice.qubits())}
+        assert reduced.readouts == [node_of[q] for q in lattice.readouts]
+
+
 def test_pattern_to_diagram_round_trip():
     p = _triangle_pattern()
     d = pattern_to_diagram(p)

@@ -15,10 +15,13 @@ from zxdj.mbqc import (
     lattice_pattern_3q,
     pattern_to_diagram,
 )
+from zxdj import tensor
 from zxdj.oracle import BooleanFunction, enumerate_promise
 from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
+from zxdj.rewrite import fuse_spiders
 from zxdj.tensor import (
     HADAMARD,
+    MEMO_SHAPES,
     Tensor,
     _degree_score,
     _fill_score,
@@ -394,3 +397,150 @@ def test_plan_and_orders_on_pattern_and_lattice():
     for score in (_degree_score, _fill_score):
         greedy = _greedy_order(lattice, list(range(48)), score)
         assert plan_contraction(lattice, greedy).peak_rank > 11
+
+
+# -- the shape memo and the compiled programs ----------------------------------
+
+def _clear_memos():
+    tensor._order_memo.clear()
+    tensor._program_memo.clear()
+
+
+def _cold_evaluate(d):
+    """``evaluate`` with nothing memoized: order and program made afresh."""
+    _clear_memos()
+    return evaluate(d)
+
+
+def _same(t1, t2):
+    return t1.data.shape == t2.data.shape and np.array_equal(t1.data, t2.data)
+
+
+@given(diagrams)
+@settings(max_examples=80, deadline=None)
+def test_memoized_evaluate_is_bit_identical(d):
+    cold = _cold_evaluate(d)
+    warm = evaluate(d)
+    order = elimination_order(d)
+    assert _same(warm, cold)
+    assert _same(warm, evaluate(d, order))
+    result, _ = _reference_contraction(d, order)
+    perm = [result.labels.index(("out", i)) for i in range(len(d.outputs))]
+    perm += [result.labels.index(("in", i)) for i in range(len(d.inputs))]
+    assert np.array_equal(warm.data, np.transpose(result.data, perm))
+
+
+def test_shared_shape_reads_kinds_and_phases_afresh():
+    # the 72 lattices share one shape; each gets its own exact amplitude
+    _clear_memos()
+    lattices = [pattern_to_diagram(lattice_pattern_3q(f))
+                for f in enumerate_promise(3)]
+    order = elimination_order(lattices[0])
+    for d in lattices:
+        assert _same(evaluate(d), evaluate(d, order))
+    assert len(tensor._program_memo) == 1
+    # same shape, other spider kinds and phases
+    base = _grid_diagram(3, 3)
+    base.outputs = [0]
+    other = base.copy()
+    for v, s in other.spiders.items():
+        if v % 2:
+            s.kind = SpiderKind.X
+        s.phase = Phase(v, 4)
+    assert tensor._shape_key(base) == tensor._shape_key(other)
+    first, second = evaluate(base), evaluate(other)
+    assert _same(first, evaluate(base, elimination_order(base)))
+    assert _same(second, evaluate(other, elimination_order(other)))
+    assert not np.allclose(first.data, second.data)
+
+
+def _mutable_diagram():
+    d = ZxDiagram()
+    a = d.add_spider(SpiderKind.Z, HALF_PI)
+    b = d.add_spider(SpiderKind.Z, QUARTER_PI)
+    c = d.add_spider(SpiderKind.X, PI)
+    e = d.add_spider(SpiderKind.Z, ZERO)
+    d.add_edge(a, b, EdgeKind.PLAIN)
+    d.add_edge(b, c, EdgeKind.HADAMARD)
+    d.add_edge(c, e, EdgeKind.PLAIN)
+    d.outputs = [e]
+    return d, (a, b, c, e)
+
+
+def test_mutation_after_evaluate_gets_a_fresh_plan():
+    d, (a, b, c, e) = _mutable_diagram()
+    mutations = [
+        lambda: d.add_edge(a, c, EdgeKind.HADAMARD),
+        lambda: fuse_spiders(d, a, b),
+        lambda: d.inputs.append(c),
+        lambda: d.outputs.append(e),
+    ]
+    for mutate in mutations:
+        before = evaluate(d)
+        evaluate(d)  # warm
+        mutate()
+        after = evaluate(d)
+        assert not _same(before, after)
+        assert _same(after, _cold_evaluate(d.copy()))
+
+
+def test_elimination_order_returns_a_fresh_list():
+    d = _grid_diagram(3, 4)
+    first = elimination_order(d)
+    expected = list(first)
+    first.reverse()
+    first.append(99)
+    assert elimination_order(d) == expected
+    assert elimination_order(d) is not elimination_order(d)
+
+
+def _chain(n):
+    d = ZxDiagram()
+    ids = [d.add_spider(SpiderKind.Z, QUARTER_PI) for _ in range(n)]
+    for u, v in zip(ids, ids[1:]):
+        d.add_edge(u, v, EdgeKind.HADAMARD)
+    return d
+
+
+def test_memos_stay_within_their_bound():
+    _clear_memos()
+    chains = [_chain(n) for n in range(1, MEMO_SHAPES + 11)]
+    for d in chains:
+        evaluate(d)
+    assert len(tensor._order_memo) == MEMO_SHAPES
+    assert len(tensor._program_memo) == MEMO_SHAPES
+    # the shape memoized first is evicted first; the latest stay
+    assert tensor._shape_key(chains[0]) not in tensor._order_memo
+    assert tensor._shape_key(chains[-1]) in tensor._order_memo
+    for d in chains:
+        assert _same(evaluate(d), evaluate(d, elimination_order(d)))
+    assert len(tensor._order_memo) <= MEMO_SHAPES
+    assert len(tensor._program_memo) <= MEMO_SHAPES
+
+
+def test_explicit_order_is_not_memoized():
+    _clear_memos()
+    d = _grid_diagram(2, 3)
+    evaluate(d, sorted(d.spiders))
+    assert not tensor._program_memo
+
+
+def test_warm_evaluate_plans_nothing(monkeypatch):
+    calls = {"_greedy_order": 0, "plan_contraction": 0}
+    for name in calls:
+        original = getattr(tensor, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tensor, name, counted)
+    functions = enumerate_promise(3)
+    _clear_memos()
+    evaluate(pattern_to_diagram(lattice_pattern_3q(functions[0])))
+    assert calls == {"_greedy_order": 2, "plan_contraction": 4}
+    for name in calls:
+        calls[name] = 0
+    for f in functions[1:4]:
+        evaluate(pattern_to_diagram(lattice_pattern_3q(f)))
+    assert calls == {"_greedy_order": 0, "plan_contraction": 0}
