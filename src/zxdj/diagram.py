@@ -133,8 +133,10 @@ class ZxDiagram:
         return {self.edges[eid].other(v) for eid in self._incident.get(v, ())}
 
     def edges_between(self, a: int, b: int) -> list[int]:
-        return sorted(eid for eid in self._incident.get(a, ())
-                      if self.edges[eid].other(a) == b)
+        at_a, at_b = self._incident.get(a, ()), self._incident.get(b, ())
+        if len(at_b) < len(at_a):
+            a, b, at_a = b, a, at_b
+        return sorted(eid for eid in at_a if self.edges[eid].other(a) == b)
 
     def boundary_legs(self, v: int) -> int:
         return self.inputs.count(v) + self.outputs.count(v)

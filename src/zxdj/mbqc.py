@@ -31,7 +31,7 @@ from .oracle import (
     two_qubit_spider_angles,
 )
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
-from .rewrite import decouple_x_state, fuse_spiders, local_complement
+from .rewrite import simplify_inplace
 from .tensor import collapse_floor, evaluate
 
 
@@ -46,7 +46,6 @@ class MeasurementPattern:
 
     angles: dict[int, Phase]
     edges: set[frozenset]
-    order: list[int]
     readouts: list[int]
     z_basis: set[int] = field(default_factory=set)
 
@@ -54,15 +53,14 @@ class MeasurementPattern:
         return sorted(self.angles)
 
     def validate(self) -> None:
+        qubits = set(self.angles)
         for e in self.edges:
             if len(e) != 2:
                 raise NotGraphLikeError(f"self-edge {set(e)}")
-            if not e <= set(self.angles):
+            if not e <= qubits:
                 raise NotGraphLikeError(f"edge {set(e)} references unknown qubit")
-        qubits = self.qubits()
-        if sorted(self.order) != qubits:
-            raise NotGraphLikeError("order must enumerate every qubit once")
-        unknown = [q for q in self.readouts if q not in qubits]
+        listed = self.qubits()  # a list: JSON may give an unhashable readout
+        unknown = [q for q in self.readouts if q not in listed]
         if unknown:
             raise NotGraphLikeError(f"readouts {unknown} are not qubits")
         if len(set(self.readouts)) != len(self.readouts):
@@ -81,7 +79,6 @@ class MeasurementPattern:
         return {
             "qubits": qubits,
             "edges": sorted(sorted(e) for e in self.edges),
-            "order": list(self.order),
             "readouts": list(self.readouts),
         }
 
@@ -90,10 +87,11 @@ class MeasurementPattern:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementPattern":
+        """Load a pattern document; a legacy ``"order"`` key is ignored."""
         angles = {rec["id"]: Phase.parse(rec["angle"]) for rec in doc["qubits"]}
         z_basis = {rec["id"] for rec in doc["qubits"] if rec.get("basis") == "z"}
         edges = {frozenset(e) for e in doc["edges"]}
-        return cls(angles, edges, list(doc["order"]), list(doc["readouts"]), z_basis)
+        return cls(angles, edges, list(doc["readouts"]), z_basis)
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementPattern":
@@ -142,12 +140,11 @@ def pattern_from_graph_like(d: ZxDiagram,
             raise NotGraphLikeError(f"parallel edge {set(pair)}")
         edges.add(pair)
     angles = {v: d.spiders[v].phase for v in d.spiders}
-    order = sorted(angles)
-    readouts = list(order[-1:] if readouts is None else readouts)
+    readouts = list(sorted(angles)[-1:] if readouts is None else readouts)
     unknown = [q for q in readouts if q not in angles]
     if unknown:
         raise NotGraphLikeError(f"readouts {unknown} are not spiders")
-    return MeasurementPattern(angles, edges, order, readouts)
+    return MeasurementPattern(angles, edges, readouts)
 
 
 def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
@@ -210,15 +207,13 @@ def dj_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
     index = {name: i for i, name in enumerate(_3Q_NAMES)}
     angles = {index[name]: labels[name] for name in _3Q_NAMES}
     edges = {frozenset((index[a], index[b])) for a, b in _3Q_EDGES}
-    order = sorted(angles)
     readouts = [index["T5"], index["M3"], index["B3"]]
-    return MeasurementPattern(angles, edges, order, readouts)
+    return MeasurementPattern(angles, edges, readouts)
 
 
 def _chain_pattern(chains) -> MeasurementPattern:
     angles = {}
     edges = set()
-    order = []
     readouts = []
     next_id = 0
     for chain in chains:
@@ -229,9 +224,8 @@ def _chain_pattern(chains) -> MeasurementPattern:
             next_id += 1
         for a, b in zip(ids, ids[1:]):
             edges.add(frozenset((a, b)))
-        order.extend(ids)
         readouts.append(ids[-1])
-    return MeasurementPattern(angles, edges, order, readouts)
+    return MeasurementPattern(angles, edges, readouts)
 
 
 def dj_pattern_2q(f: BooleanFunction) -> MeasurementPattern:
@@ -479,13 +473,13 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
 # ---------------------------------------------------------------------------
 # Rectangular 6x6 lattice embedding of the eleven-qubit pattern.
 # Grid positions are (row, col), 1-based; qubit id = (row-1)*6 + (col-1).
-# "z" marks a computational-basis spare (decoupled away); +-pi/2 spares are
-# removed by neighborhood complementation.  Every complementation pays
-# -+pi/2 onto the removed qubit's neighbors, so the surviving pattern
-# qubits carry pre-compensations chosen so the residues cancel exactly:
+# "z" marks a computational-basis spare (decoupled away); the other spares
+# are removed by the general simplifier (reduce_lattice).  Removing a spare
+# pays its phase onto its neighbors, so the surviving pattern qubits carry
+# pre-compensations chosen so the residues cancel exactly:
 #   - a lone pi/2 spare between two survivors leaves -pi/2 on both ends,
 #   - a (spare, 0-spare) pair leaves +-pi/2 on the far end only,
-#   - a triple of pi/2 spares (ends removed first) leaves no residue.
+#   - a triple of pi/2 spares leaves no residue.
 # ---------------------------------------------------------------------------
 
 def _lattice_layout(pp):
@@ -508,20 +502,8 @@ def _lattice_layout(pp):
     }
 
 
+# The parameter carriers, which reduce_lattice protects.
 _LATTICE_CARRIERS = {(1, 1), (1, 6), (2, 4), (4, 3), (5, 4), (6, 1), (6, 6)}
-
-# Complementation order for reduce_lattice.  Within each spare run the order
-# matters (ends of a triple before its middle; the +-pi/2 member of a pair
-# before its 0 member); distinct runs are independent.
-_LATTICE_REDUCTION_ORDER = [
-    (3, 1), (5, 1), (4, 1),      # triple between (2,1) and (6,1)
-    (3, 6), (5, 6), (4, 6),      # triple between (2,6) and (6,6)
-    (2, 3), (2, 2),              # pair between (2,4) and (2,1)
-    (2, 5),                      # single between (2,4) and (2,6)
-    (3, 4),                      # single between (2,4) and (4,4)
-    (6, 3), (6, 2),              # pair between (6,4) and (6,1)
-    (6, 5),                      # single between (6,4) and (6,6)
-]
 
 
 def _grid_id(pos) -> int:
@@ -549,43 +531,29 @@ def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
                 edges.add(frozenset((_grid_id((r, c)), _grid_id((r, c + 1)))))
             if r < 6:
                 edges.add(frozenset((_grid_id((r, c)), _grid_id((r + 1, c)))))
-    order = sorted(angles)
     readouts = [_grid_id((1, 6)), _grid_id((5, 4)), _grid_id((6, 6))]
-    return MeasurementPattern(angles, edges, order, readouts, z_basis)
+    return MeasurementPattern(angles, edges, readouts, z_basis)
 
 
 def reduce_lattice(p: MeasurementPattern):
-    """Shrink the lattice to its embedded eleven-qubit pattern.
-
-    Computational-basis spares are decoupled away; the remaining spares are
-    removed by neighborhood complementation in the fixed segment order of
-    ``_LATTICE_REDUCTION_ORDER``, whose pre-compensated phases make every
-    residue cancel.  Returns the reduced pattern, which keeps the lattice's
-    readouts, and the rewrite trace.
-    """
+    """Shrink the lattice to its embedded eleven-qubit pattern by the
+    simplifier core of ``simplify_mbqc``, run in place with the parameter
+    carriers protected.  Raises ``ReductionStuckError`` when a non-carrier
+    survives with degree at most 2, as a missing spare or a tampered angle
+    can leave.  Returns the reduced pattern, which keeps the lattice's
+    readouts, and the rewrite trace."""
     if not p.angles:
         return p, []
     d = pattern_to_diagram(p)
-    # pattern_to_diagram assigns diagram ids in ascending qubit order,
-    # then one cap per z-basis qubit
-    qubits = p.qubits()
-    node_of = {q: i for i, q in enumerate(qubits)}
-    cap_of = {q: len(qubits) + i for i, q in enumerate(sorted(p.z_basis))}
+    # pattern_to_diagram assigns diagram ids in ascending qubit order
+    node_of = {q: i for i, q in enumerate(p.qubits())}
+    carriers = {node_of[q] for q in map(_grid_id, _LATTICE_CARRIERS)
+                if q in node_of}
     steps = []
-    for q in sorted(p.z_basis):
-        step = decouple_x_state(d, cap_of[q])
-        steps.append(step)
-        # plain-attached caps produced on the Hadamard legs fuse back in
-        for cap in step.after:
-            (eid,) = d.edges_at(cap)
-            steps.append(fuse_spiders(d, d.edges[eid].other(cap), cap))
-    for pos in _LATTICE_REDUCTION_ORDER:
-        q = _grid_id(pos)
-        if q not in node_of or node_of[q] not in d.spiders:
-            raise ReductionStuckError(f"expected spare qubit {q} is missing")
-        v = node_of[q]
-        if d.spiders[v].phase not in (HALF_PI, MINUS_HALF_PI):
-            raise ReductionStuckError(
-                f"spare qubit {q} stuck at angle {d.spiders[v].phase}")
-        steps.append(local_complement(d, v))
+    simplify_inplace(d, set(carriers), steps)
+    stuck = sorted(v for v in d.spiders
+                   if v not in carriers and d.degree(v) <= 2)
+    if stuck:
+        raise ReductionStuckError(
+            f"spiders {stuck} outside the carriers survive with degree <= 2")
     return pattern_from_graph_like(d, [node_of[q] for q in p.readouts]), steps

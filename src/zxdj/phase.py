@@ -58,6 +58,8 @@ class Phase:
         return self.numerator == 0
 
     def __add__(self, other: "Phase") -> "Phase":
+        if not other.numerator:
+            return self
         return Phase(self.numerator * other.denominator
                      + other.numerator * self.denominator,
                      self.denominator * other.denominator)

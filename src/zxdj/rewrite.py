@@ -8,6 +8,7 @@ rather than trusting the derivations.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
@@ -232,45 +233,43 @@ def local_complement(d: ZxDiagram, v: int) -> RewriteStep:
     return RewriteStep("local_complement", (v,), tuple(nbrs))
 
 
-def _reduce_parallel_hadamard(d: ZxDiagram, steps: list[RewriteStep]) -> bool:
-    """Delete parallel Hadamard edges between Z pairs two at a time."""
-    changed = False
-    seen: set[tuple[int, int]] = set()
-    for eid in sorted(d.edges):
-        e = d.edges.get(eid)
-        if e is None:
-            continue
-        pair = (min(e.a, e.b), max(e.a, e.b))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        hadamards = [x for x in d.edges_between(*pair)
-                     if d.edges[x].kind is EdgeKind.HADAMARD]
+def _reduce_parallel_hadamard(d: ZxDiagram, eids,
+                              steps: list[RewriteStep]) -> set[int]:
+    """Delete parallel Hadamard edges two at a time, each spider pair at its
+    lowest id in the ascending ``eids``; returns the spiders that lost any."""
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for eid in eids:
+        e = d.edges[eid]
+        if e.kind is EdgeKind.HADAMARD:
+            by_pair.setdefault((min(e.a, e.b), max(e.a, e.b)), []).append(eid)
+    touched: set[int] = set()
+    for pair, hadamards in by_pair.items():
         while len(hadamards) >= 2:
             d.remove_edge(hadamards.pop())
             d.remove_edge(hadamards.pop())
             steps.append(RewriteStep("hopf_pair", pair, pair))
-            changed = True
-    return changed
+            touched.update(pair)
+    return touched
+
+
+def _fuse(d: ZxDiagram, a: int, b: int, protected: set[int],
+          steps: list[RewriteStep]) -> None:
+    """Fuse ``b`` into ``a``, which inherits ``b``'s protection."""
+    steps.append(fuse_spiders(d, a, b))
+    if b in protected:
+        protected.discard(b)
+        protected.add(a)
 
 
 def _fuse_all_plain(d: ZxDiagram, protected: set[int],
                     steps: list[RewriteStep]) -> None:
-    while True:
-        target = None
-        for eid in sorted(d.edges):
-            e = d.edges[eid]
-            if (e.kind is EdgeKind.PLAIN
-                    and d.spiders[e.a].kind is d.spiders[e.b].kind):
-                target = (min(e.a, e.b), max(e.a, e.b))
-                break
-        if target is None:
-            return
-        a, b = target
-        steps.append(fuse_spiders(d, a, b))
-        if b in protected:
-            protected.discard(b)
-            protected.add(a)
+    """Fuse along each like-kind plain edge, lowest id first.  One pass is
+    enough: a fusion changes no edge's kind or far end's kind."""
+    for eid in sorted(d.edges):
+        e = d.edges.get(eid)
+        if (e is not None and e.kind is EdgeKind.PLAIN
+                and d.spiders[e.a].kind is d.spiders[e.b].kind):
+            _fuse(d, min(e.a, e.b), max(e.a, e.b), protected, steps)
 
 
 def _to_graph_like_inplace(d: ZxDiagram, protected: set[int],
@@ -279,7 +278,7 @@ def _to_graph_like_inplace(d: ZxDiagram, protected: set[int],
         if d.spiders[v].kind is SpiderKind.X:
             steps.append(color_change(d, v))
     _fuse_all_plain(d, protected, steps)
-    _reduce_parallel_hadamard(d, steps)
+    _reduce_parallel_hadamard(d, sorted(d.edges), steps)
 
 
 def to_graph_like(d: ZxDiagram) -> ZxDiagram:
@@ -306,69 +305,132 @@ def _plug_inplace(d: ZxDiagram, steps: list[RewriteStep]) -> None:
     d.outputs = []
 
 
-def _decouple_trailing_cap(d: ZxDiagram, protected: set[int],
-                           steps: list[RewriteStep]) -> bool:
-    """Remove one unprotected degree-1 phase-0 spider along with its
-    unprotected neighbor, re-capping the neighbor's other legs."""
-    for v in sorted(d.spiders):
-        s = d.spiders[v]
-        if (v in protected or s.kind is not SpiderKind.Z
-                or not s.phase.is_zero() or d.boundary_legs(v)):
-            continue
-        eids = d.edges_at(v)
-        if len(eids) != 1 or d.edges[eids[0]].kind is not EdgeKind.HADAMARD:
-            continue
-        z = d.edges[eids[0]].other(v)
-        if z in protected or z == v:
-            continue
+# A simplifier rule looks at one spider.  If it applies there, it rewrites,
+# appends its steps and returns every spider where a rule may have become
+# applicable, else None.  Rules read a spider's kind, phase and legs, its
+# neighbors' kind, protection and boundary legs, and whether a wire's ends
+# share an edge; none fires on a protected or boundary spider.
+
+def _state_rule(d, v, protected, steps):
+    """Decouple a phase-0 state on an unprotected Z spider: an X state on a
+    plain leg, or a Z state on a Hadamard leg (a trailing cap, color-changed
+    first).  The caps this leaves on like-kind neighbors fuse at once; the
+    capped neighbors and the other caps are returned."""
+    s = d.spiders[v]
+    if (v in protected or d.degree(v) != 1 or d.boundary_legs(v)
+            or not s.phase.is_zero()):
+        return None
+    e = d.edges[d.edges_at(v)[0]]
+    z = e.other(v)
+    if (z in protected or d.boundary_legs(z)
+            or d.spiders[z].kind is not SpiderKind.Z
+            or (s.kind is SpiderKind.X) != (e.kind is EdgeKind.PLAIN)):
+        return None
+    if s.kind is SpiderKind.Z:
         steps.append(color_change(d, v))
-        steps.append(decouple_x_state(d, v))
-        # caps emitted on Hadamard legs are plain-attached Z states: fuse them
-        _fuse_all_plain(d, protected, steps)
-        return True
-    return False
+    step = decouple_x_state(d, v)
+    steps.append(step)
+    touched = set()
+    for cap in step.after:
+        (n,) = d.neighbors(cap)
+        touched.add(n)
+        if d.spiders[n].kind is d.spiders[cap].kind:
+            _fuse(d, n, cap, protected, steps)
+        else:
+            touched.add(cap)
+    return touched
 
 
-def _cancel_one_hadamard_pair(d: ZxDiagram, protected: set[int],
-                              steps: list[RewriteStep]) -> bool:
-    for v in sorted(d.spiders):
-        s = d.spiders[v]
-        if (v in protected or not s.phase.is_zero() or d.boundary_legs(v)
-                or s.kind is not SpiderKind.Z):
+def _with_neighbors(d: ZxDiagram, vs) -> set[int]:
+    """``vs`` and their neighbors, for a step that changed edges among ``vs``."""
+    return set(vs).union(*(d.neighbors(v) for v in vs))
+
+
+def _wire_ends(d: ZxDiagram, v: int, protected: set[int]):
+    """The ends of an unprotected degree-2 Z spider with two Hadamard legs."""
+    if (v in protected or d.degree(v) != 2 or d.boundary_legs(v)
+            or d.spiders[v].kind is not SpiderKind.Z):
+        return None
+    e1, e2 = (d.edges[eid] for eid in d.edges_at(v))
+    hadamard = e1.kind is EdgeKind.HADAMARD and e2.kind is EdgeKind.HADAMARD
+    return (e1.other(v), e2.other(v)) if hadamard else None
+
+
+def _hadamard_wire_rule(d, v, protected, steps):
+    """Cancel a phase-0 wire and fuse its ends, unless they share an edge,
+    which the fusion would make a self-loop."""
+    ends = d.spiders[v].phase.is_zero() and _wire_ends(d, v, protected)
+    if not ends or d.edges_between(*ends):
+        return None
+    steps.append(hadamard_cancel(d, v))
+    a, b = sorted(ends)
+    _fuse(d, a, b, protected, steps)
+    return _with_neighbors(
+        d, {a} | _reduce_parallel_hadamard(d, d.edges_at(a), steps))
+
+
+def _clifford_wire_rule(d, v, protected, steps):
+    """Local-complement a +-pi/2 wire away (Duncan, Kissinger, Perdrix &
+    van de Wetering, Quantum 4, 279, 2020)."""
+    if (d.spiders[v].phase not in (HALF_PI, MINUS_HALF_PI)
+            or not _wire_ends(d, v, protected)):
+        return None
+    steps.append(local_complement(d, v))
+    return _with_neighbors(d, steps[-1].after)
+
+
+def _drive(d: ZxDiagram, protected: set[int], steps: list[RewriteStep],
+           rules) -> None:
+    """Apply the (degree, rule) pairs until none applies, each step the
+    first rule in list order that applies somewhere, at its lowest spider
+    id.  A min-heap per rule holds spiders of its degree; after a step only
+    the spiders the rule returns are queued again."""
+    heaps = [sorted(v for v in d.spiders if d.degree(v) == k) for k, _ in rules]
+    rank = 0
+    while rank < len(rules):
+        heap = heaps[rank]
+        if not heap:
+            rank += 1
             continue
-        eids = d.edges_at(v)
-        if len(eids) != 2:
+        v = heapq.heappop(heap)
+        # a spider queued twice is checked at its last copy
+        if v not in d.spiders or (heap and heap[0] == v):
             continue
-        if not all(d.edges[e].kind is EdgeKind.HADAMARD for e in eids):
-            continue
-        n1, n2 = (d.edges[e].other(v) for e in eids)
-        if n1 == n2:
-            continue
-        steps.append(hadamard_cancel(d, v))
-        _fuse_all_plain(d, protected, steps)
-        _reduce_parallel_hadamard(d, steps)
-        return True
-    return False
+        touched = rules[rank][1](d, v, protected, steps)
+        if touched is not None:
+            rank = 0
+            for u in touched:
+                for (k, _), queue in zip(rules, heaps):
+                    if k == d.degree(u):
+                        heapq.heappush(queue, u)
+
+
+_RULES = ((1, _state_rule), (2, _hadamard_wire_rule), (2, _clifford_wire_rule))
+
+
+def simplify_inplace(d: ZxDiagram, protected: set[int],
+                     steps: list[RewriteStep]) -> None:
+    """The simplifier core: plug the boundary, decouple X states (before
+    the graph-like pass color-changes them), then remove trailing caps,
+    phase-0 and +-pi/2 wires in that priority, all in place; ``protected``
+    follows fusions."""
+    if not d.is_closed():
+        _plug_inplace(d, steps)
+    _drive(d, protected, steps, _RULES[:1])
+    _to_graph_like_inplace(d, protected, steps)
+    _drive(d, protected, steps, _RULES)
 
 
 def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
     """Reduce a (closable) circuit translation to a graph-like closed diagram.
 
-    ``protected`` spiders are the oracle's parameter carriers: they survive
-    the cleanup so that every oracle variant compiles to the same graph
-    shape regardless of which phases happen to vanish.  Returns the reduced
-    diagram and the full step trace.
+    Runs :func:`simplify_inplace` on a copy.  ``protected`` spiders are the
+    oracle's parameter carriers: they survive the cleanup so that every
+    oracle variant compiles to the same graph shape regardless of which
+    phases happen to vanish.  Returns the reduced diagram and the full step
+    trace.
     """
     result = d.copy()
-    live_protected = set(protected)
     steps: list[RewriteStep] = []
-    if not result.is_closed():
-        _plug_inplace(result, steps)
-    _to_graph_like_inplace(result, live_protected, steps)
-    while True:
-        if _decouple_trailing_cap(result, live_protected, steps):
-            continue
-        if _cancel_one_hadamard_pair(result, live_protected, steps):
-            continue
-        break
+    simplify_inplace(result, set(protected), steps)
     return result, steps

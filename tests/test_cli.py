@@ -6,8 +6,13 @@ import json
 import pytest
 
 from zxdj.cli import main
-from zxdj.circuit import Circuit, hadamard, pauli_z
-from zxdj.mbqc import MeasurementPattern, dj_pattern_2q, lattice_pattern_3q
+from zxdj.circuit import Circuit, hadamard, pauli_z, plus_amplitude
+from zxdj.mbqc import (
+    MeasurementPattern,
+    dj_pattern_2q,
+    lattice_pattern_3q,
+    run_postselected,
+)
 from zxdj.oracle import BooleanFunction, classify, enumerate_promise
 from zxdj.phase import HALF_PI
 
@@ -67,6 +72,7 @@ def test_compile_mbqc_shape(capsys):
     doc = json.loads(out)
     assert len(doc["pattern"]["qubits"]) == 11
     assert len(doc["pattern"]["edges"]) == 12
+    assert "order" not in doc["pattern"]
 
 
 def test_simulate_pattern_and_shots(capsys):
@@ -113,6 +119,7 @@ def test_lattice_reduce(capsys):
     assert len(doc["pattern"]["qubits"]) == 36
     assert len(doc["reduced"]["qubits"]) == 11
     assert doc["isomorphic_to_compiled"] is True
+    assert "order" not in doc["pattern"] and "order" not in doc["reduced"]
 
 
 def test_export_dot(capsys, tmp_path):
@@ -150,7 +157,7 @@ def test_simulate_shots_three_qubit_pattern(capsys):
 def test_simulate_shots_refuses_non_deterministic_readout(capsys, tmp_path):
     # |+> read at pi/2 gives 0 or 1 with probability 1/2 each
     path = tmp_path / "coin.json"
-    path.write_text(MeasurementPattern({0: HALF_PI}, set(), [0], [0]).to_json())
+    path.write_text(MeasurementPattern({0: HALF_PI}, set(), [0]).to_json())
     code, out = run(capsys, "simulate", "--pattern", str(path),
                     "--shots", "200")
     assert code == 1
@@ -218,6 +225,49 @@ def test_compiled_circuit_file_keeps_highest_id_readout(capsys, tmp_path):
     assert code == 0
     pattern = json.loads(out)["pattern"]
     assert pattern["readouts"] == [max(q["id"] for q in pattern["qubits"])]
+
+
+def test_compile_circuit_whose_wire_ends_share_an_edge(capsys, tmp_path):
+    # simplification reaches a phase-0 Hadamard wire whose two ends already
+    # share a Hadamard edge; cancelling it used to make a self-loop (exit 1)
+    doc = {"width": 2, "gates": [
+        {"op": "cnot", "qubits": [0, 1]},
+        {"op": "phase", "qubits": [0], "phase": "5/4"},
+        {"op": "h", "qubits": [0]},
+        {"op": "cnot", "qubits": [1, 0]},
+        {"op": "h", "qubits": [1]},
+        {"op": "cnot", "qubits": [0, 1]},
+        {"op": "h", "qubits": [1]},
+        {"op": "phase", "qubits": [0], "phase": "0"},
+        {"op": "phase", "qubits": [0], "phase": "7/4"}]}
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "compile-mbqc", "--circuit", str(path))
+    assert code == 0, out
+    pattern = MeasurementPattern.from_json_dict(json.loads(out)["pattern"])
+    pattern.validate()
+    assert pattern.angles and pattern.edges
+    c = Circuit.from_json_dict(doc)
+    assert (abs(run_postselected(pattern).amplitude) > 1e-9) == (
+        abs(plus_amplitude(c)) > 1e-9)
+
+
+# SHA-256 of the "trace" arrays of compile-mbqc --trace over the 72
+# three-bit tables, fixed before the rewrite worklist replaced the rescanning
+# loops: the circuit route must apply the same rules at the same spiders
+COMPILE_TRACE_DIGEST = (
+    "c89db3cdc7ca4d132196cc8f92cd21435bdc4bb16a96ebca380cd3e166f4dfc1")
+
+
+def test_compile_mbqc_trace_is_unchanged(capsys):
+    traces = []
+    for f in enumerate_promise(3):
+        code, out = run(capsys, "compile-mbqc", "--n", "3", "--table",
+                        format(f.table, "08b"), "--trace")
+        assert code == 0
+        traces.append(json.loads(out)["trace"])
+    digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
+    assert digest == COMPILE_TRACE_DIGEST
 
 
 # SHA-256 of the verify-all stdout, fixed when the contraction planner and

@@ -32,13 +32,14 @@ from zxdj.mbqc import (
 )
 from zxdj.oracle import BooleanFunction, classify, enumerate_promise
 from zxdj.phase import HALF_PI, PI, Phase, ZERO
+from zxdj.rewrite import decouple_x_state, fuse_spiders, local_complement
 from zxdj.tensor import equivalent_up_to_scalar, evaluate
 
 
 def _triangle_pattern():
     angles = {0: ZERO, 1: HALF_PI, 2: PI}
     edges = {frozenset((0, 1)), frozenset((1, 2)), frozenset((0, 2))}
-    return MeasurementPattern(angles, edges, [0, 1, 2], [2])
+    return MeasurementPattern(angles, edges, [2])
 
 
 # -- representation ----------------------------------------------------------
@@ -46,20 +47,17 @@ def _triangle_pattern():
 def test_validate_guards():
     p = _triangle_pattern()
     p.validate()
-    bad = MeasurementPattern({0: ZERO}, {frozenset((0, 1))}, [0], [0])
+    bad = MeasurementPattern({0: ZERO}, {frozenset((0, 1))}, [0])
     with pytest.raises(NotGraphLikeError):
         bad.validate()
-    bad = MeasurementPattern({0: ZERO, 1: ZERO}, set(), [0], [0])
-    with pytest.raises(NotGraphLikeError):
-        bad.validate()  # order misses a qubit
-    bad = MeasurementPattern({0: PI}, set(), [0], [0], z_basis={0})
+    bad = MeasurementPattern({0: PI}, set(), [0], z_basis={0})
     with pytest.raises(NotGraphLikeError):
         bad.validate()  # z-basis qubit with a nonzero angle
     for readouts in ([0, 5], [[0]]):  # JSON may give an unhashable one
-        bad = MeasurementPattern({0: ZERO}, set(), [0], readouts)
+        bad = MeasurementPattern({0: ZERO}, set(), readouts)
         with pytest.raises(NotGraphLikeError):
             bad.validate()  # readout names no qubit
-    bad = MeasurementPattern({0: ZERO}, set(), [0], [0, 0])
+    bad = MeasurementPattern({0: ZERO}, set(), [0, 0])
     with pytest.raises(NotGraphLikeError):
         bad.validate()  # readout named twice
 
@@ -68,13 +66,19 @@ def test_json_round_trip_keeps_z_basis():
     p = MeasurementPattern(
         {0: ZERO, 1: Phase(1, 4), 2: ZERO},
         {frozenset((0, 1)), frozenset((1, 2))},
-        [0, 1, 2], [2], z_basis={0})
+        [2], z_basis={0})
     p2 = MeasurementPattern.from_json(p.to_json())
     assert p2.angles == p.angles
     assert p2.edges == p.edges
-    assert p2.order == p.order
     assert p2.readouts == p.readouts
     assert p2.z_basis == {0}
+    assert "order" not in p.to_json_dict()
+
+
+def test_json_ignores_a_legacy_order_key():
+    doc = dj_pattern_2q(BooleanFunction(2, 6)).to_json_dict()
+    legacy = MeasurementPattern.from_json_dict({**doc, "order": [5, 4, 3]})
+    assert legacy.to_json_dict() == doc
 
 
 def test_to_dot():
@@ -145,7 +149,7 @@ def test_pattern_to_diagram_round_trip():
 
 def test_pattern_to_diagram_z_basis_cap():
     p = MeasurementPattern({0: ZERO, 1: ZERO}, {frozenset((0, 1))},
-                           [0, 1], [1], z_basis={0})
+                           [1], z_basis={0})
     d = pattern_to_diagram(p)
     # two pattern spiders plus one X cap on the z-basis qubit
     kinds = sorted(s.kind.value for s in d.spiders.values())
@@ -194,7 +198,7 @@ def test_run_postselected_verdicts_match_classification():
 def _open_graph(n, pairs, outputs):
     angles = {q: ZERO for q in range(n)}
     return MeasurementPattern(angles, {frozenset(e) for e in pairs},
-                              list(range(n)), sorted(outputs))
+                              sorted(outputs))
 
 
 @st.composite
@@ -303,15 +307,6 @@ def test_run_sampled_rejects_pattern_without_gflow():
         run_sampled(_open_graph(3, [(0, 1), (1, 2)], [1]), shots=1)
 
 
-def test_run_sampled_ignores_listed_order():
-    # the gflow fixes the measurement order, not ``order``
-    f = BooleanFunction(1, 0b01)
-    p = dj_pattern_1q(f)
-    p.order = [0, 2, 1]
-    out = run_sampled(p, shots=20)
-    assert out.verdict is classify(f) and out.agreeing_shots == 20
-
-
 def _star(leaves):
     return _open_graph(leaves + 1, [(0, q) for q in range(1, leaves + 1)],
                        range(1, leaves + 1))
@@ -405,6 +400,46 @@ def test_reduce_lattice_reaches_compact_pattern():
         assert ok, f.table
 
 
+# The hand-ordered reduction reduce_lattice ran before it became the general
+# simplifier, kept as the reference: decouple the z-basis spares in
+# ascending order, fusing the caps each leaves, then complement the +-pi/2
+# spares run by run, the ends of a triple before its middle and the +-pi/2
+# member of a pair before its 0 member.
+_FIXED_ORDER = [(3, 1), (5, 1), (4, 1), (3, 6), (5, 6), (4, 6), (2, 3), (2, 2),
+                (2, 5), (3, 4), (6, 3), (6, 2), (6, 5)]
+
+
+def _fixed_order_reduction(p):
+    d = pattern_to_diagram(p)
+    qubits = p.qubits()
+    node_of = {q: i for i, q in enumerate(qubits)}
+    for i, q in enumerate(sorted(p.z_basis)):
+        step = decouple_x_state(d, len(qubits) + i)
+        for cap in step.after:
+            (eid,) = d.edges_at(cap)
+            fuse_spiders(d, d.edges[eid].other(cap), cap)
+    for r, c in _FIXED_ORDER:
+        local_complement(d, node_of[(r - 1) * 6 + (c - 1)])
+    return pattern_from_graph_like(d, [node_of[q] for q in p.readouts])
+
+
+def test_reduce_lattice_matches_the_fixed_order_reduction():
+    for f in enumerate_promise(3):
+        p = lattice_pattern_3q(f)
+        reduced, _ = reduce_lattice(p)
+        ref = _fixed_order_reduction(p)
+        assert reduced.angles == ref.angles, f.table
+        assert reduced.edges == ref.edges, f.table
+        assert reduced.readouts == ref.readouts, f.table
+
+
+def test_reduce_lattice_runs_the_general_rules():
+    _, steps = reduce_lattice(lattice_pattern_3q(BooleanFunction(3, 0)))
+    assert {s.rule for s in steps} == {
+        "decouple_x_state", "fuse_spiders", "hadamard_cancel",
+        "local_complement"}
+
+
 def test_reduce_lattice_verdict_agreement():
     for table in (0, 0b01101001, 0b11110000, 0b11111111):
         f = BooleanFunction(3, table)
@@ -412,7 +447,7 @@ def test_reduce_lattice_verdict_agreement():
 
 
 def test_reduce_lattice_empty_pattern():
-    p = MeasurementPattern({}, set(), [], [])
+    p = MeasurementPattern({}, set(), [])
     reduced, steps = reduce_lattice(p)
     assert reduced is p and steps == []
 
@@ -429,6 +464,5 @@ def test_reduce_lattice_stuck_on_missing_spare():
     gone = 12  # grid position (3, 1)
     del p.angles[gone]
     p.edges = {e for e in p.edges if gone not in e}
-    p.order = [q for q in p.order if q != gone]
     with pytest.raises(ReductionStuckError):
         reduce_lattice(p)

@@ -13,8 +13,12 @@ from zxdj.errors import (
     UnknownNodeError,
     WouldSelfLoopError,
 )
+from zxdj import rewrite
+from zxdj.circuit import (
+    Circuit, cnot, hadamard, phase_gate, to_zx, to_zx_tracked)
 from zxdj.phase import HALF_PI, MINUS_HALF_PI, PI, Phase, ZERO
 from zxdj.rewrite import (
+    RewriteStep,
     collapse_hadamard_chain,
     color_change,
     decouple_x_state,
@@ -242,12 +246,10 @@ def test_simplify_mbqc_empty():
     assert not out.spiders and not steps
 
 
-def _random_circuit_like(rng):
-    from zxdj.circuit import Circuit, cnot, hadamard, phase_gate, to_zx
-
-    w = rng.randint(1, 3)
+def _random_circuit(rng, max_width=3, max_gates=6):
+    w = rng.randint(1, max_width)
     gates = []
-    for _ in range(rng.randint(0, 6)):
+    for _ in range(rng.randint(0, max_gates)):
         kind = rng.choice(["phase", "h", "cnot"]) if w > 1 else \
             rng.choice(["phase", "h"])
         if kind == "phase":
@@ -257,7 +259,11 @@ def _random_circuit_like(rng):
         else:
             a, b = rng.sample(range(w), 2)
             gates.append(cnot(a, b))
-    return to_zx(Circuit(w, gates))
+    return Circuit(w, gates)
+
+
+def _random_circuit_like(rng):
+    return to_zx(_random_circuit(rng))
 
 
 def test_simplify_mbqc_preserves_scalar():
@@ -268,6 +274,192 @@ def test_simplify_mbqc_preserves_scalar():
         out, steps = simplify_mbqc(d)
         assert out.is_closed()
         assert_sound(closed, out)
+
+
+def test_simplify_mbqc_random_circuit_sweep():
+    # a Hadamard wire whose two ends already share a Hadamard edge used to be
+    # cancelled, and the fusion that followed raised WouldSelfLoopError
+    rng = random.Random(7)
+    for _ in range(400):
+        d, carriers = to_zx_tracked(_random_circuit(rng, 4, 12))
+        closed = plug_plus_states(d)
+        for protected in (frozenset(), frozenset(carriers)):
+            out, _ = simplify_mbqc(d, protected)
+            assert_sound(closed, out)
+
+
+def test_simplified_circuits_are_fixpoints():
+    # the worklist re-queues only what a step may have made eligible; no rule
+    # may still apply anywhere when it stops
+    rng = random.Random(11)
+    for _ in range(100):
+        d, carriers = to_zx_tracked(_random_circuit(rng, 4, 12))
+        for protected in (set(), set(carriers)):
+            out, live = d.copy(), set(protected)
+            rewrite.simplify_inplace(out, live, [])
+            for _, rule in rewrite._RULES:
+                for v in sorted(out.spiders):
+                    assert rule(out.copy(), v, set(live), []) is None
+
+
+def _unblocked_wire(step):
+    """A phase-0 wire w between carriers a and c, blocked by an a - c edge
+    that a later step at a higher id removes: a local complementation at a
+    +-pi/2 wire, or a Hadamard-wire cancellation whose fusion doubles the
+    a - c edge into a Hopf pair.  Returns the diagram, the carriers and w."""
+    q = Phase(1, 4)
+    if step == "local_complement":
+        d, (a, w, c, _) = _graph_state(
+            4, [(0, 1), (1, 2), (0, 3), (3, 2), (0, 2)], [q, ZERO, q, HALF_PI])
+        return d, {a, c}, w
+    d, (a, w, c, _, b) = _graph_state(
+        5, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 2), (4, 2)],
+        [q, ZERO, q, ZERO, q])
+    return d, {a, b, c}, w
+
+
+@pytest.mark.parametrize("step", ["local_complement", "hadamard_cancel"])
+def test_worklist_requeues_a_wire_a_step_unblocks(step):
+    d, protected, w = _unblocked_wire(step)
+    out, steps = simplify_mbqc(d, frozenset(protected))
+    assert step in [s.rule for s in steps]
+    assert steps[-2].rule == "hadamard_cancel" and steps[-2].before[0] == w
+    assert w not in out.spiders
+    assert_sound(d, out)
+
+
+def _wire(phase):
+    """A closed Hadamard wire a - v - b with phase-carrying ends."""
+    d, ids = _graph_state(3, [(0, 1), (1, 2)], [Phase(1, 4), phase, Phase(1, 3)])
+    return d, ids[1]
+
+
+@pytest.mark.parametrize("phase", [HALF_PI, MINUS_HALF_PI])
+def test_protected_clifford_wire_is_never_complemented(phase):
+    d, v = _wire(phase)
+    out, steps = simplify_mbqc(d, frozenset({v}))
+    assert not steps
+    assert out.to_json() == d.to_json()
+    out, steps = simplify_mbqc(d)  # unprotected, the wire is removed
+    assert [s.rule for s in steps] == ["local_complement"]
+    assert v not in out.spiders
+    assert_sound(d, out)
+
+
+def _restarting_fuse_all_plain(d, live, steps):
+    """The fusion loop before the one-pass version: restart the edge scan
+    after every fusion."""
+    while True:
+        plain = [e for _, e in sorted(d.edges.items())
+                 if e.kind is EdgeKind.PLAIN
+                 and d.spiders[e.a].kind is d.spiders[e.b].kind]
+        if not plain:
+            return
+        a, b = sorted((plain[0].a, plain[0].b))
+        steps.append(fuse_spiders(d, a, b))
+        if b in live:
+            live.discard(b)
+            live.add(a)
+
+
+def _scanning_hopf_pairs(d, steps):
+    """The parallel-Hadamard pass before the worklist: scan every edge."""
+    seen = set()
+    for eid in sorted(d.edges):
+        e = d.edges.get(eid)
+        if e is None:
+            continue
+        pair = (min(e.a, e.b), max(e.a, e.b))
+        if pair in seen:
+            continue
+        seen.add(pair)
+        hadamards = [x for x in d.edges_between(*pair)
+                     if d.edges[x].kind is EdgeKind.HADAMARD]
+        while len(hadamards) >= 2:
+            d.remove_edge(hadamards.pop())
+            d.remove_edge(hadamards.pop())
+            steps.append(RewriteStep("hopf_pair", pair, pair))
+
+
+def _rescanning_simplify(d, protected):
+    """The simplifier before the worklist, kept as a reference: after the
+    graph-like pass, restart a scan from the lowest spider id after every
+    rule, trailing caps before Hadamard wires (which skip a wire whose ends
+    already share an edge).  It has no Clifford-wire rule."""
+    result, live, steps = d.copy(), set(protected), []
+    if not result.is_closed():
+        rewrite._plug_inplace(result, steps)
+    for v in sorted(result.spiders):
+        if result.spiders[v].kind is SpiderKind.X:
+            steps.append(color_change(result, v))
+    _restarting_fuse_all_plain(result, live, steps)
+    _scanning_hopf_pairs(result, steps)
+
+    def trailing_cap():
+        for v in sorted(result.spiders):
+            s = result.spiders[v]
+            if (v in live or s.kind is not SpiderKind.Z
+                    or not s.phase.is_zero() or result.degree(v) != 1):
+                continue
+            e = result.edges[result.edges_at(v)[0]]
+            if e.kind is EdgeKind.HADAMARD and e.other(v) not in live:
+                steps.append(color_change(result, v))
+                steps.append(decouple_x_state(result, v))
+                _restarting_fuse_all_plain(result, live, steps)
+                return True
+        return False
+
+    def hadamard_wire():
+        for v in sorted(result.spiders):
+            s = result.spiders[v]
+            if (v in live or s.kind is not SpiderKind.Z
+                    or not s.phase.is_zero() or result.degree(v) != 2):
+                continue
+            e1, e2 = (result.edges[e] for e in result.edges_at(v))
+            n1, n2 = e1.other(v), e2.other(v)
+            if (e1.kind is not EdgeKind.HADAMARD
+                    or e2.kind is not EdgeKind.HADAMARD
+                    or n1 == n2 or result.edges_between(n1, n2)):
+                continue
+            steps.append(hadamard_cancel(result, v))
+            _restarting_fuse_all_plain(result, live, steps)
+            _scanning_hopf_pairs(result, steps)
+            return True
+        return False
+
+    while trailing_cap() or hadamard_wire():
+        pass
+    return result, steps
+
+
+def test_worklist_matches_the_rescanning_loops(monkeypatch):
+    # without the Clifford-wire rule, the worklist must pick the same
+    # rule at the same spider as the restart-from-zero scans, step by step
+    monkeypatch.setattr(rewrite, "_RULES", rewrite._RULES[:2])
+    rng = random.Random(3)
+    for _ in range(150):
+        d, carriers = to_zx_tracked(_random_circuit(rng, 4, 12))
+        for protected in (frozenset(), frozenset(carriers)):
+            out, steps = simplify_mbqc(d, protected)
+            ref, ref_steps = _rescanning_simplify(d, protected)
+            assert steps == ref_steps
+            assert out.to_json() == ref.to_json()
+
+
+@given(diagrams)
+@settings(max_examples=80, deadline=None)
+def test_one_fusion_pass_matches_restarting_scans(d):
+    ref, ref_steps = d.copy(), []
+    try:
+        _restarting_fuse_all_plain(ref, set(), ref_steps)
+    except WouldSelfLoopError:
+        with pytest.raises(WouldSelfLoopError):
+            rewrite._fuse_all_plain(d, set(), [])
+        return
+    steps: list[RewriteStep] = []
+    rewrite._fuse_all_plain(d, set(), steps)
+    assert steps == ref_steps
+    assert d.to_json() == ref.to_json()
 
 
 # -- randomized soundness over arbitrary diagrams ---------------------------
