@@ -25,6 +25,9 @@ class Gate:
     phase: Phase | None = None
 
     def __post_init__(self):
+        if not all(isinstance(q, int) and not isinstance(q, bool)
+                   for q in self.qubits):
+            raise ValueError(f"qubits {self.qubits!r} are not all ints")
         if self.op in _ONE_QUBIT_OPS:
             if len(self.qubits) != 1:
                 raise ArityMismatchError(f"{self.op} acts on one qubit")
@@ -63,6 +66,9 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
+        if (isinstance(self.width, bool) or not isinstance(self.width, int)
+                or self.width < 0):
+            raise ValueError(f"width {self.width!r} is not a non-negative int")
         for g in self.gates:
             if any(q < 0 or q >= self.width for q in g.qubits):
                 raise ArityMismatchError(
@@ -87,7 +93,7 @@ class Circuit:
                  Phase.parse(rec["phase"]) if "phase" in rec else None)
             for rec in doc["gates"]
         ]
-        return cls(int(doc["width"]), gates)
+        return cls(doc["width"], gates)
 
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
@@ -107,23 +113,36 @@ def _gate_matrix(g: Gate) -> np.ndarray:
     return {"z": _Z, "y": _Y, "h": _H, "cnot": _CNOT}[g.op]
 
 
+# Widest circuit simulated densely.
+MAX_WIDTH = 10
+
+
+def _apply_gates(c: Circuit, state: np.ndarray) -> np.ndarray:
+    """Apply the gates to ``state``, whose axes 0..w-1 are the qubits."""
+    for g in c.gates:
+        k = len(g.qubits)
+        mat = _gate_matrix(g).reshape((2,) * (2 * k))
+        state = np.tensordot(mat, state, axes=(range(k, 2 * k), g.qubits))
+        state = np.moveaxis(state, range(k), g.qubits)
+    return state
+
+
+def _check_width(c: Circuit) -> None:
+    if c.width > MAX_WIDTH:
+        raise WidthTooLargeError(f"width {c.width} exceeds {MAX_WIDTH}")
+
+
 def unitary(c: Circuit) -> Tensor:
     """Dense unitary of the circuit; qubit 0 is the most significant bit.
 
     The result is a tensor over (output, input) axes, one binary axis per
     qubit on each side.
     """
-    if c.width > 10:
-        raise WidthTooLargeError(f"width {c.width} exceeds 10")
+    _check_width(c)
     w = c.width
     # row axes 0..w-1 are the output qubits; the flat column axis is last
     state = np.eye(2 ** w, dtype=complex).reshape((2,) * w + (2 ** w,))
-    for g in c.gates:
-        k = len(g.qubits)
-        mat = _gate_matrix(g).reshape((2,) * (2 * k))
-        state = np.tensordot(mat, state, axes=(range(k, 2 * k), g.qubits))
-        state = np.moveaxis(state, range(k), g.qubits)
-    return Tensor(state.reshape((2,) * (2 * w)))
+    return Tensor(_apply_gates(c, state).reshape((2,) * (2 * w)))
 
 
 def to_zx_tracked(c: Circuit):
@@ -176,17 +195,24 @@ def to_zx(c: Circuit) -> ZxDiagram:
 
 
 def plus_amplitude(c: Circuit) -> complex:
-    """<+...+|U|+...+> for the circuit's unitary U."""
-    u = unitary(c).as_matrix(c.width)
-    return complex(u.sum()) / 2 ** c.width
+    """<+...+|U|+...+> for the circuit's unitary U, from U applied to the
+    unnormalized |+...+> state vector (2^w work per gate)."""
+    _check_width(c)
+    state = _apply_gates(c, np.ones((2,) * c.width, dtype=complex))
+    return complex(state.sum()) / 2 ** c.width
 
 
 def dj_run_circuit(oracle: Circuit, tol: float = 1e-9):
     """Run the deterministic promise test: amplitude of |+...+> after the
     oracle decides constant (magnitude 1) versus balanced (magnitude 0)."""
+    return dj_verdict(plus_amplitude(oracle), tol)
+
+
+def dj_verdict(amplitude: complex, tol: float = 1e-9):
+    """The promise verdict of a |+...+> amplitude: Constant at magnitude 1,
+    Balanced at 0, ``NotPromiseError`` otherwise."""
     from .oracle import Verdict  # local import to avoid a cycle
 
-    amplitude = plus_amplitude(oracle)
     if abs(abs(amplitude) - 1.0) <= tol:
         return Verdict.CONSTANT
     if abs(amplitude) <= tol:

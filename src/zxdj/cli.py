@@ -11,7 +11,8 @@ import argparse
 import json
 import sys
 
-from .circuit import Circuit, dj_run_circuit, plus_amplitude, to_zx_tracked
+from .circuit import (
+    Circuit, dj_run_circuit, dj_verdict, plus_amplitude, to_zx_tracked)
 from .diagram import ZxDiagram
 from .errors import WidthTooLargeError, ZxError
 from .mbqc import (
@@ -166,8 +167,8 @@ def _cmd_simulate(args) -> int:
         raise UsageError("--shots must not be negative")
     if args.circuit:
         c = _load_circuit(args.circuit)
-        verdict = dj_run_circuit(c)
         amp = plus_amplitude(c)
+        verdict = dj_verdict(amp)
         doc = {"verdict": verdict.value, "amplitude_abs": _fmt(abs(amp))}
         _emit(doc, args, [f"verdict={verdict.value} |amplitude|={_fmt(abs(amp))}"])
         return 0
@@ -202,8 +203,9 @@ def _cmd_simulate(args) -> int:
 
 def _verify_record_3q(f: BooleanFunction) -> dict:
     expected = classify(f)
-    circuit_v = dj_run_circuit(oracle_circuit_3q(f))
-    pipeline, _ = _compile(oracle_circuit_3q(f), oracle=True)
+    oracle = oracle_circuit_3q(f)
+    circuit_v = dj_run_circuit(oracle)
+    pipeline, _ = _compile(oracle, oracle=True)
     pipeline_v = run_postselected(pipeline).verdict
     pattern_v = run_postselected(dj_pattern_3q(f)).verdict
     lattice_v = run_postselected(lattice_pattern_3q(f)).verdict

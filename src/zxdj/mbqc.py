@@ -241,7 +241,9 @@ def dj_pattern_1q(f: BooleanFunction) -> MeasurementPattern:
 
 def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     """Contract the all-outcomes-zero diagram; a surviving (nonzero) scalar
-    means every measurement can succeed, i.e. the function is constant."""
+    means every measurement can succeed, i.e. the function is constant.
+    Raises ``WidthTooLargeError`` before building any tensor when the
+    contraction plan peaks above ``tensor.MAX_PEAK_RANK``."""
     d = pattern_to_diagram(p)
     amplitude = evaluate(d).scalar()
     floor = collapse_floor(d)
@@ -538,10 +540,13 @@ def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
 def reduce_lattice(p: MeasurementPattern):
     """Shrink the lattice to its embedded eleven-qubit pattern by the
     simplifier core of ``simplify_mbqc``, run in place with the parameter
-    carriers protected.  Raises ``ReductionStuckError`` when a non-carrier
-    survives with degree at most 2, as a missing spare or a tampered angle
-    can leave.  Returns the reduced pattern, which keeps the lattice's
-    readouts, and the rewrite trace."""
+    carriers protected.  Every variant has the same rewrite key (the
+    carriers hold all that varies), so after the first the memoized
+    reduction is replayed with the carrier phases.  Raises
+    ``ReductionStuckError`` when a non-carrier survives with degree at
+    most 2, as a missing spare or a tampered angle can leave; such a
+    reduction is not memoized.  Returns the reduced pattern, which keeps
+    the lattice's readouts, and the rewrite trace."""
     if not p.angles:
         return p, []
     d = pattern_to_diagram(p)
@@ -549,11 +554,14 @@ def reduce_lattice(p: MeasurementPattern):
     node_of = {q: i for i, q in enumerate(p.qubits())}
     carriers = {node_of[q] for q in map(_grid_id, _LATTICE_CARRIERS)
                 if q in node_of}
+
+    def check(reduced: ZxDiagram) -> None:
+        stuck = sorted(v for v in reduced.spiders
+                       if v not in carriers and reduced.degree(v) <= 2)
+        if stuck:
+            raise ReductionStuckError(
+                f"spiders {stuck} outside the carriers survive with degree <= 2")
+
     steps = []
-    simplify_inplace(d, set(carriers), steps)
-    stuck = sorted(v for v in d.spiders
-                   if v not in carriers and d.degree(v) <= 2)
-    if stuck:
-        raise ReductionStuckError(
-            f"spiders {stuck} outside the carriers survive with degree <= 2")
+    simplify_inplace(d, set(carriers), steps, check)
     return pattern_from_graph_like(d, [node_of[q] for q in p.readouts]), steps

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .circuit import Circuit, cnot, phase_gate
 from .errors import NotPromiseError, WidthTooLargeError
@@ -144,18 +143,24 @@ class PhasePolynomial:
 def phase_polynomial(f: BooleanFunction) -> PhasePolynomial:
     """Exact parity-term decomposition of theta(x) = pi*f(x).
 
-    Uses the Walsh transform over exact rationals: for nonempty S the
-    coefficient is -2*pi*fhat(S), and the constant is pi*f(0).
+    One in-place integer fast Walsh-Hadamard transform of the truth table
+    gives every W(S) = sum_x f(x) * (-1)^(x . S); for nonempty S the
+    coefficient is -2*pi*W(S)/2^n, and the constant is pi*f(0).
     """
     classify(f)
     n = f.n
+    walsh = f.values()
+    half = 1
+    while half < f.size:
+        for start in range(0, f.size, 2 * half):
+            for i in range(start, start + half):
+                a, b = walsh[i], walsh[i + half]
+                walsh[i], walsh[i + half] = a + b, a - b
+        half *= 2
     coeffs = {}
     for mask in range(1, 1 << n):
         subset = frozenset(i for i in range(n) if mask & (1 << (n - 1 - i)))
-        total = sum(f.value(x) * (-1) ** bin(x & mask).count("1")
-                    for x in range(f.size))
-        fhat = Fraction(total, f.size)
-        coeffs[subset] = Phase.from_fraction(-2 * fhat)
+        coeffs[subset] = Phase(-2 * walsh[mask], f.size)
     return PhasePolynomial(Phase(f.value(0)), coeffs)
 
 

@@ -4,6 +4,15 @@ Every rule mutates its diagram in place and returns a :class:`RewriteStep`
 describing what happened.  All rules preserve the diagram's tensor up to a
 nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
+
+The simplifier core :func:`simplify_inplace` is memoized per rewrite key:
+the diagram's shape (``tensor._shape_key``), its spider kinds, its next
+spider and edge ids, the protected set and the phases of the unprotected
+spiders.  No rule reads a protected phase, so that key fixes the trace and
+the reduced graph, and each survivor's phase is a constant plus the phases
+of the protected input spiders fused into it.  A repeat key only evaluates
+those formulas on a copy of the stored result.  Up to ``MEMO_SHAPES`` keys
+stay memoized, evicted first-in as the tensor memos are.
 """
 
 from __future__ import annotations
@@ -19,10 +28,11 @@ from .errors import (
     UnknownNodeError,
     WouldSelfLoopError,
 )
-from .phase import HALF_PI, MINUS_HALF_PI, ZERO
+from .phase import HALF_PI, MINUS_HALF_PI, PI, Phase, ZERO
+from .tensor import _remember, _shape_key
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewriteStep:
     rule: str
     before: tuple[int, ...]
@@ -254,7 +264,14 @@ def _reduce_parallel_hadamard(d: ZxDiagram, eids,
 
 def _fuse(d: ZxDiagram, a: int, b: int, protected: set[int],
           steps: list[RewriteStep]) -> None:
-    """Fuse ``b`` into ``a``, which inherits ``b``'s protection."""
+    """Fuse ``b`` into ``a``, which inherits ``b``'s protection.  A Hadamard
+    edge between them would become a self-loop, which is a pi phase up to
+    a 1/sqrt(2) scalar, so ``a`` absorbs each one as pi first."""
+    for eid in d.edges_between(a, b):
+        if d.edges[eid].kind is EdgeKind.HADAMARD:
+            d.remove_edge(eid)
+            d.spiders[a].phase = d.spiders[a].phase + PI
+            steps.append(RewriteStep("hadamard_loop", (a, b), (a,)))
     steps.append(fuse_spiders(d, a, b))
     if b in protected:
         protected.discard(b)
@@ -408,27 +425,112 @@ def _drive(d: ZxDiagram, protected: set[int], steps: list[RewriteStep],
 _RULES = ((1, _state_rule), (2, _hadamard_wire_rule), (2, _clifford_wire_rule))
 
 
+@dataclass(frozen=True)
+class _Rewrite:
+    """What one rewrite key reduces to.  ``formulas`` gives each survivor
+    that absorbed protected input spiders as ``(survivor, constant,
+    inputs)``: its phase is the constant plus the inputs' phases."""
+
+    reduced: ZxDiagram
+    steps: tuple[RewriteStep, ...]
+    protected: frozenset[int]
+    formulas: tuple[tuple[int, Phase, tuple[int, ...]], ...]
+
+
+_rewrite_memo: dict[tuple, _Rewrite] = {}
+
+
+def _rewrite_key(d: ZxDiagram, protected: set[int]) -> tuple:
+    """All the simplifier reads: shape, kinds, the ids new spiders and
+    edges take, protection and the unprotected phases."""
+    spiders = sorted(d.spiders.items())
+    return (_shape_key(d), tuple([s.kind for _, s in spiders]),
+            d._next_node, d._next_edge, tuple(sorted(protected)),
+            tuple([s.phase for v, s in spiders if v not in protected]))
+
+
+def _phase_formulas(d: ZxDiagram, inputs: dict[int, Phase],
+                    steps) -> tuple:
+    """Group the protected ``inputs`` by the survivor the trace's fusions
+    merged them into; the constant is what the survivor holds beyond them."""
+    merged_into = {s.before[1]: s.before[0] for s in steps
+                   if s.rule == "fuse_spiders"}
+    groups: dict[int, list[int]] = {}
+    for p in sorted(inputs):
+        v = p
+        while v in merged_into:
+            v = merged_into[v]
+        groups.setdefault(v, []).append(p)
+    formulas = []
+    for v, ps in groups.items():
+        constant = d.spiders[v].phase
+        for p in ps:
+            constant = constant - inputs[p]
+        formulas.append((v, constant, tuple(ps)))
+    return tuple(formulas)
+
+
 def simplify_inplace(d: ZxDiagram, protected: set[int],
-                     steps: list[RewriteStep]) -> None:
+                     steps: list[RewriteStep], check=None) -> None:
     """The simplifier core: plug the boundary, decouple X states (before
     the graph-like pass color-changes them), then remove trailing caps,
     phase-0 and +-pi/2 wires in that priority, all in place; ``protected``
-    follows fusions."""
+    follows fusions.
+
+    Memoized per rewrite key (see the module docstring): a repeat key
+    leaves ``d``, ``protected`` and ``steps`` as the rule search would,
+    without running it.  ``check``, if given, is called with the reduced
+    diagram and may raise; a result that raises is not memoized.
+    """
+    key = _rewrite_key(d, protected)
+    memo = _rewrite_memo.get(key)
+    if memo is not None:
+        _replay(memo, d, protected, steps)
+        if check is not None:
+            check(d)
+        return
+    inputs = {p: d.spiders[p].phase for p in protected if p in d.spiders}
+    start = len(steps)
     if not d.is_closed():
         _plug_inplace(d, steps)
     _drive(d, protected, steps, _RULES[:1])
     _to_graph_like_inplace(d, protected, steps)
     _drive(d, protected, steps, _RULES)
+    if check is not None:
+        check(d)
+    trace = tuple(steps[start:])
+    _remember(_rewrite_memo, key, _Rewrite(
+        d.copy(), trace, frozenset(protected),
+        _phase_formulas(d, inputs, trace)))
+
+
+def _replay(memo: _Rewrite, d: ZxDiagram, protected: set[int],
+            steps: list[RewriteStep]) -> None:
+    """Make ``d`` the memoized result, each formula evaluated on the
+    protected phases ``d`` holds now."""
+    phases = {}
+    for v, constant, ps in memo.formulas:
+        for p in ps:
+            constant = constant + d.spiders[p].phase
+        phases[v] = constant
+    d._copy_from(memo.reduced)
+    for v, phase in phases.items():
+        d.spiders[v].phase = phase
+    protected.clear()
+    protected.update(memo.protected)
+    steps.extend(memo.steps)
 
 
 def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
     """Reduce a (closable) circuit translation to a graph-like closed diagram.
 
-    Runs :func:`simplify_inplace` on a copy.  ``protected`` spiders are the
-    oracle's parameter carriers: they survive the cleanup so that every
-    oracle variant compiles to the same graph shape regardless of which
-    phases happen to vanish.  Returns the reduced diagram and the full step
-    trace.
+    Runs :func:`simplify_inplace` on a copy, so a repeat of a rewrite key
+    (shape, kinds, next ids, protected set and unprotected phases) replays
+    the memoized result.  ``protected`` spiders are the oracle's parameter
+    carriers: they survive the cleanup so that every oracle variant
+    compiles to the same graph shape regardless of which phases happen to
+    vanish, and it is their phases alone that vary between variants.
+    Returns the reduced diagram and the full step trace.
     """
     result = d.copy()
     steps: list[RewriteStep] = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, WidthTooLargeError
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -113,6 +113,8 @@ def _greedy_order(d: ZxDiagram, internal: list[int], score) -> list[int]:
 # Shapes whose elimination order and compiled program stay memoized; past
 # this many, the shape memoized first is evicted first.
 MEMO_SHAPES = 64
+# Largest factor rank evaluate materializes: 2^20 amplitudes, 16 MiB.
+MAX_PEAK_RANK = 20
 _order_memo: dict[tuple, list[int]] = {}
 _program_memo: dict[tuple, "_Program"] = {}
 
@@ -212,12 +214,14 @@ class _Program:
     with one Hadamard edge each, as ``(spider, perm, shape, out_shape,
     back)``; ``merges`` are ``(keep, absorb, perm1, shape1, perm2, shape2,
     out_shape)``; ``result`` permutes the last factor's axes to outputs
-    then inputs, and is None for a diagram without spiders."""
+    then inputs, and is None for a diagram without spiders.  ``peak_rank``
+    is the plan's."""
 
     ranks: list[tuple[int, int]]
     folds: list[tuple]
     merges: list[tuple]
     result: tuple | None
+    peak_rank: int
 
 
 def _compile(d: ZxDiagram, order: list[int]) -> _Program:
@@ -244,7 +248,8 @@ def _compile(d: ZxDiagram, order: list[int]) -> _Program:
     # a merge contracts the shared labels with the transposes and the one
     # matrix product ``np.tensordot`` would make
     merges = []
-    for keep, absorb in plan_contraction(d, order).merges:
+    plan = plan_contraction(d, order)
+    for keep, absorb in plan.merges:
         l1, l2 = labels[keep], labels.pop(absorb)
         ax1 = [i for i, lab in enumerate(l1) if lab in l2]
         ax2 = [l2.index(l1[i]) for i in ax1]
@@ -260,7 +265,7 @@ def _compile(d: ZxDiagram, order: list[int]) -> _Program:
         (labs,) = labels.values()
         result = tuple([labs.index(("out", i)) for i in range(len(d.outputs))]
                        + [labs.index(("in", i)) for i in range(len(d.inputs))])
-    return _Program(ranks, folds, merges, result)
+    return _Program(ranks, folds, merges, result, plan.peak_rank)
 
 
 def _execute(d: ZxDiagram, program: _Program) -> Tensor:
@@ -291,16 +296,23 @@ def evaluate(d: ZxDiagram, order: list[int] | None = None) -> Tensor:
     The plan of the :func:`elimination_order` is compiled once per diagram
     shape and memoized; each call only builds the spider tensors from the
     current kinds and phases and runs the compiled numpy calls.  An
-    explicit ``order`` is compiled afresh and not memoized.
+    explicit ``order`` is compiled afresh and not memoized.  Raises
+    ``WidthTooLargeError``, before building any tensor, when the plan's
+    peak rank exceeds ``MAX_PEAK_RANK``.
     """
     if order is not None:
-        return _execute(d, _compile(d, order))
-    order = elimination_order(d)
-    key = (_shape_key(d), tuple(order))
-    program = _program_memo.get(key)
-    if program is None:
         program = _compile(d, order)
-        _remember(_program_memo, key, program)
+    else:
+        order = elimination_order(d)
+        key = (_shape_key(d), tuple(order))
+        program = _program_memo.get(key)
+        if program is None:
+            program = _compile(d, order)
+            _remember(_program_memo, key, program)
+    if program.peak_rank > MAX_PEAK_RANK:
+        raise WidthTooLargeError(
+            f"contraction peaks at rank {program.peak_rank}; "
+            f"the cap is {MAX_PEAK_RANK}")
     return _execute(d, program)
 
 

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zxdj.circuit import (
     Circuit,
@@ -111,6 +112,20 @@ def test_circuit_range_guard():
 def test_width_guard():
     with pytest.raises(WidthTooLargeError):
         unitary(Circuit(11, []))
+    with pytest.raises(WidthTooLargeError):
+        plus_amplitude(Circuit(11, []))
+
+
+@pytest.mark.parametrize("width", [-1, 2.0, "3", True, None])
+def test_width_must_be_a_non_negative_int(width):
+    with pytest.raises(ValueError):
+        Circuit(width, [])
+
+
+def test_qubits_must_be_ints():
+    for qubits in ((0.0,), (True,), ("0",)):
+        with pytest.raises(ValueError):
+            Gate("h", qubits)
 
 
 # -- unitary semantics -------------------------------------------------------
@@ -201,6 +216,15 @@ def test_plus_amplitude_identity():
 def test_plus_amplitude_phase_flip():
     # Z on one wire sends |+> to |->: overlap with |+> is 0
     assert plus_amplitude(Circuit(1, [pauli_z(0)])) == pytest.approx(0)
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 4),
+       st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_plus_amplitude_matches_the_unitary(rng, width, depth):
+    c = _random_circuit(rng, width, depth) if width else Circuit(0, [])
+    expected = unitary(c).as_matrix(width).sum() / 2 ** width
+    assert abs(plus_amplitude(c) - expected) <= 1e-12
 
 
 def test_dj_run_circuit_verdicts():

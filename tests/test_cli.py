@@ -1,10 +1,15 @@
 """Command-line interface: JSON contract, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zxdj import tensor
 from zxdj.cli import main
 from zxdj.circuit import Circuit, hadamard, pauli_z, plus_amplitude
 from zxdj.mbqc import (
@@ -96,6 +101,62 @@ def test_simulate_circuit_file(capsys, tmp_path):
     bad.write_text(Circuit(1, [hadamard(0)]).to_json())
     code, out = run(capsys, "simulate", "--circuit", str(bad))
     assert code == 1
+
+
+def test_simulate_circuit_with_a_negative_width_exits_2(capsys, tmp_path):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"width": -1, "gates": []}))
+    code, out = run(capsys, "simulate", "--circuit", str(path))
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8)
+# near-valid circuits, with values that pass a lax check mixed in
+_gates = st.fixed_dictionaries(
+    {"op": st.sampled_from(["phase", "z", "y", "h", "cnot", "x"]) | _json_values,
+     "qubits": st.lists(st.sampled_from([0, 1, 2, -1, 7, 0.0, 1.5, True, "1"])
+                        | _json_values, max_size=3)},
+    optional={"phase": st.sampled_from(["1/4", "1", "1/0", "pi"])
+              | _json_values})
+_circuit_docs = st.fixed_dictionaries(
+    {"width": st.sampled_from([-1, 0, 1, 2, 3, 11, 2.0, 1.5, "2", True])
+     | _json_values,
+     "gates": st.lists(_gates, max_size=4) | _json_values})
+
+
+@given(st.one_of(_circuit_docs.map(json.dumps), _json_values.map(json.dumps),
+                 st.text(max_size=20)))
+@settings(max_examples=150, deadline=None)
+def test_simulate_circuit_fuzz_keeps_the_contract(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "circuit.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["simulate", "--circuit", str(path)])
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue())  # exactly one JSON document
+
+
+def test_simulate_pattern_refuses_a_too_wide_contraction(capsys, tmp_path,
+                                                         monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a tensor was built")
+
+    monkeypatch.setattr(tensor, "_execute", unreachable)
+    n = 20
+    doc = {"qubits": [{"id": q, "angle": "1/4"} for q in range(n)],
+           "edges": [list(e) for e in itertools.combinations(range(n), 2)],
+           "readouts": [n - 1]}
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "simulate", "--pattern", str(path))
+    assert code == 1
+    assert "error" in json.loads(out)
 
 
 def test_verify_all_n1(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxdj import mbqc
+from zxdj import mbqc, rewrite
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
 from zxdj.errors import (
     NoFlowError,
@@ -452,11 +452,38 @@ def test_reduce_lattice_empty_pattern():
     assert reduced is p and steps == []
 
 
-def test_reduce_lattice_stuck_on_tampered_angle():
+def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch):
+    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
     p = lattice_pattern_3q(BooleanFunction(3, 0))
     p.angles[12] = PI  # grid position (3, 1) must hold a quarter turn
-    with pytest.raises(ReductionStuckError):
-        reduce_lattice(p)
+    for _ in range(2):
+        with pytest.raises(ReductionStuckError):
+            reduce_lattice(p)
+    assert not rewrite._rewrite_memo  # a stuck reduction is not memoized
+
+
+def test_warm_reduce_lattice_runs_no_rule(monkeypatch):
+    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
+    calls = []
+
+    def counting(rule):
+        def counted(*args):
+            calls.append(rule.__name__)
+            return rule(*args)
+        return counted
+
+    monkeypatch.setattr(rewrite, "_RULES", tuple(
+        (k, counting(rule)) for k, rule in rewrite._RULES))
+    first, second = BooleanFunction(3, 0), BooleanFunction(3, 0b01101001)
+    reduce_lattice(lattice_pattern_3q(first))
+    assert calls
+    calls.clear()
+    warm, warm_steps = reduce_lattice(lattice_pattern_3q(second))
+    assert not calls
+    rewrite._rewrite_memo.clear()
+    cold, cold_steps = reduce_lattice(lattice_pattern_3q(second))
+    assert warm.to_json() == cold.to_json()
+    assert warm_steps == cold_steps
 
 
 def test_reduce_lattice_stuck_on_missing_spare():

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,6 +135,33 @@ def test_phase_polynomial_defining_property():
 def test_phase_polynomial_rejects_non_promise():
     with pytest.raises(NotPromiseError):
         phase_polynomial(BooleanFunction(3, 1))
+
+
+def _generator_sum_phase_polynomial(f):
+    """The phase polynomial by one generator sum per nonempty subset,
+    kept as the reference for the fast Walsh-Hadamard version."""
+    classify(f)
+    n = f.n
+    coeffs = {}
+    for mask in range(1, 1 << n):
+        subset = frozenset(i for i in range(n) if mask & (1 << (n - 1 - i)))
+        total = sum(f.value(x) * (-1) ** bin(x & mask).count("1")
+                    for x in range(f.size))
+        coeffs[subset] = Phase.from_fraction(-2 * Fraction(total, f.size))
+    return PhasePolynomial(Phase(f.value(0)), coeffs)
+
+
+def test_phase_polynomial_matches_the_generator_sums():
+    functions = [f for n in (0, 1, 2, 3) for f in enumerate_promise(n)]
+    rng = random.Random(41)
+    for _ in range(200):
+        ones = set(rng.sample(range(16), 8))
+        functions.append(
+            BooleanFunction.from_values([int(x in ones) for x in range(16)]))
+    functions += [BooleanFunction(4, 0), BooleanFunction(4, (1 << 16) - 1)]
+    for f in functions:
+        assert phase_polynomial(f) == _generator_sum_phase_polynomial(f), (
+            f.n, f.table)
 
 
 def test_phase_polynomial_value_parity():
