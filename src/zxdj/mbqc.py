@@ -544,9 +544,10 @@ def reduce_lattice(p: MeasurementPattern):
     carriers hold all that varies), so after the first the memoized
     reduction is replayed with the carrier phases.  Raises
     ``ReductionStuckError`` when a non-carrier survives with degree at
-    most 2, as a missing spare or a tampered angle can leave; such a
-    reduction is not memoized.  Returns the reduced pattern, which keeps
-    the lattice's readouts, and the rewrite trace."""
+    most 2, as a missing spare or a tampered angle can leave; a repeat of
+    such a lattice replays the same stuck reduction and raises again.
+    Returns the reduced pattern, which keeps the lattice's readouts, and
+    the rewrite trace."""
     if not p.angles:
         return p, []
     d = pattern_to_diagram(p)
@@ -554,14 +555,11 @@ def reduce_lattice(p: MeasurementPattern):
     node_of = {q: i for i, q in enumerate(p.qubits())}
     carriers = {node_of[q] for q in map(_grid_id, _LATTICE_CARRIERS)
                 if q in node_of}
-
-    def check(reduced: ZxDiagram) -> None:
-        stuck = sorted(v for v in reduced.spiders
-                       if v not in carriers and reduced.degree(v) <= 2)
-        if stuck:
-            raise ReductionStuckError(
-                f"spiders {stuck} outside the carriers survive with degree <= 2")
-
     steps = []
-    simplify_inplace(d, set(carriers), steps, check)
+    simplify_inplace(d, set(carriers), steps)
+    stuck = sorted(v for v in d.spiders
+                   if v not in carriers and d.degree(v) <= 2)
+    if stuck:
+        raise ReductionStuckError(
+            f"spiders {stuck} outside the carriers survive with degree <= 2")
     return pattern_from_graph_like(d, [node_of[q] for q in p.readouts]), steps

@@ -267,12 +267,16 @@ def _fuse(d: ZxDiagram, a: int, b: int, protected: set[int],
     """Fuse ``b`` into ``a``, which inherits ``b``'s protection.  A Hadamard
     edge between them would become a self-loop, which is a pi phase up to
     a 1/sqrt(2) scalar, so ``a`` absorbs each one as pi first."""
-    for eid in d.edges_between(a, b):
-        if d.edges[eid].kind is EdgeKind.HADAMARD:
-            d.remove_edge(eid)
-            d.spiders[a].phase = d.spiders[a].phase + PI
-            steps.append(RewriteStep("hadamard_loop", (a, b), (a,)))
-    steps.append(fuse_spiders(d, a, b))
+    try:
+        step = fuse_spiders(d, a, b)
+    except WouldSelfLoopError:
+        for eid in d.edges_between(a, b):
+            if d.edges[eid].kind is EdgeKind.HADAMARD:
+                d.remove_edge(eid)
+                d.spiders[a].phase = d.spiders[a].phase + PI
+                steps.append(RewriteStep("hadamard_loop", (a, b), (a,)))
+        step = fuse_spiders(d, a, b)
+    steps.append(step)
     if b in protected:
         protected.discard(b)
         protected.add(a)
@@ -441,10 +445,11 @@ _rewrite_memo: dict[tuple, _Rewrite] = {}
 
 
 def _rewrite_key(d: ZxDiagram, protected: set[int]) -> tuple:
-    """All the simplifier reads: shape, kinds, the ids new spiders and
-    edges take, protection and the unprotected phases."""
+    """All the simplifier reads: shape, kinds (as bools, like the shape
+    key's edge kinds), the ids new spiders and edges take, protection and
+    the unprotected phases."""
     spiders = sorted(d.spiders.items())
-    return (_shape_key(d), tuple([s.kind for _, s in spiders]),
+    return (_shape_key(d), tuple([s.kind is SpiderKind.X for _, s in spiders]),
             d._next_node, d._next_edge, tuple(sorted(protected)),
             tuple([s.phase for v, s in spiders if v not in protected]))
 
@@ -471,7 +476,7 @@ def _phase_formulas(d: ZxDiagram, inputs: dict[int, Phase],
 
 
 def simplify_inplace(d: ZxDiagram, protected: set[int],
-                     steps: list[RewriteStep], check=None) -> None:
+                     steps: list[RewriteStep]) -> None:
     """The simplifier core: plug the boundary, decouple X states (before
     the graph-like pass color-changes them), then remove trailing caps,
     phase-0 and +-pi/2 wires in that priority, all in place; ``protected``
@@ -479,15 +484,12 @@ def simplify_inplace(d: ZxDiagram, protected: set[int],
 
     Memoized per rewrite key (see the module docstring): a repeat key
     leaves ``d``, ``protected`` and ``steps`` as the rule search would,
-    without running it.  ``check``, if given, is called with the reduced
-    diagram and may raise; a result that raises is not memoized.
+    without running it.  A rule search that raises memoizes nothing.
     """
     key = _rewrite_key(d, protected)
     memo = _rewrite_memo.get(key)
     if memo is not None:
         _replay(memo, d, protected, steps)
-        if check is not None:
-            check(d)
         return
     inputs = {p: d.spiders[p].phase for p in protected if p in d.spiders}
     start = len(steps)
@@ -496,8 +498,6 @@ def simplify_inplace(d: ZxDiagram, protected: set[int],
     _drive(d, protected, steps, _RULES[:1])
     _to_graph_like_inplace(d, protected, steps)
     _drive(d, protected, steps, _RULES)
-    if check is not None:
-        check(d)
     trace = tuple(steps[start:])
     _remember(_rewrite_memo, key, _Rewrite(
         d.copy(), trace, frozenset(protected),

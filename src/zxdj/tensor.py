@@ -120,11 +120,13 @@ _program_memo: dict[tuple, "_Program"] = {}
 
 
 def _shape_key(d: ZxDiagram) -> tuple:
-    """All a plan depends on: the spider ids, every edge with its kind, and
-    the boundary.  Spider kinds and phases are left out, since execution
-    reads them on every call; any structural change gives a new key."""
+    """All a plan depends on: the spider ids, every edge with whether it is
+    a Hadamard edge (a bool hashes in C, an enum member in Python), and the
+    boundary.  Spider kinds and phases are left out, since execution reads
+    them on every call; any structural change gives a new key."""
     return (tuple(sorted(d.spiders)),
-            tuple([(eid, e.a, e.b, e.kind) for eid, e in sorted(d.edges.items())]),
+            tuple([(eid, e.a, e.b, e.kind is EdgeKind.HADAMARD)
+                   for eid, e in sorted(d.edges.items())]),
             tuple(d.inputs), tuple(d.outputs))
 
 
