@@ -48,6 +48,7 @@ from .mbqc import (
     pattern_to_diagram,
     patterns_isomorphic,
     reduce_lattice,
+    run_exact,
     run_postselected,
     run_sampled,
 )

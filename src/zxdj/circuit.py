@@ -101,16 +101,7 @@ class Circuit:
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_Z = np.diag([1, -1]).astype(complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-
-
-def _gate_matrix(g: Gate) -> np.ndarray:
-    if g.op == "phase":
-        return np.diag([1, g.phase.phase_factor()]).astype(complex)
-    return {"z": _Z, "y": _Y, "h": _H, "cnot": _CNOT}[g.op]
 
 
 # Widest circuit simulated densely.
@@ -118,12 +109,30 @@ MAX_WIDTH = 10
 
 
 def _apply_gates(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the gates to ``state``, whose axes 0..w-1 are the qubits."""
+    """Apply the gates to ``state``, whose axes 0..w-1 are the qubits; any
+    further axes (the column axis of :func:`unitary`) ride along.
+
+    A phase or Z gate multiplies the qubit's ``1`` slice by its factor, and
+    a CNOT swaps the target's halves within the control's ``1`` slice, both
+    in place; H and Y are contracted with ``np.tensordot``.  Returns the
+    updated state, which may or may not be ``state`` itself.
+    """
     for g in c.gates:
-        k = len(g.qubits)
-        mat = _gate_matrix(g).reshape((2,) * (2 * k))
-        state = np.tensordot(mat, state, axes=(range(k, 2 * k), g.qubits))
-        state = np.moveaxis(state, range(k), g.qubits)
+        if g.op in ("phase", "z"):
+            one = (slice(None),) * g.qubits[0] + (1,)
+            state[one] *= -1 if g.op == "z" else g.phase.phase_factor()
+        elif g.op == "cnot":
+            ctrl, tgt = g.qubits
+            at = [slice(None)] * (max(ctrl, tgt) + 1)
+            at[ctrl] = 1
+            at[tgt] = 0
+            low = tuple(at)
+            at[tgt] = 1
+            high = tuple(at)
+            state[low], state[high] = state[high], state[low].copy()
+        else:
+            mat, q = (_H if g.op == "h" else _Y), g.qubits[0]
+            state = np.moveaxis(np.tensordot(mat, state, axes=(1, q)), 0, q)
     return state
 
 

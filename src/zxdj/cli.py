@@ -107,23 +107,33 @@ def _cmd_synth_circuit(args) -> int:
     return 0
 
 
+# what a malformed JSON file can raise while it is parsed and loaded; a
+# RecursionError comes from nesting too deep for the decoder
+_MALFORMED = (KeyError, ValueError, TypeError, RecursionError)
+
+
 def _load_circuit(path: str) -> Circuit:
     try:
         with open(path) as fh:
             return Circuit.from_json(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read circuit file: {exc}")
-    except (KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"malformed circuit JSON: {exc}")
 
 
 def _load_pattern(path: str) -> MeasurementPattern:
+    """Load a pattern document, or a ``compile-mbqc`` or ``lattice`` output
+    whose ``"pattern"`` key holds one."""
     try:
         with open(path) as fh:
-            return MeasurementPattern.from_json(fh.read())
+            doc = json.load(fh)
+        if isinstance(doc, dict) and "pattern" in doc:
+            doc = doc["pattern"]
+        return MeasurementPattern.from_json_dict(doc)
     except OSError as exc:
         raise UsageError(f"cannot read pattern file: {exc}")
-    except (KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"malformed pattern JSON: {exc}")
 
 

@@ -37,6 +37,8 @@ class Phase:
     @classmethod
     def parse(cls, text: str) -> "Phase":
         """Parse a reduced-fraction-of-pi string such as "1/2" (= pi/2)."""
+        if not isinstance(text, str):
+            raise ValueError(f"phase {text!r} is not a string")
         if "/" in text:
             num, den = text.split("/", 1)
             return cls(int(num), int(den))

@@ -1,5 +1,6 @@
 """Circuit IR: gate guards, dense unitaries, ZX translation, promise runs."""
 
+import itertools
 import math
 import random
 
@@ -225,6 +226,25 @@ def test_plus_amplitude_matches_the_unitary(rng, width, depth):
     c = _random_circuit(rng, width, depth) if width else Circuit(0, [])
     expected = unitary(c).as_matrix(width).sum() / 2 ** width
     assert abs(plus_amplitude(c) - expected) <= 1e-12
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 5),
+       st.integers(0, 16))
+@settings(max_examples=100, deadline=None)
+def test_gatewise_updates_match_the_reference_composition(rng, width, depth):
+    # plus_amplitude and unitary share the gate-wise updates; the reference
+    # is the product of kron-embedded gate matrices
+    c = _random_circuit(rng, width, depth)
+    ref = _reference_unitary(c)
+    assert abs(plus_amplitude(c) - ref.sum() / 2 ** width) <= 1e-12
+    assert np.allclose(unitary(c).as_matrix(width), ref, atol=1e-12)
+
+
+def test_cnot_updates_in_either_qubit_order():
+    for control, target in itertools.permutations(range(3), 2):
+        c = Circuit(3, [hadamard(control), cnot(control, target),
+                        phase_gate(target, HALF_PI)])
+        assert np.allclose(unitary(c).as_matrix(3), _reference_unitary(c))
 
 
 def test_dj_run_circuit_verdicts():

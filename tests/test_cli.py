@@ -18,7 +18,8 @@ from zxdj.mbqc import (
     lattice_pattern_3q,
     run_postselected,
 )
-from zxdj.oracle import BooleanFunction, classify, enumerate_promise
+from zxdj.oracle import (
+    BooleanFunction, classify, enumerate_promise, oracle_circuit_3q)
 from zxdj.phase import HALF_PI
 
 
@@ -140,6 +141,113 @@ def test_simulate_circuit_fuzz_keeps_the_contract(tmp_path_factory, text):
         code = main(["simulate", "--circuit", str(path)])
     assert code in (0, 1, 2)
     json.loads(out.getvalue())  # exactly one JSON document
+
+
+_ids = st.sampled_from([0, 1, 2, 3, -1, 1.0, True, "a", "1", None])
+_angles = st.sampled_from(["0", "1/2", "1", "3/2", "1/4", "7/4", "1/3"])
+_rarely = st.sampled_from([False] * 4 + [True])
+
+
+@st.composite
+def _near_valid_patterns(draw):
+    """Small patterns whose ids mix types; any field may be replaced by
+    arbitrary JSON, and edges and readouts name the drawn ids."""
+    ids = draw(st.lists(_ids, min_size=1, max_size=5, unique_by=repr))
+    qubits = []
+    for q in ids:
+        rec = {"id": q, "angle": draw(_angles)}
+        if draw(_rarely):
+            rec["basis"] = draw(st.sampled_from(["z", "x"]) | _json_values)
+        qubits.append(rec)
+    if draw(_rarely):
+        draw(st.sampled_from(qubits))["angle"] = draw(_json_values)
+    pair = st.lists(st.sampled_from(ids), min_size=2, max_size=2)
+    doc = {"qubits": qubits,
+           "edges": draw(st.lists(pair, max_size=3)),
+           "readouts": draw(st.lists(st.sampled_from(ids), max_size=2))}
+    if draw(_rarely):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_json_values)
+    return doc
+
+
+@st.composite
+def _large_clifford_patterns(draw):
+    """Up to 40 qubits at multiples of pi/2, z-basis qubits included."""
+    n = draw(st.integers(10, 40))
+    rng = draw(st.randoms(use_true_random=False))
+    density = rng.random()
+    z_basis = {q for q in range(n) if rng.random() < 0.1}
+    qubits = [{"id": q, "angle": "0", "basis": "z"} if q in z_basis else
+              {"id": q, "angle": rng.choice(["0", "1/2", "1", "3/2"])}
+              for q in range(n)]
+    edges = [list(e) for e in itertools.combinations(range(n), 2)
+             if rng.random() < density]
+    readouts = rng.sample(range(n), rng.randint(0, 3))
+    return {"qubits": qubits, "edges": edges, "readouts": readouts}
+
+
+_pattern_texts = st.one_of(
+    _near_valid_patterns().map(json.dumps),
+    _near_valid_patterns().map(lambda p: json.dumps({"pattern": p})),
+    _large_clifford_patterns().map(json.dumps),
+    _json_values.map(json.dumps) | st.text(max_size=20))
+
+
+@given(_pattern_texts, st.sampled_from([[], ["--shots", "10"]]))
+@settings(max_examples=150, deadline=None)
+def test_simulate_pattern_fuzz_keeps_the_contract(tmp_path_factory, text,
+                                                 shots):
+    path = tmp_path_factory.mktemp("fuzz") / "pattern.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["simulate", "--pattern", str(path), *shots])
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue())  # exactly one JSON document
+
+
+def test_simulate_pattern_with_mixed_id_types_exits_2(capsys, tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(
+        {"qubits": [{"id": "a", "angle": "0"}, {"id": 1, "angle": "0"}],
+         "edges": [], "readouts": []}))
+    code, out = run(capsys, "simulate", "--pattern", str(path))
+    assert code == 2
+    assert "not an int" in json.loads(out)["error"]
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for flag in ("--pattern", "--circuit"):
+        code, out = run(capsys, "simulate", flag, str(path))
+        assert code == 2
+        assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("command", [["compile-mbqc"], ["lattice", "--reduce"]])
+def test_simulate_loads_a_command_output_file(capsys, tmp_path, command):
+    path = tmp_path / "out.json"
+    for table in ("01101001", "11111111"):
+        code, _ = run(capsys, *command, "--n", "3", "--table", table,
+                      "--out", str(path))
+        assert code == 0
+        code, out = run(capsys, "simulate", "--pattern", str(path))
+        assert code == 0
+        expected = classify(BooleanFunction(3, int(table, 2))).value
+        assert json.loads(out)["verdict"] == expected
+    if command == ["compile-mbqc"]:
+        code, out = run(capsys, "simulate", "--pattern", str(path),
+                        "--shots", "100")
+        assert code == 0
+        assert json.loads(out) == {"verdict": "constant", "shots": 100,
+                                   "agreeing_shots": 100}
+
+
+def test_balanced_clifford_pattern_prints_an_exact_zero(capsys):
+    code, out = run(capsys, "simulate", "--n", "3", "--table", "01101001")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "balanced", "amplitude_abs": "0"}
 
 
 def test_simulate_pattern_refuses_a_too_wide_contraction(capsys, tmp_path,
@@ -345,3 +453,22 @@ def test_verify_all_output_is_byte_identical(capsys, n):
     code, out = run(capsys, "verify-all", "--n", n)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[n]
+
+
+# SHA-256 of the simulate --circuit stdout of the 72 three-bit oracle
+# circuits in enumeration order, fixed while the state vector was updated
+# by one np.tensordot per gate: the gate-wise updates must not change a
+# byte, the round-off residues of the balanced tables included
+SIMULATE_CIRCUIT_DIGEST = (
+    "1c71d2e7e58a25bfa2efa536e997031021eabb153ab516035c8c6a7a03fb6b0d")
+
+
+def test_simulate_circuit_output_is_byte_identical(capsys, tmp_path):
+    path = tmp_path / "oracle.json"
+    text = ""
+    for f in enumerate_promise(3):
+        path.write_text(oracle_circuit_3q(f).to_json())
+        code, out = run(capsys, "simulate", "--circuit", str(path))
+        assert code == 0
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_CIRCUIT_DIGEST

@@ -1,18 +1,20 @@
 """Measurement patterns: serialization, extraction, execution, lattice."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxdj import mbqc, rewrite
+from zxdj import mbqc, rewrite, tensor
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
 from zxdj.errors import (
     NoFlowError,
     NotGraphLikeError,
     NotPromiseError,
+    PreconditionFailed,
     ReductionStuckError,
     WidthTooLargeError,
 )
@@ -27,13 +29,17 @@ from zxdj.mbqc import (
     pattern_to_diagram,
     patterns_isomorphic,
     reduce_lattice,
+    run_exact,
     run_postselected,
     run_sampled,
 )
-from zxdj.oracle import BooleanFunction, classify, enumerate_promise
-from zxdj.phase import HALF_PI, PI, Phase, ZERO
-from zxdj.rewrite import decouple_x_state, fuse_spiders, local_complement
-from zxdj.tensor import equivalent_up_to_scalar, evaluate
+from zxdj.circuit import to_zx_tracked
+from zxdj.oracle import (
+    BooleanFunction, Verdict, classify, enumerate_promise, oracle_circuit_3q)
+from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
+from zxdj.rewrite import (
+    decouple_x_state, fuse_spiders, local_complement, simplify_mbqc)
+from zxdj.tensor import collapse_floor, equivalent_up_to_scalar, evaluate
 
 
 def _triangle_pattern():
@@ -73,6 +79,21 @@ def test_json_round_trip_keeps_z_basis():
     assert p2.readouts == p.readouts
     assert p2.z_basis == {0}
     assert "order" not in p.to_json_dict()
+
+
+@pytest.mark.parametrize("bad", ["a", 1.0, True, None, [1]])
+def test_json_rejects_a_qubit_id_that_is_not_an_int(bad):
+    docs = [
+        {"qubits": [{"id": bad, "angle": "0"}, {"id": 1, "angle": "0"}],
+         "edges": [], "readouts": []},
+        {"qubits": [{"id": 0, "angle": "0"}, {"id": 1, "angle": "0"}],
+         "edges": [[0, bad]], "readouts": []},
+        {"qubits": [{"id": 0, "angle": "0"}, {"id": 1, "angle": "0"}],
+         "edges": [], "readouts": [bad]},
+    ]
+    for doc in docs:
+        with pytest.raises(ValueError):
+            MeasurementPattern.from_json_dict(doc)
 
 
 def test_json_ignores_a_legacy_order_key():
@@ -493,3 +514,147 @@ def test_reduce_lattice_stuck_on_missing_spare():
     p.edges = {e for e in p.edges if gone not in e}
     with pytest.raises(ReductionStuckError):
         reduce_lattice(p)
+
+
+# -- exact Clifford amplitudes ------------------------------------------------
+
+def _repo_patterns():
+    """Every pattern the repo builds: 72 x (hand-built, compiled, lattice,
+    reduced lattice), then the 8 two-bit and 4 one-bit patterns."""
+    out = []
+    for f in enumerate_promise(3):
+        d, carriers = to_zx_tracked(oracle_circuit_3q(f))
+        compiled = pattern_from_graph_like(
+            simplify_mbqc(d, frozenset(carriers))[0])
+        lattice = lattice_pattern_3q(f)
+        out += [dj_pattern_3q(f), compiled, lattice, reduce_lattice(lattice)[0]]
+    out += [dj_pattern_2q(f) for f in enumerate_promise(2)]
+    out += [dj_pattern_1q(f) for f in enumerate_promise(1)]
+    return out
+
+
+def _assert_exact_matches_dense(p):
+    """Same verdict as the dense contraction and its floor; amplitudes
+    within 1e-12 of the floor's scale (the product of the spider norms),
+    and an exact 0 wherever the dense verdict is Balanced."""
+    d = pattern_to_diagram(p)
+    dense, floor = evaluate(d).scalar(), collapse_floor(d)
+    exact = run_exact(p)
+    constant = abs(dense) > floor
+    assert exact.verdict is (Verdict.CONSTANT if constant else Verdict.BALANCED)
+    assert abs(exact.amplitude - dense) <= floor * 1e-3
+    if not constant:
+        assert exact.amplitude == 0
+    return constant
+
+
+def test_run_exact_matches_dense_on_every_repo_pattern():
+    patterns = _repo_patterns()
+    assert len(patterns) == 300
+    constant = [_assert_exact_matches_dense(p) for p in patterns]
+    assert sum(constant) == 2 * 4 + 2 + 2
+
+
+@st.composite
+def clifford_patterns(draw, max_qubits=9):
+    n = draw(st.integers(min_value=0, max_value=max_qubits))
+    z_basis = {q for q in range(n) if draw(st.integers(0, 4)) == 0}
+    angles = {q: ZERO if q in z_basis else Phase(draw(st.integers(0, 3)), 2)
+              for q in range(n)}
+    density = draw(st.floats(0, 1))
+    edges = {frozenset(e) for e in itertools.combinations(range(n), 2)
+             if draw(st.floats(0, 1)) < density}
+    return MeasurementPattern(angles, edges, [], z_basis)
+
+
+@given(clifford_patterns())
+@settings(max_examples=200, deadline=None)
+def test_run_exact_matches_dense_on_clifford_patterns(p):
+    _assert_exact_matches_dense(p)
+
+
+def test_run_exact_small_cases():
+    assert run_exact(MeasurementPattern({}, set(), [])).amplitude == 1
+    # an isolated qubit at pi sums to 1 - 1 = 0
+    lone = run_exact(MeasurementPattern({0: PI}, set(), [0]))
+    assert lone.verdict is Verdict.BALANCED and lone.amplitude == 0
+    # the z-basis qubit 1 fixes its bit to 0, which leaves qubit 0 alone
+    pair = MeasurementPattern({0: PI, 1: ZERO}, {frozenset((0, 1))}, [0], {1})
+    assert run_exact(pair).amplitude == 0
+    # x_0 sums to 2, the cap pays 2 and the edge 1/sqrt(2)
+    pair.angles[0] = ZERO
+    assert run_exact(pair).amplitude == pytest.approx(2 * 2 / 2 ** 0.5)
+
+
+def test_run_exact_refuses_a_quarter_turn():
+    with pytest.raises(PreconditionFailed):
+        run_exact(MeasurementPattern({0: QUARTER_PI}, set(), [0]))
+
+
+def test_non_clifford_pattern_keeps_the_dense_route():
+    p = _triangle_pattern()
+    p.angles[0] = QUARTER_PI
+    dense = evaluate(pattern_to_diagram(p)).scalar()
+    assert repr(run_postselected(p).amplitude) == repr(dense)
+
+
+def test_clifford_pattern_skips_the_dense_route(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(mbqc, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("evaluate", "collapse_floor", "pattern_to_diagram"):
+        monkeypatch.setattr(mbqc, name, counting(name))
+    f = BooleanFunction(3, 0b01101001)
+    for p in (dj_pattern_3q(f), lattice_pattern_3q(f)):
+        assert run_postselected(p).verdict is Verdict.BALANCED
+    assert calls == []
+    p = _triangle_pattern()
+    p.angles[0] = QUARTER_PI
+    run_postselected(p)
+    assert calls == ["pattern_to_diagram", "evaluate", "collapse_floor"]
+
+
+def test_run_exact_beyond_the_dense_cap(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a tensor was built")
+
+    monkeypatch.setattr(tensor, "_execute", unreachable)
+    n = 40  # the complete graph: dense planning would peak far above the cap
+    p = MeasurementPattern({q: HALF_PI for q in range(n)},
+                           {frozenset(e) for e in
+                            itertools.combinations(range(n), 2)}, [0])
+    out = run_postselected(p)
+    # the first bit sums to (1 + i) and empties the graph at angle 0, which
+    # leaves 39 factors of 2; each of the 780 edges carries 1/sqrt(2)
+    assert out.verdict is Verdict.CONSTANT
+    assert out.amplitude == (1 + 1j) * 2.0 ** (39 - 390)
+
+
+def test_exact_judge_agrees_across_reduce_lattice():
+    """Random quarter turns on the lattice's carriers: the lattice and its
+    reduction get the same exact verdict, and their |amplitude| ratio is
+    one fixed power of sqrt(2) (the scalars the reduction drops)."""
+    rng = random.Random(11)
+    carriers = [mbqc._grid_id(pos) for pos in sorted(mbqc._LATTICE_CARRIERS)]
+    ratios, verdicts = set(), set()
+    for _ in range(60):
+        p = lattice_pattern_3q(BooleanFunction(3, 0))
+        for q in carriers:
+            p.angles[q] = Phase(rng.randrange(4), 2)
+        reduced, _ = reduce_lattice(p)
+        big, small = run_exact(p), run_exact(reduced)
+        assert big.verdict is small.verdict
+        verdicts.add(big.verdict)
+        if big.verdict is Verdict.CONSTANT:
+            ratio = 2 * math.log2(abs(big.amplitude) / abs(small.amplitude))
+            assert ratio == pytest.approx(round(ratio), abs=1e-9)
+            ratios.add(round(ratio))
+    assert verdicts == {Verdict.CONSTANT, Verdict.BALANCED}
+    assert len(ratios) == 1

@@ -46,6 +46,9 @@ def test_parse_round_trip():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         Phase.parse("one half")
+    for text in (["1/2"], ["/"], {"/": 1}, 1, None):  # JSON that is no string
+        with pytest.raises(ValueError):
+            Phase.parse(text)
 
 
 def test_zero_denominator_rejected():
