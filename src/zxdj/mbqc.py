@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
@@ -36,7 +35,7 @@ from .oracle import (
 )
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
 from .rewrite import simplify_inplace
-from .tensor import collapse_floor, evaluate
+from .tensor import _remember, collapse_floor, evaluate
 
 
 def _qubit_id(q) -> int:
@@ -183,6 +182,11 @@ def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
 
 def patterns_isomorphic(p1: MeasurementPattern, p2: MeasurementPattern,
                         with_angles: bool = True) -> bool:
+    """Whether the two cluster graphs are isomorphic, matching angles too
+    unless ``with_angles`` is False (networkx VF2).  networkx is imported
+    here, on first use, so that ``import zxdj`` does not pay for it."""
+    import networkx as nx
+
     def graph(p):
         g = nx.Graph()
         for q in p.qubits():
@@ -471,22 +475,27 @@ def find_gflow(p: MeasurementPattern):
     return g, layer
 
 
-# Widest open frontier run_sampled simulates: 2^12 amplitudes per shot.
+# Widest open frontier run_sampled simulates: 2^12 amplitudes per branch.
 MAX_FRONTIER = 12
-# Amplitudes held in one state array; more shots than fit run in blocks.
+# A block of shots holds _BLOCK_AMPLITUDES >> width shots, so its state never
+# exceeds 2^18 amplitudes.  Each block draws its own random numbers, so the
+# block size is part of what a seed's output depends on.
 _BLOCK_AMPLITUDES = 1 << 18
+# Sampling plans by pattern shape (see run_sampled), up to MEMO_SHAPES.
+_plan_memo: dict[tuple, tuple[list["_Step"], int]] = {}
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Step:
     """One measurement: add ``added`` qubits as |+>, multiply by the CZ
-    ``signs`` (or none), then measure frontier bit ``bit``."""
+    ``signs`` (or none), then measure frontier bit ``bit``.  Everything
+    here depends on the pattern's shape alone, never on its angles."""
 
+    qubit: int
     added: int
     signs: np.ndarray | None
     bit: int
     row: int            # the qubit's row in the signal array
-    bras: np.ndarray    # <+_phi| weight on |1>, indexed by the signal
     x_rows: list[int]   # g(v): X byproduct on outcome 1
     z_rows: list[int]   # Odd(g(v)) \ {v}: Z byproduct on outcome 1
     readout: bool
@@ -494,12 +503,14 @@ class _Step:
 
 def _cz_signs(width: int, pairs: list[tuple[int, int]]) -> np.ndarray:
     """(-1)^(number of CZ pairs both 1) over the 2^width frontier states;
-    bit 0 is the most significant."""
+    bit 0 is the most significant.  Read-only, since plans share it."""
     index = np.arange(1 << width)
     parity = np.zeros(1 << width, dtype=np.int64)
     for a, b in pairs:
         parity ^= (index >> (width - 1 - a)) & (index >> (width - 1 - b)) & 1
-    return 1.0 - 2.0 * parity
+    signs = 1.0 - 2.0 * parity
+    signs.flags.writeable = False
+    return signs
 
 
 def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
@@ -532,12 +543,10 @@ def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
             raise WidthTooLargeError(
                 f"sampling needs a {len(front)}-qubit frontier; "
                 f"the cap is {MAX_FRONTIER}")
-        c = p.angles[v].phase_factor()
         k = g.get(v, frozenset())
         steps.append(_Step(
-            added, _cz_signs(len(front), pairs) if pairs else None,
+            v, added, _cz_signs(len(front), pairs) if pairs else None,
             front.index(v), row[v],
-            np.array([c.conjugate(), -c.conjugate(), c, -c]),
             [row[q] for q in sorted(k)],
             [row[q] for q in sorted(_odd(adj, k) - {v})],
             v in readouts))
@@ -545,42 +554,70 @@ def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
     return steps, width
 
 
+def _bras(p: MeasurementPattern, steps: list[_Step]) -> np.ndarray:
+    """Per step, the <+_phi| weight on |1> indexed by the byproduct
+    signal: c*, -c*, c, -c for c = exp(i * angle)."""
+    c = np.array([p.angles[s.qubit].phase_factor() for s in steps],
+                 dtype=complex)
+    return np.stack((c.conj(), -c.conj(), c, -c), axis=1)
+
+
 def _squared_norms(b: np.ndarray) -> np.ndarray:
-    """Per-shot squared norm of a contiguous (shots, ...) complex array."""
+    """Per-row squared norm of a contiguous (rows, ...) complex array."""
     flat = b.reshape(len(b), -1).view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _sample_block(steps: list[_Step], n_qubits: int, shots: int,
-                  rng: np.random.Generator) -> np.ndarray:
+def _sample_block(steps: list[_Step], bras: np.ndarray, n_qubits: int,
+                  shots: int, rng: np.random.Generator) -> np.ndarray:
     """Run ``shots`` shots of the schedule at once; True where a shot read
     some readout bit as 1 (a Balanced answer).
 
-    The state is a (shots, 2^w) array over the w frontier qubits.  Byproduct
-    signals are per-shot bits, 2 for X and 1 for Z, so the adapted angle
-    (-1)^sX * theta + sZ * pi picks its bra weight from ``_Step.bras``.
+    Shots with the same outcome history share one branch: a row of the
+    (branches, 2^w) state over the w frontier qubits, a column of byproduct
+    signals and a ``balanced`` flag.  ``branch`` maps each shot to its row.
+    A step splits every branch into its two outcomes and draws one number
+    per shot against its branch's Born probability, so the random draws
+    are those of a per-shot sampler.  The children 2 * branch + outcome
+    that some shot reached become the next rows, in ascending order, so
+    there are never more than min(shots, 2^steps) rows.  Signals are 2 for
+    X and 1 for Z, and the adapted angle (-1)^sX * theta + sZ * pi picks
+    its weight from the step's ``bras``.
     """
-    state = np.ones((shots, 1), dtype=complex)
-    signals = np.zeros((n_qubits, shots), dtype=np.uint8)
-    balanced = np.zeros(shots, dtype=bool)
-    for s in steps:
+    state = np.ones((1, 1), dtype=complex)
+    signals = np.zeros((n_qubits, 1), dtype=np.uint8)
+    balanced = np.zeros(1, dtype=bool)
+    branch = np.zeros(shots, dtype=np.intp)
+    for s, bra in zip(steps, bras):
+        rows = len(state)
         if s.added:
             state = np.repeat(state, 1 << s.added, axis=1)
         if s.signs is not None:
             state *= s.signs
-        halves = state.reshape(shots, 1 << s.bit, 2, -1)
-        lifted = s.bras[signals[s.row]][:, None, None] * halves[:, :, 1]
-        b0 = halves[:, :, 0] + lifted
-        b1 = halves[:, :, 0] - lifted
-        n0, n1 = _squared_norms(b0), _squared_norms(b1)
-        one = rng.random(shots) >= n0 / (n0 + n1)
-        state = np.where(one[:, None, None], b1, b0).reshape(shots, -1)
-        state /= np.sqrt(np.where(one, n1, n0))[:, None]
-        signals[s.x_rows] ^= one.astype(np.uint8) << 1
-        signals[s.z_rows] ^= one.astype(np.uint8)
+        halves = state.reshape(rows, 1 << s.bit, 2, -1)
+        lifted = bra[signals[s.row]][:, None, None] * halves[:, :, 1]
+        # row 2r + o of ``split`` is branch r after outcome o
+        split = np.empty((rows, 2) + lifted.shape[1:], dtype=complex)
+        np.add(halves[:, :, 0], lifted, out=split[:, 0])
+        np.subtract(halves[:, :, 0], lifted, out=split[:, 1])
+        split = split.reshape(2 * rows, -1)
+        norms = _squared_norms(split)
+        n0, n1 = norms[0::2], norms[1::2]
+        one = rng.random(shots) >= (n0 / (n0 + n1))[branch]
+        child = 2 * branch + one
+        seen = np.zeros(2 * rows, dtype=bool)
+        seen[child] = True
+        kids = np.flatnonzero(seen)
+        branch = (np.cumsum(seen) - 1)[child]
+        state = split[kids] / np.sqrt(norms[kids])[:, None]
+        parent, outcome = kids >> 1, (kids & 1).astype(np.uint8)
+        signals = signals[:, parent]
+        signals[s.x_rows] ^= outcome << 1
+        signals[s.z_rows] ^= outcome
+        balanced = balanced[parent]
         if s.readout:
-            balanced |= one
-    return balanced
+            balanced |= outcome.astype(bool)
+    return balanced[branch]
 
 
 def run_sampled(p: MeasurementPattern, seed: int = 2024,
@@ -588,24 +625,42 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
     """Sample the adaptively corrected pattern ``shots`` times.
 
     Measures in the order of the XY gflow from :func:`find_gflow`, all shots
-    at once (in blocks of ``_BLOCK_AMPLITUDES`` amplitudes), each outcome
-    drawn from its shot's Born probability.  An outcome 1 at v pushes an X
-    byproduct onto g(v) and a Z byproduct onto Odd(g(v)) \\ {v}
-    (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007), which later
-    measurements absorb into their angles; readouts are measured the same
-    way.  A shot reads Constant exactly when every readout bit is zero.
-    ``verdict`` is the majority, with ``agreeing_shots`` the shots behind it.
+    at once (in blocks of ``_BLOCK_AMPLITUDES >> width`` shots for a widest
+    frontier of ``width`` qubits), each outcome drawn from its shot's Born
+    probability.  Shots that share an outcome history share one simulated
+    branch, so each distinct history is simulated once per block (see
+    :func:`_sample_block`).
+    An outcome 1 at v pushes an X byproduct onto g(v) and a Z byproduct onto
+    Odd(g(v)) \\ {v} (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007),
+    which later measurements absorb into their angles; readouts are measured
+    the same way.  A shot reads Constant exactly when every readout bit is
+    zero.  ``verdict`` is the majority, with ``agreeing_shots`` the shots
+    behind it.
+
+    The gflow and the schedule built from it depend only on the pattern's
+    shape: its qubit ids, edges, readouts in order and z-basis set.  They are
+    memoized by that shape for up to ``tensor.MEMO_SHAPES`` shapes, and each
+    call only computes the measurement weights from its own angles.
     Raises ``NoFlowError`` without a gflow and ``WidthTooLargeError`` when
-    the frontier would exceed ``MAX_FRONTIER`` qubits.
+    the frontier would exceed ``MAX_FRONTIER`` qubits; such a shape is not
+    memoized, so a repeat raises again.
     """
-    g, layer = find_gflow(p)
-    steps, width = _sampling_plan(p, g, layer)
+    p.validate()
+    key = (frozenset(p.angles), frozenset(p.edges), tuple(p.readouts),
+           frozenset(p.z_basis))
+    plan = _plan_memo.get(key)
+    if plan is None:
+        g, layer = find_gflow(p)
+        plan = _sampling_plan(p, g, layer)
+        _remember(_plan_memo, key, plan)
+    steps, width = plan
+    bras = _bras(p, steps)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_AMPLITUDES >> width)
     constant_shots = 0
     for start in range(0, shots, block):
         n = min(block, shots - start)
-        balanced = _sample_block(steps, len(p.angles), n, rng)
+        balanced = _sample_block(steps, bras, len(p.angles), n, rng)
         constant_shots += n - int(np.count_nonzero(balanced))
     majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
     agreeing = constant_shots if majority is Verdict.CONSTANT else shots - constant_shots
@@ -624,8 +679,10 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
 #   - a triple of pi/2 spares leaves no residue.
 # ---------------------------------------------------------------------------
 
-def _lattice_layout(pp):
-    get = lambda *q: pp.coeffs.get(frozenset(q), ZERO)
+def _lattice_layout(coeffs):
+    """Each grid position's angle, from the phase polynomial's ``coeffs``,
+    or "z" for a computational-basis spare."""
+    get = lambda *q: coeffs.get(frozenset(q), ZERO)
     half = HALF_PI
     mhalf = MINUS_HALF_PI
     return {
@@ -653,28 +710,30 @@ def _grid_id(pos) -> int:
     return (r - 1) * 6 + (c - 1)
 
 
+# The grid is the same for every variant; only the carrier angles vary.
+_LATTICE_IDS = {(r, c): _grid_id((r, c)) for r in range(1, 7) for c in range(1, 7)}
+_LATTICE_Z_BASIS = tuple(_LATTICE_IDS[pos]
+                         for pos, entry in _lattice_layout({}).items()
+                         if entry == "z")
+# in the insertion order of the row-major sweep, so that every copy iterates
+# in one order and pattern_to_diagram numbers the edges the same way
+_LATTICE_EDGES = tuple(
+    frozenset((q, _LATTICE_IDS[nbr]))
+    for (r, c), q in _LATTICE_IDS.items()
+    for nbr in ((r, c + 1), (r + 1, c)) if nbr in _LATTICE_IDS)
+_LATTICE_READOUTS = tuple(_LATTICE_IDS[pos] for pos in ((1, 6), (5, 4), (6, 6)))
+
+
 def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
+    """The 6x6 lattice embedding of the eleven-qubit pattern of ``f``.
+    Every call returns fresh containers, so a caller may edit its copy."""
     if f.n != 3:
         raise NotPromiseError("lattice pattern needs n = 3")
-    layout = _lattice_layout(phase_polynomial(f))
-    angles = {}
-    z_basis = set()
-    for pos, entry in layout.items():
-        q = _grid_id(pos)
-        if entry == "z":
-            angles[q] = ZERO
-            z_basis.add(q)
-        else:
-            angles[q] = entry
-    edges = set()
-    for r in range(1, 7):
-        for c in range(1, 7):
-            if c < 6:
-                edges.add(frozenset((_grid_id((r, c)), _grid_id((r, c + 1)))))
-            if r < 6:
-                edges.add(frozenset((_grid_id((r, c)), _grid_id((r + 1, c)))))
-    readouts = [_grid_id((1, 6)), _grid_id((5, 4)), _grid_id((6, 6))]
-    return MeasurementPattern(angles, edges, readouts, z_basis)
+    layout = _lattice_layout(phase_polynomial(f).coeffs)
+    angles = {_LATTICE_IDS[pos]: ZERO if isinstance(entry, str) else entry
+              for pos, entry in layout.items()}  # "z" is the only str
+    return MeasurementPattern(angles, set(_LATTICE_EDGES),
+                              list(_LATTICE_READOUTS), set(_LATTICE_Z_BASIS))
 
 
 def reduce_lattice(p: MeasurementPattern):

@@ -1,8 +1,14 @@
 """Measurement patterns: serialization, extraction, execution, lattice."""
 
+import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +41,8 @@ from zxdj.mbqc import (
 )
 from zxdj.circuit import to_zx_tracked
 from zxdj.oracle import (
-    BooleanFunction, Verdict, classify, enumerate_promise, oracle_circuit_3q)
+    BooleanFunction, Verdict, classify, enumerate_promise, oracle_circuit_3q,
+    phase_polynomial)
 from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.rewrite import (
     decouple_x_state, fuse_spiders, local_complement, simplify_mbqc)
@@ -188,6 +195,15 @@ def test_patterns_isomorphic_negative_cases():
     assert not patterns_isomorphic(p, r, with_angles=False)
 
 
+def test_import_leaves_networkx_unloaded():
+    """Only patterns_isomorphic needs networkx, and it imports it itself."""
+    src = str(Path(mbqc.__file__).resolve().parents[1])
+    code = ("import sys, zxdj, zxdj.cli; "
+            "assert 'networkx' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 # -- promise patterns --------------------------------------------------------
 
 def test_dj_pattern_shapes():
@@ -334,6 +350,7 @@ def _star(leaves):
 
 
 def test_frontier_cap_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(mbqc, "_plan_memo", {})  # a cold plan builds signs
     widths = []
     real_signs = mbqc._cz_signs
     monkeypatch.setattr(mbqc, "_cz_signs", lambda w, pairs: (
@@ -395,6 +412,202 @@ def test_run_sampled_follows_born_probabilities():
         assert abs(constant / shots - prob) <= 5 * sigma + 1e-9, (p, prob)
 
 
+# The per-shot sampler that branch merging replaced, kept as the reference:
+# one state row, signal column and balanced flag per shot.
+def _per_shot_sample_block(steps, bras, n_qubits, shots, rng):
+    state = np.ones((shots, 1), dtype=complex)
+    signals = np.zeros((n_qubits, shots), dtype=np.uint8)
+    balanced = np.zeros(shots, dtype=bool)
+    for s, bra in zip(steps, bras):
+        if s.added:
+            state = np.repeat(state, 1 << s.added, axis=1)
+        if s.signs is not None:
+            state *= s.signs
+        halves = state.reshape(shots, 1 << s.bit, 2, -1)
+        lifted = bra[signals[s.row]][:, None, None] * halves[:, :, 1]
+        b0 = halves[:, :, 0] + lifted
+        b1 = halves[:, :, 0] - lifted
+        n0, n1 = mbqc._squared_norms(b0), mbqc._squared_norms(b1)
+        one = rng.random(shots) >= n0 / (n0 + n1)
+        state = np.where(one[:, None, None], b1, b0).reshape(shots, -1)
+        state /= np.sqrt(np.where(one, n1, n0))[:, None]
+        signals[s.x_rows] ^= one.astype(np.uint8) << 1
+        signals[s.z_rows] ^= one.astype(np.uint8)
+        if s.readout:
+            balanced |= one
+    return balanced
+
+
+def _sampled_outcomes(block_sampler, p, seed, shots):
+    """Every shot's Balanced bit, drawn block by block as run_sampled does."""
+    g, layer = find_gflow(p)
+    steps, width = mbqc._sampling_plan(p, g, layer)
+    bras = mbqc._bras(p, steps)
+    rng = np.random.default_rng(seed)
+    block = max(1, mbqc._BLOCK_AMPLITUDES >> width)
+    return np.concatenate([
+        block_sampler(steps, bras, len(p.angles), min(block, shots - start),
+                      rng)
+        for start in range(0, shots, block)])
+
+
+def _random_flow_patterns(seed, count, max_qubits=8):
+    """Seeded random open graphs that have an XY gflow, with readouts in a
+    random order and angles drawn from the multiples of pi/4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_qubits)
+        pairs = [e for e in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.4]
+        outputs = [q for q in range(n) if rng.random() < 0.4]
+        rng.shuffle(outputs)
+        p = MeasurementPattern({q: Phase(rng.randrange(8), 4) for q in range(n)},
+                               {frozenset(e) for e in pairs}, outputs)
+        try:
+            find_gflow(p)
+        except NoFlowError:
+            continue
+        out.append(p)
+    return out
+
+
+def _promise_patterns():
+    return ([dj_pattern_1q(f) for f in enumerate_promise(1)]
+            + [dj_pattern_2q(f) for f in enumerate_promise(2)]
+            + [dj_pattern_3q(f) for f in enumerate_promise(3)])
+
+
+def test_branch_merged_sampler_matches_per_shot_on_promise_patterns():
+    patterns = _promise_patterns()
+    assert len(patterns) == 4 + 8 + 72
+    for i, p in enumerate(patterns):
+        for seed in (i, 2024):
+            want = _sampled_outcomes(_per_shot_sample_block, p, seed, 1000)
+            got = _sampled_outcomes(mbqc._sample_block, p, seed, 1000)
+            assert np.array_equal(got, want), (i, seed)
+
+
+def test_branch_merged_sampler_matches_per_shot_on_random_patterns():
+    for i, p in enumerate(_random_flow_patterns(17, 150)):
+        want = _sampled_outcomes(_per_shot_sample_block, p, i, 777)
+        got = _sampled_outcomes(mbqc._sample_block, p, i, 777)
+        assert np.array_equal(got, want), p
+
+
+def test_branch_merged_sampler_matches_per_shot_across_blocks(monkeypatch):
+    monkeypatch.setattr(mbqc, "_BLOCK_AMPLITUDES", 1 << 9)
+    blocks = 0
+    for i, p in enumerate(_random_flow_patterns(23, 20)):
+        want = _sampled_outcomes(_per_shot_sample_block, p, i, 777)
+        got = _sampled_outcomes(mbqc._sample_block, p, i, 777)
+        assert np.array_equal(got, want), p
+        out = run_sampled(p, seed=i, shots=777)
+        constant = 777 - int(np.count_nonzero(want))
+        assert out.agreeing_shots == max(constant, 777 - constant)
+        _, width = mbqc._sampling_plan(p, *find_gflow(p))
+        blocks += 777 > (1 << 9) >> width
+    assert blocks  # some runs take more than one block
+
+
+# SHA-256 of (verdict, agreeing_shots) over 60 seeded runs on non-promise
+# patterns, recorded with the per-shot sampler.
+_SAMPLED_DIGEST = (
+    "a3c958bf6a8e32a96aeb47a4f6139c4b2df265e9d1584fac0c44fe6b8d8ddf13")
+
+
+def test_sampled_outcomes_keep_the_pinned_digest():
+    record = []
+    for i, p in enumerate(_random_flow_patterns(31, 60)):
+        out = run_sampled(p, seed=1000 + i, shots=300 + 7 * i)
+        record.append([out.verdict.value, out.agreeing_shots])
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == _SAMPLED_DIGEST
+
+
+def test_branches_never_outnumber_shots_or_histories(monkeypatch):
+    rows = []
+    real = mbqc._squared_norms
+    monkeypatch.setattr(mbqc, "_squared_norms",
+                        lambda b: (rows.append(len(b) // 2), real(b))[1])
+    for shots in (1, 5, 1000):
+        for p in (dj_pattern_3q(BooleanFunction(3, 0b01101001)),
+                  *_random_flow_patterns(5, 10)):
+            rows.clear()
+            _sampled_outcomes(mbqc._sample_block, p, 7, shots)
+            # one _squared_norms call per step, on both outcomes of each row
+            assert rows
+            assert all(r <= min(shots, 2 ** k) for k, r in enumerate(rows))
+    assert max(rows) > 1
+
+
+def _flow_calls(monkeypatch):
+    calls = []
+    real = mbqc.find_gflow
+    monkeypatch.setattr(mbqc, "find_gflow",
+                        lambda p: (calls.append(p), real(p))[1])
+    return calls
+
+
+def test_plan_memo_hit_equals_a_cold_run(monkeypatch):
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    calls = _flow_calls(monkeypatch)
+    for p in _random_flow_patterns(41, 10) + _promise_patterns()[::9]:
+        mbqc._plan_memo.clear()
+        cold = run_sampled(p, seed=3, shots=400)
+        warm = run_sampled(p, seed=3, shots=400)
+        assert (warm.verdict, warm.agreeing_shots) == (
+            cold.verdict, cold.agreeing_shots)
+    assert len(calls) == 10 + len(_promise_patterns()[::9])
+
+
+def test_plan_memo_keys_on_shape_not_angles(monkeypatch):
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    calls = _flow_calls(monkeypatch)
+    run_sampled(dj_pattern_2q(BooleanFunction(2, 0)), shots=10)
+    assert len(calls) == 1
+    # all eight two-bit variants share one shape; a new angle hits
+    warm = [run_sampled(dj_pattern_2q(f), seed=9, shots=200)
+            for f in enumerate_promise(2)]
+    assert len(calls) == 1
+    cold = []
+    for f in enumerate_promise(2):
+        mbqc._plan_memo.clear()
+        cold.append(run_sampled(dj_pattern_2q(f), seed=9, shots=200))
+    assert warm == cold
+    calls.clear()
+    p = dj_pattern_2q(BooleanFunction(2, 6))
+    p.readouts.reverse()  # the readout order is part of the schedule
+    run_sampled(p, shots=10)
+    p.edges.add(frozenset((0, 3)))
+    run_sampled(p, shots=10)
+    p.angles[6] = ZERO
+    p.edges.add(frozenset((5, 6)))
+    run_sampled(p, shots=10)
+    assert len(calls) == 3
+    assert len(mbqc._plan_memo) == 4
+
+
+def test_plan_memo_stores_no_failure(monkeypatch):
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    for p, error in ((_open_graph(3, [(0, 1), (1, 2)], [1]), NoFlowError),
+                     (_star(mbqc.MAX_FRONTIER + 1), WidthTooLargeError)):
+        for _ in range(3):
+            with pytest.raises(error):
+                run_sampled(p, shots=5)
+        assert mbqc._plan_memo == {}
+
+
+def test_plan_memo_stays_within_memo_shapes(monkeypatch):
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    monkeypatch.setattr(tensor, "MEMO_SHAPES", 4)
+    for n in range(1, 11):
+        run_sampled(_open_graph(n, [(q, q + 1) for q in range(n - 1)],
+                                [n - 1]), shots=5)
+        assert len(mbqc._plan_memo) <= 4
+    assert len(mbqc._plan_memo) == 4
+
+
 # -- lattice embedding -------------------------------------------------------
 
 def test_lattice_pattern_shape():
@@ -406,6 +619,53 @@ def test_lattice_pattern_shape():
     with pytest.raises(NotPromiseError):
         lattice_pattern_3q(BooleanFunction(2, 6))
 
+
+
+# How lattice_pattern_3q built the grid before it became a module
+# constant, kept as the reference: it sweeps the whole grid on every call.
+def _swept_lattice_pattern(f):
+    layout = mbqc._lattice_layout(phase_polynomial(f).coeffs)
+    angles = {}
+    z_basis = set()
+    for pos, entry in layout.items():
+        q = mbqc._grid_id(pos)
+        if entry == "z":
+            angles[q] = ZERO
+            z_basis.add(q)
+        else:
+            angles[q] = entry
+    edges = set()
+    for r in range(1, 7):
+        for c in range(1, 7):
+            if c < 6:
+                edges.add(frozenset((mbqc._grid_id((r, c)),
+                                     mbqc._grid_id((r, c + 1)))))
+            if r < 6:
+                edges.add(frozenset((mbqc._grid_id((r, c)),
+                                     mbqc._grid_id((r + 1, c)))))
+    readouts = [mbqc._grid_id((1, 6)), mbqc._grid_id((5, 4)),
+                mbqc._grid_id((6, 6))]
+    return MeasurementPattern(angles, edges, readouts, z_basis)
+
+
+def test_lattice_pattern_matches_the_grid_sweep():
+    for f in enumerate_promise(3):
+        p, ref = lattice_pattern_3q(f), _swept_lattice_pattern(f)
+        assert p == ref, f.table
+        # the same iteration order, so pattern_to_diagram numbers the
+        # edges as before and the rewrite traces stay the same
+        assert list(p.edges) == list(ref.edges), f.table
+        assert list(p.angles) == list(ref.angles), f.table
+
+
+def test_lattice_patterns_own_their_containers():
+    f = BooleanFunction(3, 0b01101001)
+    p = lattice_pattern_3q(f)
+    p.angles[12] = PI
+    p.edges.clear()
+    p.readouts.append(0)
+    p.z_basis.add(0)
+    assert lattice_pattern_3q(f) == _swept_lattice_pattern(f)
 
 def test_reduce_lattice_reaches_compact_pattern():
     # sweep of variants; the full 72-case certification is in acceptance
