@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .errors import ArityMismatchError, SelfLoopError, UnknownNodeError
+from .errors import SelfLoopError, UnknownNodeError
 from .phase import Phase, ZERO
 
 
@@ -40,8 +40,7 @@ class Spider:
     phase: Phase
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):  # twice as fast to build as a frozen dataclass
     a: int
     b: int
     kind: EdgeKind
@@ -164,36 +163,6 @@ class ZxDiagram:
         self.outputs = list(other.outputs)
         self._next_node = other._next_node
         self._next_edge = other._next_edge
-
-    def _absorb(self, other: "ZxDiagram") -> dict[int, int]:
-        """Copy another diagram's spiders and edges in; returns the node id map."""
-        node_map: dict[int, int] = {}
-        for v in sorted(other.spiders):
-            s = other.spiders[v]
-            node_map[v] = self.add_spider(s.kind, s.phase)
-        for eid in sorted(other.edges):
-            e = other.edges[eid]
-            self.add_edge(node_map[e.a], node_map[e.b], e.kind)
-        return node_map
-
-    def compose(self, other: "ZxDiagram") -> "ZxDiagram":
-        """Sequential composition: self first, then ``other``."""
-        if len(self.outputs) != len(other.inputs):
-            raise ArityMismatchError(
-                f"{len(self.outputs)} outputs vs {len(other.inputs)} inputs")
-        result = self.copy()
-        node_map = result._absorb(other)
-        for out_v, in_v in zip(self.outputs, other.inputs):
-            result.add_edge(out_v, node_map[in_v], EdgeKind.PLAIN)
-        result.outputs = [node_map[v] for v in other.outputs]
-        return result
-
-    def tensor_product(self, other: "ZxDiagram") -> "ZxDiagram":
-        result = self.copy()
-        node_map = result._absorb(other)
-        result.inputs = list(self.inputs) + [node_map[v] for v in other.inputs]
-        result.outputs = list(self.outputs) + [node_map[v] for v in other.outputs]
-        return result
 
     # -- validation -------------------------------------------------------
 

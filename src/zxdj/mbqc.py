@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .oracle import (
     two_qubit_spider_angles,
 )
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
-from .rewrite import simplify_inplace
+from .rewrite import simplify_core
 from .tensor import _remember, collapse_floor, evaluate
 
 
@@ -643,8 +644,11 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
     call only computes the measurement weights from its own angles.
     Raises ``NoFlowError`` without a gflow and ``WidthTooLargeError`` when
     the frontier would exceed ``MAX_FRONTIER`` qubits; such a shape is not
-    memoized, so a repeat raises again.
+    memoized, so a repeat raises again.  Raises ``ValueError`` when
+    ``shots`` is below 1, since no shot gives no majority.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, not {shots}")
     p.validate()
     key = (frozenset(p.angles), frozenset(p.edges), tuple(p.readouts),
            frozenset(p.z_basis))
@@ -722,6 +726,7 @@ _LATTICE_EDGES = tuple(
     for (r, c), q in _LATTICE_IDS.items()
     for nbr in ((r, c + 1), (r + 1, c)) if nbr in _LATTICE_IDS)
 _LATTICE_READOUTS = tuple(_LATTICE_IDS[pos] for pos in ((1, 6), (5, 4), (6, 6)))
+_LATTICE_CARRIER_IDS = frozenset(_LATTICE_IDS[pos] for pos in _LATTICE_CARRIERS)
 
 
 def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
@@ -736,29 +741,71 @@ def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
                               list(_LATTICE_READOUTS), set(_LATTICE_Z_BASIS))
 
 
+class _Reduction(NamedTuple):
+    """A lattice key's reduction in the reduced pattern's ids; a survivor
+    with a formula (survivor, constant, carrier qubits) takes its angle
+    from it, not from ``angles``."""
+
+    angles: dict[int, Phase]
+    edges: tuple[frozenset, ...]  # in the order found, as the set iterated
+    readouts: tuple[int, ...]
+    steps: tuple
+    formulas: tuple
+
+
+# Lattice reductions by key (see reduce_lattice), up to MEMO_SHAPES; a stuck
+# key holds its ReductionStuckError message instead.
+_lattice_memo: dict[tuple, _Reduction | str] = {}
+
+
 def reduce_lattice(p: MeasurementPattern):
     """Shrink the lattice to its embedded eleven-qubit pattern by the
-    simplifier core of ``simplify_mbqc``, run in place with the parameter
-    carriers protected.  Every variant has the same rewrite key (the
-    carriers hold all that varies), so after the first the memoized
-    reduction is replayed with the carrier phases.  Raises
+    simplifier core, with the parameter carriers protected.  Returns fresh
+    copies of the reduced pattern, in the diagram's ids (qubit ranks), with
+    the lattice's readouts, and of the rewrite trace.  Raises
     ``ReductionStuckError`` when a non-carrier survives with degree at
-    most 2, as a missing spare or a tampered angle can leave; a repeat of
-    such a lattice replays the same stuck reduction and raises again.
-    Returns the reduced pattern, which keeps the lattice's readouts, and
-    the rewrite trace."""
+    most 2, as a missing spare or a tampered angle can leave.
+
+    Memoized for up to ``tensor.MEMO_SHAPES`` keys: the sorted qubit ids
+    (which fix the carriers), the edges in iteration order (which number the
+    diagram's edges), the z-basis set, the readouts in order and the
+    non-carrier angles in qubit order.  No rule reads a carrier's angle, so
+    all 72 variants share a key, and a repeat builds no diagram: a survivor's
+    angle is a stored constant plus the carrier angles fused into it.  A
+    stuck key raises again on every repeat."""
     if not p.angles:
         return p, []
-    d = pattern_to_diagram(p)
-    # pattern_to_diagram assigns diagram ids in ascending qubit order
-    node_of = {q: i for i, q in enumerate(p.qubits())}
-    carriers = {node_of[q] for q in map(_grid_id, _LATTICE_CARRIERS)
-                if q in node_of}
-    steps = []
-    simplify_inplace(d, set(carriers), steps)
-    stuck = sorted(v for v in d.spiders
-                   if v not in carriers and d.degree(v) <= 2)
-    if stuck:
-        raise ReductionStuckError(
-            f"spiders {stuck} outside the carriers survive with degree <= 2")
-    return pattern_from_graph_like(d, [node_of[q] for q in p.readouts]), steps
+    p.validate()
+    qubits = p.qubits()
+    key = (tuple(qubits), tuple(p.edges), frozenset(p.z_basis),
+           tuple(p.readouts), tuple([p.angles[q] for q in qubits
+                                     if q not in _LATTICE_CARRIER_IDS]))
+    memo = _lattice_memo.get(key)
+    if memo is None:
+        d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
+        carriers = {v for v, q in enumerate(qubits)
+                    if q in _LATTICE_CARRIER_IDS}
+        steps = []
+        formulas = simplify_core(d, set(carriers), steps)
+        stuck = sorted(v for v in d.spiders
+                       if v not in carriers and d.degree(v) <= 2)
+        if stuck:
+            memo = (f"spiders {stuck} outside the carriers survive with "
+                    "degree <= 2")
+        else:
+            r = pattern_from_graph_like(
+                d, [qubits.index(q) for q in p.readouts])
+            memo = _Reduction(
+                r.angles, tuple(r.edges), tuple(r.readouts), tuple(steps),
+                tuple((v, constant, tuple(qubits[c] for c in inputs))
+                      for v, constant, inputs in formulas))
+        _remember(_lattice_memo, key, memo)
+    if isinstance(memo, str):
+        raise ReductionStuckError(memo)
+    angles = dict(memo.angles)
+    for v, constant, fused in memo.formulas:
+        for q in fused:
+            constant = constant + p.angles[q]
+        angles[v] = constant
+    return (MeasurementPattern(angles, set(memo.edges), list(memo.readouts)),
+            list(memo.steps))

@@ -101,27 +101,6 @@ def enumerate_promise(n: int) -> list[BooleanFunction]:
     return out
 
 
-def delta_polynomial(point, n: int) -> dict[frozenset, int]:
-    """Multilinear expansion of the indicator of ``point`` over x monomials.
-
-    Returns a map monomial -> integer coefficient, where a monomial is the
-    frozenset of participating variable indices.
-    """
-    poly: dict[frozenset, int] = {frozenset(): 1}
-    for i in range(n):
-        term: dict[frozenset, int] = {}
-        if point[i]:
-            factors = [(frozenset([i]), 1)]          # x_i
-        else:
-            factors = [(frozenset(), 1), (frozenset([i]), -1)]  # 1 - x_i
-        for mono, coeff in poly.items():
-            for fmono, fcoeff in factors:
-                key = mono | fmono
-                term[key] = term.get(key, 0) + coeff * fcoeff
-        poly = {k: v for k, v in term.items() if v}
-    return poly
-
-
 @dataclass(frozen=True)
 class PhasePolynomial:
     """theta(x) = constant + sum_S coeff[S] * (XOR of x_i for i in S)."""

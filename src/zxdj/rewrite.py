@@ -5,14 +5,15 @@ describing what happened.  All rules preserve the diagram's tensor up to a
 nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
-The simplifier core :func:`simplify_inplace` is memoized per rewrite key:
-the diagram's shape (``tensor._shape_key``), its spider kinds, its next
-spider and edge ids, the protected set and the phases of the unprotected
-spiders.  No rule reads a protected phase, so that key fixes the trace and
-the reduced graph, and each survivor's phase is a constant plus the phases
-of the protected input spiders fused into it.  A repeat key only evaluates
-those formulas on a copy of the stored result.  Up to ``MEMO_SHAPES`` keys
-stay memoized, evicted first-in as the tensor memos are.
+The simplifier core :func:`simplify_core` is memoized by
+:func:`simplify_inplace` per rewrite key: the diagram's shape
+(``tensor._shape_key``), its spider kinds, its next spider and edge ids,
+the protected set and the phases of the unprotected spiders.  No rule
+reads a protected phase, so that key fixes the trace and the reduced
+graph, and each survivor's phase is a constant plus the phases of the
+protected input spiders fused into it.  A repeat key only evaluates those
+formulas on a copy of the stored result.  Up to ``MEMO_SHAPES`` keys stay
+memoized, evicted first-in as the tensor memos are.
 """
 
 from __future__ import annotations
@@ -475,22 +476,12 @@ def _phase_formulas(d: ZxDiagram, inputs: dict[int, Phase],
     return tuple(formulas)
 
 
-def simplify_inplace(d: ZxDiagram, protected: set[int],
-                     steps: list[RewriteStep]) -> None:
-    """The simplifier core: plug the boundary, decouple X states (before
-    the graph-like pass color-changes them), then remove trailing caps,
-    phase-0 and +-pi/2 wires in that priority, all in place; ``protected``
-    follows fusions.
-
-    Memoized per rewrite key (see the module docstring): a repeat key
-    leaves ``d``, ``protected`` and ``steps`` as the rule search would,
-    without running it.  A rule search that raises memoizes nothing.
-    """
-    key = _rewrite_key(d, protected)
-    memo = _rewrite_memo.get(key)
-    if memo is not None:
-        _replay(memo, d, protected, steps)
-        return
+def simplify_core(d: ZxDiagram, protected: set[int],
+                  steps: list[RewriteStep]) -> tuple:
+    """The simplifier core, unmemoized: plug the boundary, decouple X
+    states (before the graph-like pass color-changes them), then remove
+    trailing caps, phase-0 and +-pi/2 wires in that priority, all in place;
+    ``protected`` follows fusions.  Returns the :class:`_Rewrite` formulas."""
     inputs = {p: d.spiders[p].phase for p in protected if p in d.spiders}
     start = len(steps)
     if not d.is_closed():
@@ -498,10 +489,23 @@ def simplify_inplace(d: ZxDiagram, protected: set[int],
     _drive(d, protected, steps, _RULES[:1])
     _to_graph_like_inplace(d, protected, steps)
     _drive(d, protected, steps, _RULES)
-    trace = tuple(steps[start:])
+    return _phase_formulas(d, inputs, steps[start:])
+
+
+def simplify_inplace(d: ZxDiagram, protected: set[int],
+                     steps: list[RewriteStep]) -> None:
+    """:func:`simplify_core`, memoized per rewrite key (see the module
+    docstring): a repeat key leaves ``d``, ``protected`` and ``steps`` as
+    the rule search would, without running it.  A raise memoizes nothing."""
+    key = _rewrite_key(d, protected)
+    memo = _rewrite_memo.get(key)
+    if memo is not None:
+        _replay(memo, d, protected, steps)
+        return
+    start = len(steps)
+    formulas = simplify_core(d, protected, steps)
     _remember(_rewrite_memo, key, _Rewrite(
-        d.copy(), trace, frozenset(protected),
-        _phase_formulas(d, inputs, trace)))
+        d.copy(), tuple(steps[start:]), frozenset(protected), formulas))
 
 
 def _replay(memo: _Rewrite, d: ZxDiagram, protected: set[int],

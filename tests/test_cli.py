@@ -9,7 +9,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxdj import tensor
+from zxdj import mbqc, tensor
 from zxdj.cli import main
 from zxdj.circuit import Circuit, hadamard, pauli_z, plus_amplitude
 from zxdj.mbqc import (
@@ -90,6 +90,11 @@ def test_simulate_pattern_and_shots(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"verdict": "balanced", "shots": 20, "agreeing_shots": 20}
+    # --shots 0 is the default: post-selection, which never samples
+    code, out = run(capsys, "simulate", "--n", "2", "--table", "0110",
+                    "--shots", "0")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "balanced", "amplitude_abs": "0"}
 
 
 def test_simulate_circuit_file(capsys, tmp_path):
@@ -472,3 +477,23 @@ def test_simulate_circuit_output_is_byte_identical(capsys, tmp_path):
         assert code == 0
         text += out
     assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_CIRCUIT_DIGEST
+
+
+# SHA-256 of the concatenated lattice --reduce --trace stdout over the 72
+# three-bit tables in ascending order, fixed before reduce_lattice was
+# memoized per key: the first table runs the reduction, the other 71 replay
+# it with their carrier angles, and neither may change a byte
+LATTICE_REDUCE_DIGEST = (
+    "f387fbe5129212bc45c530fbc2eab9603376fde879f16eee1529e5390b42c38e")
+
+
+def test_lattice_reduce_output_is_byte_identical(capsys, monkeypatch):
+    monkeypatch.setattr(mbqc, "_lattice_memo", {})
+    text = ""
+    for table in sorted(f.table for f in enumerate_promise(3)):
+        code, out = run(capsys, "lattice", "--n", "3", "--table",
+                        format(table, "08b"), "--reduce", "--trace")
+        assert code == 0
+        text += out
+    assert len(mbqc._lattice_memo) == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_REDUCE_DIGEST

@@ -1,4 +1,4 @@
-"""Diagram data structure: construction, validation, serialization, categoric ops."""
+"""Diagram data structure: construction, validation, serialization."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
 from zxdj.errors import (
-    ArityMismatchError,
     SelfLoopError,
     UnknownNodeError,
     ZxError,
@@ -126,54 +125,6 @@ def test_copy_is_independent(d):
     d2 = d.copy()
     d2.add_spider(SpiderKind.Z, PI)
     assert len(d2.spiders) == len(d.spiders) + 1
-
-
-def test_compose_arity_guard():
-    with pytest.raises(ArityMismatchError):
-        new_diagram(1, 2).compose(new_diagram(1, 1))
-
-
-@given(st.composite(lambda draw: (random_diagram(draw, 4, 2),
-                                  random_diagram(draw, 4, 2)))())
-@settings(max_examples=40, deadline=None)
-def test_compose_functorial(pair):
-    """evaluate(f;g) agrees with the matrix product of the parts."""
-    f, g = pair
-    if len(f.outputs) != len(g.inputs):
-        g.inputs = g.inputs[: len(f.outputs)]
-        f.outputs = f.outputs[: len(g.inputs)]
-    h = f.compose(g)
-    mf = evaluate(f).as_matrix(len(f.outputs))
-    mg = evaluate(g).as_matrix(len(g.outputs))
-    mh = evaluate(h).as_matrix(len(h.outputs))
-    from zxdj.tensor import Tensor
-
-    ok, _ = equivalent_up_to_scalar(
-        Tensor(np.asarray(mh)), Tensor(mg @ mf), tol=1e-9)
-    if np.max(np.abs(mg @ mf)) > 1e-12 or np.max(np.abs(mh)) > 1e-12:
-        assert ok
-
-
-@given(st.composite(lambda draw: (random_diagram(draw, 3, 2),
-                                  random_diagram(draw, 3, 2)))())
-@settings(max_examples=40, deadline=None)
-def test_tensor_product_functorial(pair):
-    f, g = pair
-    h = f.tensor_product(g)
-    tf = evaluate(f)
-    tg = evaluate(g)
-    th = evaluate(h)
-    expected = np.tensordot(tf.data, tg.data, axes=0)
-    # interleave axes: (f outs, g outs, f ins, g ins)
-    fo, fi = len(f.outputs), len(f.inputs)
-    go, gi = len(g.outputs), len(g.inputs)
-    perm = (list(range(fo)) + [fo + fi + k for k in range(go)]
-            + [fo + k for k in range(fi)] + [fo + fi + go + k for k in range(gi)])
-    expected = np.transpose(expected, perm) if perm else expected
-    from zxdj.tensor import Tensor
-
-    ok, _ = equivalent_up_to_scalar(th, Tensor(np.array(expected)), tol=1e-9)
-    assert ok
 
 
 def test_to_dot_shapes():

@@ -1,5 +1,6 @@
 """Measurement patterns: serialization, extraction, execution, lattice."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -335,6 +336,14 @@ def test_run_sampled_agrees_and_is_deterministic():
         assert out1.verdict is classify(f)
         assert out1.agreeing_shots == out2.agreeing_shots == 50
         assert out1.verdict is out2.verdict
+
+
+def test_run_sampled_rejects_fewer_than_one_shot():
+    p = dj_pattern_2q(BooleanFunction(2, 0b0110))
+    for shots in (0, -5):
+        with pytest.raises(ValueError, match="shots"):
+            run_sampled(p, shots=shots)
+    assert run_sampled(p, shots=1).shots == 1
 
 
 def test_run_sampled_rejects_pattern_without_gflow():
@@ -733,17 +742,36 @@ def test_reduce_lattice_empty_pattern():
     assert reduced is p and steps == []
 
 
-def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch):
+def _diagram_builds(monkeypatch):
+    """Empty both memos and record the patterns reduce_lattice builds a
+    diagram of."""
+    monkeypatch.setattr(mbqc, "_lattice_memo", {})
     monkeypatch.setattr(rewrite, "_rewrite_memo", {})
+    calls = []
+    real = mbqc.pattern_to_diagram
+    monkeypatch.setattr(mbqc, "pattern_to_diagram",
+                        lambda p: (calls.append(p), real(p))[1])
+    return calls
+
+
+def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch):
+    builds = _diagram_builds(monkeypatch)
     p = lattice_pattern_3q(BooleanFunction(3, 0))
     p.angles[12] = PI  # grid position (3, 1) must hold a quarter turn
-    # the second call replays the memoized stuck reduction
-    for _ in range(2):
-        with pytest.raises(ReductionStuckError):
+    # the repeats raise from the memoized message, building no diagram
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ReductionStuckError) as error:
             reduce_lattice(p)
+        messages.append(str(error.value))
+    assert len(builds) == 1
+    assert messages == messages[:1] * 3
+    assert list(mbqc._lattice_memo.values()) == messages[:1]
+    assert not rewrite._rewrite_memo
 
 
 def test_warm_reduce_lattice_runs_no_rule(monkeypatch):
+    monkeypatch.setattr(mbqc, "_lattice_memo", {})
     monkeypatch.setattr(rewrite, "_rewrite_memo", {})
     calls = []
 
@@ -761,10 +789,83 @@ def test_warm_reduce_lattice_runs_no_rule(monkeypatch):
     calls.clear()
     warm, warm_steps = reduce_lattice(lattice_pattern_3q(second))
     assert not calls
+    mbqc._lattice_memo.clear()
     rewrite._rewrite_memo.clear()
     cold, cold_steps = reduce_lattice(lattice_pattern_3q(second))
     assert warm.to_json() == cold.to_json()
     assert warm_steps == cold_steps
+
+
+def test_lattice_memo_hit_equals_a_cold_run(monkeypatch):
+    builds = _diagram_builds(monkeypatch)
+    reduce_lattice(lattice_pattern_3q(BooleanFunction(3, 0)))
+    for f in enumerate_promise(3):
+        # each hit replays the reduction stored by the previous table
+        builds.clear()
+        warm, warm_steps = reduce_lattice(lattice_pattern_3q(f))
+        assert not builds, f.table
+        mbqc._lattice_memo.clear()
+        cold, cold_steps = reduce_lattice(lattice_pattern_3q(f))
+        assert len(builds) == 1, f.table
+        assert warm.to_json() == cold.to_json(), f.table
+        assert list(warm.angles.items()) == list(cold.angles.items())
+        assert list(warm.edges) == list(cold.edges), f.table
+        assert warm_steps == cold_steps, f.table
+    # the lattice's simplifier run is memoized here alone
+    assert len(mbqc._lattice_memo) == 1
+    assert not rewrite._rewrite_memo
+
+
+def test_lattice_memo_hands_out_fresh_containers(monkeypatch):
+    _diagram_builds(monkeypatch)
+    f = BooleanFunction(3, 0b11110000)
+    first, first_steps = reduce_lattice(lattice_pattern_3q(f))
+    expected, expected_steps = first.to_json(), list(first_steps)
+    for reduced, steps in (
+            (first, first_steps), reduce_lattice(lattice_pattern_3q(f))):
+        reduced.angles[min(reduced.angles)] = QUARTER_PI
+        reduced.angles[99] = PI
+        reduced.edges.clear()
+        reduced.readouts.reverse()
+        reduced.readouts.append(99)
+        steps.clear()
+        again, again_steps = reduce_lattice(lattice_pattern_3q(f))
+        assert again.to_json() == expected
+        assert again_steps == expected_steps
+
+
+def test_lattice_memo_keys_on_non_carrier_angles_and_readouts(monkeypatch):
+    builds = _diagram_builds(monkeypatch)
+    f = BooleanFunction(3, 0b01101001)
+    reduce_lattice(lattice_pattern_3q(f))
+    reduce_lattice(lattice_pattern_3q(BooleanFunction(3, 0b10010110)))
+    assert len(builds) == 1  # the carriers alone changed
+    p = lattice_pattern_3q(f)
+    p.readouts.reverse()
+    reversed_readouts, _ = reduce_lattice(p)
+    assert len(builds) == 2
+    assert reversed_readouts.readouts == reduce_lattice(
+        lattice_pattern_3q(f))[0].readouts[::-1]
+    p = lattice_pattern_3q(f)
+    p.angles[mbqc._grid_id((2, 2))] = PI  # a non-carrier spare
+    with contextlib.suppress(ReductionStuckError):
+        reduce_lattice(p)
+    assert len(builds) == 3
+    assert len(mbqc._lattice_memo) == 3
+
+
+def test_lattice_memo_stays_within_memo_shapes(monkeypatch):
+    _diagram_builds(monkeypatch)
+    monkeypatch.setattr(tensor, "MEMO_SHAPES", 4)
+    base = lattice_pattern_3q(BooleanFunction(3, 0))
+    keys = [order for r in (1, 2, 3)
+            for order in itertools.permutations(base.readouts, r)]
+    for order in keys:
+        p = lattice_pattern_3q(BooleanFunction(3, 0))
+        p.readouts = list(order)
+        reduce_lattice(p)
+        assert len(mbqc._lattice_memo) <= 4
+    assert [k[3] for k in mbqc._lattice_memo] == keys[-4:]
 
 
 def test_reduce_lattice_stuck_on_missing_spare():

@@ -1,6 +1,5 @@
 """Promise functions and oracle synthesis, checked against brute force."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,7 +17,6 @@ from zxdj.oracle import (
     Verdict,
     classify,
     count_balanced,
-    delta_polynomial,
     enumerate_promise,
     one_qubit_spider_angles,
     oracle_circuit_3q,
@@ -111,16 +109,6 @@ def test_enumerate_promise():
 
 
 # -- polynomial machinery ----------------------------------------------------
-
-def test_delta_polynomial_is_indicator():
-    # evaluating the multilinear expansion at y recovers [y == point]
-    for point in itertools.product((0, 1), repeat=3):
-        poly = delta_polynomial(point, 3)
-        for y in itertools.product((0, 1), repeat=3):
-            val = sum(c * math.prod(y[i] for i in mono)
-                      for mono, c in poly.items())
-            assert val == (1 if y == point else 0)
-
 
 def test_phase_polynomial_defining_property():
     # theta(x) == pi * f(x) exactly (as phases mod 2 pi) on every input
