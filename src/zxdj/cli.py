@@ -72,6 +72,14 @@ def _parse_function(args) -> BooleanFunction:
         raise UsageError(str(exc))
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+
+
 def _emit(doc, args, human_lines=None) -> None:
     if getattr(args, "human", False) and human_lines is not None:
         text = "\n".join(human_lines) + "\n"
@@ -79,8 +87,7 @@ def _emit(doc, args, human_lines=None) -> None:
         text = json.dumps(doc, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -175,6 +182,8 @@ def _cmd_compile_mbqc(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.shots < 0:
         raise UsageError("--shots must not be negative")
+    if args.seed < 0:
+        raise UsageError("--seed must not be negative")
     if args.circuit:
         c = _load_circuit(args.circuit)
         amp = plus_amplitude(c)
@@ -310,12 +319,7 @@ def _cmd_export_dot(args) -> int:
         if maker is None:
             raise UsageError("--n must be 1, 2, or 3")
         target = maker(f)
-    dot = target.to_dot()
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(dot + "\n")
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc}")
+    _write(args.out, target.to_dot() + "\n")
     if isinstance(target, ZxDiagram):
         nodes, edges = len(target.spiders), len(target.edges)
     else:

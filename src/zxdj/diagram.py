@@ -149,20 +149,16 @@ class ZxDiagram:
     # -- structural operations -------------------------------------------
 
     def copy(self) -> "ZxDiagram":
+        """An independent copy, next ids included."""
         d = ZxDiagram()
-        d._copy_from(self)
+        d.spiders = {v: Spider(s.kind, s.phase) for v, s in self.spiders.items()}
+        d.edges = dict(self.edges)
+        d._incident = {v: set(ids) for v, ids in self._incident.items()}
+        d.inputs = list(self.inputs)
+        d.outputs = list(self.outputs)
+        d._next_node = self._next_node
+        d._next_edge = self._next_edge
         return d
-
-    def _copy_from(self, other: "ZxDiagram") -> None:
-        """Overwrite this diagram in place with an independent copy of
-        ``other``, next ids included."""
-        self.spiders = {v: Spider(s.kind, s.phase) for v, s in other.spiders.items()}
-        self.edges = dict(other.edges)
-        self._incident = {v: set(ids) for v, ids in other._incident.items()}
-        self.inputs = list(other.inputs)
-        self.outputs = list(other.outputs)
-        self._next_node = other._next_node
-        self._next_edge = other._next_edge
 
     # -- validation -------------------------------------------------------
 

@@ -35,8 +35,8 @@ from .oracle import (
     two_qubit_spider_angles,
 )
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
-from .rewrite import simplify_core
-from .tensor import _remember, collapse_floor, evaluate
+from .rewrite import _remember, simplify_core
+from .tensor import collapse_floor, evaluate
 
 
 def _qubit_id(q) -> int:
@@ -76,6 +76,8 @@ class MeasurementPattern:
         if len(set(self.readouts)) != len(self.readouts):
             raise NotGraphLikeError("readouts name a qubit twice")
         for q in self.z_basis:
+            if q not in self.angles:
+                raise NotGraphLikeError(f"z-basis id {q!r} is not a qubit")
             if not self.angles[q].is_zero():
                 raise NotGraphLikeError(f"z-basis qubit {q} carries an angle")
 
@@ -640,7 +642,7 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
 
     The gflow and the schedule built from it depend only on the pattern's
     shape: its qubit ids, edges, readouts in order and z-basis set.  They are
-    memoized by that shape for up to ``tensor.MEMO_SHAPES`` shapes, and each
+    memoized by that shape for up to ``rewrite.MEMO_SHAPES`` shapes, and each
     call only computes the measurement weights from its own angles.
     Raises ``NoFlowError`` without a gflow and ``WidthTooLargeError`` when
     the frontier would exceed ``MAX_FRONTIER`` qubits; such a shape is not
@@ -766,7 +768,7 @@ def reduce_lattice(p: MeasurementPattern):
     ``ReductionStuckError`` when a non-carrier survives with degree at
     most 2, as a missing spare or a tampered angle can leave.
 
-    Memoized for up to ``tensor.MEMO_SHAPES`` keys: the sorted qubit ids
+    Memoized for up to ``rewrite.MEMO_SHAPES`` keys: the sorted qubit ids
     (which fix the carriers), the edges in iteration order (which number the
     diagram's edges), the z-basis set, the readouts in order and the
     non-carrier angles in qubit order.  No rule reads a carrier's angle, so

@@ -5,15 +5,15 @@ describing what happened.  All rules preserve the diagram's tensor up to a
 nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
-The simplifier core :func:`simplify_core` is memoized by
-:func:`simplify_inplace` per rewrite key: the diagram's shape
-(``tensor._shape_key``), its spider kinds, its next spider and edge ids,
-the protected set and the phases of the unprotected spiders.  No rule
-reads a protected phase, so that key fixes the trace and the reduced
-graph, and each survivor's phase is a constant plus the phases of the
-protected input spiders fused into it.  A repeat key only evaluates those
-formulas on a copy of the stored result.  Up to ``MEMO_SHAPES`` keys stay
-memoized, evicted first-in as the tensor memos are.
+The simplifier core :func:`simplify_core` is memoized inside
+:func:`simplify_mbqc` per rewrite key: the diagram's shape
+(:func:`_shape_key`), its spider kinds, its next spider and edge ids, the
+protected set and the phases of the unprotected spiders.  No rule reads a
+protected phase, so that key fixes the trace and the reduced graph, and
+each survivor's phase is a constant plus the phases of the protected input
+spiders fused into it.  A repeat key only evaluates those formulas on a
+copy of the stored result.  Up to ``MEMO_SHAPES`` keys stay memoized,
+evicted first-in; ``mbqc`` keeps its own memos with the same helpers.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     WouldSelfLoopError,
 )
 from .phase import HALF_PI, MINUS_HALF_PI, PI, Phase, ZERO
-from .tensor import _remember, _shape_key
 
 
 @dataclass(frozen=True)
@@ -430,6 +429,26 @@ def _drive(d: ZxDiagram, protected: set[int], steps: list[RewriteStep],
 _RULES = ((1, _state_rule), (2, _hadamard_wire_rule), (2, _clifford_wire_rule))
 
 
+# Keys a memo holds; past this many, the key memoized first is evicted first.
+MEMO_SHAPES = 64
+
+
+def _shape_key(d: ZxDiagram) -> tuple:
+    """The spider ids, every edge with whether it is a Hadamard edge (a
+    bool hashes in C, an enum member in Python), and the boundary; any
+    structural change gives a new key."""
+    return (tuple(sorted(d.spiders)),
+            tuple([(eid, e.a, e.b, e.kind is EdgeKind.HADAMARD)
+                   for eid, e in sorted(d.edges.items())]),
+            tuple(d.inputs), tuple(d.outputs))
+
+
+def _remember(memo: dict, key: tuple, value) -> None:
+    if len(memo) >= MEMO_SHAPES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 @dataclass(frozen=True)
 class _Rewrite:
     """What one rewrite key reduces to.  ``formulas`` gives each survivor
@@ -438,7 +457,6 @@ class _Rewrite:
 
     reduced: ZxDiagram
     steps: tuple[RewriteStep, ...]
-    protected: frozenset[int]
     formulas: tuple[tuple[int, Phase, tuple[int, ...]], ...]
 
 
@@ -492,51 +510,30 @@ def simplify_core(d: ZxDiagram, protected: set[int],
     return _phase_formulas(d, inputs, steps[start:])
 
 
-def simplify_inplace(d: ZxDiagram, protected: set[int],
-                     steps: list[RewriteStep]) -> None:
-    """:func:`simplify_core`, memoized per rewrite key (see the module
-    docstring): a repeat key leaves ``d``, ``protected`` and ``steps`` as
-    the rule search would, without running it.  A raise memoizes nothing."""
-    key = _rewrite_key(d, protected)
-    memo = _rewrite_memo.get(key)
-    if memo is not None:
-        _replay(memo, d, protected, steps)
-        return
-    start = len(steps)
-    formulas = simplify_core(d, protected, steps)
-    _remember(_rewrite_memo, key, _Rewrite(
-        d.copy(), tuple(steps[start:]), frozenset(protected), formulas))
-
-
-def _replay(memo: _Rewrite, d: ZxDiagram, protected: set[int],
-            steps: list[RewriteStep]) -> None:
-    """Make ``d`` the memoized result, each formula evaluated on the
-    protected phases ``d`` holds now."""
-    phases = {}
-    for v, constant, ps in memo.formulas:
-        for p in ps:
-            constant = constant + d.spiders[p].phase
-        phases[v] = constant
-    d._copy_from(memo.reduced)
-    for v, phase in phases.items():
-        d.spiders[v].phase = phase
-    protected.clear()
-    protected.update(memo.protected)
-    steps.extend(memo.steps)
-
-
 def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
     """Reduce a (closable) circuit translation to a graph-like closed diagram.
 
-    Runs :func:`simplify_inplace` on a copy, so a repeat of a rewrite key
-    (shape, kinds, next ids, protected set and unprotected phases) replays
-    the memoized result.  ``protected`` spiders are the oracle's parameter
-    carriers: they survive the cleanup so that every oracle variant
-    compiles to the same graph shape regardless of which phases happen to
-    vanish, and it is their phases alone that vary between variants.
-    Returns the reduced diagram and the full step trace.
+    Runs :func:`simplify_core` on a copy of ``d``, memoized per rewrite key
+    (see the module docstring): a repeat key returns a copy of the stored
+    result, each survivor's phase evaluated on the protected phases ``d``
+    holds now, and runs no rule.  A raise memoizes nothing.  ``protected``
+    spiders are the oracle's parameter carriers: they survive the cleanup
+    so that every oracle variant compiles to the same graph shape
+    regardless of which phases happen to vanish, and it is their phases
+    alone that vary between variants.  Returns the reduced diagram and the
+    full step trace.
     """
-    result = d.copy()
-    steps: list[RewriteStep] = []
-    simplify_inplace(result, set(protected), steps)
-    return result, steps
+    key = _rewrite_key(d, protected)
+    memo = _rewrite_memo.get(key)
+    if memo is None:
+        result, steps = d.copy(), []
+        formulas = simplify_core(result, set(protected), steps)
+        _remember(_rewrite_memo, key,
+                  _Rewrite(result.copy(), tuple(steps), formulas))
+        return result, steps
+    result = memo.reduced.copy()
+    for v, constant, ps in memo.formulas:
+        for p in ps:
+            constant = constant + d.spiders[p].phase
+        result.spiders[v].phase = constant
+    return result, list(memo.steps)

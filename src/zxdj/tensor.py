@@ -7,13 +7,13 @@ matrix [[1,1],[1,-1]]/sqrt(2) so that two consecutive Hadamard edges are
 the identity (to machine precision).  All cross-model comparisons go
 through ``equivalent_up_to_scalar``.
 
-A contraction depends on the diagram's shape (spider ids, edges, boundary)
-and, for its numbers, on the spider kinds and phases.  Once per shape,
-:func:`elimination_order` picks an order and :func:`evaluate` compiles its
-plan (:func:`plan_contraction`) into the transposes, reshapes and matrix
-products that run it; both are memoized for up to ``MEMO_SHAPES`` shapes.
-Every call then only builds the spider tensors from the current kinds and
-phases and runs the compiled program.
+A contraction is planned on index labels alone (:func:`plan_contraction`,
+in the order :func:`elimination_order` picks), checked against
+``MAX_PEAK_RANK``, and only then run on the spider tensors by
+:func:`evaluate`.  Nothing is memoized: ``mbqc.run_exact`` decides every
+Clifford pattern, which covers every pattern for n <= 3, so the commands
+contract only a non-Clifford pattern loaded by ``simulate --pattern``,
+once per process.
 """
 
 from __future__ import annotations
@@ -110,50 +110,21 @@ def _greedy_order(d: ZxDiagram, internal: list[int], score) -> list[int]:
     return order
 
 
-# Shapes whose elimination order and compiled program stay memoized; past
-# this many, the shape memoized first is evicted first.
-MEMO_SHAPES = 64
 # Largest factor rank evaluate materializes: 2^20 amplitudes, 16 MiB.
 MAX_PEAK_RANK = 20
-_order_memo: dict[tuple, list[int]] = {}
-_program_memo: dict[tuple, "_Program"] = {}
-
-
-def _shape_key(d: ZxDiagram) -> tuple:
-    """All a plan depends on: the spider ids, every edge with whether it is
-    a Hadamard edge (a bool hashes in C, an enum member in Python), and the
-    boundary.  Spider kinds and phases are left out, since execution reads
-    them on every call; any structural change gives a new key."""
-    return (tuple(sorted(d.spiders)),
-            tuple([(eid, e.a, e.b, e.kind is EdgeKind.HADAMARD)
-                   for eid, e in sorted(d.edges.items())]),
-            tuple(d.inputs), tuple(d.outputs))
-
-
-def _remember(memo: dict, key: tuple, value) -> None:
-    if len(memo) >= MEMO_SHAPES:
-        del memo[next(iter(memo))]
-    memo[key] = value
 
 
 def elimination_order(d: ZxDiagram) -> list[int]:
     """Deterministic elimination ordering over the internal spiders.
 
     Tries min-degree greedy, min-fill greedy and ascending-id order, and
-    returns the one whose plan peaks lowest (the first, on a tie).  The
-    choice is made once per diagram shape (see :func:`_shape_key`) and
-    memoized; every call returns a fresh list.
+    returns the one whose plan peaks lowest (the first, on a tie).
     """
-    key = _shape_key(d)
-    order = _order_memo.get(key)
-    if order is None:
-        boundary = set(d.inputs) | set(d.outputs)
-        ascending = [v for v in sorted(d.spiders) if v not in boundary]
-        candidates = [_greedy_order(d, ascending, _degree_score),
-                      _greedy_order(d, ascending, _fill_score), ascending]
-        order = min(candidates, key=lambda o: plan_contraction(d, o).peak_rank)
-        _remember(_order_memo, key, order)
-    return list(order)
+    boundary = set(d.inputs) | set(d.outputs)
+    ascending = [v for v in sorted(d.spiders) if v not in boundary]
+    candidates = [_greedy_order(d, ascending, _degree_score),
+                  _greedy_order(d, ascending, _fill_score), ascending]
+    return min(candidates, key=lambda o: plan_contraction(d, o).peak_rank)
 
 
 @dataclass
@@ -208,114 +179,50 @@ def plan_contraction(d: ZxDiagram, order: list[int] | None = None) -> Contractio
     return ContractionPlan(list(order), merges, peak)
 
 
-@dataclass
-class _Program:
-    """A contraction plan compiled down to the numpy calls that run it.
+def evaluate(d: ZxDiagram, order: list[int] | None = None) -> Tensor:
+    """Contract the diagram; resulting axes are ordered outputs then inputs.
 
-    ``ranks`` gives each spider's ``(id, rank)``; ``folds`` dress a spider
-    with one Hadamard edge each, as ``(spider, perm, shape, out_shape,
-    back)``; ``merges`` are ``(keep, absorb, perm1, shape1, perm2, shape2,
-    out_shape)``; ``result`` permutes the last factor's axes to outputs
-    then inputs, and is None for a diagram without spiders.  ``peak_rank``
-    is the plan's."""
-
-    ranks: list[tuple[int, int]]
-    folds: list[tuple]
-    merges: list[tuple]
-    result: tuple | None
-    peak_rank: int
-
-
-def _compile(d: ZxDiagram, order: list[int]) -> _Program:
-    """Track every factor's axis labels through the plan of ``order``."""
+    Runs the plan of ``order`` (default: the :func:`elimination_order`)
+    with ``np.tensordot``, each factor's axes tracked by edge and boundary
+    labels.  Raises ``WidthTooLargeError``, before building any tensor,
+    when the plan's peak rank exceeds ``MAX_PEAK_RANK``.
+    """
+    plan = plan_contraction(d, order)
+    if plan.peak_rank > MAX_PEAK_RANK:
+        raise WidthTooLargeError(
+            f"contraction peaks at rank {plan.peak_rank}; "
+            f"the cap is {MAX_PEAK_RANK}")
     labels: dict[int, list] = {}
+    pool: dict[int, np.ndarray] = {}
     for v in d.node_ids():
         # a parallel edge contributes one leg per strand at each endpoint
         labels[v] = [("e", eid) for eid in d.edges_at(v)]
         labels[v] += [("in", i) for i, b in enumerate(d.inputs) if b == v]
         labels[v] += [("out", i) for i, b in enumerate(d.outputs) if b == v]
-    ranks = [(v, len(labs)) for v, labs in labels.items()]
-    # fold each Hadamard edge's matrix into the lower-id endpoint: the
-    # product leaves H's free leg last, and ``back`` returns it to its axis
-    folds = []
+        s = d.spiders[v]
+        pool[v] = spider_tensor(s.kind, s.phase.phase_factor(), len(labels[v]))
+    # fold each Hadamard edge's matrix into the lower-id endpoint
     for eid, e in sorted(d.edges.items()):
         if e.kind is EdgeKind.HADAMARD:
             v = min(e.a, e.b)
-            rank = len(labels[v])
             axis = labels[v].index(("e", eid))
-            back = list(range(rank - 1))
-            back.insert(axis, rank - 1)
-            folds.append((v, tuple([i for i in range(rank) if i != axis] + [axis]),
-                          (2 ** (rank - 1), 2), (2,) * rank, tuple(back)))
-    # a merge contracts the shared labels with the transposes and the one
-    # matrix product ``np.tensordot`` would make
-    merges = []
-    plan = plan_contraction(d, order)
+            pool[v] = np.moveaxis(
+                np.tensordot(pool[v], HADAMARD, axes=([axis], [0])), -1, axis)
     for keep, absorb in plan.merges:
         l1, l2 = labels[keep], labels.pop(absorb)
         ax1 = [i for i, lab in enumerate(l1) if lab in l2]
         ax2 = [l2.index(l1[i]) for i in ax1]
-        keep1 = [i for i in range(len(l1)) if i not in ax1]
-        keep2 = [j for j in range(len(l2)) if j not in ax2]
-        labels[keep] = [l1[i] for i in keep1] + [l2[j] for j in keep2]
-        merges.append((keep, absorb,
-                       tuple(keep1 + ax1), (2 ** len(keep1), 2 ** len(ax1)),
-                       tuple(ax2 + keep2), (2 ** len(ax2), 2 ** len(keep2)),
-                       (2,) * len(labels[keep])))
-    result = None
-    if labels:
-        (labs,) = labels.values()
-        result = tuple([labs.index(("out", i)) for i in range(len(d.outputs))]
-                       + [labs.index(("in", i)) for i in range(len(d.inputs))])
-    return _Program(ranks, folds, merges, result, plan.peak_rank)
-
-
-def _execute(d: ZxDiagram, program: _Program) -> Tensor:
-    """Run a compiled program on the current kinds and phases of ``d``."""
-    pool = {}
-    for v, rank in program.ranks:
-        s = d.spiders[v]
-        pool[v] = spider_tensor(s.kind, s.phase.phase_factor(), rank)
-    for v, perm, shape, out_shape, back in program.folds:
-        pool[v] = np.dot(pool[v].transpose(perm).reshape(shape),
-                         HADAMARD).reshape(out_shape).transpose(back)
-    for keep, absorb, perm1, shape1, perm2, shape2, out_shape in program.merges:
-        pool[keep] = np.dot(pool[keep].transpose(perm1).reshape(shape1),
-                            pool.pop(absorb).transpose(perm2).reshape(shape2),
-                            ).reshape(out_shape)
-    if program.result is None:
+        pool[keep] = np.tensordot(pool[keep], pool.pop(absorb), axes=(ax1, ax2))
+        labels[keep] = ([lab for lab in l1 if lab not in l2]
+                        + [lab for lab in l2 if lab not in l1])
+    if not labels:
         return Tensor(np.array(1 + 0j))
-    (data,) = pool.values()
-    if program.result:
-        data = np.transpose(data, program.result)
+    ((v, labs),) = labels.items()
+    perm = ([labs.index(("out", i)) for i in range(len(d.outputs))]
+            + [labs.index(("in", i)) for i in range(len(d.inputs))])
+    data = np.transpose(pool[v], perm) if perm else pool[v]
     # note: ascontiguousarray would promote rank-0 results to rank 1
     return Tensor(np.array(data, dtype=complex, copy=True))
-
-
-def evaluate(d: ZxDiagram, order: list[int] | None = None) -> Tensor:
-    """Contract the diagram; resulting axes are ordered outputs then inputs.
-
-    The plan of the :func:`elimination_order` is compiled once per diagram
-    shape and memoized; each call only builds the spider tensors from the
-    current kinds and phases and runs the compiled numpy calls.  An
-    explicit ``order`` is compiled afresh and not memoized.  Raises
-    ``WidthTooLargeError``, before building any tensor, when the plan's
-    peak rank exceeds ``MAX_PEAK_RANK``.
-    """
-    if order is not None:
-        program = _compile(d, order)
-    else:
-        order = elimination_order(d)
-        key = (_shape_key(d), tuple(order))
-        program = _program_memo.get(key)
-        if program is None:
-            program = _compile(d, order)
-            _remember(_program_memo, key, program)
-    if program.peak_rank > MAX_PEAK_RANK:
-        raise WidthTooLargeError(
-            f"contraction peaks at rank {program.peak_rank}; "
-            f"the cap is {MAX_PEAK_RANK}")
-    return _execute(d, program)
 
 
 def max_intermediate_rank(d: ZxDiagram, order: list[int] | None = None) -> int:

@@ -260,7 +260,7 @@ def test_simulate_pattern_refuses_a_too_wide_contraction(capsys, tmp_path,
     def unreachable(*args):
         raise AssertionError("a tensor was built")
 
-    monkeypatch.setattr(tensor, "_execute", unreachable)
+    monkeypatch.setattr(tensor, "spider_tensor", unreachable)
     n = 20
     doc = {"qubits": [{"id": q, "angle": "1/4"} for q in range(n)],
            "edges": [list(e) for e in itertools.combinations(range(n), 2)],
@@ -270,6 +270,109 @@ def test_simulate_pattern_refuses_a_too_wide_contraction(capsys, tmp_path,
     code, out = run(capsys, "simulate", "--pattern", str(path))
     assert code == 1
     assert "error" in json.loads(out)
+
+
+_OUT_COMMANDS = [
+    ["classify", "--n", "1", "--table", "01"],
+    ["synth-circuit", "--n", "3", "--table", "01101001"],
+    ["compile-mbqc", "--n", "3", "--table", "01101001"],
+    ["simulate", "--n", "2", "--table", "0110"],
+    ["verify-all", "--n", "1"],
+    ["lattice", "--n", "3", "--table", "01101001"],
+    ["export-dot", "--n", "1", "--table", "01"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.json"
+    code, out = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+    assert not target.exists()
+
+
+# -- argv fuzz -----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Input files for the argv fuzz, and the one path its --out may write."""
+    root = tmp_path_factory.mktemp("argv")
+    f = BooleanFunction(3, 0b01101001)
+    (root / "circuit.json").write_text(oracle_circuit_3q(f).to_json())
+    (root / "pattern.json").write_text(dj_pattern_2q(
+        BooleanFunction(2, 0b0110)).to_json())
+    (root / "bad.json").write_text("{")
+    return root
+
+
+_VALUES = {
+    "--n": ["1", "2", "3", "0", "-1", "4", "40", "x"],
+    "--table": ["01", "0110", "0111", "01101001", "0", "1", "xyz", ""],
+    "--variant": ["i", "iii", "viii", "ix", ""],
+    "--shots": ["0", "1", "5", "-5", "x"],
+    "--seed": ["0", "7", "-1", "x"],
+    "--circuit": ["@circuit.json", "@pattern.json", "@bad.json",
+                  "@missing.json", "@."],
+    "--pattern": ["@pattern.json", "@circuit.json", "@bad.json",
+                  "@missing.json", "@."],
+    "--out": ["@out.txt", "@missing/out.txt", "@.", ""],
+}
+_SWITCHES = ["--human", "--trace", "--reduce"]
+# a valid argv per command, which the fuzz then perturbs
+_BASES = [
+    ["classify", "--n", "2", "--table", "0110"],
+    ["classify", "--variant", "iii"],
+    ["synth-circuit", "--n", "3", "--table", "01101001"],
+    ["compile-mbqc", "--n", "3", "--table", "01101001"],
+    ["compile-mbqc", "--circuit", "@circuit.json"],
+    ["simulate", "--n", "2", "--table", "0110"],
+    ["simulate", "--pattern", "@pattern.json"],
+    ["simulate", "--circuit", "@circuit.json"],
+    ["verify-all", "--n", "2"],
+    ["lattice", "--n", "3", "--table", "01101001"],
+    ["export-dot", "--n", "1", "--table", "01", "--out", "@out.txt"],
+    ["no-such-command"],
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A valid argv, maybe less one token, then up to four more flags, each
+    with a near-valid value (argparse keeps a repeated flag's last value),
+    a bare flag or a stray token, then maybe an --out.  A file value,
+    marked by a leading @, names one of the fuzz's files, a missing file or
+    directory, or the fuzz directory itself."""
+    argv = list(draw(st.sampled_from(_BASES)))
+    if draw(_rarely):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        token = draw(st.sampled_from(sorted(_VALUES) + _SWITCHES + ["stray"]))
+        argv.append(token)
+        if token in _VALUES and not draw(_rarely):
+            argv.append(draw(st.sampled_from(_VALUES[token])))
+    if draw(st.booleans()):  # most commands fail before they reach --out
+        argv += ["--out", draw(st.sampled_from(_VALUES["--out"]))]
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=200, deadline=None)
+def test_argv_fuzz_keeps_the_contract(argv_files, argv):
+    argv = [str(argv_files / a[1:]) if a.startswith("@") else a for a in argv]
+    target = argv_files / "out.txt"
+    target.unlink(missing_ok=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    # a command that writes --out leaves stdout empty; export-dot writes
+    # DOT there and its summary to stdout
+    text = out.getvalue() or target.read_text()
+    if "--human" in argv and code != 2:  # usage errors stay JSON
+        assert text
+    else:
+        json.loads(text)  # exactly one JSON document
 
 
 def test_verify_all_n1(capsys):
@@ -311,6 +414,14 @@ def test_simulate_negative_shots_is_usage_error(capsys):
                     "--shots", "-5")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_simulate_negative_seed_is_usage_error(capsys):
+    # numpy's default_rng raised ValueError on it, a traceback before
+    code, out = run(capsys, "simulate", "--n", "2", "--table", "0110",
+                    "--shots", "3", "--seed", "-1")
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
 
 
 def test_out_of_range_n_is_usage_error(capsys):

@@ -76,6 +76,14 @@ def test_validate_guards():
         bad.validate()  # readout named twice
 
 
+def test_z_basis_id_that_names_no_qubit_is_not_graph_like():
+    bad = MeasurementPattern({0: ZERO}, set(), [0], {5})
+    with pytest.raises(NotGraphLikeError):
+        bad.validate()
+    with pytest.raises(NotGraphLikeError):
+        run_postselected(bad)
+
+
 def test_json_round_trip_keeps_z_basis():
     p = MeasurementPattern(
         {0: ZERO, 1: Phase(1, 4), 2: ZERO},
@@ -609,7 +617,7 @@ def test_plan_memo_stores_no_failure(monkeypatch):
 
 def test_plan_memo_stays_within_memo_shapes(monkeypatch):
     monkeypatch.setattr(mbqc, "_plan_memo", {})
-    monkeypatch.setattr(tensor, "MEMO_SHAPES", 4)
+    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
     for n in range(1, 11):
         run_sampled(_open_graph(n, [(q, q + 1) for q in range(n - 1)],
                                 [n - 1]), shots=5)
@@ -856,7 +864,7 @@ def test_lattice_memo_keys_on_non_carrier_angles_and_readouts(monkeypatch):
 
 def test_lattice_memo_stays_within_memo_shapes(monkeypatch):
     _diagram_builds(monkeypatch)
-    monkeypatch.setattr(tensor, "MEMO_SHAPES", 4)
+    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
     base = lattice_pattern_3q(BooleanFunction(3, 0))
     keys = [order for r in (1, 2, 3)
             for order in itertools.permutations(base.readouts, r)]
@@ -986,7 +994,7 @@ def test_run_exact_beyond_the_dense_cap(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a tensor was built")
 
-    monkeypatch.setattr(tensor, "_execute", unreachable)
+    monkeypatch.setattr(tensor, "spider_tensor", unreachable)
     n = 40  # the complete graph: dense planning would peak far above the cap
     p = MeasurementPattern({q: HALF_PI for q in range(n)},
                            {frozenset(e) for e in

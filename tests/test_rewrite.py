@@ -18,6 +18,7 @@ from zxdj.circuit import (
     Circuit, cnot, hadamard, phase_gate, to_zx, to_zx_tracked)
 from zxdj.phase import HALF_PI, MINUS_HALF_PI, PI, Phase, ZERO
 from zxdj.rewrite import (
+    MEMO_SHAPES,
     RewriteStep,
     collapse_hadamard_chain,
     color_change,
@@ -30,7 +31,7 @@ from zxdj.rewrite import (
     simplify_mbqc,
     to_graph_like,
 )
-from zxdj.tensor import MEMO_SHAPES, equivalent_up_to_scalar, evaluate
+from zxdj.tensor import equivalent_up_to_scalar, evaluate
 
 from test_diagram import diagrams
 
@@ -296,7 +297,7 @@ def test_simplified_circuits_are_fixpoints():
         d, carriers = to_zx_tracked(_random_circuit(rng, 4, 12))
         for protected in (set(), set(carriers)):
             out, live = d.copy(), set(protected)
-            rewrite.simplify_inplace(out, live, [])
+            rewrite.simplify_core(out, live, [])
             for _, rule in rewrite._RULES:
                 for v in sorted(out.spiders):
                     assert rule(out.copy(), v, set(live), []) is None
@@ -495,11 +496,9 @@ def test_random_rule_applications_sound(d, rng):
 # -- the rewrite memo ----------------------------------------------------------
 
 def _simplified(d, protected):
-    """``simplify_inplace`` on a copy: the diagram, the trace and the final
-    protected set, in comparable form."""
-    out, live, steps = d.copy(), set(protected), []
-    rewrite.simplify_inplace(out, live, steps)
-    return (out.to_json(), out._next_node, out._next_edge), steps, live
+    """``simplify_mbqc``'s diagram and trace, in comparable form."""
+    out, steps = simplify_mbqc(d, frozenset(protected))
+    return (out.to_json(), out._next_node, out._next_edge), steps
 
 
 def test_memo_hit_equals_a_cold_run(monkeypatch):
@@ -514,7 +513,7 @@ def test_memo_hit_equals_a_cold_run(monkeypatch):
         for c in carriers:
             d.spiders[c].phase = Phase(rng.randrange(8), 4)
         size = len(rewrite._rewrite_memo)
-        assert rewrite._rewrite_key(d, set(carriers)) in rewrite._rewrite_memo
+        assert rewrite._rewrite_key(d, frozenset(carriers)) in rewrite._rewrite_memo
         hit = _simplified(d, carriers)
         assert len(rewrite._rewrite_memo) == size
         rewrite._rewrite_memo.clear()
@@ -536,7 +535,7 @@ def test_memo_hit_is_sound(monkeypatch):
 
 
 def _count_searches(monkeypatch):
-    """Count the rule searches simplify_inplace starts."""
+    """Count the rule searches simplify_mbqc starts."""
     calls = []
     drive = rewrite._drive
 
@@ -577,7 +576,7 @@ def test_memo_key_holds_what_the_rules_read(monkeypatch):
 def test_memo_keeps_memo_shapes_first_in(monkeypatch):
     monkeypatch.setattr(rewrite, "_rewrite_memo", {})
     wires = [new_diagram(n, n) for n in range(1, MEMO_SHAPES + 11)]
-    keys = [rewrite._rewrite_key(d, set()) for d in wires]
+    keys = [rewrite._rewrite_key(d, frozenset()) for d in wires]
     for d in wires:
         simplify_mbqc(d)
     assert len(rewrite._rewrite_memo) == MEMO_SHAPES
@@ -592,8 +591,29 @@ def test_memo_stores_nothing_when_the_search_raises(monkeypatch):
 
     monkeypatch.setattr(rewrite, "_drive", refuse)
     with pytest.raises(PreconditionFailed):
-        rewrite.simplify_inplace(new_diagram(1, 1), set(), [])
+        simplify_mbqc(new_diagram(1, 1))
     assert not rewrite._rewrite_memo
+
+
+def test_memo_hands_out_results_a_caller_may_mutate(monkeypatch):
+    # a miss and a hit each return a diagram and a trace of the caller's
+    # own; mutating them leaves the next hit as the rule search left it
+    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
+    d, carriers = to_zx_tracked(Circuit(2, [
+        phase_gate(0, Phase(1, 4)), cnot(0, 1), hadamard(1),
+        phase_gate(1, HALF_PI), cnot(1, 0)]))
+    protected = frozenset(carriers)
+    expected = _simplified(d, protected)
+    rewrite._rewrite_memo.clear()
+    for _ in range(2):  # the first round mutates a miss, the second a hit
+        out, steps = simplify_mbqc(d, protected)
+        v = next(iter(out.spiders))
+        out.spiders[v].phase = out.spiders[v].phase + PI
+        out.remove_spider(max(out.spiders))
+        out.add_spider(SpiderKind.X)
+        steps.clear()
+        assert _simplified(d, protected) == expected
+    assert len(rewrite._rewrite_memo) == 1
 
 
 # -- a Hadamard edge parallel to a fused plain edge ----------------------------
