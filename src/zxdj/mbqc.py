@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -492,16 +493,24 @@ _plan_memo: dict[tuple, tuple[list["_Step"], int]] = {}
 class _Step:
     """One measurement: add ``added`` qubits as |+>, multiply by the CZ
     ``signs`` (or none), then measure frontier bit ``bit``.  Everything
-    here depends on the pattern's shape alone, never on its angles."""
+    here depends on the pattern's shape alone, never on its angles.
+
+    ``flips`` is this step's slice of the plan's flip table: row o is what
+    outcome o XORs onto a branch's pending weight indices, one per step.
+    Row 0 is zero; row 1 holds 2 at each later step whose qubit is in
+    ``x_rows`` and 1 at each in ``z_rows``, and 4 at this step itself when
+    it is a readout, which records the readout bit.  ``row``, ``x_rows``
+    and ``z_rows`` name the same byproducts by qubit row."""
 
     qubit: int
     added: int
     signs: np.ndarray | None
     bit: int
-    row: int            # the qubit's row in the signal array
+    row: int            # the qubit's index in qubit order
     x_rows: list[int]   # g(v): X byproduct on outcome 1
     z_rows: list[int]   # Odd(g(v)) \ {v}: Z byproduct on outcome 1
     readout: bool
+    flips: np.ndarray   # (2, steps) uint8, read-only
 
 
 def _cz_signs(width: int, pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -521,17 +530,31 @@ def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
 
     Non-outputs go in descending layer, then the readouts.  A qubit joins
     the frontier just before its first neighbour is measured; every edge
-    is applied when its second end joins.  Raises ``WidthTooLargeError``
-    before building any sign vector wider than ``MAX_FRONTIER``.
+    is applied when its second end joins.  The flip table (see ``_Step``)
+    is built here, once per shape, as one read-only (steps, 2, steps)
+    array.  Raises ``WidthTooLargeError`` before building any sign vector
+    wider than ``MAX_FRONTIER``.
     """
     adj = _adjacency(p)
     row = {q: i for i, q in enumerate(p.qubits())}
     readouts = set(p.readouts)
+    order = sorted(g, key=lambda u: (-layer[u], u)) + list(p.readouts)
+    step_of = {q: k for k, q in enumerate(order)}
+    flips = np.zeros((len(order), 2, len(order)), dtype=np.uint8)
+    for i, v in enumerate(order):
+        k = g.get(v, frozenset())
+        for q in k:
+            flips[i, 1, step_of[q]] ^= 2
+        for q in _odd(adj, k) - {v}:
+            flips[i, 1, step_of[q]] ^= 1
+        if v in readouts:
+            flips[i, 1, i] = 4
+    flips.flags.writeable = False
     joined: set[int] = set()
     front: list[int] = []
     steps = []
     width = 0
-    for v in sorted(g, key=lambda u: (-layer[u], u)) + list(p.readouts):
+    for v, flip in zip(order, flips):
         pairs = []
         added = 0
         for q in (v, *sorted(adj[v])):
@@ -552,7 +575,7 @@ def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
             front.index(v), row[v],
             [row[q] for q in sorted(k)],
             [row[q] for q in sorted(_odd(adj, k) - {v})],
-            v in readouts))
+            v in readouts, flip))
         front.remove(v)
     return steps, width
 
@@ -576,51 +599,54 @@ def _sample_block(steps: list[_Step], bras: np.ndarray, n_qubits: int,
     """Run ``shots`` shots of the schedule at once; True where a shot read
     some readout bit as 1 (a Balanced answer).
 
-    Shots with the same outcome history share one branch: a row of the
-    (branches, 2^w) state over the w frontier qubits, a column of byproduct
-    signals and a ``balanced`` flag.  ``branch`` maps each shot to its row.
-    A step splits every branch into its two outcomes and draws one number
-    per shot against its branch's Born probability, so the random draws
-    are those of a per-shot sampler.  The children 2 * branch + outcome
-    that some shot reached become the next rows, in ascending order, so
-    there are never more than min(shots, 2^steps) rows.  Signals are 2 for
-    X and 1 for Z, and the adapted angle (-1)^sX * theta + sZ * pi picks
-    its weight from the step's ``bras``.
+    The work on the outcome tree and the work on the shots are separate.
+    A branch is a row of the (branches, 2^w) state over the w frontier
+    qubits and a row of pending weight indices, one per step: 2 for an X
+    byproduct plus 1 for a Z, so the adapted angle (-1)^sX * theta + sZ * pi
+    picks its weight from the step's ``bras``.  Each step splits every
+    branch into both outcomes, row r into rows 2r and 2r + 1, which gives
+    each child's state and each branch's Born probability p0 of outcome 0;
+    a child's pending row is its parent's XOR the step's ``flips`` row for
+    its outcome.  A shot carries only its node, the row it is at, and moves
+    to ``2 * node + (u >= p0[node])`` for its draw u, one draw per shot per
+    step, so the draws are those of a per-shot sampler.  Only when the
+    children outnumber the shots are they compacted to the ones some shot
+    reached, in ascending order, so there are never more than
+    min(shots, 2^steps) rows.  A shot is Balanced when its row holds a 4,
+    which a readout's outcome 1 writes.  A child no shot can reach may have
+    zero norm; its row then holds NaN, and numpy's warnings for that are
+    silenced, since no shot reads it.  ``n_qubits`` is unused: the
+    byproducts live in the flip table.
     """
     state = np.ones((1, 1), dtype=complex)
-    signals = np.zeros((n_qubits, 1), dtype=np.uint8)
-    balanced = np.zeros(1, dtype=bool)
-    branch = np.zeros(shots, dtype=np.intp)
-    for s, bra in zip(steps, bras):
-        rows = len(state)
-        if s.added:
-            state = np.repeat(state, 1 << s.added, axis=1)
-        if s.signs is not None:
-            state *= s.signs
-        halves = state.reshape(rows, 1 << s.bit, 2, -1)
-        lifted = bra[signals[s.row]][:, None, None] * halves[:, :, 1]
-        # row 2r + o of ``split`` is branch r after outcome o
-        split = np.empty((rows, 2) + lifted.shape[1:], dtype=complex)
-        np.add(halves[:, :, 0], lifted, out=split[:, 0])
-        np.subtract(halves[:, :, 0], lifted, out=split[:, 1])
-        split = split.reshape(2 * rows, -1)
-        norms = _squared_norms(split)
-        n0, n1 = norms[0::2], norms[1::2]
-        one = rng.random(shots) >= (n0 / (n0 + n1))[branch]
-        child = 2 * branch + one
-        seen = np.zeros(2 * rows, dtype=bool)
-        seen[child] = True
-        kids = np.flatnonzero(seen)
-        branch = (np.cumsum(seen) - 1)[child]
-        state = split[kids] / np.sqrt(norms[kids])[:, None]
-        parent, outcome = kids >> 1, (kids & 1).astype(np.uint8)
-        signals = signals[:, parent]
-        signals[s.x_rows] ^= outcome << 1
-        signals[s.z_rows] ^= outcome
-        balanced = balanced[parent]
-        if s.readout:
-            balanced |= outcome.astype(bool)
-    return balanced[branch]
+    pending = np.zeros((1, len(steps)), dtype=np.uint8)
+    node = np.zeros(shots, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (s, bra) in enumerate(zip(steps, bras)):
+            rows = len(state)
+            if s.added:
+                state = np.repeat(state, 1 << s.added, axis=1)
+            if s.signs is not None:
+                state *= s.signs
+            halves = state.reshape(rows, 1 << s.bit, 2, -1)
+            lifted = bra[pending[:, k]][:, None, None] * halves[:, :, 1]
+            # row 2r + o of ``split`` is branch r after outcome o
+            split = np.empty((rows, 2) + lifted.shape[1:], dtype=complex)
+            np.add(halves[:, :, 0], lifted, out=split[:, 0])
+            np.subtract(halves[:, :, 0], lifted, out=split[:, 1])
+            split = split.reshape(2 * rows, -1)
+            norms = _squared_norms(split)
+            n0 = norms[0::2]
+            p0 = n0 / (n0 + norms[1::2])
+            node = 2 * node + (rng.random(shots) >= p0[node])
+            state = split / np.sqrt(norms)[:, None]
+            pending = (pending[:, None] ^ s.flips).reshape(2 * rows, -1)
+            if 2 * rows > shots:
+                reached = np.bincount(node, minlength=2 * rows) > 0
+                kids = np.flatnonzero(reached)
+                node = (np.cumsum(reached) - 1)[node]
+                state, pending = state[kids], pending[kids]
+    return (pending >= 4).any(axis=1)[node]
 
 
 def run_sampled(p: MeasurementPattern, seed: int = 2024,
@@ -630,25 +656,30 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
     Measures in the order of the XY gflow from :func:`find_gflow`, all shots
     at once (in blocks of ``_BLOCK_AMPLITUDES >> width`` shots for a widest
     frontier of ``width`` qubits), each outcome drawn from its shot's Born
-    probability.  Shots that share an outcome history share one simulated
-    branch, so each distinct history is simulated once per block (see
-    :func:`_sample_block`).
+    probability.  Each block grows the outcome tree branch by branch and
+    walks its shots down it by node index (see :func:`_sample_block`), so
+    each outcome history is simulated once per block.
     An outcome 1 at v pushes an X byproduct onto g(v) and a Z byproduct onto
     Odd(g(v)) \\ {v} (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007),
     which later measurements absorb into their angles; readouts are measured
     the same way.  A shot reads Constant exactly when every readout bit is
     zero.  ``verdict`` is the majority, with ``agreeing_shots`` the shots
-    behind it.
+    behind it; both counts are Python ints.
 
-    The gflow and the schedule built from it depend only on the pattern's
-    shape: its qubit ids, edges, readouts in order and z-basis set.  They are
-    memoized by that shape for up to ``rewrite.MEMO_SHAPES`` shapes, and each
-    call only computes the measurement weights from its own angles.
+    The gflow and the schedule built from it, flip table included, depend
+    only on the pattern's shape: its qubit ids, edges, readouts in order and
+    z-basis set.  They are memoized by that shape for up to
+    ``rewrite.MEMO_SHAPES`` shapes, and each call only computes the
+    measurement weights from its own angles.
     Raises ``NoFlowError`` without a gflow and ``WidthTooLargeError`` when
     the frontier would exceed ``MAX_FRONTIER`` qubits; such a shape is not
     memoized, so a repeat raises again.  Raises ``ValueError`` when
-    ``shots`` is below 1, since no shot gives no majority.
+    ``shots`` is no integer (a bool is not one; a numpy integer is) or is
+    below 1, since no shot gives no majority.
     """
+    if isinstance(shots, bool) or not hasattr(shots, "__index__"):
+        raise ValueError(f"shots must be an integer, not {shots!r}")
+    shots = operator.index(shots)
     if shots < 1:
         raise ValueError(f"shots must be at least 1, not {shots}")
     p.validate()

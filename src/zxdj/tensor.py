@@ -120,11 +120,18 @@ def elimination_order(d: ZxDiagram) -> list[int]:
     Tries min-degree greedy, min-fill greedy and ascending-id order, and
     returns the one whose plan peaks lowest (the first, on a tie).
     """
+    return _best_plan(d).order
+
+
+def _best_plan(d: ZxDiagram) -> "ContractionPlan":
+    """The plan of the :func:`elimination_order`, kept from the comparison
+    that picked it, so the winner is planned once."""
     boundary = set(d.inputs) | set(d.outputs)
     ascending = [v for v in sorted(d.spiders) if v not in boundary]
     candidates = [_greedy_order(d, ascending, _degree_score),
                   _greedy_order(d, ascending, _fill_score), ascending]
-    return min(candidates, key=lambda o: plan_contraction(d, o).peak_rank)
+    return min((plan_contraction(d, o) for o in candidates),
+               key=lambda plan: plan.peak_rank)
 
 
 @dataclass
@@ -144,7 +151,7 @@ def plan_contraction(d: ZxDiagram, order: list[int] | None = None) -> Contractio
     """Plan the contraction of ``d`` with the given (default: the
     :func:`elimination_order`) order, without building any tensor."""
     if order is None:
-        order = elimination_order(d)
+        return _best_plan(d)
     incident = {v: d.edges_at(v) for v in d.spiders}
     # a merge contracts the shared edge ids: the symmetric difference stays
     legs = {v: set(eids) for v, eids in incident.items()}
@@ -187,7 +194,7 @@ def evaluate(d: ZxDiagram, order: list[int] | None = None) -> Tensor:
     labels.  Raises ``WidthTooLargeError``, before building any tensor,
     when the plan's peak rank exceeds ``MAX_PEAK_RANK``.
     """
-    plan = plan_contraction(d, order)
+    plan = _best_plan(d) if order is None else plan_contraction(d, order)
     if plan.peak_rank > MAX_PEAK_RANK:
         raise WidthTooLargeError(
             f"contraction peaks at rank {plan.peak_rank}; "

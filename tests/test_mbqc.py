@@ -354,6 +354,16 @@ def test_run_sampled_rejects_fewer_than_one_shot():
     assert run_sampled(p, shots=1).shots == 1
 
 
+def test_run_sampled_rejects_shots_that_are_not_integers():
+    p = dj_pattern_2q(BooleanFunction(2, 0b0110))
+    for shots in (True, False, 2.5, 5.0, "5", None, np.float64(5)):
+        with pytest.raises(ValueError, match="shots"):
+            run_sampled(p, shots=shots)
+    out = run_sampled(p, shots=np.int64(5))
+    assert out == run_sampled(p, shots=5)
+    assert type(out.shots) is int and type(out.agreeing_shots) is int
+
+
 def test_run_sampled_rejects_pattern_without_gflow():
     with pytest.raises(NoFlowError):
         run_sampled(lattice_pattern_3q(BooleanFunction(3, 0)), shots=1)
@@ -542,11 +552,18 @@ def test_sampled_outcomes_keep_the_pinned_digest():
     assert digest == _SAMPLED_DIGEST
 
 
-def test_branches_never_outnumber_shots_or_histories(monkeypatch):
+def _row_counts(monkeypatch):
+    """Rows per step of the sampler: it calls _squared_norms once per step,
+    on both outcomes of each row."""
     rows = []
     real = mbqc._squared_norms
     monkeypatch.setattr(mbqc, "_squared_norms",
                         lambda b: (rows.append(len(b) // 2), real(b))[1])
+    return rows
+
+
+def test_branches_never_outnumber_shots_or_histories(monkeypatch):
+    rows = _row_counts(monkeypatch)
     for shots in (1, 5, 1000):
         for p in (dj_pattern_3q(BooleanFunction(3, 0b01101001)),
                   *_random_flow_patterns(5, 10)):
@@ -556,6 +573,71 @@ def test_branches_never_outnumber_shots_or_histories(monkeypatch):
             assert rows
             assert all(r <= min(shots, 2 ** k) for k, r in enumerate(rows))
     assert max(rows) > 1
+
+
+def test_sampler_grows_the_whole_tree_until_it_outgrows_the_shots(
+        monkeypatch):
+    rows = _row_counts(monkeypatch)
+    patterns = [dj_pattern_3q(BooleanFunction(3, 0b01101001)),
+                dj_pattern_3q(BooleanFunction(3, 0)),
+                max(_random_flow_patterns(9, 20), key=lambda p: len(p.angles))]
+    regimes = set()
+    for p in patterns:
+        steps, _ = mbqc._sampling_plan(p, *find_gflow(p))
+        k = len(steps)
+        assert k >= 8
+        bras = mbqc._bras(p, steps)
+        counts = {1, 2, 4096}
+        for j in (1, 2, 3, 5, k - 1, k):
+            counts |= {2 ** j - 1, 2 ** j, 2 ** j + 1}
+        for shots in sorted(counts):
+            for seed in (0, shots):
+                want = _per_shot_sample_block(
+                    steps, bras, len(p.angles), shots,
+                    np.random.default_rng(seed))
+                rows.clear()
+                got = mbqc._sample_block(steps, bras, len(p.angles), shots,
+                                         np.random.default_rng(seed))
+                assert np.array_equal(got, want), (shots, seed)
+                assert len(rows) == k and rows[0] == 1
+                for before, after in zip(rows, rows[1:]):
+                    if 2 * before <= shots:  # every child is kept
+                        assert after == 2 * before
+                        regimes.add("whole tree")
+                    else:  # only the children some shot reached
+                        assert after <= min(shots, 2 * before - 1)
+                        regimes.add("compacted")
+    assert regimes == {"whole tree", "compacted"}
+
+
+def test_flip_table_matches_the_byproducts_of_each_step():
+    for p in (dj_pattern_3q(BooleanFunction(3, 0b00111100)),
+              *_random_flow_patterns(13, 30)):
+        steps, _ = mbqc._sampling_plan(p, *find_gflow(p))
+        table = steps[0].flips.base
+        assert table.shape == (len(steps), 2, len(steps))
+        assert not table.flags.writeable
+        for k, s in enumerate(steps):
+            assert s.flips.base is table and not s.flips.any(axis=1)[0]
+            # the signals the per-shot reference sets on outcome 1 here
+            signals = np.zeros(len(p.angles), dtype=np.uint8)
+            signals[s.x_rows] ^= 2
+            signals[s.z_rows] ^= 1
+            want = signals[[t.row for t in steps]]
+            assert want[k] == 0  # no byproduct lands on the measured qubit
+            want[k] = 4 if s.readout else 0
+            assert np.array_equal(s.flips[1], want), (p, k)
+
+
+def test_flip_table_is_built_once_per_shape(monkeypatch):
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    calls = _flow_calls(monkeypatch)
+    tables = set()
+    for f in enumerate_promise(2):
+        run_sampled(dj_pattern_2q(f), shots=20)
+        ((steps, _),) = mbqc._plan_memo.values()
+        tables.add(id(steps[0].flips.base))
+    assert len(calls) == 1 and len(tables) == 1
 
 
 def _flow_calls(monkeypatch):

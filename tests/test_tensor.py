@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zxdj import tensor
 from zxdj.circuit import to_zx
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
 from zxdj.errors import ShapeMismatchError
@@ -500,3 +501,22 @@ def test_elimination_order_returns_a_fresh_list():
     first.append(99)
     assert elimination_order(d) == expected
     assert elimination_order(d) is not elimination_order(d)
+
+
+def test_default_evaluate_plans_each_candidate_once(monkeypatch):
+    f = BooleanFunction(3, 0)
+    calls = []
+    real = tensor.plan_contraction
+    monkeypatch.setattr(tensor, "plan_contraction", lambda d, order=None: (
+        calls.append(order), real(d, order))[1])
+    for d in (pattern_to_diagram(dj_pattern_3q(f)),
+              pattern_to_diagram(lattice_pattern_3q(f)), _grid_diagram(4, 4)):
+        calls.clear()
+        t = evaluate(d)
+        # the three candidate orders, and the winner is not planned again
+        assert len(calls) == 3 and None not in calls
+        order = elimination_order(d)
+        assert order in calls
+        calls.clear()
+        assert np.array_equal(t.data, evaluate(d, order).data)
+        assert calls == [order]
