@@ -11,6 +11,7 @@ import numpy as np
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
+from .rewrite import _remember
 from .tensor import Tensor
 
 # ops: "phase" (1q, carries an angle), "cnot" (control, target),
@@ -154,18 +155,46 @@ def unitary(c: Circuit) -> Tensor:
     return Tensor(_apply_gates(c, state).reshape((2,) * (2 * w)))
 
 
+# Translated skeletons by circuit shape (see to_zx_tracked), up to MEMO_SHAPES.
+_zx_memo: dict[tuple, tuple[ZxDiagram, tuple[int, ...], tuple[int, ...]]] = {}
+
+
 def to_zx_tracked(c: Circuit):
     """Translate a circuit to a diagram, reporting parameter spider ids.
 
     Returns ``(diagram, carriers)`` where ``carriers`` lists the node ids of
     phase-carrying spiders (phase gates and Pauli Z/Y translations) in gate
     order.
+
+    Everything but the phase gates' phases depends only on the circuit's
+    shape: its width and each gate's op and qubits.  The translation is
+    memoized by that shape for up to ``rewrite.MEMO_SHAPES`` shapes, and a
+    repeat shape copies the stored diagram and writes each phase gate's
+    phase onto its spider.  Every call returns a fresh diagram and list.
     """
+    key = (c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
+    memo = _zx_memo.get(key)
+    if memo is None:
+        d, carriers, phased = _translate(c)
+        _remember(_zx_memo, key, (d.copy(), tuple(carriers), phased))
+        return d, carriers
+    skeleton, carriers, phased = memo
+    d = skeleton.copy()
+    spiders = d.spiders
+    for v, g in zip(phased, [g for g in c.gates if g.op == "phase"]):
+        spiders[v].phase = g.phase
+    return d, list(carriers)
+
+
+def _translate(c: Circuit):
+    """The translation of ``c``, its carriers, and the phase gates'
+    carriers in gate order."""
     d = ZxDiagram()
     last = [d.add_spider(SpiderKind.Z, ZERO) for _ in range(c.width)]
     d.inputs = list(last)
     pending = [EdgeKind.PLAIN] * c.width
     carriers: list[int] = []
+    phased: list[int] = []
 
     def extend(wire: int, kind: SpiderKind, phase: Phase) -> int:
         v = d.add_spider(kind, phase)
@@ -177,6 +206,7 @@ def to_zx_tracked(c: Circuit):
     for g in c.gates:
         if g.op == "phase":
             carriers.append(extend(g.qubits[0], SpiderKind.Z, g.phase))
+            phased.append(carriers[-1])
         elif g.op == "z":
             carriers.append(extend(g.qubits[0], SpiderKind.Z, PI))
         elif g.op == "y":
@@ -195,7 +225,7 @@ def to_zx_tracked(c: Circuit):
         d.add_edge(last[wire], v, pending[wire])
         outs.append(v)
     d.outputs = outs
-    return d, carriers
+    return d, carriers, tuple(phased)
 
 
 def to_zx(c: Circuit) -> ZxDiagram:

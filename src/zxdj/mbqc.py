@@ -30,6 +30,7 @@ from .errors import (
 from .oracle import (
     BooleanFunction,
     Verdict,
+    _parity_sets,
     classify,
     one_qubit_spider_angles,
     phase_polynomial,
@@ -216,21 +217,81 @@ _3Q_EDGES = [
 ]
 
 
-def dj_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
-    if f.n != 3:
-        raise NotPromiseError("three-qubit pattern needs n = 3")
-    pp = phase_polynomial(f)
-    get = lambda *q: pp.coeffs.get(frozenset(q), ZERO)
-    labels = {
+def _dj_layout_3q(coeffs):
+    """Each named qubit's angle, from the phase polynomial's ``coeffs``.
+    Handed ``_SLOTS``, it gives the template ``_DJ_3Q``."""
+    get = lambda *q: coeffs.get(frozenset(q), ZERO)
+    return {
         "T1": get(2), "T2": ZERO, "T3": get(0), "T4": ZERO, "T5": get(0, 1, 2),
         "M1": get(1), "M2": ZERO, "M3": get(0, 1),
         "B1": get(0, 2), "B2": ZERO, "B3": get(1, 2),
     }
-    index = {name: i for i, name in enumerate(_3Q_NAMES)}
-    angles = {index[name]: labels[name] for name in _3Q_NAMES}
-    edges = {frozenset((index[a], index[b])) for a, b in _3Q_EDGES}
-    readouts = [index["T5"], index["M3"], index["B3"]]
-    return MeasurementPattern(angles, edges, readouts)
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """A carrier's angle in a template: the coefficient of ``parity`` plus
+    ``offset``.  Adding a phase to a slot adds it to the offset, so a layout
+    handed ``_SLOTS`` for its coefficients returns slots for its carriers."""
+
+    parity: frozenset
+    offset: Phase = ZERO
+
+    def __add__(self, other: Phase) -> "_Slot":
+        return _Slot(self.parity, self.offset + other)
+
+
+# Stands in for the coefficients of a three-bit phase polynomial.
+_SLOTS = {parity: _Slot(parity) for parity in _parity_sets(3)}
+
+
+class _Template(NamedTuple):
+    """A pattern shape with its carrier angles left open."""
+
+    angles: dict[int, Phase]  # every qubit in id order, a carrier at 0
+    carriers: tuple[tuple[int, frozenset, Phase], ...]  # qubit, parity, offset
+    edges: tuple[frozenset, ...]  # in the order the pattern's set takes them
+    readouts: tuple[int, ...]
+    z_basis: tuple[int, ...]
+
+
+def _template(layout: dict, edges, readouts) -> _Template:
+    """The template of a layout by qubit id, whose entries are fixed angles,
+    slots, or "z" for a computational-basis qubit."""
+    angles, carriers, z_basis = {}, [], []
+    for q, entry in layout.items():
+        if isinstance(entry, _Slot):
+            carriers.append((q, entry.parity, entry.offset))
+        elif isinstance(entry, str):  # "z" is the only str
+            z_basis.append(q)
+        angles[q] = entry if isinstance(entry, Phase) else ZERO
+    return _Template(angles, tuple(carriers), tuple(edges), tuple(readouts),
+                     tuple(z_basis))
+
+
+def _fill(t: _Template, f: BooleanFunction) -> MeasurementPattern:
+    """The pattern of ``f`` on template ``t``, in fresh containers."""
+    coeffs = phase_polynomial(f).coeffs
+    angles = dict(t.angles)
+    for q, parity, offset in t.carriers:
+        angles[q] = coeffs.get(parity, ZERO) + offset
+    return MeasurementPattern(angles, set(t.edges), list(t.readouts),
+                              set(t.z_basis))
+
+
+_3Q_INDEX = {name: i for i, name in enumerate(_3Q_NAMES)}
+_DJ_3Q = _template(
+    {_3Q_INDEX[name]: entry for name, entry in _dj_layout_3q(_SLOTS).items()},
+    [frozenset((_3Q_INDEX[a], _3Q_INDEX[b])) for a, b in _3Q_EDGES],
+    [_3Q_INDEX[name] for name in ("T5", "M3", "B3")])
+
+
+def dj_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
+    """The eleven-qubit pattern of ``f``, filled into the template
+    ``_DJ_3Q``.  Every call returns fresh containers."""
+    if f.n != 3:
+        raise NotPromiseError("three-qubit pattern needs n = 3")
+    return _fill(_DJ_3Q, f)
 
 
 def _chain_pattern(chains) -> MeasurementPattern:
@@ -296,6 +357,30 @@ def _bits(mask: int):
         mask ^= low
 
 
+# run_exact's preludes by pattern shape, up to MEMO_SHAPES.
+_exact_memo: dict[tuple, tuple[tuple, tuple[int, ...], tuple[bool, ...]]] = {}
+
+
+def _exact_prelude(p: MeasurementPattern) -> tuple:
+    """The qubits in ascending order, each qubit's adjacency row as a
+    bitset over their indices, and whether it is a free bit; a z-basis
+    qubit has x_v = 0, which drops it and its edges from S."""
+    qubits = p.qubits()
+    index = {q: i for i, q in enumerate(qubits)}
+    adj = [0] * len(qubits)
+    for q, r in p.edges:
+        u, v = index[q], index[r]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    live = [True] * len(qubits)
+    for q in p.z_basis:
+        v = index[q]
+        live[v] = False
+        for u in _bits(adj[v]):
+            adj[u] ^= 1 << v
+    return tuple(qubits), tuple(adj), tuple(live)
+
+
 def run_exact(p: MeasurementPattern) -> PatternOutcome:
     """Decide a Clifford pattern's all-outcomes-zero amplitude exactly.
 
@@ -319,10 +404,20 @@ def run_exact(p: MeasurementPattern) -> PatternOutcome:
     S = i^k * (1 + i)^a * 2^b or 0, and the verdict is Constant exactly
     when S is nonzero; only the amplitude is a float.  Raises
     ``PreconditionFailed`` on an angle that is no multiple of pi/2.
+
+    The qubit order and the adjacency rows with the z-basis qubits dropped
+    depend only on the qubit ids, the edges and the z-basis set.  They are
+    memoized by that shape for up to ``rewrite.MEMO_SHAPES`` shapes (see
+    :func:`_exact_prelude`), so each call only maps its angles to quarter
+    turns and runs the elimination.
     """
     p.validate()
-    qubits = p.qubits()
-    index = {q: i for i, q in enumerate(qubits)}
+    key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.z_basis))
+    prelude = _exact_memo.get(key)
+    if prelude is None:
+        prelude = _exact_prelude(p)
+        _remember(_exact_memo, key, prelude)
+    qubits, rows, free = prelude
     turns = []
     for q in qubits:
         t = _quarter_turns(p.angles[q])
@@ -331,17 +426,7 @@ def run_exact(p: MeasurementPattern) -> PatternOutcome:
                 f"qubit {q} is measured at {p.angles[q]}*pi, "
                 "no multiple of pi/2")
         turns.append(t)
-    adj = [0] * len(qubits)
-    for q, r in p.edges:
-        u, v = index[q], index[r]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    live = [True] * len(qubits)
-    for q in p.z_basis:  # x_v = 0 drops v and its edges from S
-        v = index[q]
-        live[v] = False
-        for u in _bits(adj[v]):
-            adj[u] ^= 1 << v
+    adj, live = list(rows), list(free)
     k = a = b = 0
     for v in range(len(qubits)):
         if not live[v]:
@@ -649,6 +734,17 @@ def _sample_block(steps: list[_Step], bras: np.ndarray, n_qubits: int,
     return (pending >= 4).any(axis=1)[node]
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as a Python int, or ``ValueError`` when it is no integer
+    (a bool is not one; a numpy integer is) or is below ``least``."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, not {value}")
+    return value
+
+
 def run_sampled(p: MeasurementPattern, seed: int = 2024,
                 shots: int = 1000) -> PatternOutcome:
     """Sample the adaptively corrected pattern ``shots`` times.
@@ -674,14 +770,13 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
     Raises ``NoFlowError`` without a gflow and ``WidthTooLargeError`` when
     the frontier would exceed ``MAX_FRONTIER`` qubits; such a shape is not
     memoized, so a repeat raises again.  Raises ``ValueError`` when
-    ``shots`` is no integer (a bool is not one; a numpy integer is) or is
-    below 1, since no shot gives no majority.
+    ``shots`` or ``seed`` is no integer (a bool or None is not one; a numpy
+    integer is), when ``shots`` is below 1, since no shot gives no
+    majority, and when ``seed`` is negative.  Every run is seeded, so a
+    repeat call gives the same output.
     """
-    if isinstance(shots, bool) or not hasattr(shots, "__index__"):
-        raise ValueError(f"shots must be an integer, not {shots!r}")
-    shots = operator.index(shots)
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, not {shots}")
+    shots = _integer("shots", shots, 1)
+    seed = _integer("seed", seed, 0)
     p.validate()
     key = (frozenset(p.angles), frozenset(p.edges), tuple(p.readouts),
            frozenset(p.z_basis))
@@ -718,7 +813,8 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
 
 def _lattice_layout(coeffs):
     """Each grid position's angle, from the phase polynomial's ``coeffs``,
-    or "z" for a computational-basis spare."""
+    or "z" for a computational-basis spare.  Handed ``_SLOTS``, it gives
+    the template ``_LATTICE``."""
     get = lambda *q: coeffs.get(frozenset(q), ZERO)
     half = HALF_PI
     mhalf = MINUS_HALF_PI
@@ -738,10 +834,6 @@ def _lattice_layout(coeffs):
     }
 
 
-# The parameter carriers, which reduce_lattice protects.
-_LATTICE_CARRIERS = {(1, 1), (1, 6), (2, 4), (4, 3), (5, 4), (6, 1), (6, 6)}
-
-
 def _grid_id(pos) -> int:
     r, c = pos
     return (r - 1) * 6 + (c - 1)
@@ -749,29 +841,29 @@ def _grid_id(pos) -> int:
 
 # The grid is the same for every variant; only the carrier angles vary.
 _LATTICE_IDS = {(r, c): _grid_id((r, c)) for r in range(1, 7) for c in range(1, 7)}
-_LATTICE_Z_BASIS = tuple(_LATTICE_IDS[pos]
-                         for pos, entry in _lattice_layout({}).items()
-                         if entry == "z")
-# in the insertion order of the row-major sweep, so that every copy iterates
-# in one order and pattern_to_diagram numbers the edges the same way
-_LATTICE_EDGES = tuple(
-    frozenset((q, _LATTICE_IDS[nbr]))
-    for (r, c), q in _LATTICE_IDS.items()
-    for nbr in ((r, c + 1), (r + 1, c)) if nbr in _LATTICE_IDS)
-_LATTICE_READOUTS = tuple(_LATTICE_IDS[pos] for pos in ((1, 6), (5, 4), (6, 6)))
-_LATTICE_CARRIER_IDS = frozenset(_LATTICE_IDS[pos] for pos in _LATTICE_CARRIERS)
+# The edges go in the insertion order of the row-major sweep, so that every
+# copy iterates in one order and pattern_to_diagram numbers the edges the
+# same way.
+_LATTICE = _template(
+    {_LATTICE_IDS[pos]: entry for pos, entry in _lattice_layout(_SLOTS).items()},
+    [frozenset((q, _LATTICE_IDS[nbr]))
+     for (r, c), q in _LATTICE_IDS.items()
+     for nbr in ((r, c + 1), (r + 1, c)) if nbr in _LATTICE_IDS],
+    [_LATTICE_IDS[pos] for pos in ((1, 6), (5, 4), (6, 6))])
+# The parameter carriers, which reduce_lattice protects.
+_LATTICE_CARRIER_IDS = frozenset(q for q, _, _ in _LATTICE.carriers)
+_LATTICE_CARRIERS = {pos for pos, q in _LATTICE_IDS.items()
+                     if q in _LATTICE_CARRIER_IDS}
 
 
 def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
-    """The 6x6 lattice embedding of the eleven-qubit pattern of ``f``.
-    Every call returns fresh containers, so a caller may edit its copy."""
+    """The 6x6 lattice embedding of the eleven-qubit pattern of ``f``,
+    filled into the template ``_LATTICE``, which ``_lattice_layout``
+    gives.  Every call returns fresh containers, so a caller may edit its
+    copy."""
     if f.n != 3:
         raise NotPromiseError("lattice pattern needs n = 3")
-    layout = _lattice_layout(phase_polynomial(f).coeffs)
-    angles = {_LATTICE_IDS[pos]: ZERO if isinstance(entry, str) else entry
-              for pos, entry in layout.items()}  # "z" is the only str
-    return MeasurementPattern(angles, set(_LATTICE_EDGES),
-                              list(_LATTICE_READOUTS), set(_LATTICE_Z_BASIS))
+    return _fill(_LATTICE, f)
 
 
 class _Reduction(NamedTuple):

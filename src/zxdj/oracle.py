@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, cnot, phase_gate
+from .circuit import Circuit, Gate, cnot, phase_gate
 from .errors import NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
 
@@ -119,32 +119,68 @@ class PhasePolynomial:
         return total
 
 
+# Widest n whose parity sets phase_polynomial keeps: 2^8 - 1 sets at most,
+# so a wide call keeps none of its 2^n sets alive after it returns.
+_PARITY_TABLE_BITS = 8
+_parity_table: dict[int, tuple[frozenset, ...]] = {}
+
+
+def _parity_sets(n: int) -> tuple[frozenset, ...]:
+    """The input bits of every nonempty parity, in mask order 1..2^n - 1;
+    bit i of the input is mask bit n - 1 - i.  Kept per n up to
+    ``_PARITY_TABLE_BITS``."""
+    sets = _parity_table.get(n)
+    if sets is None:
+        sets = tuple(frozenset(i for i in range(n) if mask >> (n - 1 - i) & 1)
+                     for mask in range(1, 1 << n))
+        if n <= _PARITY_TABLE_BITS:
+            _parity_table[n] = sets
+    return sets
+
+
 def phase_polynomial(f: BooleanFunction) -> PhasePolynomial:
     """Exact parity-term decomposition of theta(x) = pi*f(x).
 
     One in-place integer fast Walsh-Hadamard transform of the truth table
     gives every W(S) = sum_x f(x) * (-1)^(x . S); for nonempty S the
-    coefficient is -2*pi*W(S)/2^n, and the constant is pi*f(0).
+    coefficient is -2*pi*W(S)/2^n, and the constant is pi*f(0).  The
+    table's bits are read from its binary digits in one pass, and the
+    parity sets come from ``_parity_sets``.
     """
     classify(f)
-    n = f.n
-    walsh = f.values()
+    size = f.size
+    walsh = list(map(int, format(f.table, f"0{size}b")))
+    constant = Phase(walsh[0])
     half = 1
-    while half < f.size:
-        for start in range(0, f.size, 2 * half):
+    while half < size:
+        for start in range(0, size, 2 * half):
             for i in range(start, start + half):
                 a, b = walsh[i], walsh[i + half]
                 walsh[i], walsh[i + half] = a + b, a - b
         half *= 2
-    coeffs = {}
-    for mask in range(1, 1 << n):
-        subset = frozenset(i for i in range(n) if mask & (1 << (n - 1 - i)))
-        coeffs[subset] = Phase(-2 * walsh[mask], f.size)
-    return PhasePolynomial(Phase(f.value(0)), coeffs)
+    coeffs = {subset: Phase(-2 * w, size)
+              for subset, w in zip(_parity_sets(f.n), walsh[1:])}
+    return PhasePolynomial(constant, coeffs)
 
 
-def _coeff(pp: PhasePolynomial, *qubits: int) -> Phase:
-    return pp.coeffs.get(frozenset(qubits), ZERO)
+# The oracle circuit's gates: a shared CNOT, or (wire, parity) for a phase
+# gate taking that parity's coefficient.  Each phase gate fires on a wire
+# holding its parity at that point of the ladder.
+_ORACLE_3Q = (
+    (0, frozenset({0})),
+    (1, frozenset({1})),
+    (2, frozenset({2})),
+    cnot(0, 1),                       # q1 = x0 ^ x1
+    cnot(0, 2),                       # q2 = x0 ^ x2
+    (1, frozenset({0, 1})),
+    (2, frozenset({0, 2})),
+    cnot(1, 2),                       # q2 = x1 ^ x2
+    (2, frozenset({1, 2})),
+    cnot(0, 2),                       # q2 = x0 ^ x1 ^ x2
+    (2, frozenset({0, 1, 2})),
+    cnot(1, 2),                       # q2 = x2 (q1 still x0 ^ x1)
+    cnot(0, 1),                       # q1 = x1
+)
 
 
 def oracle_circuit_3q(f: BooleanFunction) -> Circuit:
@@ -154,26 +190,16 @@ def oracle_circuit_3q(f: BooleanFunction) -> Circuit:
     coefficient belongs to; the CNOT ladder computes every parity of the
     three inputs and restores the wires afterwards.  All seven phase gates
     are always emitted (possibly with angle 0) so that every variant
-    compiles to the same diagram shape.
+    compiles to the same diagram shape.  The gates come from the template
+    ``_ORACLE_3Q``: its six CNOTs are shared frozen gates, and each call
+    builds only the seven phase gates, in a fresh list.
     """
     if f.n != 3:
         raise NotPromiseError("three-qubit synthesis needs n = 3")
-    pp = phase_polynomial(f)
-    gates = [
-        phase_gate(0, _coeff(pp, 0)),
-        phase_gate(1, _coeff(pp, 1)),
-        phase_gate(2, _coeff(pp, 2)),
-        cnot(0, 1),                       # q1 = x0 ^ x1
-        cnot(0, 2),                       # q2 = x0 ^ x2
-        phase_gate(1, _coeff(pp, 0, 1)),
-        phase_gate(2, _coeff(pp, 0, 2)),
-        cnot(1, 2),                       # q2 = x1 ^ x2
-        phase_gate(2, _coeff(pp, 1, 2)),
-        cnot(0, 2),                       # q2 = x0 ^ x1 ^ x2
-        phase_gate(2, _coeff(pp, 0, 1, 2)),
-        cnot(1, 2),                       # q2 = x2 (q1 still x0 ^ x1)
-        cnot(0, 1),                       # q1 = x1
-    ]
+    coeffs = phase_polynomial(f).coeffs
+    gates = [entry if isinstance(entry, Gate)
+             else phase_gate(entry[0], coeffs.get(entry[1], ZERO))
+             for entry in _ORACLE_3Q]
     return Circuit(3, gates)
 
 

@@ -13,7 +13,8 @@ protected phase, so that key fixes the trace and the reduced graph, and
 each survivor's phase is a constant plus the phases of the protected input
 spiders fused into it.  A repeat key only evaluates those formulas on a
 copy of the stored result.  Up to ``MEMO_SHAPES`` keys stay memoized,
-evicted first-in; ``mbqc`` keeps its own memos with the same helpers.
+evicted first-in; ``circuit`` and ``mbqc`` keep their own memos with the
+same helpers.
 """
 
 from __future__ import annotations

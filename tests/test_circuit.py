@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zxdj import circuit, rewrite
 from zxdj.circuit import (
     Circuit,
     Gate,
@@ -24,7 +25,7 @@ from zxdj.circuit import (
 )
 from zxdj.diagram import SpiderKind
 from zxdj.errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
-from zxdj.oracle import Verdict
+from zxdj.oracle import Verdict, enumerate_promise, oracle_circuit_3q
 from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.tensor import Tensor, equivalent_up_to_scalar, evaluate
 
@@ -206,6 +207,88 @@ def test_to_zx_tracked_carriers():
     assert d.spiders[carriers[2]].kind is SpiderKind.X
     assert d.spiders[carriers[3]].kind is SpiderKind.Z
     assert all(v in d.spiders for v in carriers)
+
+
+def _translation(c):
+    """Everything of to_zx_tracked's result a later stage may read: the
+    document, the carriers, the next ids, and the dict and incidence
+    orders that a copy keeps."""
+    d, carriers = to_zx_tracked(c)
+    return (d.to_json_dict(), carriers, d._next_node, d._next_edge,
+            list(d.spiders), list(d.edges),
+            [list(ids) for ids in d._incident.values()])
+
+
+# one shape with every gate kind: a phase gate and Z take one carrier, Y
+# takes two, H and CNOT none; one phase gate is at angle 0
+def _mixed_circuit(phases):
+    a, b, c = phases
+    return Circuit(3, [phase_gate(0, a), pauli_z(1), pauli_y(2), hadamard(0),
+                       cnot(0, 1), phase_gate(1, ZERO), hadamard(2),
+                       phase_gate(2, b), cnot(2, 0), pauli_y(0),
+                       phase_gate(0, c), hadamard(1)])
+
+
+_MIXED_PHASES = [(ZERO, ZERO, ZERO), (HALF_PI, PI, QUARTER_PI),
+                 (Phase(3, 4), ZERO, Phase(7, 4)), (PI, HALF_PI, ZERO)]
+
+
+def test_zx_memo_hit_equals_a_cold_run(monkeypatch):
+    monkeypatch.setattr(circuit, "_zx_memo", {})
+    circuits = ([oracle_circuit_3q(f) for f in enumerate_promise(3)]
+                + [_mixed_circuit(phases) for phases in _MIXED_PHASES])
+    for c in circuits:
+        warm = _translation(c)  # a hit after the first of each shape
+        circuit._zx_memo.clear()
+        assert _translation(c) == warm
+    assert len(circuit._zx_memo) == 1
+
+
+def test_zx_memo_keys_on_shape_not_phases(monkeypatch):
+    monkeypatch.setattr(circuit, "_zx_memo", {})
+    calls = []
+    real = circuit._translate
+    monkeypatch.setattr(circuit, "_translate",
+                        lambda c: (calls.append(c), real(c))[1])
+    for phases in _MIXED_PHASES:
+        to_zx_tracked(_mixed_circuit(phases))
+    assert len(calls) == 1
+    shapes = [Circuit(3, [cnot(0, 1)]), Circuit(3, [cnot(1, 0)]),
+              Circuit(2, [cnot(0, 1)]), Circuit(3, [pauli_z(0)]),
+              Circuit(3, [pauli_y(0)]), Circuit(3, [phase_gate(0, PI)])]
+    for c in shapes:
+        to_zx_tracked(c)
+    assert len(calls) == 1 + len(shapes)
+    assert to_zx_tracked(Circuit(3, [phase_gate(0, HALF_PI)]))[0].spiders[
+        3].phase == HALF_PI
+    assert len(calls) == 1 + len(shapes)
+
+
+def test_zx_memo_hands_out_fresh_diagrams(monkeypatch):
+    monkeypatch.setattr(circuit, "_zx_memo", {})
+    c = _mixed_circuit(_MIXED_PHASES[1])
+    expected = _translation(c)
+    circuit._zx_memo.clear()
+    for _ in range(2):  # the cold result, then a hit
+        d, carriers = to_zx_tracked(c)
+        for v in carriers:
+            d.spiders[v].phase = QUARTER_PI
+            d.spiders[v].kind = SpiderKind.X
+        d.remove_edge(min(d.edges))
+        d.add_spider(SpiderKind.X, PI)
+        d.inputs.reverse()
+        d.outputs.clear()
+        carriers.append(99)
+        assert _translation(c) == expected
+
+
+def test_zx_memo_stays_within_memo_shapes(monkeypatch):
+    monkeypatch.setattr(circuit, "_zx_memo", {})
+    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
+    for width in range(1, 11):
+        to_zx_tracked(Circuit(width, [phase_gate(width - 1, PI)]))
+        assert len(circuit._zx_memo) <= 4
+    assert [key[0] for key in circuit._zx_memo] == [7, 8, 9, 10]
 
 
 # -- promise runs ------------------------------------------------------------

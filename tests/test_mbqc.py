@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zxdj import mbqc, rewrite, tensor
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
@@ -362,6 +362,17 @@ def test_run_sampled_rejects_shots_that_are_not_integers():
     out = run_sampled(p, shots=np.int64(5))
     assert out == run_sampled(p, shots=5)
     assert type(out.shots) is int and type(out.agreeing_shots) is int
+
+
+def test_run_sampled_rejects_seeds_that_are_not_non_negative_integers():
+    p = dj_pattern_2q(BooleanFunction(2, 0b0110))
+    for seed in (None, True, False, 2.5, 7.0, "7", np.float64(7), np.True_,
+                 -1, np.int64(-1)):
+        with pytest.raises(ValueError, match="seed"):
+            run_sampled(p, seed=seed, shots=3)
+    assert run_sampled(p, seed=np.int64(7), shots=50) == run_sampled(
+        p, seed=7, shots=50)
+    assert run_sampled(p, seed=0, shots=50) == run_sampled(p, seed=0, shots=50)
 
 
 def test_run_sampled_rejects_pattern_without_gflow():
@@ -766,6 +777,44 @@ def test_lattice_patterns_own_their_containers():
     p.z_basis.add(0)
     assert lattice_pattern_3q(f) == _swept_lattice_pattern(f)
 
+def test_dj_patterns_own_their_containers():
+    f = BooleanFunction(3, 0b01101001)
+    expected = dj_pattern_3q(f).to_json()
+    p = dj_pattern_3q(f)
+    p.angles[0] = QUARTER_PI
+    p.angles[11] = PI
+    p.edges.clear()
+    p.readouts.append(0)
+    p.z_basis.add(1)
+    assert dj_pattern_3q(f).to_json() == expected
+    assert dj_pattern_3q(f).z_basis == set()
+
+
+def _builder_record(f):
+    """Every byte the templated builders hand on for ``f``: the oracle
+    circuit, both three-qubit patterns with their edges in set iteration
+    order (which numbers pattern_to_diagram's edges and keys the lattice
+    memo), and the circuit's translation with its carriers and next ids."""
+    c = oracle_circuit_3q(f)
+    d, carriers = to_zx_tracked(c)
+    record = [c.to_json()]
+    for p in (dj_pattern_3q(f), lattice_pattern_3q(f)):
+        record += [p.to_json(), [sorted(e) for e in p.edges]]
+    return record + [d.to_json_dict(), carriers, d._next_node, d._next_edge]
+
+
+# SHA-256 of _builder_record over the 72 three-bit variants, recorded with
+# the builders that rebuilt every artifact on each call.
+BUILDER_DIGEST = (
+    "254450a4469779c83c7d635413ef54b695199b687014cad5f79e1bad53ddaa67")
+
+
+def test_templated_builders_keep_the_pinned_digest():
+    records = [_builder_record(f) for f in enumerate_promise(3)]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == BUILDER_DIGEST
+
+
 def test_reduce_lattice_reaches_compact_pattern():
     # sweep of variants; the full 72-case certification is in acceptance
     for f in enumerate_promise(3)[::11]:
@@ -1022,6 +1071,82 @@ def clifford_patterns(draw, max_qubits=9):
 @settings(max_examples=200, deadline=None)
 def test_run_exact_matches_dense_on_clifford_patterns(p):
     _assert_exact_matches_dense(p)
+
+
+def _prelude_calls(monkeypatch):
+    monkeypatch.setattr(mbqc, "_exact_memo", {})
+    calls = []
+    real = mbqc._exact_prelude
+    monkeypatch.setattr(mbqc, "_exact_prelude",
+                        lambda p: (calls.append(p), real(p))[1])
+    return calls
+
+
+def test_exact_memo_hit_equals_a_cold_run(monkeypatch):
+    calls = _prelude_calls(monkeypatch)
+    for build in (dj_pattern_3q, lattice_pattern_3q):
+        run_exact(build(BooleanFunction(3, 0)))
+        for f in enumerate_promise(3):
+            # each hit reuses the prelude stored by the previous table
+            calls.clear()
+            warm = run_exact(build(f))
+            assert not calls, f.table
+            mbqc._exact_memo.clear()
+            cold = run_exact(build(f))
+            assert len(calls) == 1, f.table
+            assert warm == cold, f.table
+    assert len(mbqc._exact_memo) == 1
+
+
+@given(clifford_patterns(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_memo_hit_equals_a_cold_run_on_clifford_patterns(p, data):
+    assume(p.z_basis)
+    # the same shape at new angles
+    q = MeasurementPattern(
+        {v: a if v in p.z_basis else Phase(data.draw(st.integers(0, 3)), 2)
+         for v, a in p.angles.items()}, set(p.edges), [], set(p.z_basis))
+    mbqc._exact_memo.clear()
+    run_exact(p)
+    warm = run_exact(q)
+    assert len(mbqc._exact_memo) == 1
+    mbqc._exact_memo.clear()
+    assert run_exact(q) == warm
+
+
+def _cold_run_exact(p):
+    """run_exact with an empty memo; the memo is restored afterwards."""
+    saved = dict(mbqc._exact_memo)
+    mbqc._exact_memo.clear()
+    try:
+        return run_exact(p)
+    finally:
+        mbqc._exact_memo.clear()
+        mbqc._exact_memo.update(saved)
+
+
+def test_exact_memo_keeps_no_part_of_the_pattern(monkeypatch):
+    calls = _prelude_calls(monkeypatch)
+    f = BooleanFunction(3, 0b00001111)
+    p = lattice_pattern_3q(f)
+    first = run_exact(p)
+    p.z_basis.clear()  # the same ids and edges, no z-basis qubit
+    assert run_exact(p) == _cold_run_exact(p) != first
+    p.edges.difference_update(list(p.edges)[::2])
+    p.angles[0] = PI
+    assert run_exact(p) == _cold_run_exact(p)
+    assert len(calls) == 5
+    assert run_exact(lattice_pattern_3q(f)) == first
+    assert len(calls) == 5
+
+
+def test_exact_memo_stays_within_memo_shapes(monkeypatch):
+    _prelude_calls(monkeypatch)
+    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
+    for n in range(1, 11):
+        run_exact(_open_graph(n, [(q, q + 1) for q in range(n - 1)], [n - 1]))
+        assert len(mbqc._exact_memo) <= 4
+    assert [len(key[0]) for key in mbqc._exact_memo] == [7, 8, 9, 10]
 
 
 def test_run_exact_small_cases():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zxdj import oracle
 from zxdj.circuit import unitary
 from zxdj.errors import NotPromiseError, WidthTooLargeError
 from zxdj.oracle import (
@@ -150,6 +151,43 @@ def test_phase_polynomial_matches_the_generator_sums():
     for f in functions:
         assert phase_polynomial(f) == _generator_sum_phase_polynomial(f), (
             f.n, f.table)
+
+
+def _some_promise_functions(n, rng):
+    """Every promise function up to n = 3; constants and five random
+    balanced functions at n = 4."""
+    if n < 4:
+        return enumerate_promise(n)
+    out = [BooleanFunction(4, 0), BooleanFunction(4, (1 << 16) - 1)]
+    for _ in range(5):
+        ones = set(rng.sample(range(16), 8))
+        out.append(BooleanFunction.from_values(
+            [int(x in ones) for x in range(16)]))
+    return out
+
+
+def test_phase_polynomial_serves_each_width_its_own_parities(monkeypatch):
+    # the parity table is per n: alternating widths must never be served
+    # another width's parity sets
+    monkeypatch.setattr(oracle, "_parity_table", {})
+    rng = random.Random(43)
+    for n in (3, 4, 3, 1, 0, 4):
+        for f in _some_promise_functions(n, rng):
+            pp, ref = phase_polynomial(f), _generator_sum_phase_polynomial(f)
+            assert list(pp.coeffs.items()) == list(ref.coeffs.items()), (
+                n, f.table)
+            assert pp.constant == ref.constant
+    assert sorted(oracle._parity_table) == [0, 1, 3, 4]
+
+
+def test_parity_table_keeps_no_width_beyond_its_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "_parity_table", {})
+    monkeypatch.setattr(oracle, "_PARITY_TABLE_BITS", 2)
+    rng = random.Random(47)
+    for n in (3, 1, 4, 3, 2):
+        for f in _some_promise_functions(n, rng):
+            assert phase_polynomial(f) == _generator_sum_phase_polynomial(f)
+    assert sorted(oracle._parity_table) == [1, 2]
 
 
 def test_phase_polynomial_value_parity():
