@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -187,21 +188,86 @@ def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
 
 def patterns_isomorphic(p1: MeasurementPattern, p2: MeasurementPattern,
                         with_angles: bool = True) -> bool:
-    """Whether the two cluster graphs are isomorphic, matching angles too
-    unless ``with_angles`` is False (networkx VF2).  networkx is imported
-    here, on first use, so that ``import zxdj`` does not pay for it."""
-    import networkx as nx
+    """Whether the two cluster graphs are isomorphic, matching how each
+    qubit is measured (in the z basis, or in XY at its angle) unless
+    ``with_angles`` is False.  Raises ``NotGraphLikeError`` on a malformed
+    pattern.
 
-    def graph(p):
-        g = nx.Graph()
-        for q in p.qubits():
-            g.add_node(q, angle=str(p.angles[q]) if with_angles else "")
-        for e in p.edges:
-            g.add_edge(*sorted(e))
-        return g
+    Colour refinement runs on both graphs at once.  Where a colour still
+    holds several qubits, one of them is given a colour of its own together
+    with each candidate of the other pattern in turn, and refinement runs
+    again (individualisation and backtracking: McKay & Piperno, J. Symb.
+    Comput. 60, 2014).
+    """
+    p1.validate()
+    p2.validate()
+    n = len(p1.angles)
+    if n != len(p2.angles) or len(p1.edges) != len(p2.edges):
+        return False
+    # one graph on 2n nodes: p1's qubits in id order, then p2's
+    nbrs: list[list[int]] = []
+    labels = []
+    for p in (p1, p2):
+        index = {q: len(nbrs) + i for i, q in enumerate(p.qubits())}
+        nbrs.extend([] for _ in index)
+        for a, b in p.edges:
+            nbrs[index[a]].append(index[b])
+            nbrs[index[b]].append(index[a])
+        labels += [(q in p.z_basis, p.angles[q]) if with_angles else None
+                   for q in index]
+    return _extends(nbrs, n, _renumber(labels))
 
-    match = nx.algorithms.isomorphism.categorical_node_match("angle", "")
-    return nx.is_isomorphic(graph(p1), graph(p2), node_match=match)
+
+def _renumber(keys: list) -> list[int]:
+    """Equal keys to equal colours 0, 1, ... in order of first appearance."""
+    ids: dict = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
+def _refine(nbrs: list[list[int]], n: int,
+            colours: list[int]) -> list[int] | None:
+    """Split colours by the sorted colours of each node's neighbours until
+    no colour splits; None as soon as nodes [0, n) and [n, 2n) hold some
+    colour a different number of times."""
+    count = len(set(colours))
+    while True:
+        colours = _renumber([(c, tuple(sorted([colours[u] for u in nb])))
+                             for c, nb in zip(colours, nbrs)])
+        if sorted(colours[:n]) != sorted(colours[n:]):
+            return None
+        new_count = len(set(colours))
+        if new_count == count:
+            return colours
+        count = new_count
+
+
+def _extends(nbrs: list[list[int]], n: int, colours: list[int]) -> bool:
+    """Whether some isomorphism from nodes [0, n) to [n, 2n) keeps
+    ``colours``."""
+    colours = _refine(nbrs, n, colours)
+    if colours is None:
+        return False
+    sizes = Counter(colours[:n])
+    colour = min((c for c, k in sizes.items() if k > 1), key=sizes.get,
+                 default=None)
+    if colour is None:
+        # every colour is one node a side, which fixes the bijection; a
+        # stable refinement already implies that it keeps every edge, and
+        # the check keeps the verdict from resting on that argument alone
+        image = {colours[w]: w for w in range(n, 2 * n)}
+        mapped = [image[c] for c in colours[:n]]
+        return all(mapped[u] in nbrs[mapped[v]]
+                   for v in range(n) for u in nbrs[v])
+    # the smallest such colour leaves the fewest candidates to try
+    v = colours.index(colour)
+    fresh = max(colours) + 1
+    for w in range(n, 2 * n):
+        if colours[w] == colour:
+            trial = list(colours)
+            trial[v] = trial[w] = fresh
+            if _extends(nbrs, n, trial):
+                return True
+    return False
 
 
 # Golden eleven-qubit pattern.  Node order: T1..T5 (top chain), M1..M3
@@ -331,8 +397,10 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     diagram is contracted and judged against ``tensor.collapse_floor``;
     that raises ``WidthTooLargeError`` before building any tensor when the
     contraction plan peaks above ``tensor.MAX_PEAK_RANK``."""
-    if all(_quarter_turns(a) is not None for a in p.angles.values()):
-        return run_exact(p)
+    turns = _clifford_turns(p)
+    if turns is not None:
+        p.validate()
+        return _sum_exact(p, turns)
     d = pattern_to_diagram(p)
     amplitude = evaluate(d).scalar()
     floor = collapse_floor(d)
@@ -347,6 +415,18 @@ def _quarter_turns(angle: Phase) -> int | None:
     if angle.denominator == 2:
         return angle.numerator
     return None
+
+
+def _clifford_turns(p: MeasurementPattern) -> dict[int, int] | None:
+    """Each qubit's quarter turns, or None if some angle is no multiple of
+    pi/2."""
+    turns = {}
+    for q, angle in p.angles.items():
+        t = _quarter_turns(angle)
+        if t is None:
+            return None
+        turns[q] = t
+    return turns
 
 
 def _bits(mask: int):
@@ -409,23 +489,29 @@ def run_exact(p: MeasurementPattern) -> PatternOutcome:
     depend only on the qubit ids, the edges and the z-basis set.  They are
     memoized by that shape for up to ``rewrite.MEMO_SHAPES`` shapes (see
     :func:`_exact_prelude`), so each call only maps its angles to quarter
-    turns and runs the elimination.
+    turns and runs the elimination.  A pattern with an angle that is no
+    multiple of pi/2 raises before the memo is read, so it stores nothing.
     """
     p.validate()
+    turns = _clifford_turns(p)
+    if turns is None:
+        q = next(q for q in p.qubits() if _quarter_turns(p.angles[q]) is None)
+        raise PreconditionFailed(
+            f"qubit {q} is measured at {p.angles[q]}*pi, no multiple of pi/2")
+    return _sum_exact(p, turns)
+
+
+def _sum_exact(p: MeasurementPattern,
+               by_qubit: dict[int, int]) -> PatternOutcome:
+    """:func:`run_exact` on a valid pattern, given each qubit's quarter
+    turns."""
     key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.z_basis))
     prelude = _exact_memo.get(key)
     if prelude is None:
         prelude = _exact_prelude(p)
         _remember(_exact_memo, key, prelude)
     qubits, rows, free = prelude
-    turns = []
-    for q in qubits:
-        t = _quarter_turns(p.angles[q])
-        if t is None:
-            raise PreconditionFailed(
-                f"qubit {q} is measured at {p.angles[q]}*pi, "
-                "no multiple of pi/2")
-        turns.append(t)
+    turns = [by_qubit[q] for q in qubits]
     adj, live = list(rows), list(free)
     k = a = b = 0
     for v in range(len(qubits)):

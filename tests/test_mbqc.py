@@ -193,22 +193,166 @@ def test_pattern_to_diagram_z_basis_cap():
     assert kinds == ["X", "Z", "Z"]
 
 
+def _plain_graph(n, pairs):
+    return MeasurementPattern({q: ZERO for q in range(n)},
+                              {frozenset(e) for e in pairs}, [])
+
+
+def _relabelled(p, rng):
+    """``p`` with its qubits renamed by a random injection into 100..199."""
+    name = dict(zip(p.qubits(), rng.sample(range(100, 200), len(p.angles))))
+    return MeasurementPattern(
+        {name[q]: a for q, a in p.angles.items()},
+        {frozenset(name[q] for q in e) for e in p.edges},
+        [name[q] for q in p.readouts], {name[q] for q in p.z_basis})
+
+
+def _three_cube():
+    return _plain_graph(8, [(a, a | bit) for a in range(8) for bit in (1, 2, 4)
+                            if not a & bit])
+
+
+def _moebius_ladder():
+    return _plain_graph(8, [(q, (q + 1) % 8) for q in range(8)]
+                        + [(q, q + 4) for q in range(4)])
+
+
 def test_patterns_isomorphic_negative_cases():
+    triangle = _triangle_pattern()
+    path = MeasurementPattern(triangle.angles,
+                              {frozenset((0, 1)), frozenset((1, 2))}, [2])
+    pairs = [
+        (triangle, path),
+        # both 2-regular on six qubits: refinement alone leaves one colour
+        (_plain_graph(6, [(q, (q + 1) % 6) for q in range(6)]),
+         _plain_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])),
+        # both 3-regular on eight qubits; only the cube is bipartite
+        (_three_cube(), _moebius_ladder()),
+    ]
+    for p, q in pairs:
+        for with_angles in (True, False):
+            assert not patterns_isomorphic(p, q, with_angles)
+            assert not patterns_isomorphic(q, p, with_angles)
+            assert patterns_isomorphic(q, q, with_angles)
+
+
+def test_patterns_isomorphic_backtracks():
+    # every qubit has degree 2, so refinement alone leaves one colour; qubit
+    # 0 lies on the hexagon in p but on a triangle in q, so matching the
+    # first candidate fails and the search must try the next ones
+    hexagon = [(q, (q + 1) % 6) for q in range(6)]
+    triangles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    shifted = lambda pairs: [(a + 6, b + 6) for a, b in pairs]
+    p = _plain_graph(12, hexagon + shifted(triangles))
+    q = _plain_graph(12, triangles + shifted(hexagon))
+    assert patterns_isomorphic(p, q)
+    assert patterns_isomorphic(q, p)
+
+
+def test_patterns_isomorphic_ignores_angles_on_request():
     p = _triangle_pattern()
     q = _triangle_pattern()
     q.angles[1] = PI
     assert not patterns_isomorphic(p, q)
     assert patterns_isomorphic(p, q, with_angles=False)
-    r = _triangle_pattern()
-    r.edges.discard(frozenset((0, 2)))
-    assert not patterns_isomorphic(p, r, with_angles=False)
+
+
+def test_lattice_is_isomorphic_to_a_relabelled_copy():
+    rng = random.Random(13)
+    for f in (BooleanFunction(3, 0), BooleanFunction(3, 0b01101001)):
+        p = lattice_pattern_3q(f)
+        q = _relabelled(p, rng)
+        assert patterns_isomorphic(p, q)
+        assert patterns_isomorphic(q, p, with_angles=False)
+
+
+def test_patterns_isomorphic_tells_the_z_basis_from_xy_at_zero():
+    p = MeasurementPattern({0: ZERO, 1: ZERO, 2: HALF_PI},
+                           {frozenset((0, 1)), frozenset((1, 2))}, [2], {0})
+    q = MeasurementPattern(dict(p.angles), set(p.edges), [2])
+    assert not patterns_isomorphic(p, q)
+    assert patterns_isomorphic(p, q, with_angles=False)
+    assert patterns_isomorphic(p, _relabelled(p, random.Random(0)))
+
+
+@pytest.mark.parametrize("bad", [
+    MeasurementPattern({0: ZERO, 1: ZERO, 2: ZERO},
+                       {frozenset((0, 1)), frozenset((1, 5))}, [0]),
+    MeasurementPattern({0: ZERO, 1: ZERO, 2: ZERO}, {frozenset((0, 1))}, [7]),
+    MeasurementPattern({0: ZERO, 1: ZERO, 2: ZERO}, set(), [0], {4}),
+], ids=["edge", "readout", "z-basis"])
+def test_patterns_isomorphic_validates_both_patterns(bad):
+    good = _triangle_pattern()
+    for args in ((bad, good), (good, bad)):
+        for with_angles in (True, False):
+            with pytest.raises(NotGraphLikeError):
+                patterns_isomorphic(*args, with_angles=with_angles)
+
+
+def _vf2_isomorphic(p1, p2, with_angles):
+    """The reference verdict: networkx's VF2 on the same qubit labels."""
+    nx = pytest.importorskip("networkx")
+
+    def graph(p):
+        g = nx.Graph()
+        for q in p.qubits():
+            g.add_node(q, label=(q in p.z_basis, str(p.angles[q]))
+                       if with_angles else None)
+        g.add_edges_from(tuple(e) for e in p.edges)
+        return g
+
+    match = nx.algorithms.isomorphism.categorical_node_match("label", None)
+    return nx.is_isomorphic(graph(p1), graph(p2), node_match=match)
+
+
+@st.composite
+def small_patterns(draw, n, angles):
+    """A pattern on qubits 0..n-1 with its angles drawn from ``angles``;
+    about one qubit in five is measured in the z basis."""
+    z_basis = {q for q in range(n) if draw(st.integers(0, 4)) == 0}
+    density = draw(st.floats(0, 1))
+    return MeasurementPattern(
+        {q: ZERO if q in z_basis else draw(st.sampled_from(angles))
+         for q in range(n)},
+        {frozenset(e) for e in itertools.combinations(range(n), 2)
+         if draw(st.floats(0, 1)) < density}, [], z_basis)
+
+
+# few distinct angles make equal colour counts, and so deeper searches, likely
+_ANGLE_SETS = [(ZERO,), (ZERO, PI), (ZERO, HALF_PI, PI, QUARTER_PI)]
+
+
+@given(st.integers(0, 12), st.sampled_from(_ANGLE_SETS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_patterns_isomorphic_matches_vf2(n, angles, data):
+    p = data.draw(small_patterns(n, angles))
+    copy = _relabelled(p, random.Random(data.draw(st.integers(0, 2**32))))
+    other = data.draw(small_patterns(n, angles))
+    for with_angles in (True, False):
+        assert patterns_isomorphic(p, copy, with_angles)
+        assert (patterns_isomorphic(p, other, with_angles)
+                == _vf2_isomorphic(p, other, with_angles))
 
 
 def test_import_leaves_networkx_unloaded():
-    """Only patterns_isomorphic needs networkx, and it imports it itself."""
+    """zxdj never imports networkx: with every import of it failing, the
+    isomorphism check and ``lattice --reduce`` still run."""
     src = str(Path(mbqc.__file__).resolve().parents[1])
-    code = ("import sys, zxdj, zxdj.cli; "
-            "assert 'networkx' not in sys.modules")
+    code = """if True:
+        import contextlib, io, json, sys
+        import zxdj, zxdj.cli
+        assert "networkx" not in sys.modules
+        sys.modules["networkx"] = None  # an import of it now raises
+        f = zxdj.BooleanFunction(3, 0b01101001)
+        assert zxdj.patterns_isomorphic(zxdj.dj_pattern_3q(f),
+                                        zxdj.dj_pattern_3q(f))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = zxdj.cli.main(
+                ["lattice", "--n", "3", "--table", "01101001", "--reduce"])
+        assert code == 0, code
+        assert json.loads(out.getvalue())["isomorphic_to_compiled"] is True
+    """
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
 
@@ -1163,8 +1307,38 @@ def test_run_exact_small_cases():
 
 
 def test_run_exact_refuses_a_quarter_turn():
+    with pytest.raises(PreconditionFailed, match="qubit 1 "):
+        run_exact(MeasurementPattern({0: ZERO, 1: QUARTER_PI, 2: QUARTER_PI},
+                                     set(), [0]))
+    # a malformed pattern fails validation before its angles are read
+    with pytest.raises(NotGraphLikeError):
+        run_exact(MeasurementPattern({0: QUARTER_PI}, set(), [5]))
+
+
+def test_quarter_turns_are_computed_once_per_pattern(monkeypatch):
+    monkeypatch.setattr(mbqc, "_exact_memo", {})
+    calls = []
+    real = mbqc._quarter_turns
+    monkeypatch.setattr(mbqc, "_quarter_turns",
+                        lambda a: (calls.append(a), real(a))[1])
+    f = BooleanFunction(3, 0b01101001)
+    for warm in (False, True):  # a memo miss, then a hit
+        calls.clear()
+        out = run_postselected(lattice_pattern_3q(f))
+        assert out.verdict is Verdict.BALANCED
+        assert len(calls) == 36, warm
+
+
+def test_non_clifford_pattern_stores_no_exact_prelude(monkeypatch):
+    monkeypatch.setattr(mbqc, "_exact_memo", {})
+    run_exact(dj_pattern_3q(BooleanFunction(3, 0)))
+    saved = dict(mbqc._exact_memo)
+    p = _triangle_pattern()
+    p.angles[0] = QUARTER_PI
     with pytest.raises(PreconditionFailed):
-        run_exact(MeasurementPattern({0: QUARTER_PI}, set(), [0]))
+        run_exact(p)
+    run_postselected(p)
+    assert mbqc._exact_memo == saved
 
 
 def test_non_clifford_pattern_keeps_the_dense_route():
