@@ -11,7 +11,7 @@ import numpy as np
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
-from .rewrite import _remember
+from .rewrite import _memoized
 from .tensor import Tensor
 
 # ops: "phase" (1q, carries an angle), "cnot" (control, target),
@@ -155,7 +155,7 @@ def unitary(c: Circuit) -> Tensor:
     return Tensor(_apply_gates(c, state).reshape((2,) * (2 * w)))
 
 
-# Translated skeletons by circuit shape (see to_zx_tracked), up to MEMO_SHAPES.
+# Translated skeletons by circuit shape (see to_zx_tracked).
 _zx_memo: dict[tuple, tuple[ZxDiagram, tuple[int, ...], tuple[int, ...]]] = {}
 
 
@@ -168,17 +168,13 @@ def to_zx_tracked(c: Circuit):
 
     Everything but the phase gates' phases depends only on the circuit's
     shape: its width and each gate's op and qubits.  The translation is
-    memoized by that shape for up to ``rewrite.MEMO_SHAPES`` shapes, and a
-    repeat shape copies the stored diagram and writes each phase gate's
-    phase onto its spider.  Every call returns a fresh diagram and list.
+    memoized by that shape (see ``rewrite._memoized``), and every call
+    copies the stored diagram and writes each phase gate's phase onto its
+    spider, so it returns a fresh diagram and list.
     """
     key = (c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
-    memo = _zx_memo.get(key)
-    if memo is None:
-        d, carriers, phased = _translate(c)
-        _remember(_zx_memo, key, (d.copy(), tuple(carriers), phased))
-        return d, carriers
-    skeleton, carriers, phased = memo
+    skeleton, carriers, phased = _memoized(_zx_memo, key,
+                                           lambda: _translate(c))
     d = skeleton.copy()
     spiders = d.spiders
     for v, g in zip(phased, [g for g in c.gates if g.op == "phase"]):
@@ -188,7 +184,7 @@ def to_zx_tracked(c: Circuit):
 
 def _translate(c: Circuit):
     """The translation of ``c``, its carriers, and the phase gates'
-    carriers in gate order."""
+    carriers, each in gate order."""
     d = ZxDiagram()
     last = [d.add_spider(SpiderKind.Z, ZERO) for _ in range(c.width)]
     d.inputs = list(last)
@@ -225,7 +221,7 @@ def _translate(c: Circuit):
         d.add_edge(last[wire], v, pending[wire])
         outs.append(v)
     d.outputs = outs
-    return d, carriers, tuple(phased)
+    return d, tuple(carriers), tuple(phased)
 
 
 def to_zx(c: Circuit) -> ZxDiagram:

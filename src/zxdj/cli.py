@@ -12,7 +12,8 @@ import json
 import sys
 
 from .circuit import (
-    Circuit, dj_run_circuit, dj_verdict, plus_amplitude, to_zx_tracked)
+    Circuit, _check_width, dj_run_circuit, dj_verdict, plus_amplitude,
+    to_zx_tracked)
 from .diagram import ZxDiagram
 from .errors import WidthTooLargeError, ZxError
 from .mbqc import (
@@ -120,28 +121,34 @@ _MALFORMED = (KeyError, ValueError, TypeError, RecursionError)
 
 
 def _load_circuit(path: str) -> Circuit:
+    """Load a circuit document no wider than ``circuit.MAX_WIDTH``."""
     try:
         with open(path) as fh:
-            return Circuit.from_json(fh.read())
+            c = Circuit.from_json(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read circuit file: {exc}")
     except _MALFORMED as exc:
         raise UsageError(f"malformed circuit JSON: {exc}")
+    _check_width(c)
+    return c
 
 
 def _load_pattern(path: str) -> MeasurementPattern:
     """Load a pattern document, or a ``compile-mbqc`` or ``lattice`` output
-    whose ``"pattern"`` key holds one."""
+    whose ``"pattern"`` key holds one; ``NotGraphLikeError`` when it fails
+    ``MeasurementPattern.validate``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         if isinstance(doc, dict) and "pattern" in doc:
             doc = doc["pattern"]
-        return MeasurementPattern.from_json_dict(doc)
+        p = MeasurementPattern.from_json_dict(doc)
     except OSError as exc:
         raise UsageError(f"cannot read pattern file: {exc}")
     except _MALFORMED as exc:
         raise UsageError(f"malformed pattern JSON: {exc}")
+    p.validate()
+    return p
 
 
 # The phase gates of oracle_circuit_3q whose carriers are read out: the

@@ -38,7 +38,7 @@ from .oracle import (
     two_qubit_spider_angles,
 )
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
-from .rewrite import _remember, simplify_core
+from .rewrite import _memoized, simplify_core
 from .tensor import collapse_floor, evaluate
 
 
@@ -437,7 +437,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-# run_exact's preludes by pattern shape, up to MEMO_SHAPES.
+# run_exact's preludes by pattern shape (see run_exact).
 _exact_memo: dict[tuple, tuple[tuple, tuple[int, ...], tuple[bool, ...]]] = {}
 
 
@@ -486,11 +486,11 @@ def run_exact(p: MeasurementPattern) -> PatternOutcome:
     ``PreconditionFailed`` on an angle that is no multiple of pi/2.
 
     The qubit order and the adjacency rows with the z-basis qubits dropped
-    depend only on the qubit ids, the edges and the z-basis set.  They are
-    memoized by that shape for up to ``rewrite.MEMO_SHAPES`` shapes (see
-    :func:`_exact_prelude`), so each call only maps its angles to quarter
+    (:func:`_exact_prelude`) depend only on the qubit ids, the edges and the
+    z-basis set, and are memoized by that shape (see
+    ``rewrite._memoized``), so each call only maps its angles to quarter
     turns and runs the elimination.  A pattern with an angle that is no
-    multiple of pi/2 raises before the memo is read, so it stores nothing.
+    multiple of pi/2 raises before the memo is read.
     """
     p.validate()
     turns = _clifford_turns(p)
@@ -506,11 +506,8 @@ def _sum_exact(p: MeasurementPattern,
     """:func:`run_exact` on a valid pattern, given each qubit's quarter
     turns."""
     key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.z_basis))
-    prelude = _exact_memo.get(key)
-    if prelude is None:
-        prelude = _exact_prelude(p)
-        _remember(_exact_memo, key, prelude)
-    qubits, rows, free = prelude
+    qubits, rows, free = _memoized(_exact_memo, key,
+                                   lambda: _exact_prelude(p))
     turns = [by_qubit[q] for q in qubits]
     adj, live = list(rows), list(free)
     k = a = b = 0
@@ -656,31 +653,28 @@ MAX_FRONTIER = 12
 # exceeds 2^18 amplitudes.  Each block draws its own random numbers, so the
 # block size is part of what a seed's output depends on.
 _BLOCK_AMPLITUDES = 1 << 18
-# Sampling plans by pattern shape (see run_sampled), up to MEMO_SHAPES.
+# Sampling plans by pattern shape (see run_sampled).
 _plan_memo: dict[tuple, tuple[list["_Step"], int]] = {}
 
 
 @dataclass(frozen=True)
 class _Step:
-    """One measurement: add ``added`` qubits as |+>, multiply by the CZ
-    ``signs`` (or none), then measure frontier bit ``bit``.  Everything
-    here depends on the pattern's shape alone, never on its angles.
+    """One measurement of qubit ``qubit``: add ``added`` qubits as |+>,
+    multiply by the CZ ``signs`` (or none), then measure frontier bit
+    ``bit``.  Everything here depends on the pattern's shape alone, never
+    on its angles.
 
     ``flips`` is this step's slice of the plan's flip table: row o is what
     outcome o XORs onto a branch's pending weight indices, one per step.
-    Row 0 is zero; row 1 holds 2 at each later step whose qubit is in
-    ``x_rows`` and 1 at each in ``z_rows``, and 4 at this step itself when
-    it is a readout, which records the readout bit.  ``row``, ``x_rows``
-    and ``z_rows`` name the same byproducts by qubit row."""
+    Row 0 is zero.  Row 1 holds the byproducts of the qubit v measured
+    here: 2 at each later step whose qubit is in g(v) (an X byproduct) and
+    1 at each in Odd(g(v)) \\ {v} (a Z byproduct), and 4 at this step
+    itself when v is a readout, which records the readout bit."""
 
     qubit: int
     added: int
     signs: np.ndarray | None
     bit: int
-    row: int            # the qubit's index in qubit order
-    x_rows: list[int]   # g(v): X byproduct on outcome 1
-    z_rows: list[int]   # Odd(g(v)) \ {v}: Z byproduct on outcome 1
-    readout: bool
     flips: np.ndarray   # (2, steps) uint8, read-only
 
 
@@ -707,7 +701,6 @@ def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
     wider than ``MAX_FRONTIER``.
     """
     adj = _adjacency(p)
-    row = {q: i for i, q in enumerate(p.qubits())}
     readouts = set(p.readouts)
     order = sorted(g, key=lambda u: (-layer[u], u)) + list(p.readouts)
     step_of = {q: k for k, q in enumerate(order)}
@@ -740,13 +733,9 @@ def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
             raise WidthTooLargeError(
                 f"sampling needs a {len(front)}-qubit frontier; "
                 f"the cap is {MAX_FRONTIER}")
-        k = g.get(v, frozenset())
         steps.append(_Step(
             v, added, _cz_signs(len(front), pairs) if pairs else None,
-            front.index(v), row[v],
-            [row[q] for q in sorted(k)],
-            [row[q] for q in sorted(_odd(adj, k) - {v})],
-            v in readouts, flip))
+            front.index(v), flip))
         front.remove(v)
     return steps, width
 
@@ -765,8 +754,8 @@ def _squared_norms(b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _sample_block(steps: list[_Step], bras: np.ndarray, n_qubits: int,
-                  shots: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_block(steps: list[_Step], bras: np.ndarray, shots: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """Run ``shots`` shots of the schedule at once; True where a shot read
     some readout bit as 1 (a Balanced answer).
 
@@ -786,8 +775,7 @@ def _sample_block(steps: list[_Step], bras: np.ndarray, n_qubits: int,
     min(shots, 2^steps) rows.  A shot is Balanced when its row holds a 4,
     which a readout's outcome 1 writes.  A child no shot can reach may have
     zero norm; its row then holds NaN, and numpy's warnings for that are
-    silenced, since no shot reads it.  ``n_qubits`` is unused: the
-    byproducts live in the flip table.
+    silenced, since no shot reads it.
     """
     state = np.ones((1, 1), dtype=complex)
     pending = np.zeros((1, len(steps)), dtype=np.uint8)
@@ -850,35 +838,30 @@ def run_sampled(p: MeasurementPattern, seed: int = 2024,
 
     The gflow and the schedule built from it, flip table included, depend
     only on the pattern's shape: its qubit ids, edges, readouts in order and
-    z-basis set.  They are memoized by that shape for up to
-    ``rewrite.MEMO_SHAPES`` shapes, and each call only computes the
-    measurement weights from its own angles.
+    z-basis set.  They are memoized by that shape (see
+    ``rewrite._memoized``), and each call only computes the measurement
+    weights from its own angles.
     Raises ``NoFlowError`` without a gflow and ``WidthTooLargeError`` when
-    the frontier would exceed ``MAX_FRONTIER`` qubits; such a shape is not
-    memoized, so a repeat raises again.  Raises ``ValueError`` when
-    ``shots`` or ``seed`` is no integer (a bool or None is not one; a numpy
-    integer is), when ``shots`` is below 1, since no shot gives no
-    majority, and when ``seed`` is negative.  Every run is seeded, so a
-    repeat call gives the same output.
+    the frontier would exceed ``MAX_FRONTIER`` qubits.  Raises
+    ``ValueError`` when ``shots`` or ``seed`` is no integer (a bool or None
+    is not one; a numpy integer is), when ``shots`` is below 1, since no
+    shot gives no majority, and when ``seed`` is negative.  Every run is
+    seeded, so a repeat call gives the same output.
     """
     shots = _integer("shots", shots, 1)
     seed = _integer("seed", seed, 0)
     p.validate()
     key = (frozenset(p.angles), frozenset(p.edges), tuple(p.readouts),
            frozenset(p.z_basis))
-    plan = _plan_memo.get(key)
-    if plan is None:
-        g, layer = find_gflow(p)
-        plan = _sampling_plan(p, g, layer)
-        _remember(_plan_memo, key, plan)
-    steps, width = plan
+    steps, width = _memoized(_plan_memo, key,
+                             lambda: _sampling_plan(p, *find_gflow(p)))
     bras = _bras(p, steps)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_AMPLITUDES >> width)
     constant_shots = 0
     for start in range(0, shots, block):
         n = min(block, shots - start)
-        balanced = _sample_block(steps, bras, len(p.angles), n, rng)
+        balanced = _sample_block(steps, bras, n, rng)
         constant_shots += n - int(np.count_nonzero(balanced))
     majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
     agreeing = constant_shots if majority is Verdict.CONSTANT else shots - constant_shots
@@ -964,9 +947,27 @@ class _Reduction(NamedTuple):
     formulas: tuple
 
 
-# Lattice reductions by key (see reduce_lattice), up to MEMO_SHAPES; a stuck
-# key holds its ReductionStuckError message instead.
+# Lattice reductions by key (see reduce_lattice); a stuck key holds its
+# ReductionStuckError message instead.
 _lattice_memo: dict[tuple, _Reduction | str] = {}
+
+
+def _reduction(p: MeasurementPattern, qubits: list[int]) -> _Reduction | str:
+    """Reduce ``p``, whose qubits in ascending order are ``qubits``, or say
+    which spiders leave it stuck."""
+    d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
+    carriers = {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS}
+    steps = []
+    formulas = simplify_core(d, set(carriers), steps)
+    stuck = sorted(v for v in d.spiders
+                   if v not in carriers and d.degree(v) <= 2)
+    if stuck:
+        return f"spiders {stuck} outside the carriers survive with degree <= 2"
+    r = pattern_from_graph_like(d, [qubits.index(q) for q in p.readouts])
+    return _Reduction(
+        r.angles, tuple(r.edges), tuple(r.readouts), tuple(steps),
+        tuple((v, constant, tuple(qubits[c] for c in inputs))
+              for v, constant, inputs in formulas))
 
 
 def reduce_lattice(p: MeasurementPattern):
@@ -977,13 +978,13 @@ def reduce_lattice(p: MeasurementPattern):
     ``ReductionStuckError`` when a non-carrier survives with degree at
     most 2, as a missing spare or a tampered angle can leave.
 
-    Memoized for up to ``rewrite.MEMO_SHAPES`` keys: the sorted qubit ids
+    Memoized (see ``rewrite._memoized``) per key: the sorted qubit ids
     (which fix the carriers), the edges in iteration order (which number the
     diagram's edges), the z-basis set, the readouts in order and the
     non-carrier angles in qubit order.  No rule reads a carrier's angle, so
-    all 72 variants share a key, and a repeat builds no diagram: a survivor's
-    angle is a stored constant plus the carrier angles fused into it.  A
-    stuck key raises again on every repeat."""
+    all 72 variants share a key, and only a miss builds a diagram: a
+    survivor's angle is a stored constant plus the carrier angles fused
+    into it.  A stuck key stores its message, so a repeat raises again."""
     if not p.angles:
         return p, []
     p.validate()
@@ -991,26 +992,7 @@ def reduce_lattice(p: MeasurementPattern):
     key = (tuple(qubits), tuple(p.edges), frozenset(p.z_basis),
            tuple(p.readouts), tuple([p.angles[q] for q in qubits
                                      if q not in _LATTICE_CARRIER_IDS]))
-    memo = _lattice_memo.get(key)
-    if memo is None:
-        d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
-        carriers = {v for v, q in enumerate(qubits)
-                    if q in _LATTICE_CARRIER_IDS}
-        steps = []
-        formulas = simplify_core(d, set(carriers), steps)
-        stuck = sorted(v for v in d.spiders
-                       if v not in carriers and d.degree(v) <= 2)
-        if stuck:
-            memo = (f"spiders {stuck} outside the carriers survive with "
-                    "degree <= 2")
-        else:
-            r = pattern_from_graph_like(
-                d, [qubits.index(q) for q in p.readouts])
-            memo = _Reduction(
-                r.angles, tuple(r.edges), tuple(r.readouts), tuple(steps),
-                tuple((v, constant, tuple(qubits[c] for c in inputs))
-                      for v, constant, inputs in formulas))
-        _remember(_lattice_memo, key, memo)
+    memo = _memoized(_lattice_memo, key, lambda: _reduction(p, qubits))
     if isinstance(memo, str):
         raise ReductionStuckError(memo)
     angles = dict(memo.angles)

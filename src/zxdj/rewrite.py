@@ -5,16 +5,19 @@ describing what happened.  All rules preserve the diagram's tensor up to a
 nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
-The simplifier core :func:`simplify_core` is memoized inside
-:func:`simplify_mbqc` per rewrite key: the diagram's shape
-(:func:`_shape_key`), its spider kinds, its next spider and edge ids, the
-protected set and the phases of the unprotected spiders.  No rule reads a
-protected phase, so that key fixes the trace and the reduced graph, and
-each survivor's phase is a constant plus the phases of the protected input
-spiders fused into it.  A repeat key only evaluates those formulas on a
-copy of the stored result.  Up to ``MEMO_SHAPES`` keys stay memoized,
-evicted first-in; ``circuit`` and ``mbqc`` keep their own memos with the
-same helpers.
+The package's five memos (``circuit._zx_memo``, ``_rewrite_memo``,
+``mbqc._exact_memo``, ``mbqc._plan_memo``, ``mbqc._lattice_memo``) share
+one policy, kept in :func:`_memoized` alone: a record is built on a miss
+only, at most ``MEMO_SHAPES`` keys stay, the first one in is evicted
+first, and a build that raises stores nothing.  Each caller reads a record
+the same way on a miss as on a hit, so the memos differ only in their keys.
+
+:func:`simplify_mbqc` memoizes the simplifier core :func:`simplify_core`
+per rewrite key: the diagram's shape (:func:`_shape_key`), its spider
+kinds, its next spider and edge ids, the protected set and the phases of
+the unprotected spiders.  No rule reads a protected phase, so that key
+fixes the trace and the reduced graph, and each survivor's phase is a
+constant plus the phases of the protected input spiders fused into it.
 """
 
 from __future__ import annotations
@@ -430,7 +433,7 @@ def _drive(d: ZxDiagram, protected: set[int], steps: list[RewriteStep],
 _RULES = ((1, _state_rule), (2, _hadamard_wire_rule), (2, _clifford_wire_rule))
 
 
-# Keys a memo holds; past this many, the key memoized first is evicted first.
+# Keys a memo holds (see _memoized).
 MEMO_SHAPES = 64
 
 
@@ -444,10 +447,18 @@ def _shape_key(d: ZxDiagram) -> tuple:
             tuple(d.inputs), tuple(d.outputs))
 
 
-def _remember(memo: dict, key: tuple, value) -> None:
+def _memoized(memo: dict, key, build):
+    """``memo[key]``, which ``build()`` makes on a miss (see the module
+    docstring for the policy)."""
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    value = build()
     if len(memo) >= MEMO_SHAPES:
         del memo[next(iter(memo))]
     memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -511,27 +522,28 @@ def simplify_core(d: ZxDiagram, protected: set[int],
     return _phase_formulas(d, inputs, steps[start:])
 
 
+def _rewrite(d: ZxDiagram, protected) -> _Rewrite:
+    """The record of ``d``; it keeps a copy of the reduced diagram, whose
+    dicts the deletions left sparse and slow to copy on each replay."""
+    reduced, steps = d.copy(), []
+    formulas = simplify_core(reduced, set(protected), steps)
+    return _Rewrite(reduced.copy(), tuple(steps), formulas)
+
+
 def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
     """Reduce a (closable) circuit translation to a graph-like closed diagram.
 
-    Runs :func:`simplify_core` on a copy of ``d``, memoized per rewrite key
-    (see the module docstring): a repeat key returns a copy of the stored
-    result, each survivor's phase evaluated on the protected phases ``d``
-    holds now, and runs no rule.  A raise memoizes nothing.  ``protected``
-    spiders are the oracle's parameter carriers: they survive the cleanup
-    so that every oracle variant compiles to the same graph shape
-    regardless of which phases happen to vanish, and it is their phases
-    alone that vary between variants.  Returns the reduced diagram and the
-    full step trace.
+    Memoized per rewrite key (see the module docstring): every call returns
+    a copy of the key's reduced diagram, each survivor's phase evaluated on
+    the protected phases ``d`` holds now, and a copy of its trace; only a
+    miss runs the rules.  ``protected`` spiders are the oracle's parameter
+    carriers: they survive the cleanup so that every oracle variant
+    compiles to the same graph shape regardless of which phases happen to
+    vanish, and it is their phases alone that vary between variants.
+    Returns the reduced diagram and the full step trace.
     """
-    key = _rewrite_key(d, protected)
-    memo = _rewrite_memo.get(key)
-    if memo is None:
-        result, steps = d.copy(), []
-        formulas = simplify_core(result, set(protected), steps)
-        _remember(_rewrite_memo, key,
-                  _Rewrite(result.copy(), tuple(steps), formulas))
-        return result, steps
+    memo = _memoized(_rewrite_memo, _rewrite_key(d, protected),
+                     lambda: _rewrite(d, protected))
     result = memo.reduced.copy()
     for v, constant, ps in memo.formulas:
         for p in ps:

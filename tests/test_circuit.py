@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxdj import circuit, rewrite
+from zxdj import circuit
 from zxdj.circuit import (
     Circuit,
     Gate,
@@ -280,15 +280,6 @@ def test_zx_memo_hands_out_fresh_diagrams(monkeypatch):
         d.outputs.clear()
         carriers.append(99)
         assert _translation(c) == expected
-
-
-def test_zx_memo_stays_within_memo_shapes(monkeypatch):
-    monkeypatch.setattr(circuit, "_zx_memo", {})
-    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
-    for width in range(1, 11):
-        to_zx_tracked(Circuit(width, [phase_gate(width - 1, PI)]))
-        assert len(circuit._zx_memo) <= 4
-    assert [key[0] for key in circuit._zx_memo] == [7, 8, 9, 10]
 
 
 # -- promise runs ------------------------------------------------------------

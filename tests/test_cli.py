@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from zxdj import mbqc, tensor
 from zxdj.cli import main
-from zxdj.circuit import Circuit, hadamard, pauli_z, plus_amplitude
+from zxdj.circuit import (
+    MAX_WIDTH, Circuit, hadamard, pauli_z, plus_amplitude)
 from zxdj.mbqc import (
     MeasurementPattern,
     dj_pattern_2q,
@@ -130,22 +131,37 @@ _gates = st.fixed_dictionaries(
     optional={"phase": st.sampled_from(["1/4", "1", "1/0", "pi"])
               | _json_values})
 _circuit_docs = st.fixed_dictionaries(
-    {"width": st.sampled_from([-1, 0, 1, 2, 3, 11, 2.0, 1.5, "2", True])
+    {"width": st.sampled_from([-1, 0, 1, 2, 3, 11, 10 ** 6, 2.0, 1.5, "2",
+                               True])
      | _json_values,
      "gates": st.lists(_gates, max_size=4) | _json_values})
 
 
-@given(st.one_of(_circuit_docs.map(json.dumps), _json_values.map(json.dumps),
-                 st.text(max_size=20)))
-@settings(max_examples=150, deadline=None)
-def test_simulate_circuit_fuzz_keeps_the_contract(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("fuzz") / "circuit.json"
+def _assert_document_contract(root, command, flag, text):
+    """Run ``command`` on ``text`` as its ``flag`` file: exit 0, 1 or 2 and
+    exactly one JSON document on stdout.  export-dot writes its DOT file
+    into ``root``."""
+    path = root / "input.json"
     path.write_text(text)
+    argv = [*command.split(), flag, str(path)]
+    if command == "export-dot":
+        argv += ["--out", str(root / "out.dot")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["simulate", "--circuit", str(path)])
+        code = main(argv)
     assert code in (0, 1, 2)
-    json.loads(out.getvalue())  # exactly one JSON document
+    json.loads(out.getvalue())
+
+
+@given(st.one_of(_circuit_docs.map(json.dumps), _json_values.map(json.dumps),
+                 st.text(max_size=20)),
+       st.sampled_from(["simulate", "compile-mbqc", "export-dot"]))
+@settings(max_examples=150, deadline=None)
+def test_simulate_circuit_fuzz_keeps_the_contract(tmp_path_factory, text,
+                                                 command):
+    # every command that takes --circuit, despite the name
+    _assert_document_contract(tmp_path_factory.mktemp("fuzz"), command,
+                              "--circuit", text)
 
 
 _ids = st.sampled_from([0, 1, 2, 3, -1, 1.0, True, "a", "1", None])
@@ -198,17 +214,44 @@ _pattern_texts = st.one_of(
     _json_values.map(json.dumps) | st.text(max_size=20))
 
 
-@given(_pattern_texts, st.sampled_from([[], ["--shots", "10"]]))
+@given(_pattern_texts,
+       st.sampled_from(["simulate", "simulate --shots 10", "export-dot"]))
 @settings(max_examples=150, deadline=None)
 def test_simulate_pattern_fuzz_keeps_the_contract(tmp_path_factory, text,
-                                                 shots):
-    path = tmp_path_factory.mktemp("fuzz") / "pattern.json"
-    path.write_text(text)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["simulate", "--pattern", str(path), *shots])
-    assert code in (0, 1, 2)
-    json.loads(out.getvalue())  # exactly one JSON document
+                                                 command):
+    # every command that takes --pattern, despite the name
+    _assert_document_contract(tmp_path_factory.mktemp("fuzz"), command,
+                              "--pattern", text)
+
+
+@pytest.mark.parametrize("edges", [[[0, 0]], [[0, 5]]],
+                         ids=["self-edge", "unknown-qubit"])
+def test_export_dot_refuses_an_invalid_pattern(capsys, tmp_path, edges):
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps({"qubits": [{"id": 0, "angle": "0"}],
+                                "edges": edges, "readouts": [0]}))
+    dot = tmp_path / "pattern.dot"
+    code, out = run(capsys, "export-dot", "--pattern", str(path),
+                    "--out", str(dot))
+    assert code == 1
+    assert not dot.exists()
+    # the error simulate --pattern gives on the same file
+    assert (code, out) == run(capsys, "simulate", "--pattern", str(path))
+    assert list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compile-mbqc", "export-dot"])
+def test_every_circuit_command_caps_the_width(capsys, tmp_path, command):
+    path = tmp_path / "circuit.json"
+    argv = [command, "--circuit", str(path)]
+    if command == "export-dot":
+        argv += ["--out", str(tmp_path / "circuit.dot")]
+    for width, code in ((MAX_WIDTH, 0), (MAX_WIDTH + 1, 1)):
+        path.write_text(json.dumps({"width": width, "gates": []}))
+        got, out = run(capsys, *argv)
+        assert got == code, width
+    assert json.loads(out) == {
+        "error": f"width {MAX_WIDTH + 1} exceeds {MAX_WIDTH}"}
 
 
 def test_simulate_pattern_with_mixed_id_types_exits_2(capsys, tmp_path):

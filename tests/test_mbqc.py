@@ -594,30 +594,49 @@ def test_run_sampled_follows_born_probabilities():
         assert abs(constant / shots - prob) <= 5 * sigma + 1e-9, (p, prob)
 
 
-# The per-shot sampler that branch merging replaced, kept as the reference:
-# one state row, signal column and balanced flag per shot.
-def _per_shot_sample_block(steps, bras, n_qubits, shots, rng):
-    state = np.ones((shots, 1), dtype=complex)
-    signals = np.zeros((n_qubits, shots), dtype=np.uint8)
-    balanced = np.zeros(shots, dtype=bool)
-    for s, bra in zip(steps, bras):
-        if s.added:
-            state = np.repeat(state, 1 << s.added, axis=1)
-        if s.signs is not None:
-            state *= s.signs
-        halves = state.reshape(shots, 1 << s.bit, 2, -1)
-        lifted = bra[signals[s.row]][:, None, None] * halves[:, :, 1]
-        b0 = halves[:, :, 0] + lifted
-        b1 = halves[:, :, 0] - lifted
-        n0, n1 = mbqc._squared_norms(b0), mbqc._squared_norms(b1)
-        one = rng.random(shots) >= n0 / (n0 + n1)
-        state = np.where(one[:, None, None], b1, b0).reshape(shots, -1)
-        state /= np.sqrt(np.where(one, n1, n0))[:, None]
-        signals[s.x_rows] ^= one.astype(np.uint8) << 1
-        signals[s.z_rows] ^= one.astype(np.uint8)
-        if s.readout:
-            balanced |= one
-    return balanced
+def _byproducts(p):
+    """Per qubit v, the qubits an outcome 1 at v gives an X byproduct (g(v))
+    and a Z byproduct (Odd(g(v)) minus v), straight from the gflow."""
+    g, _ = find_gflow(p)
+    adj = mbqc._adjacency(p)
+    return {v: (g.get(v, frozenset()),
+                mbqc._odd(adj, g.get(v, frozenset())) - {v})
+            for v in p.angles}
+
+
+def _per_shot_sampler(p):
+    """The per-shot sampler that branch merging replaced, kept as the
+    reference for ``p``: one state row, signal and Balanced flag per shot,
+    with the byproducts taken from the gflow, not the plan's flip table."""
+    byproducts = _byproducts(p)
+
+    def sample(steps, bras, shots, rng):
+        state = np.ones((shots, 1), dtype=complex)
+        signals = {q: np.zeros(shots, dtype=np.uint8) for q in p.angles}
+        balanced = np.zeros(shots, dtype=bool)
+        for s, bra in zip(steps, bras):
+            if s.added:
+                state = np.repeat(state, 1 << s.added, axis=1)
+            if s.signs is not None:
+                state *= s.signs
+            halves = state.reshape(shots, 1 << s.bit, 2, -1)
+            lifted = bra[signals[s.qubit]][:, None, None] * halves[:, :, 1]
+            b0 = halves[:, :, 0] + lifted
+            b1 = halves[:, :, 0] - lifted
+            n0, n1 = mbqc._squared_norms(b0), mbqc._squared_norms(b1)
+            one = rng.random(shots) >= n0 / (n0 + n1)
+            state = np.where(one[:, None, None], b1, b0).reshape(shots, -1)
+            state /= np.sqrt(np.where(one, n1, n0))[:, None]
+            x_byproduct, z_byproduct = byproducts[s.qubit]
+            for q in x_byproduct:
+                signals[q] ^= one.astype(np.uint8) << 1
+            for q in z_byproduct:
+                signals[q] ^= one.astype(np.uint8)
+            if s.qubit in p.readouts:
+                balanced |= one
+        return balanced
+
+    return sample
 
 
 def _sampled_outcomes(block_sampler, p, seed, shots):
@@ -628,8 +647,7 @@ def _sampled_outcomes(block_sampler, p, seed, shots):
     rng = np.random.default_rng(seed)
     block = max(1, mbqc._BLOCK_AMPLITUDES >> width)
     return np.concatenate([
-        block_sampler(steps, bras, len(p.angles), min(block, shots - start),
-                      rng)
+        block_sampler(steps, bras, min(block, shots - start), rng)
         for start in range(0, shots, block)])
 
 
@@ -665,14 +683,14 @@ def test_branch_merged_sampler_matches_per_shot_on_promise_patterns():
     assert len(patterns) == 4 + 8 + 72
     for i, p in enumerate(patterns):
         for seed in (i, 2024):
-            want = _sampled_outcomes(_per_shot_sample_block, p, seed, 1000)
+            want = _sampled_outcomes(_per_shot_sampler(p), p, seed, 1000)
             got = _sampled_outcomes(mbqc._sample_block, p, seed, 1000)
             assert np.array_equal(got, want), (i, seed)
 
 
 def test_branch_merged_sampler_matches_per_shot_on_random_patterns():
     for i, p in enumerate(_random_flow_patterns(17, 150)):
-        want = _sampled_outcomes(_per_shot_sample_block, p, i, 777)
+        want = _sampled_outcomes(_per_shot_sampler(p), p, i, 777)
         got = _sampled_outcomes(mbqc._sample_block, p, i, 777)
         assert np.array_equal(got, want), p
 
@@ -681,7 +699,7 @@ def test_branch_merged_sampler_matches_per_shot_across_blocks(monkeypatch):
     monkeypatch.setattr(mbqc, "_BLOCK_AMPLITUDES", 1 << 9)
     blocks = 0
     for i, p in enumerate(_random_flow_patterns(23, 20)):
-        want = _sampled_outcomes(_per_shot_sample_block, p, i, 777)
+        want = _sampled_outcomes(_per_shot_sampler(p), p, i, 777)
         got = _sampled_outcomes(mbqc._sample_block, p, i, 777)
         assert np.array_equal(got, want), p
         out = run_sampled(p, seed=i, shots=777)
@@ -747,11 +765,10 @@ def test_sampler_grows_the_whole_tree_until_it_outgrows_the_shots(
             counts |= {2 ** j - 1, 2 ** j, 2 ** j + 1}
         for shots in sorted(counts):
             for seed in (0, shots):
-                want = _per_shot_sample_block(
-                    steps, bras, len(p.angles), shots,
-                    np.random.default_rng(seed))
+                want = _per_shot_sampler(p)(
+                    steps, bras, shots, np.random.default_rng(seed))
                 rows.clear()
-                got = mbqc._sample_block(steps, bras, len(p.angles), shots,
+                got = mbqc._sample_block(steps, bras, shots,
                                          np.random.default_rng(seed))
                 assert np.array_equal(got, want), (shots, seed)
                 assert len(rows) == k and rows[0] == 1
@@ -772,15 +789,19 @@ def test_flip_table_matches_the_byproducts_of_each_step():
         table = steps[0].flips.base
         assert table.shape == (len(steps), 2, len(steps))
         assert not table.flags.writeable
+        byproducts = _byproducts(p)
         for k, s in enumerate(steps):
             assert s.flips.base is table and not s.flips.any(axis=1)[0]
             # the signals the per-shot reference sets on outcome 1 here
-            signals = np.zeros(len(p.angles), dtype=np.uint8)
-            signals[s.x_rows] ^= 2
-            signals[s.z_rows] ^= 1
-            want = signals[[t.row for t in steps]]
+            signals = dict.fromkeys(p.angles, 0)
+            x_byproduct, z_byproduct = byproducts[s.qubit]
+            for q in x_byproduct:
+                signals[q] ^= 2
+            for q in z_byproduct:
+                signals[q] ^= 1
+            want = np.array([signals[t.qubit] for t in steps], dtype=np.uint8)
             assert want[k] == 0  # no byproduct lands on the measured qubit
-            want[k] = 4 if s.readout else 0
+            want[k] = 4 if s.qubit in p.readouts else 0
             assert np.array_equal(s.flips[1], want), (p, k)
 
 
@@ -850,16 +871,6 @@ def test_plan_memo_stores_no_failure(monkeypatch):
             with pytest.raises(error):
                 run_sampled(p, shots=5)
         assert mbqc._plan_memo == {}
-
-
-def test_plan_memo_stays_within_memo_shapes(monkeypatch):
-    monkeypatch.setattr(mbqc, "_plan_memo", {})
-    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
-    for n in range(1, 11):
-        run_sampled(_open_graph(n, [(q, q + 1) for q in range(n - 1)],
-                                [n - 1]), shots=5)
-        assert len(mbqc._plan_memo) <= 4
-    assert len(mbqc._plan_memo) == 4
 
 
 # -- lattice embedding -------------------------------------------------------
@@ -1137,20 +1148,6 @@ def test_lattice_memo_keys_on_non_carrier_angles_and_readouts(monkeypatch):
     assert len(mbqc._lattice_memo) == 3
 
 
-def test_lattice_memo_stays_within_memo_shapes(monkeypatch):
-    _diagram_builds(monkeypatch)
-    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
-    base = lattice_pattern_3q(BooleanFunction(3, 0))
-    keys = [order for r in (1, 2, 3)
-            for order in itertools.permutations(base.readouts, r)]
-    for order in keys:
-        p = lattice_pattern_3q(BooleanFunction(3, 0))
-        p.readouts = list(order)
-        reduce_lattice(p)
-        assert len(mbqc._lattice_memo) <= 4
-    assert [k[3] for k in mbqc._lattice_memo] == keys[-4:]
-
-
 def test_reduce_lattice_stuck_on_missing_spare():
     p = lattice_pattern_3q(BooleanFunction(3, 0))
     gone = 12  # grid position (3, 1)
@@ -1282,15 +1279,6 @@ def test_exact_memo_keeps_no_part_of_the_pattern(monkeypatch):
     assert len(calls) == 5
     assert run_exact(lattice_pattern_3q(f)) == first
     assert len(calls) == 5
-
-
-def test_exact_memo_stays_within_memo_shapes(monkeypatch):
-    _prelude_calls(monkeypatch)
-    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
-    for n in range(1, 11):
-        run_exact(_open_graph(n, [(q, q + 1) for q in range(n - 1)], [n - 1]))
-        assert len(mbqc._exact_memo) <= 4
-    assert [len(key[0]) for key in mbqc._exact_memo] == [7, 8, 9, 10]
 
 
 def test_run_exact_small_cases():

@@ -1,5 +1,6 @@
 """Rewrite rules: targeted examples, soundness, involutions."""
 
+import itertools
 import random
 
 import pytest
@@ -13,9 +14,13 @@ from zxdj.errors import (
     UnknownNodeError,
     WouldSelfLoopError,
 )
-from zxdj import rewrite
+from zxdj import circuit, mbqc, rewrite
 from zxdj.circuit import (
     Circuit, cnot, hadamard, phase_gate, to_zx, to_zx_tracked)
+from zxdj.mbqc import (
+    MeasurementPattern, lattice_pattern_3q, reduce_lattice, run_exact,
+    run_sampled)
+from zxdj.oracle import BooleanFunction
 from zxdj.phase import HALF_PI, MINUS_HALF_PI, PI, Phase, ZERO
 from zxdj.rewrite import (
     MEMO_SHAPES,
@@ -581,6 +586,79 @@ def test_memo_keeps_memo_shapes_first_in(monkeypatch):
         simplify_mbqc(d)
     assert len(rewrite._rewrite_memo) == MEMO_SHAPES
     assert list(rewrite._rewrite_memo) == keys[-MEMO_SHAPES:]
+
+
+def test_memoized_builds_on_a_miss_alone(monkeypatch):
+    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 3)
+    memo, builds = {}, []
+
+    def build(key):
+        return lambda: builds.append(key) or [key]
+
+    first = rewrite._memoized(memo, 1, build(1))
+    assert first == [1] and builds == [1]
+    # a hit builds nothing and returns what the miss returned
+    assert rewrite._memoized(memo, 1, build("again")) is first
+    assert builds == [1]
+    for key in (2, 3, 4):
+        rewrite._memoized(memo, key, build(key))
+    assert list(memo) == [2, 3, 4]  # at most MEMO_SHAPES keys, first in out
+    rewrite._memoized(memo, 2, build("again"))  # a hit does not refresh 2
+    rewrite._memoized(memo, 5, build(5))
+    assert list(memo) == [3, 4, 5] and builds == [1, 2, 3, 4, 5]
+
+    def refuse():
+        raise PreconditionFailed("refused")
+
+    with pytest.raises(PreconditionFailed):
+        rewrite._memoized(memo, 6, refuse)
+    assert list(memo) == [3, 4, 5]  # a raise stores and evicts nothing
+
+
+def _chain(n):
+    """An n-qubit path at angle 0, read out at its last qubit."""
+    return MeasurementPattern(dict.fromkeys(range(n), ZERO),
+                              {frozenset((q, q + 1)) for q in range(n - 1)},
+                              [n - 1])
+
+
+def _lattice_read_out(order):
+    p = lattice_pattern_3q(BooleanFunction(3, 0))
+    p.readouts = list(order)
+    return p
+
+
+_LATTICE_READOUTS = [
+    order for r in (1, 2, 3) for order in itertools.permutations(
+        lattice_pattern_3q(BooleanFunction(3, 0)).readouts, r)]
+
+# Each memo, and a call that misses it with a new key for each i in 0..9.
+_MEMOS = {
+    "zx": (circuit, "_zx_memo", lambda i: to_zx_tracked(
+        Circuit(i + 1, [phase_gate(i, PI)]))),
+    "rewrite": (rewrite, "_rewrite_memo",
+                lambda i: simplify_mbqc(new_diagram(i + 1, i + 1))),
+    "exact": (mbqc, "_exact_memo", lambda i: run_exact(_chain(i + 1))),
+    "plan": (mbqc, "_plan_memo",
+             lambda i: run_sampled(_chain(i + 1), shots=5)),
+    "lattice": (mbqc, "_lattice_memo", lambda i: reduce_lattice(
+        _lattice_read_out(_LATTICE_READOUTS[i]))),
+}
+
+
+@pytest.mark.parametrize("name", _MEMOS)
+def test_every_memo_stays_within_memo_shapes(monkeypatch, name):
+    module, attr, call = _MEMOS[name]
+    monkeypatch.setattr(module, attr, {})
+    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
+    keys = []
+    for i in range(10):
+        call(i)
+        memo = getattr(module, attr)
+        assert len(memo) == min(i + 1, 4)
+        keys.append(list(memo)[-1])
+    assert len(set(keys)) == 10
+    assert list(memo) == keys[-4:]
 
 
 def test_memo_stores_nothing_when_the_search_raises(monkeypatch):
