@@ -79,7 +79,6 @@ from .rewrite import (
     to_graph_like,
 )
 from .tensor import (
-    Tensor,
     collapse_floor,
     elimination_order,
     equivalent_up_to_scalar,

@@ -12,7 +12,6 @@ from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
 from .rewrite import _memoized
-from .tensor import Tensor
 
 # ops: "phase" (1q, carries an angle), "cnot" (control, target),
 #      "z", "y", "h" (1q)
@@ -142,17 +141,14 @@ def _check_width(c: Circuit) -> None:
         raise WidthTooLargeError(f"width {c.width} exceeds {MAX_WIDTH}")
 
 
-def unitary(c: Circuit) -> Tensor:
-    """Dense unitary of the circuit; qubit 0 is the most significant bit.
-
-    The result is a tensor over (output, input) axes, one binary axis per
-    qubit on each side.
-    """
+def unitary(c: Circuit) -> np.ndarray:
+    """Dense unitary of the circuit as a 2^w x 2^w matrix, output index by
+    input index; qubit 0 is the most significant bit of each."""
     _check_width(c)
     w = c.width
     # row axes 0..w-1 are the output qubits; the flat column axis is last
     state = np.eye(2 ** w, dtype=complex).reshape((2,) * w + (2 ** w,))
-    return Tensor(_apply_gates(c, state).reshape((2,) * (2 * w)))
+    return _apply_gates(c, state).reshape(2 ** w, 2 ** w)
 
 
 # Translated skeletons by circuit shape (see to_zx_tracked).

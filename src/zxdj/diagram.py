@@ -10,7 +10,7 @@ are indexed per spider, so only diagram methods may change the two dicts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -47,14 +47,6 @@ class Edge(NamedTuple):  # twice as fast to build as a frozen dataclass
 
     def other(self, v: int) -> int:
         return self.b if v == self.a else self.a
-
-
-@dataclass
-class ValidationReport:
-    findings: list = field(default_factory=list)
-
-    def ok(self) -> bool:
-        return not self.findings
 
 
 class ZxDiagram:
@@ -159,22 +151,6 @@ class ZxDiagram:
         d._next_node = self._next_node
         d._next_edge = self._next_edge
         return d
-
-    # -- validation -------------------------------------------------------
-
-    def validate(self) -> ValidationReport:
-        report = ValidationReport()
-        for eid, e in self.edges.items():
-            if e.a == e.b:
-                report.findings.append(("SelfLoop", eid))
-            for v in (e.a, e.b):
-                if v not in self.spiders:
-                    report.findings.append(("UnknownNode", eid, v))
-        for label, ids in (("input", self.inputs), ("output", self.outputs)):
-            for v in ids:
-                if v not in self.spiders:
-                    report.findings.append(("UnknownBoundary", label, v))
-        return report
 
     # -- serialization ----------------------------------------------------
 

@@ -104,11 +104,24 @@ class MeasurementPattern:
     def from_json_dict(cls, doc: dict) -> "MeasurementPattern":
         """Load a pattern document; a legacy ``"order"`` key is ignored.
         Raises ``ValueError`` where a qubit id in the qubits, edges or
-        readouts is not an int (a bool is not one)."""
-        angles = {_qubit_id(rec["id"]): Phase.parse(rec["angle"])
-                  for rec in doc["qubits"]}
-        z_basis = {rec["id"] for rec in doc["qubits"] if rec.get("basis") == "z"}
-        edges = {frozenset(map(_qubit_id, e)) for e in doc["edges"]}
+        readouts is not an int (a bool is not one), a ``"basis"`` is other
+        than ``"z"``, or a qubit record or an edge repeats."""
+        angles, z_basis, edges = {}, set(), set()
+        for rec in doc["qubits"]:
+            q = _qubit_id(rec["id"])
+            if q in angles:
+                raise ValueError(f"qubit {q} is listed twice")
+            angles[q] = Phase.parse(rec["angle"])
+            if "basis" in rec:
+                if rec["basis"] != "z":
+                    raise ValueError(f"qubit {q} has basis {rec['basis']!r}; "
+                                     f"only \"z\" is known")
+                z_basis.add(q)
+        for e in doc["edges"]:
+            pair = frozenset(map(_qubit_id, e))
+            if pair in edges:
+                raise ValueError(f"edge {sorted(pair)} is listed twice")
+            edges.add(pair)
         return cls(angles, edges, [_qubit_id(q) for q in doc["readouts"]],
                    z_basis)
 
@@ -312,10 +325,11 @@ _SLOTS = {parity: _Slot(parity) for parity in _parity_sets(3)}
 
 
 class _Template(NamedTuple):
-    """A pattern shape with its carrier angles left open."""
+    """A pattern shape with its carrier angles left open: :func:`_fill`
+    sets each carrier to its offset plus the values of its sources."""
 
-    angles: dict[int, Phase]  # every qubit in id order, a carrier at 0
-    carriers: tuple[tuple[int, frozenset, Phase], ...]  # qubit, parity, offset
+    angles: dict[int, Phase]  # every qubit in id order; _fill sets carriers
+    carriers: tuple[tuple[int, Phase, tuple], ...]  # qubit, offset, sources
     edges: tuple[frozenset, ...]  # in the order the pattern's set takes them
     readouts: tuple[int, ...]
     z_basis: tuple[int, ...]
@@ -323,11 +337,12 @@ class _Template(NamedTuple):
 
 def _template(layout: dict, edges, readouts) -> _Template:
     """The template of a layout by qubit id, whose entries are fixed angles,
-    slots, or "z" for a computational-basis qubit."""
+    slots, or "z" for a computational-basis qubit.  A slot's one source is
+    its parity set."""
     angles, carriers, z_basis = {}, [], []
     for q, entry in layout.items():
         if isinstance(entry, _Slot):
-            carriers.append((q, entry.parity, entry.offset))
+            carriers.append((q, entry.offset, (entry.parity,)))
         elif isinstance(entry, str):  # "z" is the only str
             z_basis.append(q)
         angles[q] = entry if isinstance(entry, Phase) else ZERO
@@ -335,12 +350,16 @@ def _template(layout: dict, edges, readouts) -> _Template:
                      tuple(z_basis))
 
 
-def _fill(t: _Template, f: BooleanFunction) -> MeasurementPattern:
-    """The pattern of ``f`` on template ``t``, in fresh containers."""
-    coeffs = phase_polynomial(f).coeffs
+def _fill(t: _Template, values: dict) -> MeasurementPattern:
+    """The pattern of template ``t``, in fresh containers: each carrier's
+    angle is its offset plus ``values.get(s, ZERO)`` summed over its
+    sources ``s``.  The sources are parity sets keyed into a phase
+    polynomial's ``coeffs``, or lattice qubits keyed into its angles."""
     angles = dict(t.angles)
-    for q, parity, offset in t.carriers:
-        angles[q] = coeffs.get(parity, ZERO) + offset
+    for q, angle, sources in t.carriers:
+        for s in sources:
+            angle = angle + values.get(s, ZERO)
+        angles[q] = angle
     return MeasurementPattern(angles, set(t.edges), list(t.readouts),
                               set(t.z_basis))
 
@@ -357,7 +376,7 @@ def dj_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
     ``_DJ_3Q``.  Every call returns fresh containers."""
     if f.n != 3:
         raise NotPromiseError("three-qubit pattern needs n = 3")
-    return _fill(_DJ_3Q, f)
+    return _fill(_DJ_3Q, phase_polynomial(f).coeffs)
 
 
 def _chain_pattern(chains) -> MeasurementPattern:
@@ -402,7 +421,7 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
         p.validate()
         return _sum_exact(p, turns)
     d = pattern_to_diagram(p)
-    amplitude = evaluate(d).scalar()
+    amplitude = complex(evaluate(d))
     floor = collapse_floor(d)
     verdict = Verdict.CONSTANT if abs(amplitude) > floor else Verdict.BALANCED
     return PatternOutcome(verdict, amplitude)
@@ -932,42 +951,32 @@ def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
     copy."""
     if f.n != 3:
         raise NotPromiseError("lattice pattern needs n = 3")
-    return _fill(_LATTICE, f)
+    return _fill(_LATTICE, phase_polynomial(f).coeffs)
 
 
-class _Reduction(NamedTuple):
-    """A lattice key's reduction in the reduced pattern's ids; a survivor
-    with a formula (survivor, constant, carrier qubits) takes its angle
-    from it, not from ``angles``."""
-
-    angles: dict[int, Phase]
-    edges: tuple[frozenset, ...]  # in the order found, as the set iterated
-    readouts: tuple[int, ...]
-    steps: tuple
-    formulas: tuple
+# Lattice reductions by key (see reduce_lattice): the reduced pattern's
+# template, whose sources are lattice carrier qubits, and the rewrite
+# trace; a stuck key holds its ReductionStuckError message instead.
+_lattice_memo: dict[tuple, tuple[_Template, tuple] | str] = {}
 
 
-# Lattice reductions by key (see reduce_lattice); a stuck key holds its
-# ReductionStuckError message instead.
-_lattice_memo: dict[tuple, _Reduction | str] = {}
-
-
-def _reduction(p: MeasurementPattern, qubits: list[int]) -> _Reduction | str:
+def _reduction(p: MeasurementPattern,
+               qubits: list[int]) -> tuple[_Template, tuple] | str:
     """Reduce ``p``, whose qubits in ascending order are ``qubits``, or say
     which spiders leave it stuck."""
     d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
-    carriers = {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS}
+    protected = {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS}
     steps = []
-    formulas = simplify_core(d, set(carriers), steps)
+    formulas = simplify_core(d, set(protected), steps)
     stuck = sorted(v for v in d.spiders
-                   if v not in carriers and d.degree(v) <= 2)
+                   if v not in protected and d.degree(v) <= 2)
     if stuck:
         return f"spiders {stuck} outside the carriers survive with degree <= 2"
     r = pattern_from_graph_like(d, [qubits.index(q) for q in p.readouts])
-    return _Reduction(
-        r.angles, tuple(r.edges), tuple(r.readouts), tuple(steps),
-        tuple((v, constant, tuple(qubits[c] for c in inputs))
-              for v, constant, inputs in formulas))
+    carriers = tuple((v, constant, tuple(qubits[c] for c in inputs))
+                     for v, constant, inputs in formulas)
+    return (_Template(r.angles, carriers, tuple(r.edges), tuple(r.readouts),
+                      ()), tuple(steps))
 
 
 def reduce_lattice(p: MeasurementPattern):
@@ -982,9 +991,11 @@ def reduce_lattice(p: MeasurementPattern):
     (which fix the carriers), the edges in iteration order (which number the
     diagram's edges), the z-basis set, the readouts in order and the
     non-carrier angles in qubit order.  No rule reads a carrier's angle, so
-    all 72 variants share a key, and only a miss builds a diagram: a
-    survivor's angle is a stored constant plus the carrier angles fused
-    into it.  A stuck key stores its message, so a repeat raises again."""
+    all 72 variants share a key, and only a miss builds a diagram: the key
+    stores the reduced pattern as a template whose carriers are the
+    survivors the lattice carriers fused into, and :func:`_fill` sets each
+    to a stored constant plus their angles.  A stuck key stores its
+    message, so a repeat raises again."""
     if not p.angles:
         return p, []
     p.validate()
@@ -995,10 +1006,5 @@ def reduce_lattice(p: MeasurementPattern):
     memo = _memoized(_lattice_memo, key, lambda: _reduction(p, qubits))
     if isinstance(memo, str):
         raise ReductionStuckError(memo)
-    angles = dict(memo.angles)
-    for v, constant, fused in memo.formulas:
-        for q in fused:
-            constant = constant + p.angles[q]
-        angles[v] = constant
-    return (MeasurementPattern(angles, set(memo.edges), list(memo.readouts)),
-            list(memo.steps))
+    template, steps = memo
+    return _fill(template, p.angles), list(steps)

@@ -30,29 +30,6 @@ from .errors import ShapeMismatchError, WidthTooLargeError
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
-@dataclass
-class Tensor:
-    """Dense complex array over (outputs, inputs), one binary axis per leg."""
-
-    data: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    def as_matrix(self, n_out: int) -> np.ndarray:
-        n_in = self.rank - n_out
-        return self.data.reshape(2 ** n_out, 2 ** n_in)
-
-    def scalar(self) -> complex:
-        if self.rank != 0:
-            raise ShapeMismatchError(f"rank {self.rank} tensor is not a scalar")
-        return complex(self.data)
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
-
-
 def spider_tensor(kind: SpiderKind, phase_factor: complex, rank: int) -> np.ndarray:
     """The bare spider tensor before Hadamard-edge dressing."""
     if kind is SpiderKind.Z:
@@ -186,8 +163,9 @@ def plan_contraction(d: ZxDiagram, order: list[int] | None = None) -> Contractio
     return ContractionPlan(list(order), merges, peak)
 
 
-def evaluate(d: ZxDiagram, order: list[int] | None = None) -> Tensor:
-    """Contract the diagram; resulting axes are ordered outputs then inputs.
+def evaluate(d: ZxDiagram, order: list[int] | None = None) -> np.ndarray:
+    """Contract the diagram to a complex array with one binary axis per
+    leg, outputs then inputs; a closed diagram gives a rank-0 array.
 
     Runs the plan of ``order`` (default: the :func:`elimination_order`)
     with ``np.tensordot``, each factor's axes tracked by edge and boundary
@@ -223,13 +201,13 @@ def evaluate(d: ZxDiagram, order: list[int] | None = None) -> Tensor:
         labels[keep] = ([lab for lab in l1 if lab not in l2]
                         + [lab for lab in l2 if lab not in l1])
     if not labels:
-        return Tensor(np.array(1 + 0j))
+        return np.array(1 + 0j)
     ((v, labs),) = labels.items()
     perm = ([labs.index(("out", i)) for i in range(len(d.outputs))]
             + [labs.index(("in", i)) for i in range(len(d.inputs))])
     data = np.transpose(pool[v], perm) if perm else pool[v]
     # note: ascontiguousarray would promote rank-0 results to rank 1
-    return Tensor(np.array(data, dtype=complex, copy=True))
+    return np.array(data, dtype=complex, copy=True)
 
 
 def max_intermediate_rank(d: ZxDiagram, order: list[int] | None = None) -> int:
@@ -262,12 +240,13 @@ def _spider_max_norm(kind: SpiderKind, z: complex, rank: int) -> float:
     return max(abs(1 + z), abs(1 - z))
 
 
-def equivalent_up_to_scalar(t1: Tensor, t2: Tensor, tol: float = 1e-9):
-    """True iff t1 = c * t2 for some nonzero c, within tol; returns (bool, c)."""
-    a, b = np.asarray(t1.data), np.asarray(t2.data)
+def equivalent_up_to_scalar(a, b, tol: float = 1e-9):
+    """True iff a = c * b for some nonzero c, within tol, for two arrays
+    of one shape; returns (bool, c)."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
-    na, nb = t1.max_norm(), t2.max_norm()
+    na, nb = (float(np.abs(x).max(initial=0.0)) for x in (a, b))
     scale = max(na, nb)
     # absolute floor: entries below tol count as zero, so that an exact 0
     # and an accumulated-roundoff 1e-32 compare equal

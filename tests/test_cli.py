@@ -172,7 +172,8 @@ _rarely = st.sampled_from([False] * 4 + [True])
 @st.composite
 def _near_valid_patterns(draw):
     """Small patterns whose ids mix types; any field may be replaced by
-    arbitrary JSON, and edges and readouts name the drawn ids."""
+    arbitrary JSON, and edges and readouts name the drawn ids.  A qubit
+    record or an edge may repeat."""
     ids = draw(st.lists(_ids, min_size=1, max_size=5, unique_by=repr))
     qubits = []
     for q in ids:
@@ -182,9 +183,16 @@ def _near_valid_patterns(draw):
         qubits.append(rec)
     if draw(_rarely):
         draw(st.sampled_from(qubits))["angle"] = draw(_json_values)
+    if draw(_rarely):  # a repeated qubit record
+        qubits.append({"id": draw(st.sampled_from(ids)),
+                       "angle": draw(_angles)})
     pair = st.lists(st.sampled_from(ids), min_size=2, max_size=2)
+    edges = draw(st.lists(pair, max_size=3))
+    if edges and draw(_rarely):  # a repeated edge, perhaps reversed
+        edges.append(draw(st.sampled_from(edges))[::draw(
+            st.sampled_from([1, -1]))])
     doc = {"qubits": qubits,
-           "edges": draw(st.lists(pair, max_size=3)),
+           "edges": edges,
            "readouts": draw(st.lists(st.sampled_from(ids), max_size=2))}
     if draw(_rarely):
         doc[draw(st.sampled_from(sorted(doc)))] = draw(_json_values)
@@ -262,6 +270,23 @@ def test_simulate_pattern_with_mixed_id_types_exits_2(capsys, tmp_path):
     code, out = run(capsys, "simulate", "--pattern", str(path))
     assert code == 2
     assert "not an int" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"qubits": [{"id": 0, "angle": "1", "basis": "y"}],
+     "edges": [], "readouts": [0]},
+    {"qubits": [{"id": 0, "angle": "0"}, {"id": 0, "angle": "1"}],
+     "edges": [], "readouts": [0]},
+    {"qubits": [{"id": 0, "angle": "0"}, {"id": 1, "angle": "0"}],
+     "edges": [[0, 1], [1, 0]], "readouts": [1]},
+], ids=["unknown-basis", "repeated-id", "repeated-edge"])
+def test_pattern_loader_refuses_what_it_would_collapse(capsys, tmp_path, doc):
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--shots", "10"]):
+        code, out = run(capsys, "simulate", "--pattern", str(path), *extra)
+        assert code == 2
+        assert list(json.loads(out)) == ["error"]
 
 
 def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):

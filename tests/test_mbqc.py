@@ -112,6 +112,27 @@ def test_json_rejects_a_qubit_id_that_is_not_an_int(bad):
             MeasurementPattern.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("basis", ["y", "x", "Z", "", None, ["z"]])
+def test_json_rejects_an_unknown_basis(basis):
+    doc = {"qubits": [{"id": 0, "angle": "1", "basis": basis}],
+           "edges": [], "readouts": [0]}
+    with pytest.raises(ValueError, match="basis"):
+        MeasurementPattern.from_json_dict(doc)
+
+
+def test_json_rejects_a_repeated_qubit_or_edge():
+    two = [{"id": 0, "angle": "0"}, {"id": 1, "angle": "0"}]
+    docs = [
+        {"qubits": [{"id": 0, "angle": "0"}, {"id": 0, "angle": "1"}],
+         "edges": [], "readouts": [0]},
+        {"qubits": two, "edges": [[0, 1], [1, 0]], "readouts": [1]},
+        {"qubits": two, "edges": [[0, 1], [0, 1]], "readouts": [1]},
+    ]
+    for doc in docs:
+        with pytest.raises(ValueError, match="listed twice"):
+            MeasurementPattern.from_json_dict(doc)
+
+
 def test_json_ignores_a_legacy_order_key():
     doc = dj_pattern_2q(BooleanFunction(2, 6)).to_json_dict()
     legacy = MeasurementPattern.from_json_dict({**doc, "order": [5, 4, 3]})
@@ -984,6 +1005,23 @@ def test_reduce_lattice_reaches_compact_pattern():
         assert ok, f.table
 
 
+def test_only_the_angle_aware_isomorphism_catches_a_tampered_carrier():
+    """No rule reads a carrier's angle, so pi added to the three-way parity
+    carrier at grid (1, 6) reduces to the compiled shape without getting
+    stuck, and the lattice gives the wrong verdict.  Only the isomorphism
+    that matches angles (``isomorphic_to_compiled``) tells it apart."""
+    f = BooleanFunction(3, 0b01101001)
+    p = lattice_pattern_3q(f)
+    p.angles[mbqc._grid_id((1, 6))] += PI
+    reduced, _ = reduce_lattice(p)
+    assert len(reduced.angles) == 11
+    compiled = dj_pattern_3q(f)
+    assert patterns_isomorphic(reduced, compiled, with_angles=False)
+    assert not patterns_isomorphic(reduced, compiled)
+    assert classify(f) is Verdict.BALANCED
+    assert run_postselected(p).verdict is Verdict.CONSTANT
+
+
 # The hand-ordered reduction reduce_lattice ran before it became the general
 # simplifier, kept as the reference: decouple the z-basis spares in
 # ascending order, fusing the caps each leaves, then complement the +-pi/2
@@ -1179,7 +1217,7 @@ def _assert_exact_matches_dense(p):
     within 1e-12 of the floor's scale (the product of the spider norms),
     and an exact 0 wherever the dense verdict is Balanced."""
     d = pattern_to_diagram(p)
-    dense, floor = evaluate(d).scalar(), collapse_floor(d)
+    dense, floor = complex(evaluate(d)), collapse_floor(d)
     exact = run_exact(p)
     constant = abs(dense) > floor
     assert exact.verdict is (Verdict.CONSTANT if constant else Verdict.BALANCED)
@@ -1332,7 +1370,7 @@ def test_non_clifford_pattern_stores_no_exact_prelude(monkeypatch):
 def test_non_clifford_pattern_keeps_the_dense_route():
     p = _triangle_pattern()
     p.angles[0] = QUARTER_PI
-    dense = evaluate(pattern_to_diagram(p)).scalar()
+    dense = complex(evaluate(pattern_to_diagram(p)))
     assert repr(run_postselected(p).amplitude) == repr(dense)
 
 

@@ -27,7 +27,7 @@ from zxdj.oracle import (
     two_qubit_spider_angles,
 )
 from zxdj.phase import PI, Phase, ZERO
-from zxdj.tensor import Tensor, equivalent_up_to_scalar
+from zxdj.tensor import equivalent_up_to_scalar
 
 
 # -- truth tables ------------------------------------------------------------
@@ -216,9 +216,9 @@ def test_oracle_circuit_3q_is_diagonal_oracle():
     # constant, a linear, and a nonlinear balanced table here
     for table in (0, 0b01101001, 0b01111000):
         f = BooleanFunction(3, table)
-        u = unitary(oracle_circuit_3q(f)).as_matrix(3)
+        u = unitary(oracle_circuit_3q(f))
         diag = np.diag([(-1.0) ** f.value(i) for i in range(8)]).astype(complex)
-        ok, _ = equivalent_up_to_scalar(Tensor(u), Tensor(diag), tol=1e-9)
+        ok, _ = equivalent_up_to_scalar(u, diag, tol=1e-9)
         assert ok, table
 
 
@@ -246,7 +246,7 @@ def _angles_realize_oracle(f, angles):
     target = np.array([(-1.0) ** f.value(i) for i in range(2 ** n)],
                       dtype=complex) / math.sqrt(2 ** n)
     got = op @ plus
-    ok, _ = equivalent_up_to_scalar(Tensor(got), Tensor(target), tol=1e-9)
+    ok, _ = equivalent_up_to_scalar(got, target, tol=1e-9)
     return ok
 
 
