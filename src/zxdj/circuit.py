@@ -233,20 +233,23 @@ def plus_amplitude(c: Circuit) -> complex:
     return complex(state.sum()) / 2 ** c.width
 
 
-def dj_run_circuit(oracle: Circuit, tol: float = 1e-9):
+_TOL = 1e-9
+
+
+def dj_run_circuit(oracle: Circuit):
     """Run the deterministic promise test: amplitude of |+...+> after the
     oracle decides constant (magnitude 1) versus balanced (magnitude 0)."""
-    return dj_verdict(plus_amplitude(oracle), tol)
+    return dj_verdict(plus_amplitude(oracle))
 
 
-def dj_verdict(amplitude: complex, tol: float = 1e-9):
+def dj_verdict(amplitude: complex):
     """The promise verdict of a |+...+> amplitude: Constant at magnitude 1,
-    Balanced at 0, ``NotPromiseError`` otherwise."""
+    Balanced at 0, each within _TOL, ``NotPromiseError`` otherwise."""
     from .oracle import Verdict  # local import to avoid a cycle
 
-    if abs(abs(amplitude) - 1.0) <= tol:
+    if abs(abs(amplitude) - 1.0) <= _TOL:
         return Verdict.CONSTANT
-    if abs(amplitude) <= tol:
+    if abs(amplitude) <= _TOL:
         return Verdict.BALANCED
     raise NotPromiseError(
         f"|<+...+|U|+...+>| = {abs(amplitude):.6f} is neither 0 nor 1")

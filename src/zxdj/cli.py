@@ -17,6 +17,7 @@ from .circuit import (
 from .diagram import ZxDiagram
 from .errors import WidthTooLargeError, ZxError
 from .mbqc import (
+    DEFAULT_SEED,
     MeasurementPattern,
     dj_pattern_1q,
     dj_pattern_2q,
@@ -31,6 +32,7 @@ from .mbqc import (
 from .oracle import (
     BooleanFunction,
     TABLE2_AS_PRINTED,
+    _ORACLE_READOUT_GATES,
     classify,
     enumerate_promise,
     oracle_circuit_3q,
@@ -38,7 +40,7 @@ from .oracle import (
 )
 from .rewrite import simplify_mbqc
 
-DEFAULT_SEED = 2024
+_PATTERN_MAKERS = {1: dj_pattern_1q, 2: dj_pattern_2q, 3: dj_pattern_3q}
 
 
 class UsageError(Exception):
@@ -151,9 +153,14 @@ def _load_pattern(path: str) -> MeasurementPattern:
     return p
 
 
-# The phase gates of oracle_circuit_3q whose carriers are read out: the
-# x0^x1^x2, x0^x1 and x1^x2 coefficients, as in dj_pattern_3q.
-_ORACLE_READOUT_GATES = (6, 3, 5)
+def _pattern_of(args) -> MeasurementPattern:
+    """The ``--pattern`` file, else the hand-built pattern of the function."""
+    if args.pattern:
+        return _load_pattern(args.pattern)
+    f = _parse_function(args)
+    if f.n not in _PATTERN_MAKERS:
+        raise UsageError("--n must be 1, 2, or 3")
+    return _PATTERN_MAKERS[f.n](f)
 
 
 def _compile(c: Circuit, oracle: bool = False):
@@ -198,14 +205,7 @@ def _cmd_simulate(args) -> int:
         doc = {"verdict": verdict.value, "amplitude_abs": _fmt(abs(amp))}
         _emit(doc, args, [f"verdict={verdict.value} |amplitude|={_fmt(abs(amp))}"])
         return 0
-    if args.pattern:
-        p = _load_pattern(args.pattern)
-    else:
-        f = _parse_function(args)
-        maker = {1: dj_pattern_1q, 2: dj_pattern_2q, 3: dj_pattern_3q}.get(f.n)
-        if maker is None:
-            raise UsageError("--n must be 1, 2, or 3")
-        p = maker(f)
+    p = _pattern_of(args)
     if args.shots:
         out = run_sampled(p, seed=args.seed, shots=args.shots)
         if out.agreeing_shots < out.shots:
@@ -247,10 +247,9 @@ def _verify_record_3q(f: BooleanFunction) -> dict:
 
 def _verify_record_small(f: BooleanFunction, variant=None) -> dict:
     expected = classify(f)
-    maker = dj_pattern_1q if f.n == 1 else dj_pattern_2q
-    p = maker(f)
+    p = _PATTERN_MAKERS[f.n](f)
     pattern_v = run_postselected(p).verdict
-    sampled = run_sampled(p, seed=DEFAULT_SEED, shots=100)
+    sampled = run_sampled(p, shots=100)
     rec = {"table": f.table}
     if variant is not None:
         rec["variant"] = variant
@@ -318,14 +317,8 @@ def _cmd_export_dot(args) -> int:
     if args.circuit:
         c = _load_circuit(args.circuit)
         target = to_zx_tracked(c)[0]
-    elif args.pattern:
-        target = _load_pattern(args.pattern)
     else:
-        f = _parse_function(args)
-        maker = {1: dj_pattern_1q, 2: dj_pattern_2q, 3: dj_pattern_3q}.get(f.n)
-        if maker is None:
-            raise UsageError("--n must be 1, 2, or 3")
-        target = maker(f)
+        target = _pattern_of(args)
     _write(args.out, target.to_dot() + "\n")
     if isinstance(target, ZxDiagram):
         nodes, edges = len(target.spiders), len(target.edges)

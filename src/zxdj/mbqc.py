@@ -31,6 +31,7 @@ from .errors import (
 from .oracle import (
     BooleanFunction,
     Verdict,
+    _READOUT_PARITIES,
     _parity_sets,
     classify,
     one_qubit_spider_angles,
@@ -335,18 +336,21 @@ class _Template(NamedTuple):
     z_basis: tuple[int, ...]
 
 
-def _template(layout: dict, edges, readouts) -> _Template:
+def _template(layout: dict, edges) -> _Template:
     """The template of a layout by qubit id, whose entries are fixed angles,
     slots, or "z" for a computational-basis qubit.  A slot's one source is
-    its parity set."""
-    angles, carriers, z_basis = {}, [], []
+    its parity set; the readouts are the carriers of
+    ``oracle._READOUT_PARITIES``, in that order."""
+    angles, carriers, z_basis, carrier_of = {}, [], [], {}
     for q, entry in layout.items():
         if isinstance(entry, _Slot):
             carriers.append((q, entry.offset, (entry.parity,)))
+            carrier_of[entry.parity] = q
         elif isinstance(entry, str):  # "z" is the only str
             z_basis.append(q)
         angles[q] = entry if isinstance(entry, Phase) else ZERO
-    return _Template(angles, tuple(carriers), tuple(edges), tuple(readouts),
+    return _Template(angles, tuple(carriers), tuple(edges),
+                     tuple(carrier_of[s] for s in _READOUT_PARITIES),
                      tuple(z_basis))
 
 
@@ -367,8 +371,7 @@ def _fill(t: _Template, values: dict) -> MeasurementPattern:
 _3Q_INDEX = {name: i for i, name in enumerate(_3Q_NAMES)}
 _DJ_3Q = _template(
     {_3Q_INDEX[name]: entry for name, entry in _dj_layout_3q(_SLOTS).items()},
-    [frozenset((_3Q_INDEX[a], _3Q_INDEX[b])) for a, b in _3Q_EDGES],
-    [_3Q_INDEX[name] for name in ("T5", "M3", "B3")])
+    [frozenset((_3Q_INDEX[a], _3Q_INDEX[b])) for a, b in _3Q_EDGES])
 
 
 def dj_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
@@ -672,6 +675,8 @@ MAX_FRONTIER = 12
 # exceeds 2^18 amplitudes.  Each block draws its own random numbers, so the
 # block size is part of what a seed's output depends on.
 _BLOCK_AMPLITUDES = 1 << 18
+# The seed of a run_sampled call that names none, and the CLI's default.
+DEFAULT_SEED = 2024
 # Sampling plans by pattern shape (see run_sampled).
 _plan_memo: dict[tuple, tuple[list["_Step"], int]] = {}
 
@@ -838,7 +843,7 @@ def _integer(name: str, value, least: int) -> int:
     return value
 
 
-def run_sampled(p: MeasurementPattern, seed: int = 2024,
+def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
                 shots: int = 1000) -> PatternOutcome:
     """Sample the adaptively corrected pattern ``shots`` times.
 
@@ -936,12 +941,9 @@ _LATTICE = _template(
     {_LATTICE_IDS[pos]: entry for pos, entry in _lattice_layout(_SLOTS).items()},
     [frozenset((q, _LATTICE_IDS[nbr]))
      for (r, c), q in _LATTICE_IDS.items()
-     for nbr in ((r, c + 1), (r + 1, c)) if nbr in _LATTICE_IDS],
-    [_LATTICE_IDS[pos] for pos in ((1, 6), (5, 4), (6, 6))])
+     for nbr in ((r, c + 1), (r + 1, c)) if nbr in _LATTICE_IDS])
 # The parameter carriers, which reduce_lattice protects.
 _LATTICE_CARRIER_IDS = frozenset(q for q, _, _ in _LATTICE.carriers)
-_LATTICE_CARRIERS = {pos for pos, q in _LATTICE_IDS.items()
-                     if q in _LATTICE_CARRIER_IDS}
 
 
 def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
@@ -965,11 +967,11 @@ def _reduction(p: MeasurementPattern,
     """Reduce ``p``, whose qubits in ascending order are ``qubits``, or say
     which spiders leave it stuck."""
     d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
-    protected = {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS}
-    steps = []
-    formulas = simplify_core(d, set(protected), steps)
+    steps, formulas = simplify_core(
+        d, {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS})
+    survivors = {v for v, _, _ in formulas}
     stuck = sorted(v for v in d.spiders
-                   if v not in protected and d.degree(v) <= 2)
+                   if v not in survivors and d.degree(v) <= 2)
     if stuck:
         return f"spiders {stuck} outside the carriers survive with degree <= 2"
     r = pattern_from_graph_like(d, [qubits.index(q) for q in p.readouts])
@@ -984,7 +986,8 @@ def reduce_lattice(p: MeasurementPattern):
     simplifier core, with the parameter carriers protected.  Returns fresh
     copies of the reduced pattern, in the diagram's ids (qubit ranks), with
     the lattice's readouts, and of the rewrite trace.  Raises
-    ``ReductionStuckError`` when a non-carrier survives with degree at
+    ``ReductionStuckError`` when a spider holding no carrier (the survivors
+    ``simplify_core``'s formulas name hold them) survives with degree at
     most 2, as a missing spare or a tampered angle can leave.
 
     Memoized (see ``rewrite._memoized``) per key: the sorted qubit ids
@@ -996,8 +999,6 @@ def reduce_lattice(p: MeasurementPattern):
     survivors the lattice carriers fused into, and :func:`_fill` sets each
     to a stored constant plus their angles.  A stuck key stores its
     message, so a repeat raises again."""
-    if not p.angles:
-        return p, []
     p.validate()
     qubits = p.qubits()
     key = (tuple(qubits), tuple(p.edges), frozenset(p.z_basis),

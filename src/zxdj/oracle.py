@@ -182,6 +182,13 @@ _ORACLE_3Q = (
     cnot(0, 1),                       # q1 = x1
 )
 
+# The parities whose carriers every three-bit pattern reads out, in order,
+# and the indices of their gates among _ORACLE_3Q's phase gates.
+_READOUT_PARITIES = (frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({1, 2}))
+_ORACLE_READOUT_GATES = tuple(
+    [entry[1] for entry in _ORACLE_3Q if not isinstance(entry, Gate)].index(s)
+    for s in _READOUT_PARITIES)
+
 
 def oracle_circuit_3q(f: BooleanFunction) -> Circuit:
     """Three-qubit phase-oracle circuit over single-qubit phases and CNOTs.

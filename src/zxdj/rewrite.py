@@ -18,6 +18,8 @@ kinds, its next spider and edge ids, the protected set and the phases of
 the unprotected spiders.  No rule reads a protected phase, so that key
 fixes the trace and the reduced graph, and each survivor's phase is a
 constant plus the phases of the protected input spiders fused into it.
+Which survivor holds which input is tracked in one place: each fusion in
+:func:`simplify_core` hands them on, and its formulas are read off that.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionFailed(message)
 
 
+def _require_spiders(d: ZxDiagram, *vs: int) -> None:
+    for v in vs:
+        if v not in d.spiders:
+            raise UnknownNodeError(f"unknown node {v}")
+
+
 def color_change(d: ZxDiagram, v: int) -> RewriteStep:
     """Toggle a spider's kind along with the kind of every incident edge.
 
@@ -62,8 +70,7 @@ def color_change(d: ZxDiagram, v: int) -> RewriteStep:
     boundary occurrence of ``v`` is first detached onto a fresh phase-0
     Z spider joined by a plain edge (the stub then absorbs the toggle).
     """
-    if v not in d.spiders:
-        raise UnknownNodeError(f"unknown node {v}")
+    _require_spiders(d, v)
     created = []
     if d.boundary_legs(v):
         for boundary in (d.inputs, d.outputs):
@@ -83,9 +90,7 @@ def color_change(d: ZxDiagram, v: int) -> RewriteStep:
 
 def fuse_spiders(d: ZxDiagram, a: int, b: int) -> RewriteStep:
     """Merge two like-kind spiders joined by at least one plain edge."""
-    for v in (a, b):
-        if v not in d.spiders:
-            raise UnknownNodeError(f"unknown node {v}")
+    _require_spiders(d, a, b)
     _require(a != b, "cannot fuse a spider with itself")
     if d.spiders[a].kind is not d.spiders[b].kind:
         raise KindMismatchError(f"{a} and {b} have different kinds")
@@ -111,8 +116,7 @@ def fuse_spiders(d: ZxDiagram, a: int, b: int) -> RewriteStep:
 
 def hadamard_cancel(d: ZxDiagram, v: int) -> RewriteStep:
     """Remove a phase-0 degree-2 spider whose two edges are both Hadamard."""
-    if v not in d.spiders:
-        raise UnknownNodeError(f"unknown node {v}")
+    _require_spiders(d, v)
     s = d.spiders[v]
     _require(s.phase.is_zero(), f"node {v} has nonzero phase")
     _require(d.boundary_legs(v) == 0, f"node {v} is a boundary spider")
@@ -145,9 +149,7 @@ def expand_hadamard_edge(d: ZxDiagram, eid: int) -> RewriteStep:
 
 def collapse_hadamard_chain(d: ZxDiagram, v1: int, v2: int, v3: int) -> RewriteStep:
     """Inverse of :func:`expand_hadamard_edge`."""
-    for v in (v1, v2, v3):
-        if v not in d.spiders:
-            raise UnknownNodeError(f"unknown node {v}")
+    _require_spiders(d, v1, v2, v3)
     _require(d.spiders[v1].kind is SpiderKind.Z
              and d.spiders[v3].kind is SpiderKind.Z
              and d.spiders[v2].kind is SpiderKind.X, "chain must be Z-X-Z")
@@ -178,8 +180,7 @@ def decouple_x_state(d: ZxDiagram, x: int) -> RewriteStep:
     a fresh phase-0 X state; a Hadamard leg receives a phase-0 Z state
     instead (the X state pushed through the Hadamard).
     """
-    if x not in d.spiders:
-        raise UnknownNodeError(f"unknown node {x}")
+    _require_spiders(d, x)
     s = d.spiders[x]
     _require(s.kind is SpiderKind.X and s.phase.is_zero(),
              f"node {x} is not a phase-0 X spider")
@@ -213,8 +214,7 @@ def local_complement(d: ZxDiagram, v: int) -> RewriteStep:
     The removed spider's phase sign is paid back with the opposite sign on
     every neighbor.
     """
-    if v not in d.spiders:
-        raise UnknownNodeError(f"unknown node {v}")
+    _require_spiders(d, v)
     s = d.spiders[v]
     _require(s.kind is SpiderKind.Z, f"node {v} is not a Z spider")
     _require(s.phase in (HALF_PI, MINUS_HALF_PI),
@@ -266,11 +266,12 @@ def _reduce_parallel_hadamard(d: ZxDiagram, eids,
     return touched
 
 
-def _fuse(d: ZxDiagram, a: int, b: int, protected: set[int],
+def _fuse(d: ZxDiagram, a: int, b: int, held: dict[int, list[int]],
           steps: list[RewriteStep]) -> None:
-    """Fuse ``b`` into ``a``, which inherits ``b``'s protection.  A Hadamard
-    edge between them would become a self-loop, which is a pi phase up to
-    a 1/sqrt(2) scalar, so ``a`` absorbs each one as pi first."""
+    """Fuse ``b`` into ``a``, which takes over the protected inputs ``b``
+    holds.  A Hadamard edge between them would become a self-loop, which is
+    a pi phase up to a 1/sqrt(2) scalar, so ``a`` absorbs each one as pi
+    first."""
     try:
         step = fuse_spiders(d, a, b)
     except WouldSelfLoopError:
@@ -281,12 +282,11 @@ def _fuse(d: ZxDiagram, a: int, b: int, protected: set[int],
                 steps.append(RewriteStep("hadamard_loop", (a, b), (a,)))
         step = fuse_spiders(d, a, b)
     steps.append(step)
-    if b in protected:
-        protected.discard(b)
-        protected.add(a)
+    if b in held:
+        held.setdefault(a, []).extend(held.pop(b))
 
 
-def _fuse_all_plain(d: ZxDiagram, protected: set[int],
+def _fuse_all_plain(d: ZxDiagram, held: dict[int, list[int]],
                     steps: list[RewriteStep]) -> None:
     """Fuse along each like-kind plain edge, lowest id first.  One pass is
     enough: a fusion changes no edge's kind or far end's kind."""
@@ -294,22 +294,22 @@ def _fuse_all_plain(d: ZxDiagram, protected: set[int],
         e = d.edges.get(eid)
         if (e is not None and e.kind is EdgeKind.PLAIN
                 and d.spiders[e.a].kind is d.spiders[e.b].kind):
-            _fuse(d, min(e.a, e.b), max(e.a, e.b), protected, steps)
+            _fuse(d, min(e.a, e.b), max(e.a, e.b), held, steps)
 
 
-def _to_graph_like_inplace(d: ZxDiagram, protected: set[int],
+def _to_graph_like_inplace(d: ZxDiagram, held: dict[int, list[int]],
                            steps: list[RewriteStep]) -> None:
     for v in sorted(d.spiders):
         if d.spiders[v].kind is SpiderKind.X:
             steps.append(color_change(d, v))
-    _fuse_all_plain(d, protected, steps)
+    _fuse_all_plain(d, held, steps)
     _reduce_parallel_hadamard(d, sorted(d.edges), steps)
 
 
 def to_graph_like(d: ZxDiagram) -> ZxDiagram:
     """Equivalent diagram with only Z spiders and simple Hadamard edges."""
     result = d.copy()
-    _to_graph_like_inplace(result, set(), [])
+    _to_graph_like_inplace(result, {}, [])
     return result
 
 
@@ -334,20 +334,21 @@ def _plug_inplace(d: ZxDiagram, steps: list[RewriteStep]) -> None:
 # appends its steps and returns every spider where a rule may have become
 # applicable, else None.  Rules read a spider's kind, phase and legs, its
 # neighbors' kind, protection and boundary legs, and whether a wire's ends
-# share an edge; none fires on a protected or boundary spider.
+# share an edge; none fires on a protected or boundary spider.  A spider is
+# protected while it holds a protected input (a key of ``held``).
 
-def _state_rule(d, v, protected, steps):
+def _state_rule(d, v, held, steps):
     """Decouple a phase-0 state on an unprotected Z spider: an X state on a
     plain leg, or a Z state on a Hadamard leg (a trailing cap, color-changed
     first).  The caps this leaves on like-kind neighbors fuse at once; the
     capped neighbors and the other caps are returned."""
     s = d.spiders[v]
-    if (v in protected or d.degree(v) != 1 or d.boundary_legs(v)
+    if (v in held or d.degree(v) != 1 or d.boundary_legs(v)
             or not s.phase.is_zero()):
         return None
     e = d.edges[d.edges_at(v)[0]]
     z = e.other(v)
-    if (z in protected or d.boundary_legs(z)
+    if (z in held or d.boundary_legs(z)
             or d.spiders[z].kind is not SpiderKind.Z
             or (s.kind is SpiderKind.X) != (e.kind is EdgeKind.PLAIN)):
         return None
@@ -360,7 +361,7 @@ def _state_rule(d, v, protected, steps):
         (n,) = d.neighbors(cap)
         touched.add(n)
         if d.spiders[n].kind is d.spiders[cap].kind:
-            _fuse(d, n, cap, protected, steps)
+            _fuse(d, n, cap, held, steps)
         else:
             touched.add(cap)
     return touched
@@ -371,9 +372,9 @@ def _with_neighbors(d: ZxDiagram, vs) -> set[int]:
     return set(vs).union(*(d.neighbors(v) for v in vs))
 
 
-def _wire_ends(d: ZxDiagram, v: int, protected: set[int]):
+def _wire_ends(d: ZxDiagram, v: int, held: dict[int, list[int]]):
     """The ends of an unprotected degree-2 Z spider with two Hadamard legs."""
-    if (v in protected or d.degree(v) != 2 or d.boundary_legs(v)
+    if (v in held or d.degree(v) != 2 or d.boundary_legs(v)
             or d.spiders[v].kind is not SpiderKind.Z):
         return None
     e1, e2 = (d.edges[eid] for eid in d.edges_at(v))
@@ -381,31 +382,31 @@ def _wire_ends(d: ZxDiagram, v: int, protected: set[int]):
     return (e1.other(v), e2.other(v)) if hadamard else None
 
 
-def _hadamard_wire_rule(d, v, protected, steps):
+def _hadamard_wire_rule(d, v, held, steps):
     """Cancel a phase-0 wire and fuse its ends, unless they share an edge,
     which the fusion would make a self-loop."""
-    ends = d.spiders[v].phase.is_zero() and _wire_ends(d, v, protected)
+    ends = d.spiders[v].phase.is_zero() and _wire_ends(d, v, held)
     if not ends or d.edges_between(*ends):
         return None
     steps.append(hadamard_cancel(d, v))
     a, b = sorted(ends)
-    _fuse(d, a, b, protected, steps)
+    _fuse(d, a, b, held, steps)
     return _with_neighbors(
         d, {a} | _reduce_parallel_hadamard(d, d.edges_at(a), steps))
 
 
-def _clifford_wire_rule(d, v, protected, steps):
+def _clifford_wire_rule(d, v, held, steps):
     """Local-complement a +-pi/2 wire away (Duncan, Kissinger, Perdrix &
     van de Wetering, Quantum 4, 279, 2020)."""
     if (d.spiders[v].phase not in (HALF_PI, MINUS_HALF_PI)
-            or not _wire_ends(d, v, protected)):
+            or not _wire_ends(d, v, held)):
         return None
     steps.append(local_complement(d, v))
     return _with_neighbors(d, steps[-1].after)
 
 
-def _drive(d: ZxDiagram, protected: set[int], steps: list[RewriteStep],
-           rules) -> None:
+def _drive(d: ZxDiagram, held: dict[int, list[int]],
+           steps: list[RewriteStep], rules) -> None:
     """Apply the (degree, rule) pairs until none applies, each step the
     first rule in list order that applies somewhere, at its lowest spider
     id.  A min-heap per rule holds spiders of its degree; after a step only
@@ -421,7 +422,7 @@ def _drive(d: ZxDiagram, protected: set[int], steps: list[RewriteStep],
         # a spider queued twice is checked at its last copy
         if v not in d.spiders or (heap and heap[0] == v):
             continue
-        touched = rules[rank][1](d, v, protected, steps)
+        touched = rules[rank][1](d, v, held, steps)
         if touched is not None:
             rank = 0
             for u in touched:
@@ -485,48 +486,35 @@ def _rewrite_key(d: ZxDiagram, protected: set[int]) -> tuple:
             tuple([s.phase for v, s in spiders if v not in protected]))
 
 
-def _phase_formulas(d: ZxDiagram, inputs: dict[int, Phase],
-                    steps) -> tuple:
-    """Group the protected ``inputs`` by the survivor the trace's fusions
-    merged them into; the constant is what the survivor holds beyond them."""
-    merged_into = {s.before[1]: s.before[0] for s in steps
-                   if s.rule == "fuse_spiders"}
-    groups: dict[int, list[int]] = {}
-    for p in sorted(inputs):
-        v = p
-        while v in merged_into:
-            v = merged_into[v]
-        groups.setdefault(v, []).append(p)
+def simplify_core(d: ZxDiagram, protected) -> tuple[list[RewriteStep], tuple]:
+    """The simplifier core, unmemoized: plug the boundary, decouple X
+    states (before the graph-like pass color-changes them), then remove
+    trailing caps, phase-0 and +-pi/2 wires in that priority, all in place.
+    A fusion hands the ``protected`` inputs its spider holds to the
+    survivor; ``protected`` itself is left as it was.  Returns the trace
+    and the :class:`_Rewrite` formulas, by lowest input, inputs ascending."""
+    held = {p: [p] for p in protected if p in d.spiders}
+    inputs = {p: d.spiders[p].phase for p in held}
+    steps: list[RewriteStep] = []
+    if not d.is_closed():
+        _plug_inplace(d, steps)
+    _drive(d, held, steps, _RULES[:1])
+    _to_graph_like_inplace(d, held, steps)
+    _drive(d, held, steps, _RULES)
     formulas = []
-    for v, ps in groups.items():
+    for ps, v in sorted((sorted(ps), v) for v, ps in held.items()):
         constant = d.spiders[v].phase
         for p in ps:
             constant = constant - inputs[p]
         formulas.append((v, constant, tuple(ps)))
-    return tuple(formulas)
-
-
-def simplify_core(d: ZxDiagram, protected: set[int],
-                  steps: list[RewriteStep]) -> tuple:
-    """The simplifier core, unmemoized: plug the boundary, decouple X
-    states (before the graph-like pass color-changes them), then remove
-    trailing caps, phase-0 and +-pi/2 wires in that priority, all in place;
-    ``protected`` follows fusions.  Returns the :class:`_Rewrite` formulas."""
-    inputs = {p: d.spiders[p].phase for p in protected if p in d.spiders}
-    start = len(steps)
-    if not d.is_closed():
-        _plug_inplace(d, steps)
-    _drive(d, protected, steps, _RULES[:1])
-    _to_graph_like_inplace(d, protected, steps)
-    _drive(d, protected, steps, _RULES)
-    return _phase_formulas(d, inputs, steps[start:])
+    return steps, tuple(formulas)
 
 
 def _rewrite(d: ZxDiagram, protected) -> _Rewrite:
     """The record of ``d``; it keeps a copy of the reduced diagram, whose
     dicts the deletions left sparse and slow to copy on each replay."""
-    reduced, steps = d.copy(), []
-    formulas = simplify_core(reduced, set(protected), steps)
+    reduced = d.copy()
+    steps, formulas = simplify_core(reduced, protected)
     return _Rewrite(reduced.copy(), tuple(steps), formulas)
 
 

@@ -240,23 +240,26 @@ def _spider_max_norm(kind: SpiderKind, z: complex, rank: int) -> float:
     return max(abs(1 + z), abs(1 - z))
 
 
-def equivalent_up_to_scalar(a, b, tol: float = 1e-9):
-    """True iff a = c * b for some nonzero c, within tol, for two arrays
+_TOL = 1e-9
+
+
+def equivalent_up_to_scalar(a, b):
+    """True iff a = c * b for some nonzero c, within _TOL, for two arrays
     of one shape; returns (bool, c)."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")
     na, nb = (float(np.abs(x).max(initial=0.0)) for x in (a, b))
     scale = max(na, nb)
-    # absolute floor: entries below tol count as zero, so that an exact 0
+    # absolute floor: entries below _TOL count as zero, so that an exact 0
     # and an accumulated-roundoff 1e-32 compare equal
-    if scale <= tol:
+    if scale <= _TOL:
         return True, complex(1)
-    if na <= tol * scale or nb <= tol * scale:
+    if na <= _TOL * scale or nb <= _TOL * scale:
         return False, complex(0)
     denom = np.vdot(b, b)
     c = complex(np.vdot(b, a) / denom)
     if c == 0:
         return False, complex(0)
     err = float(np.max(np.abs(a - c * b)))
-    return err <= tol * scale, c
+    return err <= _TOL * scale, c

@@ -105,7 +105,7 @@ def test_criterion_2_oracle_circuits():
     for f in enumerate_promise(3):
         u = unitary(oracle_circuit_3q(f))
         diag = np.diag([(-1.0) ** f.value(i) for i in range(8)]).astype(complex)
-        good, _ = equivalent_up_to_scalar(u, diag, tol=1e-9)
+        good, _ = equivalent_up_to_scalar(u, diag)
         if not good:
             ok, detail = False, f"table {f.table} is not the phase oracle"
             break
@@ -285,7 +285,7 @@ def test_criterion_5_rewrite_soundness():
                 continue
             applied += 1
             good, _ = equivalent_up_to_scalar(
-                evaluate(before), evaluate(d), tol=1e-9)
+                evaluate(before), evaluate(d))
             if not good:
                 ok, detail = False, f"{rule} changed the tensor"
                 break

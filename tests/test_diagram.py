@@ -106,7 +106,7 @@ def test_json_round_trip(d):
     d2 = ZxDiagram.from_json(d.to_json())
     assert d2.to_json_dict() == ZxDiagram.from_json_dict(d2.to_json_dict()).to_json_dict()
     t1, t2 = evaluate(d), evaluate(d2)
-    ok, _ = equivalent_up_to_scalar(t1, t2, tol=1e-9)
+    ok, _ = equivalent_up_to_scalar(t1, t2)
     assert ok
 
 

@@ -1071,7 +1071,7 @@ def test_reduce_lattice_verdict_agreement():
 def test_reduce_lattice_empty_pattern():
     p = MeasurementPattern({}, set(), [])
     reduced, steps = reduce_lattice(p)
-    assert reduced is p and steps == []
+    assert reduced == p and reduced is not p and steps == []
 
 
 def _diagram_builds(monkeypatch):
@@ -1089,7 +1089,8 @@ def _diagram_builds(monkeypatch):
 def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch):
     builds = _diagram_builds(monkeypatch)
     p = lattice_pattern_3q(BooleanFunction(3, 0))
-    p.angles[12] = PI  # grid position (3, 1) must hold a quarter turn
+    # grid position (2, 5) must hold -pi/2; at pi it survives with degree 2
+    p.angles[mbqc._grid_id((2, 5))] = PI
     # the repeats raise from the memoized message, building no diagram
     messages = []
     for _ in range(3):
@@ -1100,6 +1101,22 @@ def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch):
     assert messages == messages[:1] * 3
     assert list(mbqc._lattice_memo.values()) == messages[:1]
     assert not rewrite._rewrite_memo
+
+
+@pytest.mark.parametrize("table", [0, 0b01101001])
+def test_a_carrier_fused_into_a_spare_leaves_no_stuck_spider(table):
+    """pi at grid (3, 1) lets the carrier at (6, 1) fuse into that spare,
+    whose survivor holds the carrier: the reduction is not stuck.  Its
+    shape is the compiled one; only the angles tell it apart."""
+    f = BooleanFunction(3, table)
+    p = lattice_pattern_3q(f)
+    p.angles[mbqc._grid_id((3, 1))] = PI
+    reduced, _ = reduce_lattice(p)
+    assert len(reduced.angles) == 11
+    compiled = dj_pattern_3q(f)
+    assert patterns_isomorphic(reduced, compiled, with_angles=False)
+    assert not patterns_isomorphic(reduced, compiled)
+    assert run_postselected(p).verdict is classify(f)
 
 
 def test_warm_reduce_lattice_runs_no_rule(monkeypatch):
@@ -1418,7 +1435,7 @@ def test_exact_judge_agrees_across_reduce_lattice():
     reduction get the same exact verdict, and their |amplitude| ratio is
     one fixed power of sqrt(2) (the scalars the reduction drops)."""
     rng = random.Random(11)
-    carriers = [mbqc._grid_id(pos) for pos in sorted(mbqc._LATTICE_CARRIERS)]
+    carriers = sorted(mbqc._LATTICE_CARRIER_IDS)
     ratios, verdicts = set(), set()
     for _ in range(60):
         p = lattice_pattern_3q(BooleanFunction(3, 0))

@@ -218,7 +218,7 @@ def test_oracle_circuit_3q_is_diagonal_oracle():
         f = BooleanFunction(3, table)
         u = unitary(oracle_circuit_3q(f))
         diag = np.diag([(-1.0) ** f.value(i) for i in range(8)]).astype(complex)
-        ok, _ = equivalent_up_to_scalar(u, diag, tol=1e-9)
+        ok, _ = equivalent_up_to_scalar(u, diag)
         assert ok, table
 
 
@@ -246,7 +246,7 @@ def _angles_realize_oracle(f, angles):
     target = np.array([(-1.0) ** f.value(i) for i in range(2 ** n)],
                       dtype=complex) / math.sqrt(2 ** n)
     got = op @ plus
-    ok, _ = equivalent_up_to_scalar(got, target, tol=1e-9)
+    ok, _ = equivalent_up_to_scalar(got, target)
     return ok
 
 
