@@ -32,14 +32,13 @@ from .oracle import (
     BooleanFunction,
     Verdict,
     _READOUT_PARITIES,
-    _parity_sets,
     classify,
     one_qubit_spider_angles,
     phase_polynomial,
     two_qubit_spider_angles,
 )
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
-from .rewrite import _memoized, simplify_core
+from .rewrite import _carrier_sum, _memoized, simplify_core
 from .tensor import collapse_floor, evaluate
 
 
@@ -284,45 +283,13 @@ def _extends(nbrs: list[list[int]], n: int, colours: list[int]) -> bool:
     return False
 
 
-# Golden eleven-qubit pattern.  Node order: T1..T5 (top chain), M1..M3
-# (middle chain), B1..B3 (bottom chain), ids 0..10.  The labels below
-# were certified against the dense evaluator over all 72 oracle variants:
-# the chain-end qubit T5 carries the three-way parity coefficient and B3
-# the {1,2} parity coefficient.
-_3Q_NAMES = ["T1", "T2", "T3", "T4", "T5", "M1", "M2", "M3", "B1", "B2", "B3"]
-_3Q_EDGES = [
-    ("T1", "T2"), ("T2", "T3"), ("T2", "B1"), ("T3", "M2"), ("T3", "T4"),
-    ("T4", "T5"), ("T4", "B3"), ("M1", "M2"), ("M2", "M3"), ("M3", "B2"),
-    ("B1", "B2"), ("B2", "B3"),
-]
-
-
-def _dj_layout_3q(coeffs):
-    """Each named qubit's angle, from the phase polynomial's ``coeffs``.
-    Handed ``_SLOTS``, it gives the template ``_DJ_3Q``."""
-    get = lambda *q: coeffs.get(frozenset(q), ZERO)
-    return {
-        "T1": get(2), "T2": ZERO, "T3": get(0), "T4": ZERO, "T5": get(0, 1, 2),
-        "M1": get(1), "M2": ZERO, "M3": get(0, 1),
-        "B1": get(0, 2), "B2": ZERO, "B3": get(1, 2),
-    }
-
-
 @dataclass(frozen=True)
 class _Slot:
-    """A carrier's angle in a template: the coefficient of ``parity`` plus
-    ``offset``.  Adding a phase to a slot adds it to the offset, so a layout
-    handed ``_SLOTS`` for its coefficients returns slots for its carriers."""
+    """A carrier in a layout table: its angle is ``offset`` plus the value
+    of ``source``."""
 
-    parity: frozenset
+    source: object
     offset: Phase = ZERO
-
-    def __add__(self, other: Phase) -> "_Slot":
-        return _Slot(self.parity, self.offset + other)
-
-
-# Stands in for the coefficients of a three-bit phase polynomial.
-_SLOTS = {parity: _Slot(parity) for parity in _parity_sets(3)}
 
 
 class _Template(NamedTuple):
@@ -336,42 +303,64 @@ class _Template(NamedTuple):
     z_basis: tuple[int, ...]
 
 
-def _template(layout: dict, edges) -> _Template:
-    """The template of a layout by qubit id, whose entries are fixed angles,
-    slots, or "z" for a computational-basis qubit.  A slot's one source is
-    its parity set; the readouts are the carriers of
-    ``oracle._READOUT_PARITIES``, in that order."""
+def _template(layout: dict, edges, readout_sources) -> _Template:
+    """The template of a layout table by qubit id, whose entries are fixed
+    angles, slots, or "z" for a computational-basis qubit, and of its
+    ``edges`` as id pairs.  The readouts are the carriers whose sources are
+    ``readout_sources``, in that order."""
     angles, carriers, z_basis, carrier_of = {}, [], [], {}
     for q, entry in layout.items():
         if isinstance(entry, _Slot):
-            carriers.append((q, entry.offset, (entry.parity,)))
-            carrier_of[entry.parity] = q
-        elif isinstance(entry, str):  # "z" is the only str
+            carriers.append((q, entry.offset, (entry.source,)))
+            carrier_of[entry.source] = q
+        elif entry == "z":
             z_basis.append(q)
         angles[q] = entry if isinstance(entry, Phase) else ZERO
-    return _Template(angles, tuple(carriers), tuple(edges),
-                     tuple(carrier_of[s] for s in _READOUT_PARITIES),
+    return _Template(angles, tuple(carriers), tuple(map(frozenset, edges)),
+                     tuple(carrier_of[s] for s in readout_sources),
                      tuple(z_basis))
 
 
 def _fill(t: _Template, values: dict) -> MeasurementPattern:
-    """The pattern of template ``t``, in fresh containers: each carrier's
-    angle is its offset plus ``values.get(s, ZERO)`` summed over its
-    sources ``s``.  The sources are parity sets keyed into a phase
-    polynomial's ``coeffs``, or lattice qubits keyed into its angles."""
+    """The pattern of template ``t``, in fresh containers, with each
+    carrier's angle given by ``rewrite._carrier_sum`` over ``values``: a
+    phase polynomial's ``coeffs`` by parity set, spider angles by index, or
+    a lattice's angles by qubit."""
     angles = dict(t.angles)
-    for q, angle, sources in t.carriers:
-        for s in sources:
-            angle = angle + values.get(s, ZERO)
-        angles[q] = angle
+    for q, offset, sources in t.carriers:
+        angles[q] = _carrier_sum(offset, sources, values)
     return MeasurementPattern(angles, set(t.edges), list(t.readouts),
                               set(t.z_basis))
 
 
-_3Q_INDEX = {name: i for i, name in enumerate(_3Q_NAMES)}
+def _parity(*bits: int, offset: Phase = ZERO) -> _Slot:
+    """The slot of the phase polynomial's coefficient of parity ``bits``."""
+    return _Slot(frozenset(bits), offset)
+
+
+# Golden eleven-qubit pattern.  Ids 0..10 are T1..T5 (top chain), M1..M3
+# (middle chain) and B1..B3 (bottom chain).  The labels below were
+# certified against the dense evaluator over all 72 oracle variants: the
+# chain-end qubit T5 carries the three-way parity coefficient and B3 the
+# {1,2} parity coefficient.
 _DJ_3Q = _template(
-    {_3Q_INDEX[name]: entry for name, entry in _dj_layout_3q(_SLOTS).items()},
-    [frozenset((_3Q_INDEX[a], _3Q_INDEX[b])) for a, b in _3Q_EDGES])
+    {0: _parity(2), 1: ZERO, 2: _parity(0), 3: ZERO, 4: _parity(0, 1, 2),
+     5: _parity(1), 6: ZERO, 7: _parity(0, 1),
+     8: _parity(0, 2), 9: ZERO, 10: _parity(1, 2)},
+    # T1-T2, T2-T3, T2-B1, T3-M2, T3-T4, T4-T5, T4-B3, M1-M2, M2-M3,
+    # M3-B2, B1-B2, B2-B3
+    [(0, 1), (1, 2), (1, 8), (2, 6), (2, 3), (3, 4), (3, 10), (5, 6),
+     (6, 7), (7, 9), (8, 9), (9, 10)],
+    _READOUT_PARITIES)
+# The one- and two-bit patterns: chains of three qubits measured at
+# (0, x-angle, z-angle), whose slots index the angles of
+# oracle.one_qubit_spider_angles and two_qubit_spider_angles; each chain's
+# end is read out.
+_CHAIN_1Q = _template({0: ZERO, 1: _Slot(0), 2: _Slot(1)},
+                      [(0, 1), (1, 2)], (1,))
+_CHAIN_2Q = _template(
+    {0: ZERO, 1: _Slot(0), 2: _Slot(1), 3: ZERO, 4: _Slot(2), 5: _Slot(3)},
+    [(0, 1), (1, 2), (3, 4), (4, 5)], (1, 3))
 
 
 def dj_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
@@ -382,32 +371,15 @@ def dj_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
     return _fill(_DJ_3Q, phase_polynomial(f).coeffs)
 
 
-def _chain_pattern(chains) -> MeasurementPattern:
-    angles = {}
-    edges = set()
-    readouts = []
-    next_id = 0
-    for chain in chains:
-        ids = []
-        for angle in chain:
-            angles[next_id] = angle
-            ids.append(next_id)
-            next_id += 1
-        for a, b in zip(ids, ids[1:]):
-            edges.add(frozenset((a, b)))
-        readouts.append(ids[-1])
-    return MeasurementPattern(angles, edges, readouts)
-
-
 def dj_pattern_2q(f: BooleanFunction) -> MeasurementPattern:
-    """Two disjoint three-qubit chains measured at (0, x-angle, z-angle)."""
-    a0, a1, a2, a3 = two_qubit_spider_angles(f)
-    return _chain_pattern([(ZERO, a0, a1), (ZERO, a2, a3)])
+    """Two disjoint three-qubit chains measured at (0, x-angle, z-angle),
+    filled into the template ``_CHAIN_2Q``."""
+    return _fill(_CHAIN_2Q, dict(enumerate(two_qubit_spider_angles(f))))
 
 
 def dj_pattern_1q(f: BooleanFunction) -> MeasurementPattern:
-    x_angle, z_angle = one_qubit_spider_angles(f)
-    return _chain_pattern([(ZERO, x_angle, z_angle)])
+    """One three-qubit chain, filled into the template ``_CHAIN_1Q``."""
+    return _fill(_CHAIN_1Q, dict(enumerate(one_qubit_spider_angles(f))))
 
 
 def run_postselected(p: MeasurementPattern) -> PatternOutcome:
@@ -904,51 +876,44 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
 #   - a triple of pi/2 spares leaves no residue.
 # ---------------------------------------------------------------------------
 
-def _lattice_layout(coeffs):
-    """Each grid position's angle, from the phase polynomial's ``coeffs``,
-    or "z" for a computational-basis spare.  Handed ``_SLOTS``, it gives
-    the template ``_LATTICE``."""
-    get = lambda *q: coeffs.get(frozenset(q), ZERO)
-    half = HALF_PI
-    mhalf = MINUS_HALF_PI
-    return {
-        (1, 1): get(2), (1, 2): "z", (1, 3): "z", (1, 4): "z", (1, 5): "z",
-        (1, 6): get(0, 1, 2),
-        (2, 1): half, (2, 2): ZERO, (2, 3): mhalf, (2, 4): get(0),
-        (2, 5): mhalf, (2, 6): mhalf,
-        (3, 1): half, (3, 2): "z", (3, 3): "z", (3, 4): half,
-        (3, 5): "z", (3, 6): half,
-        (4, 1): half, (4, 2): "z", (4, 3): get(1), (4, 4): half,
-        (4, 5): "z", (4, 6): half,
-        (5, 1): half, (5, 2): "z", (5, 3): "z", (5, 4): get(0, 1),
-        (5, 5): "z", (5, 6): half,
-        (6, 1): get(0, 2) + half, (6, 2): ZERO, (6, 3): mhalf,
-        (6, 4): half, (6, 5): half, (6, 6): get(1, 2) + half,
-    }
-
-
 def _grid_id(pos) -> int:
     r, c = pos
     return (r - 1) * 6 + (c - 1)
 
 
-# The grid is the same for every variant; only the carrier angles vary.
-_LATTICE_IDS = {(r, c): _grid_id((r, c)) for r in range(1, 7) for c in range(1, 7)}
+# Each grid position's angle, in row-major order, or "z" for a
+# computational-basis spare.  The grid is the same for every variant; only
+# the carrier angles vary.
+_LATTICE_LAYOUT = {
+    (1, 1): _parity(2), (1, 2): "z", (1, 3): "z", (1, 4): "z", (1, 5): "z",
+    (1, 6): _parity(0, 1, 2),
+    (2, 1): HALF_PI, (2, 2): ZERO, (2, 3): MINUS_HALF_PI, (2, 4): _parity(0),
+    (2, 5): MINUS_HALF_PI, (2, 6): MINUS_HALF_PI,
+    (3, 1): HALF_PI, (3, 2): "z", (3, 3): "z", (3, 4): HALF_PI,
+    (3, 5): "z", (3, 6): HALF_PI,
+    (4, 1): HALF_PI, (4, 2): "z", (4, 3): _parity(1), (4, 4): HALF_PI,
+    (4, 5): "z", (4, 6): HALF_PI,
+    (5, 1): HALF_PI, (5, 2): "z", (5, 3): "z", (5, 4): _parity(0, 1),
+    (5, 5): "z", (5, 6): HALF_PI,
+    (6, 1): _parity(0, 2, offset=HALF_PI), (6, 2): ZERO,
+    (6, 3): MINUS_HALF_PI, (6, 4): HALF_PI, (6, 5): HALF_PI,
+    (6, 6): _parity(1, 2, offset=HALF_PI),
+}
 # The edges go in the insertion order of the row-major sweep, so that every
 # copy iterates in one order and pattern_to_diagram numbers the edges the
 # same way.
 _LATTICE = _template(
-    {_LATTICE_IDS[pos]: entry for pos, entry in _lattice_layout(_SLOTS).items()},
-    [frozenset((q, _LATTICE_IDS[nbr]))
-     for (r, c), q in _LATTICE_IDS.items()
-     for nbr in ((r, c + 1), (r + 1, c)) if nbr in _LATTICE_IDS])
+    {_grid_id(pos): entry for pos, entry in _LATTICE_LAYOUT.items()},
+    [(_grid_id((r, c)), _grid_id(nbr)) for r, c in _LATTICE_LAYOUT
+     for nbr in ((r, c + 1), (r + 1, c)) if nbr in _LATTICE_LAYOUT],
+    _READOUT_PARITIES)
 # The parameter carriers, which reduce_lattice protects.
 _LATTICE_CARRIER_IDS = frozenset(q for q, _, _ in _LATTICE.carriers)
 
 
 def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
     """The 6x6 lattice embedding of the eleven-qubit pattern of ``f``,
-    filled into the template ``_LATTICE``, which ``_lattice_layout``
+    filled into the template ``_LATTICE``, which ``_LATTICE_LAYOUT``
     gives.  Every call returns fresh containers, so a caller may edit its
     copy."""
     if f.n != 3:
@@ -957,15 +922,14 @@ def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
 
 
 # Lattice reductions by key (see reduce_lattice): the reduced pattern's
-# template, whose sources are lattice carrier qubits, and the rewrite
-# trace; a stuck key holds its ReductionStuckError message instead.
-_lattice_memo: dict[tuple, tuple[_Template, tuple] | str] = {}
+# template, whose sources are lattice carrier qubits, and the rewrite trace.
+_lattice_memo: dict[tuple, tuple[_Template, tuple]] = {}
 
 
 def _reduction(p: MeasurementPattern,
-               qubits: list[int]) -> tuple[_Template, tuple] | str:
-    """Reduce ``p``, whose qubits in ascending order are ``qubits``, or say
-    which spiders leave it stuck."""
+               qubits: list[int]) -> tuple[_Template, tuple]:
+    """Reduce ``p``, whose qubits in ascending order are ``qubits``; raises
+    ``ReductionStuckError`` naming the spiders that leave it stuck."""
     d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
     steps, formulas = simplify_core(
         d, {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS})
@@ -973,7 +937,8 @@ def _reduction(p: MeasurementPattern,
     stuck = sorted(v for v in d.spiders
                    if v not in survivors and d.degree(v) <= 2)
     if stuck:
-        return f"spiders {stuck} outside the carriers survive with degree <= 2"
+        raise ReductionStuckError(
+            f"spiders {stuck} outside the carriers survive with degree <= 2")
     r = pattern_from_graph_like(d, [qubits.index(q) for q in p.readouts])
     carriers = tuple((v, constant, tuple(qubits[c] for c in inputs))
                      for v, constant, inputs in formulas)
@@ -997,15 +962,12 @@ def reduce_lattice(p: MeasurementPattern):
     all 72 variants share a key, and only a miss builds a diagram: the key
     stores the reduced pattern as a template whose carriers are the
     survivors the lattice carriers fused into, and :func:`_fill` sets each
-    to a stored constant plus their angles.  A stuck key stores its
-    message, so a repeat raises again."""
+    to a stored constant plus their angles."""
     p.validate()
     qubits = p.qubits()
     key = (tuple(qubits), tuple(p.edges), frozenset(p.z_basis),
            tuple(p.readouts), tuple([p.angles[q] for q in qubits
                                      if q not in _LATTICE_CARRIER_IDS]))
-    memo = _memoized(_lattice_memo, key, lambda: _reduction(p, qubits))
-    if isinstance(memo, str):
-        raise ReductionStuckError(memo)
-    template, steps = memo
+    template, steps = _memoized(_lattice_memo, key,
+                                lambda: _reduction(p, qubits))
     return _fill(template, p.angles), list(steps)

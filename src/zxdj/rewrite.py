@@ -448,6 +448,15 @@ def _shape_key(d: ZxDiagram) -> tuple:
             tuple(d.inputs), tuple(d.outputs))
 
 
+def _carrier_sum(offset: Phase, sources, values) -> Phase:
+    """``offset`` plus ``values.get(s, ZERO)`` summed over ``sources``: the
+    phase of a survivor whose protected inputs fused into it, and the angle
+    of a pattern template's carrier (``mbqc._fill``)."""
+    for s in sources:
+        offset = offset + values.get(s, ZERO)
+    return offset
+
+
 def _memoized(memo: dict, key, build):
     """``memo[key]``, which ``build()`` makes on a miss (see the module
     docstring for the policy)."""
@@ -533,8 +542,7 @@ def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
     memo = _memoized(_rewrite_memo, _rewrite_key(d, protected),
                      lambda: _rewrite(d, protected))
     result = memo.reduced.copy()
+    phases = {p: d.spiders[p].phase for p in protected if p in d.spiders}
     for v, constant, ps in memo.formulas:
-        for p in ps:
-            constant = constant + d.spiders[p].phase
-        result.spiders[v].phase = constant
+        result.spiders[v].phase = _carrier_sum(constant, ps, phases)
     return result, list(memo.steps)
