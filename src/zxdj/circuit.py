@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
 from .rewrite import _memoized
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ops: "phase" (1q, carries an angle), "cnot" (control, target),
 #      "z", "y", "h" (1q)
@@ -100,8 +103,17 @@ class Circuit:
         return cls.from_json_dict(json.loads(text))
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+@functools.cache
+def _matrix(op: str) -> np.ndarray:
+    """The read-only matrix of the one-qubit gate ``op``, "h" or "y"."""
+    import numpy as np
+
+    if op == "h":
+        m = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    else:
+        m = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    m.flags.writeable = False
+    return m
 
 
 # Widest circuit simulated densely.
@@ -117,6 +129,8 @@ def _apply_gates(c: Circuit, state: np.ndarray) -> np.ndarray:
     in place; H and Y are contracted with ``np.tensordot``.  Returns the
     updated state, which may or may not be ``state`` itself.
     """
+    import numpy as np
+
     for g in c.gates:
         if g.op in ("phase", "z"):
             one = (slice(None),) * g.qubits[0] + (1,)
@@ -131,8 +145,9 @@ def _apply_gates(c: Circuit, state: np.ndarray) -> np.ndarray:
             high = tuple(at)
             state[low], state[high] = state[high], state[low].copy()
         else:
-            mat, q = (_H if g.op == "h" else _Y), g.qubits[0]
-            state = np.moveaxis(np.tensordot(mat, state, axes=(1, q)), 0, q)
+            q = g.qubits[0]
+            state = np.moveaxis(
+                np.tensordot(_matrix(g.op), state, axes=(1, q)), 0, q)
     return state
 
 
@@ -144,6 +159,8 @@ def _check_width(c: Circuit) -> None:
 def unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit as a 2^w x 2^w matrix, output index by
     input index; qubit 0 is the most significant bit of each."""
+    import numpy as np
+
     _check_width(c)
     w = c.width
     # row axes 0..w-1 are the output qubits; the flat column axis is last
@@ -228,6 +245,8 @@ def to_zx(c: Circuit) -> ZxDiagram:
 def plus_amplitude(c: Circuit) -> complex:
     """<+...+|U|+...+> for the circuit's unitary U, from U applied to the
     unnormalized |+...+> state vector (2^w work per gate)."""
+    import numpy as np
+
     _check_width(c)
     state = _apply_gates(c, np.ones((2,) * c.width, dtype=complex))
     return complex(state.sum()) / 2 ** c.width

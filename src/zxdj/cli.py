@@ -27,7 +27,6 @@ from .mbqc import (
     pattern_from_graph_like,
     reduce_lattice,
     run_postselected,
-    run_sampled,
 )
 from .oracle import (
     BooleanFunction,
@@ -207,6 +206,8 @@ def _cmd_simulate(args) -> int:
         return 0
     p = _pattern_of(args)
     if args.shots:
+        from .sampling import run_sampled  # loads numpy
+
         out = run_sampled(p, seed=args.seed, shots=args.shots)
         if out.agreeing_shots < out.shots:
             doc = {"error": "readout is not deterministic: the shots disagree",
@@ -246,6 +247,8 @@ def _verify_record_3q(f: BooleanFunction) -> dict:
 
 
 def _verify_record_small(f: BooleanFunction, variant=None) -> dict:
+    from .sampling import run_sampled
+
     expected = classify(f)
     p = _PATTERN_MAKERS[f.n](f)
     pattern_v = run_postselected(p).verdict

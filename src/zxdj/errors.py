@@ -14,7 +14,8 @@ class SelfLoopError(ZxError):
 
 
 class ArityMismatchError(ZxError):
-    pass
+    """A gate or circuit has the wrong number of qubits, or a fixed-width
+    synthesis or pattern is given a function of the wrong width."""
 
 
 class ShapeMismatchError(ZxError):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, cnot, phase_gate
-from .errors import NotPromiseError, WidthTooLargeError
+from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
 
 
@@ -202,7 +202,7 @@ def oracle_circuit_3q(f: BooleanFunction) -> Circuit:
     builds only the seven phase gates, in a fresh list.
     """
     if f.n != 3:
-        raise NotPromiseError("three-qubit synthesis needs n = 3")
+        raise ArityMismatchError("three-qubit synthesis needs n = 3")
     coeffs = phase_polynomial(f).coeffs
     gates = [entry if isinstance(entry, Gate)
              else phase_gate(entry[0], coeffs.get(entry[1], ZERO))
@@ -236,7 +236,7 @@ def two_qubit_spider_angles(f: BooleanFunction):
     gates to Y gates (global phase aside).
     """
     if f.n != 2:
-        raise NotPromiseError("angle table needs n = 2")
+        raise ArityMismatchError("angle table needs n = 2")
     classify(f)
     c, (a0, a1) = _affine_form(f)
     use_y = c == 1 and (a0 or a1)
@@ -251,7 +251,7 @@ def two_qubit_spider_angles(f: BooleanFunction):
 def one_qubit_spider_angles(f: BooleanFunction):
     """Per-wire (x-spider, z-spider) angles for the one-qubit oracle."""
     if f.n != 1:
-        raise NotPromiseError("angle pair needs n = 1")
+        raise ArityMismatchError("angle pair needs n = 1")
     classify(f)
     flip = f.value(0) ^ f.value(1)
     return (ZERO, PI if flip else ZERO)

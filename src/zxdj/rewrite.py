@@ -6,7 +6,7 @@ nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
 The package's five memos (``circuit._zx_memo``, ``_rewrite_memo``,
-``mbqc._exact_memo``, ``mbqc._plan_memo``, ``mbqc._lattice_memo``) share
+``mbqc._exact_memo``, ``sampling._plan_memo``, ``mbqc._lattice_memo``) share
 one policy, kept in :func:`_memoized` alone: a record is built on a miss
 only, at most ``MEMO_SHAPES`` keys stay, the first one in is evicted
 first, and a build that raises stores nothing.  Each caller reads a record

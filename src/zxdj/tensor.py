@@ -13,25 +13,48 @@ in the order :func:`elimination_order` picks), checked against
 :func:`evaluate`.  Nothing is memoized: ``mbqc.run_exact`` decides every
 Clifford pattern, which covers every pattern for n <= 3, so the commands
 contract only a non-Clifford pattern loaded by ``simulate --pattern``,
-once per process.
+once per process.  numpy is imported by the functions that build an
+array, so planning a contraction, as ``max_intermediate_rank`` and
+``collapse_floor`` do, loads none of it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import ShapeMismatchError, WidthTooLargeError
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+if TYPE_CHECKING:
+    import numpy as np
+
+
+@functools.cache
+def _hadamard() -> np.ndarray:
+    """The Hadamard edge's matrix [[1, 1], [1, -1]] / sqrt(2), read-only."""
+    import numpy as np
+
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    h.flags.writeable = False
+    return h
+
+
+def __getattr__(name: str):
+    # HADAMARD is built on first use, so that importing this module loads no
+    # numpy
+    if name == "HADAMARD":
+        return _hadamard()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def spider_tensor(kind: SpiderKind, phase_factor: complex, rank: int) -> np.ndarray:
     """The bare spider tensor before Hadamard-edge dressing."""
+    import numpy as np
+
     if kind is SpiderKind.Z:
         data = np.zeros((2,) * rank, dtype=complex) if rank else np.zeros((), complex)
         data.reshape(-1)[0] = 1
@@ -177,6 +200,8 @@ def evaluate(d: ZxDiagram, order: list[int] | None = None) -> np.ndarray:
         raise WidthTooLargeError(
             f"contraction peaks at rank {plan.peak_rank}; "
             f"the cap is {MAX_PEAK_RANK}")
+    import numpy as np
+
     labels: dict[int, list] = {}
     pool: dict[int, np.ndarray] = {}
     for v in d.node_ids():
@@ -192,7 +217,7 @@ def evaluate(d: ZxDiagram, order: list[int] | None = None) -> np.ndarray:
             v = min(e.a, e.b)
             axis = labels[v].index(("e", eid))
             pool[v] = np.moveaxis(
-                np.tensordot(pool[v], HADAMARD, axes=([axis], [0])), -1, axis)
+                np.tensordot(pool[v], _hadamard(), axes=([axis], [0])), -1, axis)
     for keep, absorb in plan.merges:
         l1, l2 = labels[keep], labels.pop(absorb)
         ax1 = [i for i, lab in enumerate(l1) if lab in l2]
@@ -246,6 +271,8 @@ _TOL = 1e-9
 def equivalent_up_to_scalar(a, b):
     """True iff a = c * b for some nonzero c, within _TOL, for two arrays
     of one shape; returns (bool, c)."""
+    import numpy as np
+
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"{a.shape} vs {b.shape}")

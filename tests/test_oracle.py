@@ -9,7 +9,7 @@ import pytest
 
 from zxdj import oracle
 from zxdj.circuit import unitary
-from zxdj.errors import NotPromiseError, WidthTooLargeError
+from zxdj.errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from zxdj.oracle import (
     MAX_INPUT_BITS,
     BooleanFunction,
@@ -223,7 +223,7 @@ def test_oracle_circuit_3q_is_diagonal_oracle():
 
 
 def test_oracle_circuit_3q_guard():
-    with pytest.raises(NotPromiseError):
+    with pytest.raises(ArityMismatchError):
         oracle_circuit_3q(BooleanFunction(2, 6))
 
 
@@ -261,11 +261,11 @@ def test_one_qubit_angles_realize_every_promise_function():
 
 
 def test_two_qubit_angles_guards():
-    with pytest.raises(NotPromiseError):
+    with pytest.raises(ArityMismatchError):
         two_qubit_spider_angles(BooleanFunction(1, 0))
     with pytest.raises(NotPromiseError):
         two_qubit_spider_angles(BooleanFunction(2, 1))
-    with pytest.raises(NotPromiseError):
+    with pytest.raises(ArityMismatchError):
         one_qubit_spider_angles(BooleanFunction(2, 6))
 
 
