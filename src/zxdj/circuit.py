@@ -12,6 +12,7 @@ from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
 from .rewrite import _memoized
+from .tensor import _TOL
 
 if TYPE_CHECKING:
     import numpy as np
@@ -250,9 +251,6 @@ def plus_amplitude(c: Circuit) -> complex:
     _check_width(c)
     state = _apply_gates(c, np.ones((2,) * c.width, dtype=complex))
     return complex(state.sum()) / 2 ** c.width
-
-
-_TOL = 1e-9
 
 
 def dj_run_circuit(oracle: Circuit):

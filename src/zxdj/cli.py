@@ -121,33 +121,37 @@ def _cmd_synth_circuit(args) -> int:
 _MALFORMED = (KeyError, ValueError, TypeError, RecursionError)
 
 
-def _load_circuit(path: str) -> Circuit:
-    """Load a circuit document no wider than ``circuit.MAX_WIDTH``."""
+def _load(path: str, kind: str, parse):
+    """``parse`` applied to the text of the file at ``path``; a file that
+    cannot be read or parsed is a usage error."""
     try:
         with open(path) as fh:
-            c = Circuit.from_json(fh.read())
+            return parse(fh.read())
     except OSError as exc:
-        raise UsageError(f"cannot read circuit file: {exc}")
+        raise UsageError(f"cannot read {kind} file: {exc}")
     except _MALFORMED as exc:
-        raise UsageError(f"malformed circuit JSON: {exc}")
+        raise UsageError(f"malformed {kind} JSON: {exc}")
+
+
+def _load_circuit(path: str) -> Circuit:
+    """Load a circuit document no wider than ``circuit.MAX_WIDTH``."""
+    c = _load(path, "circuit", Circuit.from_json)
     _check_width(c)
     return c
+
+
+def _pattern_from_text(text: str) -> MeasurementPattern:
+    doc = json.loads(text)
+    if isinstance(doc, dict) and "pattern" in doc:
+        doc = doc["pattern"]
+    return MeasurementPattern.from_json_dict(doc)
 
 
 def _load_pattern(path: str) -> MeasurementPattern:
     """Load a pattern document, or a ``compile-mbqc`` or ``lattice`` output
     whose ``"pattern"`` key holds one; ``NotGraphLikeError`` when it fails
     ``MeasurementPattern.validate``."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and "pattern" in doc:
-            doc = doc["pattern"]
-        p = MeasurementPattern.from_json_dict(doc)
-    except OSError as exc:
-        raise UsageError(f"cannot read pattern file: {exc}")
-    except _MALFORMED as exc:
-        raise UsageError(f"malformed pattern JSON: {exc}")
+    p = _load(path, "pattern", _pattern_from_text)
     p.validate()
     return p
 

@@ -65,8 +65,11 @@ class MeasurementPattern:
     def validate(self) -> None:
         qubits = set(self.angles)
         for e in self.edges:
-            if len(e) != 2:
+            if len(e) == 1:
                 raise NotGraphLikeError(f"self-edge {set(e)}")
+            if len(e) != 2:
+                raise NotGraphLikeError(
+                    f"edge {set(e)} joins {len(e)} qubits, not 2")
             if not e <= qubits:
                 raise NotGraphLikeError(f"edge {set(e)} references unknown qubit")
         listed = self.qubits()  # a list: JSON may give an unhashable readout
@@ -154,6 +157,7 @@ def pattern_from_graph_like(d: ZxDiagram,
     Qubit ids are the spider ids.  ``readouts`` names the readout qubits;
     without it the single highest id is read out, which need not leave the
     pattern an XY gflow (:func:`find_gflow`), so ``run_sampled`` may refuse it.
+    The pattern is checked by :meth:`MeasurementPattern.validate`.
     """
     if not d.is_closed():
         raise NotGraphLikeError("diagram has open boundary legs")
@@ -170,10 +174,9 @@ def pattern_from_graph_like(d: ZxDiagram,
         edges.add(pair)
     angles = {v: d.spiders[v].phase for v in d.spiders}
     readouts = list(sorted(angles)[-1:] if readouts is None else readouts)
-    unknown = [q for q in readouts if q not in angles]
-    if unknown:
-        raise NotGraphLikeError(f"readouts {unknown} are not spiders")
-    return MeasurementPattern(angles, edges, readouts)
+    p = MeasurementPattern(angles, edges, readouts)
+    p.validate()
+    return p
 
 
 def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
@@ -196,12 +199,11 @@ def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
     return d
 
 
-def patterns_isomorphic(p1: MeasurementPattern, p2: MeasurementPattern,
-                        with_angles: bool = True) -> bool:
+def patterns_isomorphic(p1: MeasurementPattern,
+                        p2: MeasurementPattern) -> bool:
     """Whether the two cluster graphs are isomorphic, matching how each
-    qubit is measured (in the z basis, or in XY at its angle) unless
-    ``with_angles`` is False.  Raises ``NotGraphLikeError`` on a malformed
-    pattern.
+    qubit is measured (in the z basis, or in XY at its angle).  Raises
+    ``NotGraphLikeError`` on a malformed pattern.
 
     Colour refinement runs on both graphs at once.  Where a colour still
     holds several qubits, one of them is given a colour of its own together
@@ -223,8 +225,7 @@ def patterns_isomorphic(p1: MeasurementPattern, p2: MeasurementPattern,
         for a, b in p.edges:
             nbrs[index[a]].append(index[b])
             nbrs[index[b]].append(index[a])
-        labels += [(q in p.z_basis, p.angles[q]) if with_angles else None
-                   for q in index]
+        labels += [(q in p.z_basis, p.angles[q]) for q in index]
     return _extends(nbrs, n, _renumber(labels))
 
 

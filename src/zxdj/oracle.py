@@ -210,38 +210,23 @@ def oracle_circuit_3q(f: BooleanFunction) -> Circuit:
     return Circuit(3, gates)
 
 
-def _affine_form(f: BooleanFunction) -> tuple[int, list[int]]:
-    """Write a 1- or 2-bit promise function as c XOR sum(a_i * x_i).
-
-    Every constant or balanced function on at most two bits is affine.
-    """
-    c = f.value(0)
-    coeffs = [f.value(1 << (f.n - 1 - i)) ^ c for i in range(f.n)]
-    check = BooleanFunction.from_values([
-        c ^ (bin(x & sum(a << (f.n - 1 - i) for i, a in enumerate(coeffs)))
-             .count("1") & 1)
-        for x in range(f.size)
-    ])
-    if check.table != f.table:
-        raise NotPromiseError(f"table {f.table} is not affine")
-    return c, coeffs
-
-
 def two_qubit_spider_angles(f: BooleanFunction):
     """Per-wire spider angles (x-spider, z-spider) x 2 realizing the oracle.
 
     A Pauli-Z gate on a wire contributes pi to that wire's z-spider angle;
-    a Pauli-Y contributes pi to both.  Derived from the affine form of f:
-    linear terms take Z gates, and a constant term of 1 upgrades the Z
-    gates to Y gates (global phase aside).
+    a Pauli-Y contributes pi to both.  Derived from the affine form
+    c XOR a0*x0 XOR a1*x1 that every two-bit promise function has: linear
+    terms take Z gates, and a constant term of 1 upgrades the Z gates to Y
+    gates (global phase aside).
     """
     if f.n != 2:
         raise ArityMismatchError("angle table needs n = 2")
     classify(f)
-    c, (a0, a1) = _affine_form(f)
-    use_y = c == 1 and (a0 or a1)
+    c = f.value(0)
+    coeffs = (f.value(0b10) ^ c, f.value(0b01) ^ c)
+    use_y = c == 1 and any(coeffs)
     angles = []
-    for coeff in (a0, a1):
+    for coeff in coeffs:
         x_angle = PI if (use_y and coeff) else ZERO
         z_angle = PI if coeff else ZERO
         angles.extend((x_angle, z_angle))

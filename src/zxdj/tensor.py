@@ -32,6 +32,10 @@ from .errors import ShapeMismatchError, WidthTooLargeError
 if TYPE_CHECKING:
     import numpy as np
 
+# The one float tolerance: equivalent_up_to_scalar's relative tolerance,
+# collapse_floor's scale and circuit.dj_verdict's margin around 0 and 1.
+_TOL = 1e-9
+
 
 @functools.cache
 def _hadamard() -> np.ndarray:
@@ -55,20 +59,20 @@ def spider_tensor(kind: SpiderKind, phase_factor: complex, rank: int) -> np.ndar
     """The bare spider tensor before Hadamard-edge dressing."""
     import numpy as np
 
+    if rank == 0:
+        # degree-0 spider: sum of the two basis weights
+        return np.array(1 + phase_factor)
     if kind is SpiderKind.Z:
-        data = np.zeros((2,) * rank, dtype=complex) if rank else np.zeros((), complex)
+        data = np.zeros((2,) * rank, dtype=complex)
         data.reshape(-1)[0] = 1
         data.reshape(-1)[-1] = phase_factor
-        if rank == 0:
-            # degree-0 spider: sum of the two basis weights
-            data = np.array(1 + phase_factor)
         return data
     # X spider: entry at bits b is 1 + e^{i*alpha} * (-1)^popcount(b)
     flat = np.array(
         [1 + phase_factor * (-1) ** bin(i).count("1") for i in range(2 ** rank)],
         dtype=complex,
     )
-    return flat.reshape((2,) * rank) if rank else np.array(flat[0])
+    return flat.reshape((2,) * rank)
 
 
 def _degree_score(u: int, adj: dict[int, set[int]]) -> tuple:
@@ -251,7 +255,7 @@ def collapse_floor(d: ZxDiagram) -> float:
         s = d.spiders[v]
         product *= max(_spider_max_norm(
             s.kind, s.phase.phase_factor(), d.degree(v) + d.boundary_legs(v)), 1.0)
-    return 1e-9 * product
+    return _TOL * product
 
 
 def _spider_max_norm(kind: SpiderKind, z: complex, rank: int) -> float:
@@ -263,9 +267,6 @@ def _spider_max_norm(kind: SpiderKind, z: complex, rank: int) -> float:
     if kind is SpiderKind.Z:
         return max(1.0, abs(z))
     return max(abs(1 + z), abs(1 - z))
-
-
-_TOL = 1e-9
 
 
 def equivalent_up_to_scalar(a, b):

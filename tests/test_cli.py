@@ -233,12 +233,16 @@ def test_simulate_pattern_fuzz_keeps_the_contract(tmp_path_factory, text,
                               "--pattern", text)
 
 
-@pytest.mark.parametrize("edges", [[[0, 0]], [[0, 5]]],
-                         ids=["self-edge", "unknown-qubit"])
-def test_export_dot_refuses_an_invalid_pattern(capsys, tmp_path, edges):
+@pytest.mark.parametrize("edges,error", [
+    ([[0, 0]], "self-edge {0}"),
+    ([[0, 5]], "edge {0, 5} references unknown qubit"),
+    ([[0, 1, 2]], "edge {0, 1, 2} joins 3 qubits, not 2"),
+], ids=["self-edge", "unknown-qubit", "three-qubit-edge"])
+def test_export_dot_refuses_an_invalid_pattern(capsys, tmp_path, edges, error):
     path = tmp_path / "pattern.json"
-    path.write_text(json.dumps({"qubits": [{"id": 0, "angle": "0"}],
-                                "edges": edges, "readouts": [0]}))
+    path.write_text(json.dumps(
+        {"qubits": [{"id": q, "angle": "0"} for q in range(3)],
+         "edges": edges, "readouts": [0]}))
     dot = tmp_path / "pattern.dot"
     code, out = run(capsys, "export-dot", "--pattern", str(path),
                     "--out", str(dot))
@@ -246,7 +250,20 @@ def test_export_dot_refuses_an_invalid_pattern(capsys, tmp_path, edges):
     assert not dot.exists()
     # the error simulate --pattern gives on the same file
     assert (code, out) == run(capsys, "simulate", "--pattern", str(path))
-    assert list(json.loads(out)) == ["error"]
+    assert json.loads(out) == {"error": error}
+
+
+@pytest.mark.parametrize("kind", ["circuit", "pattern"])
+def test_an_unreadable_or_non_json_file_is_a_usage_error(capsys, tmp_path,
+                                                         kind):
+    missing = tmp_path / "missing.json"
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("not json")
+    for path, prefix in ((missing, f"cannot read {kind} file: "),
+                         (garbled, f"malformed {kind} JSON: ")):
+        code, out = run(capsys, "simulate", f"--{kind}", str(path))
+        assert code == 2
+        assert json.loads(out)["error"].startswith(prefix)
 
 
 @pytest.mark.parametrize("command", ["simulate", "compile-mbqc", "export-dot"])

@@ -73,6 +73,13 @@ def test_validate_guards():
     bad = MeasurementPattern({0: ZERO}, set(), [0, 0])
     with pytest.raises(NotGraphLikeError):
         bad.validate()  # readout named twice
+    bad = MeasurementPattern({0: ZERO}, {frozenset((0,))}, [0])
+    with pytest.raises(NotGraphLikeError, match="self-edge"):
+        bad.validate()
+    bad = MeasurementPattern(dict.fromkeys(range(3), ZERO),
+                             {frozenset((0, 1, 2))}, [0])
+    with pytest.raises(NotGraphLikeError, match="joins 3 qubits, not 2"):
+        bad.validate()
 
 
 def test_z_basis_id_that_names_no_qubit_is_not_graph_like():
@@ -185,8 +192,10 @@ def test_pattern_from_graph_like_readouts():
     d.add_edge(a, b, EdgeKind.HADAMARD)
     assert pattern_from_graph_like(d).readouts == [b]
     assert pattern_from_graph_like(d, [a]).readouts == [a]
-    with pytest.raises(NotGraphLikeError):
-        pattern_from_graph_like(d, [a, 7])
+    # an unknown id, a repeat, and an unhashable id: validate refuses each
+    for readouts in ([a, 7], [b, b], [[a]]):
+        with pytest.raises(NotGraphLikeError):
+            pattern_from_graph_like(d, readouts)
 
 
 def test_reduced_lattice_keeps_the_lattice_readouts():
@@ -227,6 +236,13 @@ def _relabelled(p, rng):
         [name[q] for q in p.readouts], {name[q] for q in p.z_basis})
 
 
+def _bare(p):
+    """The same qubits, edges and readouts, every angle zero and no z basis,
+    so that every qubit is measured alike."""
+    return MeasurementPattern(dict.fromkeys(p.angles, ZERO), set(p.edges),
+                              list(p.readouts))
+
+
 def _three_cube():
     return _plain_graph(8, [(a, a | bit) for a in range(8) for bit in (1, 2, 4)
                             if not a & bit])
@@ -249,11 +265,11 @@ def test_patterns_isomorphic_negative_cases():
         # both 3-regular on eight qubits; only the cube is bipartite
         (_three_cube(), _moebius_ladder()),
     ]
-    for p, q in pairs:
-        for with_angles in (True, False):
-            assert not patterns_isomorphic(p, q, with_angles)
-            assert not patterns_isomorphic(q, p, with_angles)
-            assert patterns_isomorphic(q, q, with_angles)
+    for pair in pairs:
+        for p, q in (pair, tuple(map(_bare, pair))):
+            assert not patterns_isomorphic(p, q)
+            assert not patterns_isomorphic(q, p)
+            assert patterns_isomorphic(q, q)
 
 
 def test_patterns_isomorphic_backtracks():
@@ -274,7 +290,7 @@ def test_patterns_isomorphic_ignores_angles_on_request():
     q = _triangle_pattern()
     q.angles[1] = PI
     assert not patterns_isomorphic(p, q)
-    assert patterns_isomorphic(p, q, with_angles=False)
+    assert patterns_isomorphic(_bare(p), _bare(q))
 
 
 def test_lattice_is_isomorphic_to_a_relabelled_copy():
@@ -283,7 +299,7 @@ def test_lattice_is_isomorphic_to_a_relabelled_copy():
         p = lattice_pattern_3q(f)
         q = _relabelled(p, rng)
         assert patterns_isomorphic(p, q)
-        assert patterns_isomorphic(q, p, with_angles=False)
+        assert patterns_isomorphic(_bare(q), _bare(p))
 
 
 def test_patterns_isomorphic_tells_the_z_basis_from_xy_at_zero():
@@ -291,7 +307,7 @@ def test_patterns_isomorphic_tells_the_z_basis_from_xy_at_zero():
                            {frozenset((0, 1)), frozenset((1, 2))}, [2], {0})
     q = MeasurementPattern(dict(p.angles), set(p.edges), [2])
     assert not patterns_isomorphic(p, q)
-    assert patterns_isomorphic(p, q, with_angles=False)
+    assert patterns_isomorphic(_bare(p), _bare(q))
     assert patterns_isomorphic(p, _relabelled(p, random.Random(0)))
 
 
@@ -304,9 +320,8 @@ def test_patterns_isomorphic_tells_the_z_basis_from_xy_at_zero():
 def test_patterns_isomorphic_validates_both_patterns(bad):
     good = _triangle_pattern()
     for args in ((bad, good), (good, bad)):
-        for with_angles in (True, False):
-            with pytest.raises(NotGraphLikeError):
-                patterns_isomorphic(*args, with_angles=with_angles)
+        with pytest.raises(NotGraphLikeError):
+            patterns_isomorphic(*args)
 
 
 def _vf2_isomorphic(p1, p2, with_angles):
@@ -350,9 +365,9 @@ def test_patterns_isomorphic_matches_vf2(n, angles, data):
     p = data.draw(small_patterns(n, angles))
     copy = _relabelled(p, random.Random(data.draw(st.integers(0, 2**32))))
     other = data.draw(small_patterns(n, angles))
-    for with_angles in (True, False):
-        assert patterns_isomorphic(p, copy, with_angles)
-        assert (patterns_isomorphic(p, other, with_angles)
+    for with_angles, view in ((True, lambda p: p), (False, _bare)):
+        assert patterns_isomorphic(view(p), view(copy))
+        assert (patterns_isomorphic(view(p), view(other))
                 == _vf2_isomorphic(p, other, with_angles))
 
 
@@ -1114,7 +1129,7 @@ def test_only_the_angle_aware_isomorphism_catches_a_tampered_carrier():
     reduced, _ = reduce_lattice(p)
     assert len(reduced.angles) == 11
     compiled = dj_pattern_3q(f)
-    assert patterns_isomorphic(reduced, compiled, with_angles=False)
+    assert patterns_isomorphic(_bare(reduced), _bare(compiled))
     assert not patterns_isomorphic(reduced, compiled)
     assert classify(f) is Verdict.BALANCED
     assert run_postselected(p).verdict is Verdict.CONSTANT
@@ -1212,7 +1227,7 @@ def test_a_carrier_fused_into_a_spare_leaves_no_stuck_spider(table):
     reduced, _ = reduce_lattice(p)
     assert len(reduced.angles) == 11
     compiled = dj_pattern_3q(f)
-    assert patterns_isomorphic(reduced, compiled, with_angles=False)
+    assert patterns_isomorphic(_bare(reduced), _bare(compiled))
     assert not patterns_isomorphic(reduced, compiled)
     assert run_postselected(p).verdict is classify(f)
 
