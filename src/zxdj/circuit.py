@@ -92,6 +92,10 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Circuit":
+        """Load a circuit document; ``ValueError`` where ``"gates"`` is not
+        a list."""
+        if not isinstance(doc["gates"], list):
+            raise ValueError("gates must be a list")
         gates = [
             Gate(rec["op"], tuple(rec["qubits"]),
                  Phase.parse(rec["phase"]) if "phase" in rec else None)
@@ -253,10 +257,81 @@ def plus_amplitude(c: Circuit) -> complex:
     return complex(state.sum()) / 2 ** c.width
 
 
+def _bit_tables(n: int) -> tuple[int, ...]:
+    """The truth tables of the input bits x_0..x_{n-1}: bit 2^n - 1 - x of
+    table i holds bit n - 1 - i of x, as in ``oracle.BooleanFunction``."""
+    size = 1 << n
+    return tuple(((1 << size) - 1) // ((1 << 2 * h) - 1) * ((1 << h) - 1)
+                 for h in (1 << (n - 1 - i) for i in range(n)))
+
+
+# the initial wire tables of a circuit, per width up to MAX_WIDTH
+_wire_tables = functools.cache(_bit_tables)
+
+
+def _add_eighths(planes, b0, b1, b2):
+    """The per-path eighths in ``planes`` plus those in (b0, b1, b2), mod 8:
+    one ripple-carry add on three bit-planes over all paths at once."""
+    p0, p1, p2 = planes
+    carry = p0 & b0
+    t = p1 ^ b1
+    return p0 ^ b0, t ^ carry, p2 ^ b2 ^ ((p1 & b1) | (t & carry))
+
+
 def dj_run_circuit(oracle: Circuit):
     """Run the deterministic promise test: amplitude of |+...+> after the
-    oracle decides constant (magnitude 1) versus balanced (magnitude 0)."""
-    return dj_verdict(plus_amplitude(oracle))
+    oracle decides constant (magnitude 1) versus balanced (magnitude 0).
+
+    A circuit of CNOT, Z, Y and phase gates at multiples of pi/4 maps each
+    input x to one output with a phase of k(x) eighths of a turn, so 2^w
+    times the amplitude is the exact sum of omega^k(x), omega = e^(i pi/4).
+    Each wire is a 2^w-bit truth table over the inputs and k(x) is kept
+    in three bit-planes, so every path moves at once.  With c_j paths at
+    k = j, the sum is a_0 + a_1 omega + a_2 omega^2 + a_3 omega^3 for
+    a_j = c_j - c_{j+4}: it is 0 iff every a_j is, and its squared
+    magnitude is A + B sqrt(2), with A the sum of the a_j^2 and
+    B = a0 a1 + a1 a2 + a2 a3 - a3 a0.  Any other circuit is judged by
+    ``dj_verdict`` on ``plus_amplitude``.
+    """
+    _check_width(oracle)
+    w = oracle.width
+    full = (1 << (1 << w)) - 1
+    wires = list(_wire_tables(w))
+    planes = (0, 0, 0)
+    for g in oracle.gates:
+        if g.op == "cnot":
+            wires[g.qubits[1]] ^= wires[g.qubits[0]]
+            continue
+        q = g.qubits[0]
+        m = wires[q]
+        if g.op == "z":
+            planes = _add_eighths(planes, 0, 0, m)
+        elif g.op == "y":
+            planes = _add_eighths(planes, 0, full, m)
+            wires[q] = m ^ full
+        elif g.op == "phase" and 4 % g.phase.denominator == 0:
+            k = 4 // g.phase.denominator * g.phase.numerator
+            planes = _add_eighths(planes, m if k & 1 else 0,
+                                  m if k & 2 else 0, m if k & 4 else 0)
+        else:
+            return dj_verdict(plus_amplitude(oracle))
+    p0, p1, p2 = planes
+    a0, a1, a2, a3 = [low.bit_count() - 2 * (low & p2).bit_count()
+                      for low in (~p0 & ~p1 & full, p0 & ~p1, ~p0 & p1, p0 & p1)]
+    squares = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+    cross = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
+    from .oracle import Verdict  # local import to avoid a cycle
+
+    if not squares:
+        return Verdict.BALANCED
+    if squares == 1 << 2 * w and not cross:
+        return Verdict.CONSTANT
+    raise _not_promise(math.sqrt(squares + cross * math.sqrt(2)) / (1 << w))
+
+
+def _not_promise(magnitude: float) -> NotPromiseError:
+    return NotPromiseError(
+        f"|<+...+|U|+...+>| = {magnitude:.6f} is neither 0 nor 1")
 
 
 def dj_verdict(amplitude: complex):
@@ -268,5 +343,4 @@ def dj_verdict(amplitude: complex):
         return Verdict.CONSTANT
     if abs(amplitude) <= _TOL:
         return Verdict.BALANCED
-    raise NotPromiseError(
-        f"|<+...+|U|+...+>| = {abs(amplitude):.6f} is neither 0 nor 1")
+    raise _not_promise(abs(amplitude))

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .circuit import (
-    Circuit, _check_width, dj_run_circuit, dj_verdict, plus_amplitude,
+    Circuit, _check_width, dj_run_circuit, plus_amplitude,
     to_zx_tracked)
 from .diagram import ZxDiagram
 from .errors import WidthTooLargeError, ZxError
@@ -203,8 +203,8 @@ def _cmd_simulate(args) -> int:
         raise UsageError("--seed must not be negative")
     if args.circuit:
         c = _load_circuit(args.circuit)
+        verdict = dj_run_circuit(c)
         amp = plus_amplitude(c)
-        verdict = dj_verdict(amp)
         doc = {"verdict": verdict.value, "amplitude_abs": _fmt(abs(amp))}
         _emit(doc, args, [f"verdict={verdict.value} |amplitude|={_fmt(abs(amp))}"])
         return 0

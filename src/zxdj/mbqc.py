@@ -105,7 +105,11 @@ class MeasurementPattern:
         """Load a pattern document; a legacy ``"order"`` key is ignored.
         Raises ``ValueError`` where a qubit id in the qubits, edges or
         readouts is not an int (a bool is not one), a ``"basis"`` is other
-        than ``"z"``, or a qubit record or an edge repeats."""
+        than ``"z"``, a qubit record or an edge repeats, or ``"qubits"``,
+        ``"edges"`` or ``"readouts"`` is not a list."""
+        for key in ("qubits", "edges", "readouts"):
+            if not isinstance(doc[key], list):
+                raise ValueError(f"{key} must be a list")
         angles, z_basis, edges = {}, set(), set()
         for rec in doc["qubits"]:
             q = _qubit_id(rec["id"])

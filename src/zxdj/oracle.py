@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .circuit import Circuit, Gate, cnot, phase_gate
+from .circuit import Circuit, Gate, _bit_tables, cnot, phase_gate
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
 
@@ -87,7 +89,11 @@ def classify(f: BooleanFunction) -> Verdict:
 
 
 def count_balanced(n: int) -> int:
-    return math.comb(1 << n, 1 << (n - 1))
+    """The number of balanced functions on n bits; 0 at n = 0, where no
+    function is balanced."""
+    if n < 0:
+        raise ValueError(f"n={n} is negative")
+    return math.comb(1 << n, 1 << (n - 1)) if n else 0
 
 
 def enumerate_promise(n: int) -> list[BooleanFunction]:
@@ -119,48 +125,57 @@ class PhasePolynomial:
         return total
 
 
-# Widest n whose parity sets phase_polynomial keeps: 2^8 - 1 sets at most,
-# so a wide call keeps none of its 2^n sets alive after it returns.
+# Widest n whose parity data phase_polynomial keeps: 2^8 - 1 sets and
+# masks at most, so a wide call keeps none of its 2^n sets or masks alive
+# after it returns.
 _PARITY_TABLE_BITS = 8
-_parity_table: dict[int, tuple[frozenset, ...]] = {}
+_parity_table: dict[int, tuple] = {}
 
 
-def _parity_sets(n: int) -> tuple[frozenset, ...]:
-    """The input bits of every nonempty parity, in mask order 1..2^n - 1;
-    bit i of the input is mask bit n - 1 - i.  Kept per n up to
-    ``_PARITY_TABLE_BITS``."""
-    sets = _parity_table.get(n)
-    if sets is None:
+def _parity_masks(n: int):
+    """Yield the truth table M_S of every nonempty parity S, in table-bit
+    order, for S in mask order 1..2^n - 1, with one XOR per set: going from
+    S - 1 to S flips a run of low mask bits, whose parity is in ``runs``."""
+    runs = list(itertools.accumulate(reversed(_bit_tables(n)), operator.xor))
+    m = 0
+    for mask in range(1, 1 << n):
+        m ^= runs[(mask ^ (mask - 1)).bit_length() - 1]
+        yield m
+
+
+def _parity_data(n: int):
+    """``(sets, masks, phases)`` for every nonempty parity S in mask order
+    1..2^n - 1, bit i of the input being mask bit n - 1 - i: the input bits
+    of S, its truth table M_S (from ``_parity_masks``), and the 2^n phases
+    2*pi*k/2^n for k = 0..2^n - 1.  Kept per n up to
+    ``_PARITY_TABLE_BITS``; a wider n gets its masks as an iterator."""
+    data = _parity_table.get(n)
+    if data is None:
+        size = 1 << n
         sets = tuple(frozenset(i for i in range(n) if mask >> (n - 1 - i) & 1)
-                     for mask in range(1, 1 << n))
-        if n <= _PARITY_TABLE_BITS:
-            _parity_table[n] = sets
-    return sets
+                     for mask in range(1, size))
+        phases = tuple(Phase(2 * k, size) for k in range(size))
+        if n > _PARITY_TABLE_BITS:
+            return sets, _parity_masks(n), phases
+        data = _parity_table[n] = sets, tuple(_parity_masks(n)), phases
+    return data
 
 
 def phase_polynomial(f: BooleanFunction) -> PhasePolynomial:
     """Exact parity-term decomposition of theta(x) = pi*f(x).
 
-    One in-place integer fast Walsh-Hadamard transform of the truth table
-    gives every W(S) = sum_x f(x) * (-1)^(x . S); for nonempty S the
-    coefficient is -2*pi*W(S)/2^n, and the constant is pi*f(0).  The
-    table's bits are read from its binary digits in one pass, and the
-    parity sets come from ``_parity_sets``.
+    For nonempty S the coefficient is -2*pi*W(S)/2^n, where
+    W(S) = sum_x f(x) * (-1)^(x . S) = ones - 2*popcount(table & M_S)
+    counts the ones of f off and on the parity's truth table M_S, so the
+    coefficient is the phase 2*pi*k/2^n at k = -W(S) mod 2^n; the constant
+    is pi*f(0).  The sets, masks and phases come from ``_parity_data``.
     """
     classify(f)
-    size = f.size
-    walsh = list(map(int, format(f.table, f"0{size}b")))
-    constant = Phase(walsh[0])
-    half = 1
-    while half < size:
-        for start in range(0, size, 2 * half):
-            for i in range(start, start + half):
-                a, b = walsh[i], walsh[i + half]
-                walsh[i], walsh[i + half] = a + b, a - b
-        half *= 2
-    coeffs = {subset: Phase(-2 * w, size)
-              for subset, w in zip(_parity_sets(f.n), walsh[1:])}
-    return PhasePolynomial(constant, coeffs)
+    sets, masks, phases = _parity_data(f.n)
+    table, ones, size = f.table, f.popcount(), f.size
+    coeffs = {subset: phases[(2 * (table & mask).bit_count() - ones) % size]
+              for subset, mask in zip(sets, masks)}
+    return PhasePolynomial(PI if f.value(0) else ZERO, coeffs)
 
 
 # The oracle circuit's gates: a shared CNOT, or (wire, parity) for a phase

@@ -14,6 +14,7 @@ from zxdj.circuit import (
     Gate,
     cnot,
     dj_run_circuit,
+    dj_verdict,
     hadamard,
     pauli_y,
     pauli_z,
@@ -25,7 +26,7 @@ from zxdj.circuit import (
 )
 from zxdj.diagram import SpiderKind
 from zxdj.errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
-from zxdj.oracle import Verdict, enumerate_promise, oracle_circuit_3q
+from zxdj.oracle import Verdict, classify, enumerate_promise, oracle_circuit_3q
 from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.tensor import equivalent_up_to_scalar, evaluate
 
@@ -72,11 +73,11 @@ def _reference_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
-def _random_circuit(rng, width, depth):
+def _random_circuit(rng, width, depth, kinds=("phase", "z", "y", "h", "cnot")):
+    one_qubit = [k for k in kinds if k != "cnot"]
     gates = []
     for _ in range(depth):
-        kind = rng.choice(["phase", "z", "y", "h", "cnot"]) if width > 1 \
-            else rng.choice(["phase", "z", "y", "h"])
+        kind = rng.choice(kinds if width > 1 else one_qubit)
         if kind == "phase":
             gates.append(phase_gate(rng.randrange(width),
                                     Phase(rng.randrange(8), 4)))
@@ -329,3 +330,56 @@ def test_dj_run_circuit_rejects_non_promise():
     # a Hadamard is not a phase oracle for any promise function
     with pytest.raises(NotPromiseError):
         dj_run_circuit(Circuit(1, [hadamard(0)]))
+
+
+def _judge(route, c):
+    """The verdict of ``route`` on ``c``, or its ``NotPromiseError``
+    message."""
+    try:
+        return route(c)
+    except NotPromiseError as exc:
+        return str(exc)
+
+
+def _state_vector_verdict(c):
+    return dj_verdict(plus_amplitude(c))
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 5),
+       st.integers(0, 16))
+@settings(max_examples=200, deadline=None)
+def test_exact_route_matches_the_state_vector(rng, width, depth):
+    # every gate kind but H, at phases that are multiples of pi/4: the path
+    # sum decides every circuit, and must give the verdict, or the message,
+    # that the state vector gives
+    c = (_random_circuit(rng, width, depth, ("phase", "z", "y", "cnot"))
+         if width else Circuit(0, []))
+    assert _judge(dj_run_circuit, c) == _judge(_state_vector_verdict, c)
+
+
+def test_exact_route_builds_no_state_vector(monkeypatch):
+    def refuse(c):
+        raise AssertionError("the state vector was built")
+
+    monkeypatch.setattr(circuit, "plus_amplitude", refuse)
+    monkeypatch.delattr(circuit, "_TOL")
+    for f in enumerate_promise(3):
+        assert dj_run_circuit(oracle_circuit_3q(f)) is classify(f)
+
+
+@pytest.mark.parametrize("c", [
+    Circuit(1, [hadamard(0)]),
+    Circuit(1, [hadamard(0), pauli_z(0), hadamard(0)]),
+    Circuit(2, [cnot(0, 1), hadamard(1), hadamard(1), pauli_z(0)]),
+    Circuit(1, [phase_gate(0, Phase(1, 8))]),
+    Circuit(2, [phase_gate(0, Phase(1, 8)), phase_gate(0, Phase(15, 8)),
+                pauli_y(1)]),
+], ids=["h", "h-z-h", "h-h-z", "eighth-pi", "eighth-pi-undone"])
+def test_hadamard_and_eighth_pi_circuits_take_the_state_vector(monkeypatch,
+                                                                c):
+    calls = []
+    real = circuit.plus_amplitude
+    monkeypatch.setattr(circuit, "plus_amplitude",
+                        lambda c: (calls.append(c), real(c))[1])
+    assert _judge(dj_run_circuit, c) == _judge(_state_vector_verdict, c)
+    assert calls[0] is c

@@ -266,6 +266,25 @@ def test_an_unreadable_or_non_json_file_is_a_usage_error(capsys, tmp_path,
         assert json.loads(out)["error"].startswith(prefix)
 
 
+@pytest.mark.parametrize("kind, doc, key", [
+    ("circuit", {"width": 1, "gates": {}}, "gates"),
+    ("circuit", {"width": 1, "gates": {"op": "z", "qubits": [0]}}, "gates"),
+    ("pattern", {"qubits": {}, "edges": {}, "readouts": {}}, "qubits"),
+    ("pattern", {"qubits": [{"id": 0, "angle": "0"}], "edges": {},
+                 "readouts": [0]}, "edges"),
+    ("pattern", {"qubits": [{"id": 0, "angle": "0"}], "edges": [],
+                 "readouts": {"0": 0}}, "readouts"),
+], ids=["empty-gates", "gates", "empty-pattern", "edges", "readouts"])
+def test_an_object_where_a_list_belongs_is_a_usage_error(capsys, tmp_path,
+                                                         kind, doc, key):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "simulate", f"--{kind}", str(path))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"malformed {kind} JSON: {key} must be a list"}
+
+
 @pytest.mark.parametrize("command", ["simulate", "compile-mbqc", "export-dot"])
 def test_every_circuit_command_caps_the_width(capsys, tmp_path, command):
     path = tmp_path / "circuit.json"

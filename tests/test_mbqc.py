@@ -416,7 +416,8 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path, capsys):
                 ["compile-mbqc", *fn, "--trace"],
                 ["lattice", *fn, "--reduce", "--trace"],
                 ["simulate", *fn], ["simulate", "--pattern", str(pattern)],
-                ["export-dot", "--pattern", str(pattern), "--out", str(dot)]]
+                ["export-dot", "--pattern", str(pattern), "--out", str(dot)],
+                ["verify-all", "--n", "3"]]
     code = """if True:
         import contextlib, io, json, sys
         import zxdj, zxdj.cli

@@ -92,12 +92,15 @@ def test_classify_against_brute_force():
 
 def test_count_balanced_values():
     # oracle: count tables whose popcount is half the size
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         brute = sum(
             1 for t in range(1 << (1 << n))
             if bin(t).count("1") * 2 == (1 << n))
         assert count_balanced(n) == brute
-    assert [count_balanced(n) for n in (1, 2, 3)] == [2, 6, 70]
+        assert len(enumerate_promise(n)) == count_balanced(n) + 2
+    assert [count_balanced(n) for n in (0, 1, 2, 3)] == [0, 2, 6, 70]
+    with pytest.raises(ValueError, match="n=-1"):
+        count_balanced(-1)
 
 
 def test_enumerate_promise():
@@ -151,6 +154,19 @@ def test_phase_polynomial_matches_the_generator_sums():
     for f in functions:
         assert phase_polynomial(f) == _generator_sum_phase_polynomial(f), (
             f.n, f.table)
+
+
+def test_phase_polynomial_matches_the_generator_sums_at_five_and_six_bits():
+    rng = random.Random(53)
+    for n in (5, 6):
+        for _ in range(5):
+            ones = set(rng.sample(range(1 << n), 1 << (n - 1)))
+            f = BooleanFunction.from_values(
+                [int(x in ones) for x in range(1 << n)])
+            pp, ref = phase_polynomial(f), _generator_sum_phase_polynomial(f)
+            assert list(pp.coeffs.items()) == list(ref.coeffs.items()), (
+                n, f.table)
+            assert pp.constant == ref.constant
 
 
 def _some_promise_functions(n, rng):
