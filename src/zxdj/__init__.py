@@ -3,13 +3,12 @@
 Modules: diagram (ZX diagrams), tensor (dense contraction semantics),
 rewrite (rule engine and simplification pipeline), circuit (gate-list IR
 and translation), oracle (promise functions and phase-oracle synthesis),
-mbqc (measurement patterns, lattice embedding, exact execution),
-sampling (the shot sampler), cli.
+mbqc (measurement patterns, lattice embedding, exact and sampled
+execution), cli.
 
-numpy is imported only where an array is built: by the dense simulators
-of ``tensor`` and ``circuit`` when they run, and by ``sampling``, which is
-loaded on first use of ``run_sampled``.  So ``import zxdj`` and the exact
-Clifford route load none of it.
+numpy is imported only where an array is built: inside the functions of
+``tensor``, ``circuit`` and ``mbqc``'s sampler that build one, when they
+run.  So ``import zxdj`` and the exact Clifford route load none of it.
 """
 
 from .circuit import (
@@ -56,6 +55,7 @@ from .mbqc import (
     reduce_lattice,
     run_exact,
     run_postselected,
+    run_sampled,
 )
 from .oracle import (
     BooleanFunction,
@@ -94,15 +94,3 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    # the sampler's module imports numpy, so it is loaded on first use
-    if name == "run_sampled":
-        from .sampling import run_sampled
-
-        return run_sampled
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted([*globals(), "run_sampled"])

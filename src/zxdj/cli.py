@@ -12,8 +12,7 @@ import json
 import sys
 
 from .circuit import (
-    Circuit, _check_width, dj_run_circuit, plus_amplitude,
-    to_zx_tracked)
+    Circuit, _check_width, dj_run_circuit, to_zx_tracked)
 from .diagram import ZxDiagram
 from .errors import WidthTooLargeError, ZxError
 from .mbqc import (
@@ -27,10 +26,12 @@ from .mbqc import (
     pattern_from_graph_like,
     reduce_lattice,
     run_postselected,
+    run_sampled,
 )
 from .oracle import (
     BooleanFunction,
     TABLE2_AS_PRINTED,
+    Verdict,
     _ORACLE_READOUT_GATES,
     classify,
     enumerate_promise,
@@ -204,14 +205,13 @@ def _cmd_simulate(args) -> int:
     if args.circuit:
         c = _load_circuit(args.circuit)
         verdict = dj_run_circuit(c)
-        amp = plus_amplitude(c)
-        doc = {"verdict": verdict.value, "amplitude_abs": _fmt(abs(amp))}
-        _emit(doc, args, [f"verdict={verdict.value} |amplitude|={_fmt(abs(amp))}"])
+        # the verdict fixes the magnitude: 1 for Constant, 0 for Balanced
+        amp = _fmt(1.0 if verdict is Verdict.CONSTANT else 0.0)
+        doc = {"verdict": verdict.value, "amplitude_abs": amp}
+        _emit(doc, args, [f"verdict={verdict.value} |amplitude|={amp}"])
         return 0
     p = _pattern_of(args)
     if args.shots:
-        from .sampling import run_sampled  # loads numpy
-
         out = run_sampled(p, seed=args.seed, shots=args.shots)
         if out.agreeing_shots < out.shots:
             doc = {"error": "readout is not deterministic: the shots disagree",
@@ -251,8 +251,6 @@ def _verify_record_3q(f: BooleanFunction) -> dict:
 
 
 def _verify_record_small(f: BooleanFunction, variant=None) -> dict:
-    from .sampling import run_sampled
-
     expected = classify(f)
     p = _PATTERN_MAKERS[f.n](f)
     pattern_v = run_postselected(p).verdict

@@ -252,7 +252,6 @@ def one_qubit_spider_angles(f: BooleanFunction):
     """Per-wire (x-spider, z-spider) angles for the one-qubit oracle."""
     if f.n != 1:
         raise ArityMismatchError("angle pair needs n = 1")
-    classify(f)
     flip = f.value(0) ^ f.value(1)
     return (ZERO, PI if flip else ZERO)
 

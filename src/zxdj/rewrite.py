@@ -6,7 +6,7 @@ nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
 The package's five memos (``circuit._zx_memo``, ``_rewrite_memo``,
-``mbqc._exact_memo``, ``sampling._plan_memo``, ``mbqc._lattice_memo``) share
+``mbqc._exact_memo``, ``mbqc._plan_memo``, ``mbqc._lattice_memo``) share
 one policy, kept in :func:`_memoized` alone: a record is built on a miss
 only, at most ``MEMO_SHAPES`` keys stay, the first one in is evicted
 first, and a build that raises stores nothing.  Each caller reads a record
@@ -333,9 +333,10 @@ def _plug_inplace(d: ZxDiagram, steps: list[RewriteStep]) -> None:
 # A simplifier rule looks at one spider.  If it applies there, it rewrites,
 # appends its steps and returns every spider where a rule may have become
 # applicable, else None.  Rules read a spider's kind, phase and legs, its
-# neighbors' kind, protection and boundary legs, and whether a wire's ends
-# share an edge; none fires on a protected or boundary spider.  A spider is
-# protected while it holds a protected input (a key of ``held``).
+# neighbors' kind and protection, and whether a wire's ends share an edge;
+# none fires on a protected spider.  A spider is protected while it holds a
+# protected input (a key of ``held``).  Rules run only in simplify_core,
+# after the boundary is plugged, so no spider has a boundary leg.
 
 def _state_rule(d, v, held, steps):
     """Decouple a phase-0 state on an unprotected Z spider: an X state on a
@@ -343,13 +344,11 @@ def _state_rule(d, v, held, steps):
     first).  The caps this leaves on like-kind neighbors fuse at once; the
     capped neighbors and the other caps are returned."""
     s = d.spiders[v]
-    if (v in held or d.degree(v) != 1 or d.boundary_legs(v)
-            or not s.phase.is_zero()):
+    if v in held or d.degree(v) != 1 or not s.phase.is_zero():
         return None
     e = d.edges[d.edges_at(v)[0]]
     z = e.other(v)
-    if (z in held or d.boundary_legs(z)
-            or d.spiders[z].kind is not SpiderKind.Z
+    if (z in held or d.spiders[z].kind is not SpiderKind.Z
             or (s.kind is SpiderKind.X) != (e.kind is EdgeKind.PLAIN)):
         return None
     if s.kind is SpiderKind.Z:
@@ -374,7 +373,7 @@ def _with_neighbors(d: ZxDiagram, vs) -> set[int]:
 
 def _wire_ends(d: ZxDiagram, v: int, held: dict[int, list[int]]):
     """The ends of an unprotected degree-2 Z spider with two Hadamard legs."""
-    if (v in held or d.degree(v) != 2 or d.boundary_legs(v)
+    if (v in held or d.degree(v) != 2
             or d.spiders[v].kind is not SpiderKind.Z):
         return None
     e1, e2 = (d.edges[eid] for eid in d.edges_at(v))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from zxdj import mbqc, tensor
 from zxdj.cli import main
 from zxdj.circuit import (
-    MAX_WIDTH, Circuit, hadamard, pauli_z, plus_amplitude)
+    MAX_WIDTH, Circuit, _apply_gates, hadamard, pauli_z, plus_amplitude)
 from zxdj.mbqc import (
     MeasurementPattern,
     dj_pattern_2q,
@@ -109,6 +109,23 @@ def test_simulate_circuit_file(capsys, tmp_path):
     bad.write_text(Circuit(1, [hadamard(0)]).to_json())
     code, out = run(capsys, "simulate", "--circuit", str(bad))
     assert code == 1
+
+
+def test_simulate_circuit_builds_at_most_one_state_vector(capsys, tmp_path,
+                                                          monkeypatch):
+    # the verdict fixes the printed magnitude, so only dj_run_circuit's own
+    # fallback (for the H gates) builds a state vector
+    calls = []
+    monkeypatch.setattr(
+        "zxdj.circuit._apply_gates",
+        lambda c, state: (calls.append(c), _apply_gates(c, state))[1])
+    path = tmp_path / "hzh.json"
+    path.write_text(
+        Circuit(1, [hadamard(0), pauli_z(0), hadamard(0)]).to_json())
+    code, out = run(capsys, "simulate", "--circuit", str(path))
+    assert code == 0
+    assert json.loads(out) == {"verdict": "constant", "amplitude_abs": "1"}
+    assert len(calls) == 1
 
 
 def test_simulate_circuit_with_a_negative_width_exits_2(capsys, tmp_path):
@@ -689,11 +706,10 @@ def test_verify_all_output_is_byte_identical(capsys, n):
 
 
 # SHA-256 of the simulate --circuit stdout of the 72 three-bit oracle
-# circuits in enumeration order, fixed while the state vector was updated
-# by one np.tensordot per gate: the gate-wise updates must not change a
-# byte, the round-off residues of the balanced tables included
+# circuits in enumeration order: each prints the magnitude its verdict
+# fixes, 1 or 0, so a balanced table prints no round-off residue
 SIMULATE_CIRCUIT_DIGEST = (
-    "1c71d2e7e58a25bfa2efa536e997031021eabb153ab516035c8c6a7a03fb6b0d")
+    "223f3cc0015d23ac47f8420a6f389bbe1820359979a76b51d8719ad3e2326437")
 
 
 def test_simulate_circuit_output_is_byte_identical(capsys, tmp_path):

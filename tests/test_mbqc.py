@@ -1,6 +1,7 @@
 """Measurement patterns: serialization, extraction, execution, lattice."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zxdj import cli, mbqc, rewrite, sampling, tensor
+import zxdj
+from zxdj import cli, mbqc, rewrite, tensor
 from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
 from zxdj.errors import (
     ArityMismatchError,
@@ -37,6 +39,7 @@ from zxdj.mbqc import (
     reduce_lattice,
     run_exact,
     run_postselected,
+    run_sampled,
 )
 from zxdj.circuit import to_zx_tracked
 from zxdj.oracle import (
@@ -45,7 +48,6 @@ from zxdj.oracle import (
 from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.rewrite import (
     decouple_x_state, fuse_spiders, local_complement, simplify_mbqc)
-from zxdj.sampling import run_sampled
 from zxdj.tensor import collapse_floor, equivalent_up_to_scalar, evaluate
 
 
@@ -412,10 +414,13 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path, capsys):
     pattern.write_text(lattice_pattern_3q(f).to_json())
     dot = tmp_path / "lattice.dot"
     fn = ["--n", "3", "--table", "01101001"]
+    oracle = tmp_path / "oracle.json"
+    assert cli.main(["synth-circuit", *fn, "--out", str(oracle)]) == 0
     commands = [["classify", *fn], ["synth-circuit", *fn],
                 ["compile-mbqc", *fn, "--trace"],
                 ["lattice", *fn, "--reduce", "--trace"],
                 ["simulate", *fn], ["simulate", "--pattern", str(pattern)],
+                ["simulate", "--circuit", str(oracle)],
                 ["export-dot", "--pattern", str(pattern), "--out", str(dot)],
                 ["verify-all", "--n", "3"]]
     code = """if True:
@@ -443,22 +448,18 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path, capsys):
 
 
 def test_lazy_names_resolve_and_run():
-    """The names whose modules import numpy still resolve on the package
-    and are listed by ``dir(zxdj)``; the sampler loads on first use."""
+    """The names whose functions import numpy resolve on the package, are
+    listed by ``dir(zxdj)`` and run, though ``import zxdj`` loads no numpy."""
     code = """if True:
         import sys
         import zxdj
         assert "numpy" not in sys.modules
-        assert "zxdj.sampling" not in sys.modules
         names = dir(zxdj)
         assert {"evaluate", "run_sampled", "unitary"} <= set(names), names
         f = zxdj.BooleanFunction(2, 0b0110)
         out = zxdj.run_sampled(zxdj.dj_pattern_2q(f), shots=20)
         assert out.verdict is zxdj.Verdict.BALANCED and out.shots == 20
         assert zxdj.mbqc.run_sampled is zxdj.run_sampled
-        from zxdj import run_sampled
-        from zxdj.mbqc import run_sampled as from_mbqc
-        assert run_sampled is from_mbqc is zxdj.sampling.run_sampled
         c = zxdj.oracle_circuit_3q(zxdj.BooleanFunction(3, 0b01101001))
         assert zxdj.unitary(c).shape == (8, 8)
         p = zxdj.dj_pattern_3q(zxdj.BooleanFunction(3, 0))
@@ -473,6 +474,13 @@ def test_lazy_names_resolve_and_run():
         print("ok")
     """
     assert _in_fresh_process(code) == "ok\n"
+
+
+def test_sampler_is_an_ordinary_name_of_mbqc():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("zxdj.sampling")
+    assert "run_sampled" in vars(mbqc)
+    assert zxdj.run_sampled is mbqc.run_sampled
 
 
 # -- promise patterns --------------------------------------------------------
@@ -650,22 +658,22 @@ def _star(leaves):
 
 
 def test_frontier_cap_raises_before_allocating(monkeypatch):
-    monkeypatch.setattr(sampling, "_plan_memo", {})  # a cold plan builds signs
+    monkeypatch.setattr(mbqc, "_plan_memo", {})  # a cold plan builds signs
     widths = []
-    real_signs = sampling._cz_signs
-    monkeypatch.setattr(sampling, "_cz_signs", lambda w, pairs: (
+    real_signs = mbqc._cz_signs
+    monkeypatch.setattr(mbqc, "_cz_signs", lambda w, pairs: (
         widths.append(w), real_signs(w, pairs))[1])
-    out = run_sampled(_star(sampling.MAX_FRONTIER - 1), shots=3)
-    assert out.shots == 3 and max(widths) == sampling.MAX_FRONTIER
+    out = run_sampled(_star(mbqc.MAX_FRONTIER - 1), shots=3)
+    assert out.shots == 3 and max(widths) == mbqc.MAX_FRONTIER
     widths.clear()
-    monkeypatch.setattr(sampling, "_sample_block", None)  # must not be reached
+    monkeypatch.setattr(mbqc, "_sample_block", None)  # must not be reached
     with pytest.raises(WidthTooLargeError):
         run_sampled(_star(30), shots=1000)
     assert widths == []
 
 
 def test_run_sampled_in_blocks(monkeypatch):
-    monkeypatch.setattr(sampling, "_BLOCK_AMPLITUDES", 8)  # one 3-qubit shot each
+    monkeypatch.setattr(mbqc, "_BLOCK_AMPLITUDES", 8)  # one 3-qubit shot each
     for f in enumerate_promise(2):
         out = run_sampled(dj_pattern_2q(f), shots=30)
         assert out.verdict is classify(f) and out.agreeing_shots == 30
@@ -741,7 +749,7 @@ def _per_shot_sampler(p):
             lifted = bra[signals[s.qubit]][:, None, None] * halves[:, :, 1]
             b0 = halves[:, :, 0] + lifted
             b1 = halves[:, :, 0] - lifted
-            n0, n1 = sampling._squared_norms(b0), sampling._squared_norms(b1)
+            n0, n1 = mbqc._squared_norms(b0), mbqc._squared_norms(b1)
             one = rng.random(shots) >= n0 / (n0 + n1)
             state = np.where(one[:, None, None], b1, b0).reshape(shots, -1)
             state /= np.sqrt(np.where(one, n1, n0))[:, None]
@@ -760,10 +768,10 @@ def _per_shot_sampler(p):
 def _sampled_outcomes(block_sampler, p, seed, shots):
     """Every shot's Balanced bit, drawn block by block as run_sampled does."""
     g, layer = find_gflow(p)
-    steps, width = sampling._sampling_plan(p, g, layer)
-    bras = sampling._bras(p, steps)
+    steps, width = mbqc._sampling_plan(p, g, layer)
+    bras = mbqc._bras(p, steps)
     rng = np.random.default_rng(seed)
-    block = max(1, sampling._BLOCK_AMPLITUDES >> width)
+    block = max(1, mbqc._BLOCK_AMPLITUDES >> width)
     return np.concatenate([
         block_sampler(steps, bras, min(block, shots - start), rng)
         for start in range(0, shots, block)])
@@ -802,28 +810,28 @@ def test_branch_merged_sampler_matches_per_shot_on_promise_patterns():
     for i, p in enumerate(patterns):
         for seed in (i, 2024):
             want = _sampled_outcomes(_per_shot_sampler(p), p, seed, 1000)
-            got = _sampled_outcomes(sampling._sample_block, p, seed, 1000)
+            got = _sampled_outcomes(mbqc._sample_block, p, seed, 1000)
             assert np.array_equal(got, want), (i, seed)
 
 
 def test_branch_merged_sampler_matches_per_shot_on_random_patterns():
     for i, p in enumerate(_random_flow_patterns(17, 150)):
         want = _sampled_outcomes(_per_shot_sampler(p), p, i, 777)
-        got = _sampled_outcomes(sampling._sample_block, p, i, 777)
+        got = _sampled_outcomes(mbqc._sample_block, p, i, 777)
         assert np.array_equal(got, want), p
 
 
 def test_branch_merged_sampler_matches_per_shot_across_blocks(monkeypatch):
-    monkeypatch.setattr(sampling, "_BLOCK_AMPLITUDES", 1 << 9)
+    monkeypatch.setattr(mbqc, "_BLOCK_AMPLITUDES", 1 << 9)
     blocks = 0
     for i, p in enumerate(_random_flow_patterns(23, 20)):
         want = _sampled_outcomes(_per_shot_sampler(p), p, i, 777)
-        got = _sampled_outcomes(sampling._sample_block, p, i, 777)
+        got = _sampled_outcomes(mbqc._sample_block, p, i, 777)
         assert np.array_equal(got, want), p
         out = run_sampled(p, seed=i, shots=777)
         constant = 777 - int(np.count_nonzero(want))
         assert out.agreeing_shots == max(constant, 777 - constant)
-        _, width = sampling._sampling_plan(p, *find_gflow(p))
+        _, width = mbqc._sampling_plan(p, *find_gflow(p))
         blocks += 777 > (1 << 9) >> width
     assert blocks  # some runs take more than one block
 
@@ -847,8 +855,8 @@ def _row_counts(monkeypatch):
     """Rows per step of the sampler: it calls _squared_norms once per step,
     on both outcomes of each row."""
     rows = []
-    real = sampling._squared_norms
-    monkeypatch.setattr(sampling, "_squared_norms",
+    real = mbqc._squared_norms
+    monkeypatch.setattr(mbqc, "_squared_norms",
                         lambda b: (rows.append(len(b) // 2), real(b))[1])
     return rows
 
@@ -859,7 +867,7 @@ def test_branches_never_outnumber_shots_or_histories(monkeypatch):
         for p in (dj_pattern_3q(BooleanFunction(3, 0b01101001)),
                   *_random_flow_patterns(5, 10)):
             rows.clear()
-            _sampled_outcomes(sampling._sample_block, p, 7, shots)
+            _sampled_outcomes(mbqc._sample_block, p, 7, shots)
             # one _squared_norms call per step, on both outcomes of each row
             assert rows
             assert all(r <= min(shots, 2 ** k) for k, r in enumerate(rows))
@@ -874,10 +882,10 @@ def test_sampler_grows_the_whole_tree_until_it_outgrows_the_shots(
                 max(_random_flow_patterns(9, 20), key=lambda p: len(p.angles))]
     regimes = set()
     for p in patterns:
-        steps, _ = sampling._sampling_plan(p, *find_gflow(p))
+        steps, _ = mbqc._sampling_plan(p, *find_gflow(p))
         k = len(steps)
         assert k >= 8
-        bras = sampling._bras(p, steps)
+        bras = mbqc._bras(p, steps)
         counts = {1, 2, 4096}
         for j in (1, 2, 3, 5, k - 1, k):
             counts |= {2 ** j - 1, 2 ** j, 2 ** j + 1}
@@ -886,7 +894,7 @@ def test_sampler_grows_the_whole_tree_until_it_outgrows_the_shots(
                 want = _per_shot_sampler(p)(
                     steps, bras, shots, np.random.default_rng(seed))
                 rows.clear()
-                got = sampling._sample_block(steps, bras, shots,
+                got = mbqc._sample_block(steps, bras, shots,
                                          np.random.default_rng(seed))
                 assert np.array_equal(got, want), (shots, seed)
                 assert len(rows) == k and rows[0] == 1
@@ -903,7 +911,7 @@ def test_sampler_grows_the_whole_tree_until_it_outgrows_the_shots(
 def test_flip_table_matches_the_byproducts_of_each_step():
     for p in (dj_pattern_3q(BooleanFunction(3, 0b00111100)),
               *_random_flow_patterns(13, 30)):
-        steps, _ = sampling._sampling_plan(p, *find_gflow(p))
+        steps, _ = mbqc._sampling_plan(p, *find_gflow(p))
         table = steps[0].flips.base
         assert table.shape == (len(steps), 2, len(steps))
         assert not table.flags.writeable
@@ -924,29 +932,29 @@ def test_flip_table_matches_the_byproducts_of_each_step():
 
 
 def test_flip_table_is_built_once_per_shape(monkeypatch):
-    monkeypatch.setattr(sampling, "_plan_memo", {})
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
     calls = _flow_calls(monkeypatch)
     tables = set()
     for f in enumerate_promise(2):
         run_sampled(dj_pattern_2q(f), shots=20)
-        ((steps, _),) = sampling._plan_memo.values()
+        ((steps, _),) = mbqc._plan_memo.values()
         tables.add(id(steps[0].flips.base))
     assert len(calls) == 1 and len(tables) == 1
 
 
 def _flow_calls(monkeypatch):
     calls = []
-    real = sampling.find_gflow
-    monkeypatch.setattr(sampling, "find_gflow",
+    real = mbqc.find_gflow
+    monkeypatch.setattr(mbqc, "find_gflow",
                         lambda p: (calls.append(p), real(p))[1])
     return calls
 
 
 def test_plan_memo_hit_equals_a_cold_run(monkeypatch):
-    monkeypatch.setattr(sampling, "_plan_memo", {})
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
     calls = _flow_calls(monkeypatch)
     for p in _random_flow_patterns(41, 10) + _promise_patterns()[::9]:
-        sampling._plan_memo.clear()
+        mbqc._plan_memo.clear()
         cold = run_sampled(p, seed=3, shots=400)
         warm = run_sampled(p, seed=3, shots=400)
         assert (warm.verdict, warm.agreeing_shots) == (
@@ -955,7 +963,7 @@ def test_plan_memo_hit_equals_a_cold_run(monkeypatch):
 
 
 def test_plan_memo_keys_on_shape_not_angles(monkeypatch):
-    monkeypatch.setattr(sampling, "_plan_memo", {})
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
     calls = _flow_calls(monkeypatch)
     run_sampled(dj_pattern_2q(BooleanFunction(2, 0)), shots=10)
     assert len(calls) == 1
@@ -965,7 +973,7 @@ def test_plan_memo_keys_on_shape_not_angles(monkeypatch):
     assert len(calls) == 1
     cold = []
     for f in enumerate_promise(2):
-        sampling._plan_memo.clear()
+        mbqc._plan_memo.clear()
         cold.append(run_sampled(dj_pattern_2q(f), seed=9, shots=200))
     assert warm == cold
     calls.clear()
@@ -978,17 +986,17 @@ def test_plan_memo_keys_on_shape_not_angles(monkeypatch):
     p.edges.add(frozenset((5, 6)))
     run_sampled(p, shots=10)
     assert len(calls) == 3
-    assert len(sampling._plan_memo) == 4
+    assert len(mbqc._plan_memo) == 4
 
 
 def test_plan_memo_stores_no_failure(monkeypatch):
-    monkeypatch.setattr(sampling, "_plan_memo", {})
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
     for p, error in ((_open_graph(3, [(0, 1), (1, 2)], [1]), NoFlowError),
-                     (_star(sampling.MAX_FRONTIER + 1), WidthTooLargeError)):
+                     (_star(mbqc.MAX_FRONTIER + 1), WidthTooLargeError)):
         for _ in range(3):
             with pytest.raises(error):
                 run_sampled(p, shots=5)
-        assert sampling._plan_memo == {}
+        assert mbqc._plan_memo == {}
 
 
 # -- lattice embedding -------------------------------------------------------

@@ -14,7 +14,7 @@ from zxdj.errors import (
     UnknownNodeError,
     WouldSelfLoopError,
 )
-from zxdj import circuit, mbqc, rewrite, sampling
+from zxdj import circuit, mbqc, rewrite
 from zxdj.circuit import (
     Circuit, cnot, hadamard, phase_gate, to_zx, to_zx_tracked)
 from zxdj.mbqc import (
@@ -695,7 +695,7 @@ _MEMOS = {
     "rewrite": (rewrite, "_rewrite_memo",
                 lambda i: simplify_mbqc(new_diagram(i + 1, i + 1))),
     "exact": (mbqc, "_exact_memo", lambda i: run_exact(_chain(i + 1))),
-    "plan": (sampling, "_plan_memo",
+    "plan": (mbqc, "_plan_memo",
              lambda i: run_sampled(_chain(i + 1), shots=5)),
     "lattice": (mbqc, "_lattice_memo", lambda i: reduce_lattice(
         _lattice_read_out(_LATTICE_READOUTS[i]))),
