@@ -4,9 +4,12 @@ A pattern is a cluster-state graph plus an XY-plane measurement angle per
 qubit.  Post-selected execution sums a Clifford pattern's amplitude
 exactly (:func:`run_exact`) and contracts any other pattern's closed
 diagram.  Sampled execution (:func:`run_sampled`) runs any pattern with
-an XY-plane gflow (:func:`find_gflow`), all shots at once, measuring in
-gflow order with adaptive byproduct corrections.  numpy is imported by the
-sampler's functions when they run, so the exact route loads none of it.
+an XY-plane gflow (:func:`find_gflow`): a Clifford pattern's Constant shots
+are drawn from the exact law that :func:`run_exact`'s integers give, and
+any other pattern is simulated, all shots at once, measuring in gflow
+order with adaptive byproduct corrections.  numpy is imported by the
+simulating sampler's functions when they run, so the exact routes load
+none of it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -401,7 +406,7 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     turns = _clifford_turns(p)
     if turns is not None:
         p.validate()
-        return _sum_exact(p, turns)
+        return _exact_outcome(p, turns)
     d = pattern_to_diagram(p)
     amplitude = complex(evaluate(d))
     floor = collapse_floor(d)
@@ -499,13 +504,26 @@ def run_exact(p: MeasurementPattern) -> PatternOutcome:
         q = next(q for q in p.qubits() if _quarter_turns(p.angles[q]) is None)
         raise PreconditionFailed(
             f"qubit {q} is measured at {p.angles[q]}*pi, no multiple of pi/2")
-    return _sum_exact(p, turns)
+    return _exact_outcome(p, turns)
+
+
+def _exact_outcome(p: MeasurementPattern,
+                   turns: dict[int, int]) -> PatternOutcome:
+    """:func:`run_exact` on a valid pattern, given each qubit's quarter
+    turns."""
+    s = _sum_exact(p, turns)
+    if s is None:
+        return PatternOutcome(Verdict.BALANCED, complex(0))
+    k, a, b = s
+    return PatternOutcome(Verdict.CONSTANT, _amplitude(
+        k, a, b + len(p.z_basis), len(p.edges)))
 
 
 def _sum_exact(p: MeasurementPattern,
-               by_qubit: dict[int, int]) -> PatternOutcome:
-    """:func:`run_exact` on a valid pattern, given each qubit's quarter
-    turns."""
+               by_qubit: dict[int, int]) -> tuple[int, int, int] | None:
+    """S of :func:`run_exact` on a valid pattern, given each qubit's
+    quarter turns: ``(k, a, b)`` for S = i^k * (1 + i)^a * 2^b, or None for
+    S = 0."""
     key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.z_basis))
     qubits, rows, free = _memoized(_exact_memo, key,
                                    lambda: _exact_prelude(p))
@@ -551,11 +569,10 @@ def _sum_exact(p: MeasurementPattern,
                 turns[x] %= 4
                 adj[x] = row
         elif lv:
-            return PatternOutcome(Verdict.BALANCED, complex(0))
+            return None
         else:
             b += 1
-    return PatternOutcome(Verdict.CONSTANT, _amplitude(
-        k, a, b + len(p.z_basis), len(p.edges)))
+    return k, a, b
 
 
 def _amplitude(k: int, a: int, b: int, halvings: int) -> complex:
@@ -650,13 +667,16 @@ def find_gflow(p: MeasurementPattern):
 
 # The seed of a run_sampled call that names none, and the CLI's default.
 DEFAULT_SEED = 2024
-# Widest open frontier run_sampled simulates: 2^12 amplitudes per branch.
+# Widest open frontier run_sampled simulates (a non-Clifford pattern): 2^12
+# amplitudes per branch.
 MAX_FRONTIER = 12
-# A block of shots holds _BLOCK_AMPLITUDES >> width shots, so its state never
-# exceeds 2^18 amplitudes.  Each block draws its own random numbers, so the
-# block size is part of what a seed's output depends on.
+# A simulated block of shots holds _BLOCK_AMPLITUDES >> width shots, so its
+# state never exceeds 2^18 amplitudes; a drawn block holds _BLOCK_AMPLITUDES
+# shots, one bit each per word.  Each block draws its own random numbers, so
+# the block size is part of what a seed's output depends on.
 _BLOCK_AMPLITUDES = 1 << 18
-# Sampling plans by pattern shape (see run_sampled).
+# Gflows and sampling plans by pattern shape (see run_sampled).
+_flow_memo: dict[tuple, tuple[dict, dict]] = {}
 _plan_memo: dict[tuple, tuple[list["_Step"], int]] = {}
 
 
@@ -823,10 +843,11 @@ def _sample_block(steps: list[_Step], bras: np.ndarray, shots: int,
 
 def _integer(name: str, value, least: int) -> int:
     """``value`` as a Python int, or ``ValueError`` when it is no integer
-    (a bool is not one; a numpy integer is) or is below ``least``."""
-    import numpy as np
-
-    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+    (a bool is not one; a numpy integer is) or is below ``least``.  A numpy
+    bool exists only once numpy is loaded, so this loads none."""
+    np = sys.modules.get("numpy")
+    bools = (bool,) if np is None else (bool, np.bool_)
+    if isinstance(value, bools) or not hasattr(value, "__index__"):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     value = operator.index(value)
     if value < least:
@@ -838,40 +859,95 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
                 shots: int = 1000) -> PatternOutcome:
     """Sample the adaptively corrected pattern ``shots`` times.
 
-    Measures in the order of the XY gflow from :func:`find_gflow`, all shots
-    at once (in blocks of ``_BLOCK_AMPLITUDES >> width`` shots for a widest
-    frontier of ``width`` qubits), each outcome drawn from its shot's Born
-    probability.  Each block grows the outcome tree branch by branch and
-    walks its shots down it by node index (see :func:`_sample_block`), so
-    each outcome history is simulated once per block.
-    An outcome 1 at v pushes an X byproduct onto g(v) and a Z byproduct onto
-    Odd(g(v)) \\ {v} (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007),
-    which later measurements absorb into their angles; readouts are measured
-    the same way.  A shot reads Constant exactly when every readout bit is
-    zero.  ``verdict`` is the majority, with ``agreeing_shots`` the shots
-    behind it; both counts are Python ints.
+    The pattern needs an XY gflow (:func:`find_gflow`).  An outcome 1 at v
+    pushes an X byproduct onto g(v) and a Z byproduct onto Odd(g(v)) \\ {v}
+    (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007), which later
+    measurements absorb into their angles; readouts are measured the same
+    way.  A shot reads Constant exactly when every readout bit is zero.
+    ``verdict`` is the majority, with ``agreeing_shots`` the shots behind
+    it; both counts are Python ints.  There are two routes:
 
-    The gflow and the schedule built from it, flip table included, depend
-    only on the pattern's shape: its qubit ids, edges, readouts in order and
-    z-basis set.  They are memoized by that shape (see
-    ``rewrite._memoized``), and each call only computes the measurement
-    weights from its own angles.
-    Raises ``NoFlowError`` without a gflow and ``WidthTooLargeError`` when
-    the frontier would exceed ``MAX_FRONTIER`` qubits.  Raises
-    ``ValueError`` when ``shots`` or ``seed`` is no integer (a bool or None
-    is not one; a numpy integer is), when ``shots`` is below 1, since no
-    shot gives no majority, and when ``seed`` is negative.  Every run is
-    seeded, so a repeat call gives the same output.
+    - a Clifford pattern (every angle a multiple of pi/2) is drawn, not
+      simulated (:func:`_drawn_constant_shots`): with a gflow every branch
+      of non-output outcomes is equally likely and its corrected readouts
+      are distributed as on the all-zero branch, so each shot is Constant
+      with probability |S|^2 * 2^-(n + r) = 2^-d, for :func:`run_exact`'s
+      S on n qubits and r readouts.  The count comes from
+      ``random.Random(seed)`` and loads no numpy;
+    - any other pattern is simulated with numpy
+      (:func:`_simulated_constant_shots`), each outcome drawn from its
+      shot's Born probability with ``numpy.random.default_rng(seed)``.
+
+    The gflow, and the simulated route's schedule built from it, depend
+    only on the pattern's shape: its qubit ids, edges, readouts in order
+    and z-basis set.  They are memoized by that shape (see
+    ``rewrite._memoized``), and each call only reads its own angles.
+    Raises ``NoFlowError`` without a gflow, and ``WidthTooLargeError`` on
+    the simulated route when the frontier would exceed ``MAX_FRONTIER``
+    qubits.  Raises ``ValueError`` when ``shots`` or ``seed`` is no integer
+    (a bool or None is not one; a numpy integer is), when ``shots`` is
+    below 1, since no shot gives no majority, and when ``seed`` is
+    negative.  Every run is seeded, so a repeat call gives the same output.
     """
-    import numpy as np
-
     shots = _integer("shots", shots, 1)
     seed = _integer("seed", seed, 0)
     p.validate()
     key = (frozenset(p.angles), frozenset(p.edges), tuple(p.readouts),
            frozenset(p.z_basis))
+    flow = _memoized(_flow_memo, key, lambda: find_gflow(p))
+    turns = _clifford_turns(p)
+    if turns is None:
+        constant_shots = _simulated_constant_shots(p, key, flow, seed, shots)
+    else:
+        constant_shots = _drawn_constant_shots(p, turns, seed, shots)
+    majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
+    agreeing = constant_shots if majority is Verdict.CONSTANT else shots - constant_shots
+    return PatternOutcome(majority, complex(0), shots, agreeing)
+
+
+def _drawn_constant_shots(p: MeasurementPattern, turns: dict[int, int],
+                          seed: int, shots: int) -> int:
+    """The Constant shots of a Clifford gflow pattern, drawn exactly.
+
+    S = i^k * (1 + i)^a * 2^b (:func:`_sum_exact`) gives
+    |S|^2 = 2^(a + 2b), so a shot is Constant with probability 2^-d for
+    d = n + r - a - 2b, and never when S = 0.  In blocks of at most
+    ``_BLOCK_AMPLITUDES`` shots, d words of ``getrandbits(block)`` are
+    drawn, and a shot is Constant where its bit is 0 in all of them."""
+    s = _sum_exact(p, turns)
+    if s is None:
+        return 0
+    _, a, b = s
+    d = len(p.angles) + len(p.readouts) - a - 2 * b
+    if d == 0:  # every shot is Constant; seeding the generator costs more
+        return shots
+    rng = random.Random(seed)
+    constant_shots = 0
+    for start in range(0, shots, _BLOCK_AMPLITUDES):
+        n = min(_BLOCK_AMPLITUDES, shots - start)
+        hit = 0
+        for _ in range(d):
+            hit |= rng.getrandbits(n)
+        constant_shots += n - hit.bit_count()
+    return constant_shots
+
+
+def _simulated_constant_shots(p: MeasurementPattern, key: tuple, flow,
+                              seed: int, shots: int) -> int:
+    """The Constant shots of any gflow pattern, simulated with numpy.
+
+    Measures in the order of the gflow, all shots at once (in blocks of
+    ``_BLOCK_AMPLITUDES >> width`` shots for a widest frontier of
+    ``width`` qubits), each outcome drawn from its shot's Born
+    probability.  Each block grows the outcome tree branch by branch and
+    walks its shots down it by node index (see :func:`_sample_block`), so
+    each outcome history is simulated once per block.  The schedule, flip
+    table included, is memoized under ``key``; each call only computes the
+    measurement weights from its own angles."""
+    import numpy as np
+
     steps, width = _memoized(_plan_memo, key,
-                             lambda: _sampling_plan(p, *find_gflow(p)))
+                             lambda: _sampling_plan(p, *flow))
     bras = _bras(p, steps)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_AMPLITUDES >> width)
@@ -880,9 +956,7 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
         n = min(block, shots - start)
         balanced = _sample_block(steps, bras, n, rng)
         constant_shots += n - int(np.count_nonzero(balanced))
-    majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
-    agreeing = constant_shots if majority is Verdict.CONSTANT else shots - constant_shots
-    return PatternOutcome(majority, complex(0), shots, agreeing)
+    return constant_shots
 
 
 # ---------------------------------------------------------------------------

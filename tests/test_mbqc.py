@@ -406,9 +406,10 @@ def test_import_leaves_networkx_unloaded():
 
 
 def test_exact_commands_leave_numpy_unloaded(tmp_path, capsys):
-    """``import zxdj`` and every command that builds no array load no numpy:
-    with every import of it failing, each still exits 0 and prints what it
-    prints in a process that has numpy."""
+    """``import zxdj`` and every command that builds no array load no numpy,
+    sampling a Clifford pattern included: with every import of it failing,
+    each still exits 0 and prints what it prints in a process that has
+    numpy."""
     f = BooleanFunction(3, 0b01101001)
     pattern = tmp_path / "lattice.json"
     pattern.write_text(lattice_pattern_3q(f).to_json())
@@ -416,13 +417,19 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path, capsys):
     fn = ["--n", "3", "--table", "01101001"]
     oracle = tmp_path / "oracle.json"
     assert cli.main(["synth-circuit", *fn, "--out", str(oracle)]) == 0
+    compiled = tmp_path / "compiled.json"
+    assert cli.main(["compile-mbqc", *fn, "--out", str(compiled)]) == 0
+    capsys.readouterr()
     commands = [["classify", *fn], ["synth-circuit", *fn],
                 ["compile-mbqc", *fn, "--trace"],
                 ["lattice", *fn, "--reduce", "--trace"],
                 ["simulate", *fn], ["simulate", "--pattern", str(pattern)],
                 ["simulate", "--circuit", str(oracle)],
                 ["export-dot", "--pattern", str(pattern), "--out", str(dot)],
-                ["verify-all", "--n", "3"]]
+                ["verify-all", "--n", "3"],
+                ["verify-all", "--n", "1"], ["verify-all", "--n", "2"],
+                ["simulate", "--n", "2", "--table", "0110", "--shots", "1000"],
+                ["simulate", "--pattern", str(compiled), "--shots", "100"]]
     code = """if True:
         import contextlib, io, json, sys
         import zxdj, zxdj.cli
@@ -445,6 +452,27 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path, capsys):
     assert bare == normal
     assert bare[0::2] == [0] * len(commands)
     assert dot.read_text() == bare_dot
+
+
+def test_promise_patterns_sample_without_numpy():
+    """Every promise pattern is Clifford, so all 84 sample their verdict on
+    all 1000 shots with every import of numpy failing."""
+    code = """if True:
+        import sys
+        sys.modules["numpy"] = None  # an import of it now raises
+        import zxdj
+        makers = {1: zxdj.dj_pattern_1q, 2: zxdj.dj_pattern_2q,
+                  3: zxdj.dj_pattern_3q}
+        runs = 0
+        for n, make in makers.items():
+            for f in zxdj.enumerate_promise(n):
+                out = zxdj.run_sampled(make(f), shots=1000)
+                assert out.verdict is zxdj.classify(f), f
+                assert out.agreeing_shots == 1000, f
+                runs += 1
+        print(runs)
+    """
+    assert _in_fresh_process(code) == "84\n"
 
 
 def test_lazy_names_resolve_and_run():
@@ -652,24 +680,61 @@ def test_run_sampled_rejects_pattern_without_gflow():
         run_sampled(_open_graph(3, [(0, 1), (1, 2)], [1]), shots=1)
 
 
-def _star(leaves):
-    return _open_graph(leaves + 1, [(0, q) for q in range(1, leaves + 1)],
-                       range(1, leaves + 1))
+def _star(leaves, angle=ZERO):
+    p = _open_graph(leaves + 1, [(0, q) for q in range(1, leaves + 1)],
+                    range(1, leaves + 1))
+    p.angles = dict.fromkeys(p.angles, angle)
+    return p
 
 
-def test_frontier_cap_raises_before_allocating(monkeypatch):
-    monkeypatch.setattr(mbqc, "_plan_memo", {})  # a cold plan builds signs
+def _non_clifford(p):
+    """A copy of ``p`` with pi/4 added to every angle that is a multiple of
+    pi/2, so that no angle is one and run_sampled simulates it."""
+    angles = {q: a + QUARTER_PI if mbqc._quarter_turns(a) is not None else a
+              for q, a in p.angles.items()}
+    return MeasurementPattern(angles, set(p.edges), list(p.readouts))
+
+
+def _cz_widths(monkeypatch):
+    """The frontier width of every sign vector built from now on."""
     widths = []
     real_signs = mbqc._cz_signs
     monkeypatch.setattr(mbqc, "_cz_signs", lambda w, pairs: (
         widths.append(w), real_signs(w, pairs))[1])
-    out = run_sampled(_star(mbqc.MAX_FRONTIER - 1), shots=3)
+    return widths
+
+
+def test_frontier_cap_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(mbqc, "_plan_memo", {})  # a cold plan builds signs
+    widths = _cz_widths(monkeypatch)
+    out = run_sampled(_star(mbqc.MAX_FRONTIER - 1, QUARTER_PI), shots=3)
     assert out.shots == 3 and max(widths) == mbqc.MAX_FRONTIER
     widths.clear()
     monkeypatch.setattr(mbqc, "_sample_block", None)  # must not be reached
     with pytest.raises(WidthTooLargeError):
-        run_sampled(_star(30), shots=1000)
+        run_sampled(_star(30, QUARTER_PI), shots=1000)
     assert widths == []
+
+
+def test_clifford_star_samples_past_the_frontier_cap(monkeypatch):
+    # the drawn route builds no plan and no state, so no frontier binds it
+    for name in ("_sampling_plan", "_cz_signs", "_sample_block"):
+        monkeypatch.setattr(mbqc, name, None)  # must not be reached
+    p = _star(30)
+    out = run_sampled(p, shots=1000)
+    # the hub pivots on one leaf and the other 29 leaves are free at angle
+    # 0, so S = 2^30 and P(Constant) = |S|^2 / 2^(31 + 30) = 1/2
+    assert mbqc._sum_exact(p, mbqc._clifford_turns(p)) == (0, 0, 30)
+    assert out.shots == 1000 and abs(out.agreeing_shots - 500) <= 80  # 5 sigma
+
+
+def test_pi_4_twin_of_the_clifford_star_raises_before_any_signs(
+        monkeypatch):
+    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    widths = _cz_widths(monkeypatch)
+    with pytest.raises(WidthTooLargeError):
+        run_sampled(_star(30, QUARTER_PI), shots=1000)
+    assert widths == [] and mbqc._plan_memo == {}
 
 
 def test_run_sampled_in_blocks(monkeypatch):
@@ -712,12 +777,15 @@ def test_run_sampled_follows_born_probabilities():
         except NoFlowError:
             continue
         checked += 1
-        out = run_sampled(p, seed=checked, shots=shots)
-        constant = (out.agreeing_shots if out.verdict.value == "constant"
-                    else shots - out.agreeing_shots)
+        constant = _constant_shots(run_sampled(p, seed=checked, shots=shots))
         prob = _constant_probability(p)
         sigma = (prob * (1 - prob) / shots) ** 0.5
         assert abs(constant / shots - prob) <= 5 * sigma + 1e-9, (p, prob)
+
+
+def _constant_shots(out):
+    return (out.agreeing_shots if out.verdict is Verdict.CONSTANT
+            else out.shots - out.agreeing_shots)
 
 
 def _byproducts(p):
@@ -777,9 +845,9 @@ def _sampled_outcomes(block_sampler, p, seed, shots):
         for start in range(0, shots, block)])
 
 
-def _random_flow_patterns(seed, count, max_qubits=8):
+def _random_flow_patterns(seed, count, max_qubits=8, denominator=4):
     """Seeded random open graphs that have an XY gflow, with readouts in a
-    random order and angles drawn from the multiples of pi/4."""
+    random order and angles drawn from the multiples of pi/denominator."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -788,14 +856,89 @@ def _random_flow_patterns(seed, count, max_qubits=8):
                  if rng.random() < 0.4]
         outputs = [q for q in range(n) if rng.random() < 0.4]
         rng.shuffle(outputs)
-        p = MeasurementPattern({q: Phase(rng.randrange(8), 4) for q in range(n)},
-                               {frozenset(e) for e in pairs}, outputs)
+        p = MeasurementPattern(
+            {q: Phase(rng.randrange(2 * denominator), denominator)
+             for q in range(n)},
+            {frozenset(e) for e in pairs}, outputs)
         try:
             find_gflow(p)
         except NoFlowError:
             continue
         out.append(p)
     return out
+
+
+def _clifford_flow_patterns():
+    """300 seeded Clifford gflow patterns of at most 8 qubits."""
+    return _random_flow_patterns(61, 300, denominator=2)
+
+
+def _drawn_exponent(p):
+    """d = n + r - a - 2b of a Clifford gflow pattern, for which the drawn
+    route reads Constant with probability 2^-d; None when S = 0."""
+    s = mbqc._sum_exact(p, mbqc._clifford_turns(p))
+    if s is None:
+        return None
+    _, a, b = s
+    return len(p.angles) + len(p.readouts) - a - 2 * b
+
+
+def _drawn_probability(p):
+    d = _drawn_exponent(p)
+    return 0.0 if d is None else 2.0 ** -d
+
+
+def test_exact_law_matches_the_dense_probability():
+    exponents = []
+    for p in _clifford_flow_patterns():
+        d = _drawn_exponent(p)
+        assert d is None or d >= 0
+        assert abs(_drawn_probability(p) - _constant_probability(p)) <= 1e-12
+        exponents.append(d)
+    assert None in exponents and len(set(exponents)) > 3
+
+
+def test_drawn_counts_follow_the_exact_law():
+    shots = 2000
+    for i, p in enumerate(_clifford_flow_patterns()):
+        prob = _drawn_probability(p)
+        constant = _constant_shots(run_sampled(p, seed=i, shots=shots))
+        sigma = (shots * prob * (1 - prob)) ** 0.5
+        assert abs(constant - shots * prob) <= 5 * sigma, (i, p)
+
+
+def test_simulated_sampler_agrees_with_the_drawn_route():
+    shots = 5000
+    random_outcomes = 0
+    for i, p in enumerate(_clifford_flow_patterns()[:40]):
+        prob = _drawn_probability(p)
+        simulated = shots - int(np.count_nonzero(
+            _sampled_outcomes(mbqc._sample_block, p, i, shots)))
+        drawn = _constant_shots(run_sampled(p, seed=i, shots=shots))
+        # two independent Binomial(shots, prob) counts: their difference has
+        # variance 2 * shots * prob * (1 - prob); allow 5 sigma of it
+        bound = 5 * (2 * shots * prob * (1 - prob)) ** 0.5
+        assert abs(simulated - drawn) <= bound, (i, p, prob)
+        random_outcomes += 0 < prob < 1
+    assert random_outcomes >= 10
+
+
+def test_drawn_route_repeats_across_blocks(monkeypatch):
+    monkeypatch.setattr(mbqc, "_BLOCK_AMPLITUDES", 64)
+    p = next(p for p in _clifford_flow_patterns()
+             if (_drawn_exponent(p) or 0) >= 2)
+    d, shots = _drawn_exponent(p), 1000  # 16 blocks, the last of 40 shots
+    out = run_sampled(p, seed=5, shots=shots)
+    assert run_sampled(p, seed=5, shots=shots) == out
+    # the documented draw, bit by bit: per block, d words of
+    # getrandbits(block), and a shot is Constant where all d read 0
+    rng = random.Random(5)
+    constant = 0
+    for start in range(0, shots, 64):
+        n = min(64, shots - start)
+        words = [rng.getrandbits(n) for _ in range(d)]
+        constant += sum(all(not w >> j & 1 for w in words) for j in range(n))
+    assert _constant_shots(out) == constant
 
 
 def _promise_patterns():
@@ -837,18 +980,29 @@ def test_branch_merged_sampler_matches_per_shot_across_blocks(monkeypatch):
 
 
 # SHA-256 of (verdict, agreeing_shots) over 60 seeded runs on non-promise
-# patterns, recorded with the per-shot sampler.
+# patterns: the 51 simulated ones recorded with the per-shot sampler, the 9
+# Clifford ones (16, 21, 23, 24, 26, 29, 45, 57 and 59) drawn from the exact
+# law.  _SIMULATED_DIGEST pins the 51 simulated records alone.
 _SAMPLED_DIGEST = (
-    "a3c958bf6a8e32a96aeb47a4f6139c4b2df265e9d1584fac0c44fe6b8d8ddf13")
+    "11adb04249de35bc4c9cae4d05e7ee31e6fab8cbd2c6ee04cd38c591331e1fb6")
+_SIMULATED_DIGEST = (
+    "05d2a24cde0724dae63705dfca0bb1e66e799aa16dad113b38d86ef231d1d53a")
 
 
 def test_sampled_outcomes_keep_the_pinned_digest():
-    record = []
+    record, simulated, clifford = [], [], []
     for i, p in enumerate(_random_flow_patterns(31, 60)):
         out = run_sampled(p, seed=1000 + i, shots=300 + 7 * i)
         record.append([out.verdict.value, out.agreeing_shots])
-    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
-    assert digest == _SAMPLED_DIGEST
+        if mbqc._clifford_turns(p) is None:
+            simulated.append(record[-1])
+        else:
+            clifford.append(i)
+    assert clifford == [16, 21, 23, 24, 26, 29, 45, 57, 59]
+    for pinned, records in ((_SAMPLED_DIGEST, record),
+                            (_SIMULATED_DIGEST, simulated)):
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == pinned
 
 
 def _row_counts(monkeypatch):
@@ -931,12 +1085,22 @@ def test_flip_table_matches_the_byproducts_of_each_step():
             assert np.array_equal(s.flips[1], want), (p, k)
 
 
+def _cold_memos(monkeypatch):
+    for name in ("_flow_memo", "_plan_memo"):
+        monkeypatch.setattr(mbqc, name, {})
+
+
+def _clear_memos():
+    mbqc._flow_memo.clear()
+    mbqc._plan_memo.clear()
+
+
 def test_flip_table_is_built_once_per_shape(monkeypatch):
-    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    _cold_memos(monkeypatch)
     calls = _flow_calls(monkeypatch)
     tables = set()
     for f in enumerate_promise(2):
-        run_sampled(dj_pattern_2q(f), shots=20)
+        run_sampled(_non_clifford(dj_pattern_2q(f)), shots=20)
         ((steps, _),) = mbqc._plan_memo.values()
         tables.add(id(steps[0].flips.base))
     assert len(calls) == 1 and len(tables) == 1
@@ -951,10 +1115,11 @@ def _flow_calls(monkeypatch):
 
 
 def test_plan_memo_hit_equals_a_cold_run(monkeypatch):
-    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    _cold_memos(monkeypatch)
     calls = _flow_calls(monkeypatch)
     for p in _random_flow_patterns(41, 10) + _promise_patterns()[::9]:
-        mbqc._plan_memo.clear()
+        p = _non_clifford(p)
+        _clear_memos()
         cold = run_sampled(p, seed=3, shots=400)
         warm = run_sampled(p, seed=3, shots=400)
         assert (warm.verdict, warm.agreeing_shots) == (
@@ -963,21 +1128,21 @@ def test_plan_memo_hit_equals_a_cold_run(monkeypatch):
 
 
 def test_plan_memo_keys_on_shape_not_angles(monkeypatch):
-    monkeypatch.setattr(mbqc, "_plan_memo", {})
+    _cold_memos(monkeypatch)
     calls = _flow_calls(monkeypatch)
-    run_sampled(dj_pattern_2q(BooleanFunction(2, 0)), shots=10)
+    run_sampled(_non_clifford(dj_pattern_2q(BooleanFunction(2, 0))), shots=10)
     assert len(calls) == 1
     # all eight two-bit variants share one shape; a new angle hits
-    warm = [run_sampled(dj_pattern_2q(f), seed=9, shots=200)
-            for f in enumerate_promise(2)]
+    twins = [_non_clifford(dj_pattern_2q(f)) for f in enumerate_promise(2)]
+    warm = [run_sampled(p, seed=9, shots=200) for p in twins]
     assert len(calls) == 1
     cold = []
-    for f in enumerate_promise(2):
-        mbqc._plan_memo.clear()
-        cold.append(run_sampled(dj_pattern_2q(f), seed=9, shots=200))
+    for p in twins:
+        _clear_memos()
+        cold.append(run_sampled(p, seed=9, shots=200))
     assert warm == cold
     calls.clear()
-    p = dj_pattern_2q(BooleanFunction(2, 6))
+    p = _non_clifford(dj_pattern_2q(BooleanFunction(2, 6)))
     p.readouts.reverse()  # the readout order is part of the schedule
     run_sampled(p, shots=10)
     p.edges.add(frozenset((0, 3)))
@@ -990,13 +1155,15 @@ def test_plan_memo_keys_on_shape_not_angles(monkeypatch):
 
 
 def test_plan_memo_stores_no_failure(monkeypatch):
-    monkeypatch.setattr(mbqc, "_plan_memo", {})
-    for p, error in ((_open_graph(3, [(0, 1), (1, 2)], [1]), NoFlowError),
-                     (_star(mbqc.MAX_FRONTIER + 1), WidthTooLargeError)):
+    _cold_memos(monkeypatch)
+    no_flow = _non_clifford(_open_graph(3, [(0, 1), (1, 2)], [1]))
+    for p, error, flows in (
+            (no_flow, NoFlowError, 0),
+            (_star(mbqc.MAX_FRONTIER + 1, QUARTER_PI), WidthTooLargeError, 1)):
         for _ in range(3):
             with pytest.raises(error):
                 run_sampled(p, shots=5)
-        assert mbqc._plan_memo == {}
+        assert mbqc._plan_memo == {} and len(mbqc._flow_memo) == flows
 
 
 # -- lattice embedding -------------------------------------------------------
