@@ -7,8 +7,8 @@ mbqc (measurement patterns, lattice embedding, exact and sampled
 execution), cli.
 
 numpy is imported only where an array is built: inside the functions of
-``tensor``, ``circuit`` and ``mbqc``'s sampler that build one, when they
-run.  So ``import zxdj`` and the exact Clifford route load none of it.
+``tensor`` and ``circuit`` that build one, when they run.  So
+``import zxdj`` and the exact Clifford route load none of it.
 """
 
 from .circuit import (

@@ -4,12 +4,11 @@ A pattern is a cluster-state graph plus an XY-plane measurement angle per
 qubit.  Post-selected execution sums a Clifford pattern's amplitude
 exactly (:func:`run_exact`) and contracts any other pattern's closed
 diagram.  Sampled execution (:func:`run_sampled`) runs any pattern with
-an XY-plane gflow (:func:`find_gflow`): a Clifford pattern's Constant shots
-are drawn from the exact law that :func:`run_exact`'s integers give, and
-any other pattern is simulated, all shots at once, measuring in gflow
-order with adaptive byproduct corrections.  numpy is imported by the
-simulating sampler's functions when they run, so the exact routes load
-none of it.
+an XY-plane gflow (:func:`find_gflow`): each shot is Constant with
+probability |S|^2 * 2^-(n + r), for the sum S behind the post-selected
+amplitude, and the count of Constant shots is drawn from that law.  numpy
+is imported only by the contraction (``tensor.evaluate``), so the exact
+routes load none of it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import (
@@ -30,7 +29,6 @@ from .errors import (
     NotGraphLikeError,
     PreconditionFailed,
     ReductionStuckError,
-    WidthTooLargeError,
 )
 from .oracle import (
     BooleanFunction,
@@ -44,9 +42,6 @@ from .oracle import (
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
 from .rewrite import _carrier_sum, _memoized, simplify_core
 from .tensor import collapse_floor, evaluate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _qubit_id(q) -> int:
@@ -593,14 +588,6 @@ def _adjacency(p: MeasurementPattern) -> dict[int, set[int]]:
     return adj
 
 
-def _odd(adj: dict[int, set[int]], k) -> set[int]:
-    """Odd(K): the qubits with an odd number of neighbours in K."""
-    odd: set[int] = set()
-    for q in k:
-        odd ^= adj[q]
-    return odd
-
-
 def _solve_layer(adj, solved: list[int], todo: list[int]) -> dict:
     """Map every u in ``todo`` that has a K within ``solved`` whose Odd(K)
     meets ``todo`` in {u} alone to one such K.
@@ -667,178 +654,12 @@ def find_gflow(p: MeasurementPattern):
 
 # The seed of a run_sampled call that names none, and the CLI's default.
 DEFAULT_SEED = 2024
-# Widest open frontier run_sampled simulates (a non-Clifford pattern): 2^12
-# amplitudes per branch.
-MAX_FRONTIER = 12
-# A simulated block of shots holds _BLOCK_AMPLITUDES >> width shots, so its
-# state never exceeds 2^18 amplitudes; a drawn block holds _BLOCK_AMPLITUDES
-# shots, one bit each per word.  Each block draws its own random numbers, so
-# the block size is part of what a seed's output depends on.
-_BLOCK_AMPLITUDES = 1 << 18
-# Gflows and sampling plans by pattern shape (see run_sampled).
+# run_sampled draws its count in blocks of at most _BLOCK_SHOTS shots, one
+# bit each per word.  Each block draws its own words, so the block size is
+# part of what a seed's output depends on.
+_BLOCK_SHOTS = 1 << 18
+# Gflows by pattern shape (see run_sampled).
 _flow_memo: dict[tuple, tuple[dict, dict]] = {}
-_plan_memo: dict[tuple, tuple[list["_Step"], int]] = {}
-
-
-@dataclass(frozen=True)
-class _Step:
-    """One measurement of qubit ``qubit``: add ``added`` qubits as |+>,
-    multiply by the CZ ``signs`` (or none), then measure frontier bit
-    ``bit``.  Everything here depends on the pattern's shape alone, never
-    on its angles.
-
-    ``flips`` is this step's slice of the plan's flip table: row o is what
-    outcome o XORs onto a branch's pending weight indices, one per step.
-    Row 0 is zero.  Row 1 holds the byproducts of the qubit v measured
-    here: 2 at each later step whose qubit is in g(v) (an X byproduct) and
-    1 at each in Odd(g(v)) \\ {v} (a Z byproduct), and 4 at this step
-    itself when v is a readout, which records the readout bit."""
-
-    qubit: int
-    added: int
-    signs: np.ndarray | None
-    bit: int
-    flips: np.ndarray   # (2, steps) uint8, read-only
-
-
-def _cz_signs(width: int, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """(-1)^(number of CZ pairs both 1) over the 2^width frontier states;
-    bit 0 is the most significant.  Read-only, since plans share it."""
-    import numpy as np
-
-    index = np.arange(1 << width)
-    parity = np.zeros(1 << width, dtype=np.int64)
-    for a, b in pairs:
-        parity ^= (index >> (width - 1 - a)) & (index >> (width - 1 - b)) & 1
-    signs = 1.0 - 2.0 * parity
-    signs.flags.writeable = False
-    return signs
-
-
-def _sampling_plan(p: MeasurementPattern, g, layer) -> tuple[list[_Step], int]:
-    """The measurement schedule of the gflow and the widest frontier.
-
-    Non-outputs go in descending layer, then the readouts.  A qubit joins
-    the frontier just before its first neighbour is measured; every edge
-    is applied when its second end joins.  The flip table (see ``_Step``)
-    is built here, once per shape, as one read-only (steps, 2, steps)
-    array.  Raises ``WidthTooLargeError`` before building any sign vector
-    wider than ``MAX_FRONTIER``.
-    """
-    import numpy as np
-
-    adj = _adjacency(p)
-    readouts = set(p.readouts)
-    order = sorted(g, key=lambda u: (-layer[u], u)) + list(p.readouts)
-    step_of = {q: k for k, q in enumerate(order)}
-    flips = np.zeros((len(order), 2, len(order)), dtype=np.uint8)
-    for i, v in enumerate(order):
-        k = g.get(v, frozenset())
-        for q in k:
-            flips[i, 1, step_of[q]] ^= 2
-        for q in _odd(adj, k) - {v}:
-            flips[i, 1, step_of[q]] ^= 1
-        if v in readouts:
-            flips[i, 1, i] = 4
-    flips.flags.writeable = False
-    joined: set[int] = set()
-    front: list[int] = []
-    steps = []
-    width = 0
-    for v, flip in zip(order, flips):
-        pairs = []
-        added = 0
-        for q in (v, *sorted(adj[v])):
-            if q not in joined:
-                joined.add(q)
-                pairs += [(front.index(r), len(front))
-                          for r in sorted(adj[q]) if r in front]
-                front.append(q)
-                added += 1
-        width = max(width, len(front))
-        if len(front) > MAX_FRONTIER:
-            raise WidthTooLargeError(
-                f"sampling needs a {len(front)}-qubit frontier; "
-                f"the cap is {MAX_FRONTIER}")
-        steps.append(_Step(
-            v, added, _cz_signs(len(front), pairs) if pairs else None,
-            front.index(v), flip))
-        front.remove(v)
-    return steps, width
-
-
-def _bras(p: MeasurementPattern, steps: list[_Step]) -> np.ndarray:
-    """Per step, the <+_phi| weight on |1> indexed by the byproduct
-    signal: c*, -c*, c, -c for c = exp(i * angle)."""
-    import numpy as np
-
-    c = np.array([p.angles[s.qubit].phase_factor() for s in steps],
-                 dtype=complex)
-    return np.stack((c.conj(), -c.conj(), c, -c), axis=1)
-
-
-def _squared_norms(b: np.ndarray) -> np.ndarray:
-    """Per-row squared norm of a contiguous (rows, ...) complex array."""
-    import numpy as np
-
-    flat = b.reshape(len(b), -1).view(np.float64)
-    return np.einsum("ij,ij->i", flat, flat)
-
-
-def _sample_block(steps: list[_Step], bras: np.ndarray, shots: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Run ``shots`` shots of the schedule at once; True where a shot read
-    some readout bit as 1 (a Balanced answer).
-
-    The work on the outcome tree and the work on the shots are separate.
-    A branch is a row of the (branches, 2^w) state over the w frontier
-    qubits and a row of pending weight indices, one per step: 2 for an X
-    byproduct plus 1 for a Z, so the adapted angle (-1)^sX * theta + sZ * pi
-    picks its weight from the step's ``bras``.  Each step splits every
-    branch into both outcomes, row r into rows 2r and 2r + 1, which gives
-    each child's state and each branch's Born probability p0 of outcome 0;
-    a child's pending row is its parent's XOR the step's ``flips`` row for
-    its outcome.  A shot carries only its node, the row it is at, and moves
-    to ``2 * node + (u >= p0[node])`` for its draw u, one draw per shot per
-    step, so the draws are those of a per-shot sampler.  Only when the
-    children outnumber the shots are they compacted to the ones some shot
-    reached, in ascending order, so there are never more than
-    min(shots, 2^steps) rows.  A shot is Balanced when its row holds a 4,
-    which a readout's outcome 1 writes.  A child no shot can reach may have
-    zero norm; its row then holds NaN, and numpy's warnings for that are
-    silenced, since no shot reads it.
-    """
-    import numpy as np
-
-    state = np.ones((1, 1), dtype=complex)
-    pending = np.zeros((1, len(steps)), dtype=np.uint8)
-    node = np.zeros(shots, dtype=np.intp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, (s, bra) in enumerate(zip(steps, bras)):
-            rows = len(state)
-            if s.added:
-                state = np.repeat(state, 1 << s.added, axis=1)
-            if s.signs is not None:
-                state *= s.signs
-            halves = state.reshape(rows, 1 << s.bit, 2, -1)
-            lifted = bra[pending[:, k]][:, None, None] * halves[:, :, 1]
-            # row 2r + o of ``split`` is branch r after outcome o
-            split = np.empty((rows, 2) + lifted.shape[1:], dtype=complex)
-            np.add(halves[:, :, 0], lifted, out=split[:, 0])
-            np.subtract(halves[:, :, 0], lifted, out=split[:, 1])
-            split = split.reshape(2 * rows, -1)
-            norms = _squared_norms(split)
-            n0 = norms[0::2]
-            p0 = n0 / (n0 + norms[1::2])
-            node = 2 * node + (rng.random(shots) >= p0[node])
-            state = split / np.sqrt(norms)[:, None]
-            pending = (pending[:, None] ^ s.flips).reshape(2 * rows, -1)
-            if 2 * rows > shots:
-                reached = np.bincount(node, minlength=2 * rows) > 0
-                kids = np.flatnonzero(reached)
-                node = (np.cumsum(reached) - 1)[node]
-                state, pending = state[kids], pending[kids]
-    return (pending >= 4).any(axis=1)[node]
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -864,98 +685,94 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
     (Browne, Kashefi, Mhalla & Perdrix, NJP 9, 250, 2007), which later
     measurements absorb into their angles; readouts are measured the same
     way.  A shot reads Constant exactly when every readout bit is zero.
-    ``verdict`` is the majority, with ``agreeing_shots`` the shots behind
-    it; both counts are Python ints.  There are two routes:
+    With a gflow every branch of non-output outcomes is equally likely and
+    the corrected readouts are distributed as on the all-zero branch, so
+    each shot is Constant with probability |S|^2 * 2^-(n + r), for the sum
+    S behind the post-selected amplitude, n qubits and r readouts
+    (:func:`_constant_law`), and the count is drawn from that law with
+    ``random.Random(seed)`` (:func:`_drawn_count`).  ``verdict`` is the
+    majority, with ``agreeing_shots`` the shots behind it; both counts are
+    Python ints.
 
-    - a Clifford pattern (every angle a multiple of pi/2) is drawn, not
-      simulated (:func:`_drawn_constant_shots`): with a gflow every branch
-      of non-output outcomes is equally likely and its corrected readouts
-      are distributed as on the all-zero branch, so each shot is Constant
-      with probability |S|^2 * 2^-(n + r) = 2^-d, for :func:`run_exact`'s
-      S on n qubits and r readouts.  The count comes from
-      ``random.Random(seed)`` and loads no numpy;
-    - any other pattern is simulated with numpy
-      (:func:`_simulated_constant_shots`), each outcome drawn from its
-      shot's Born probability with ``numpy.random.default_rng(seed)``.
-
-    The gflow, and the simulated route's schedule built from it, depend
-    only on the pattern's shape: its qubit ids, edges, readouts in order
-    and z-basis set.  They are memoized by that shape (see
-    ``rewrite._memoized``), and each call only reads its own angles.
-    Raises ``NoFlowError`` without a gflow, and ``WidthTooLargeError`` on
-    the simulated route when the frontier would exceed ``MAX_FRONTIER``
-    qubits.  Raises ``ValueError`` when ``shots`` or ``seed`` is no integer
-    (a bool or None is not one; a numpy integer is), when ``shots`` is
-    below 1, since no shot gives no majority, and when ``seed`` is
-    negative.  Every run is seeded, so a repeat call gives the same output.
+    The gflow depends only on the pattern's shape: its qubit ids, edges,
+    readout set and z-basis set.  It is memoized by that shape (see
+    ``rewrite._memoized``).  Raises ``NoFlowError`` without a gflow, and
+    ``WidthTooLargeError``, before building any tensor, when a pattern with
+    an angle that is no multiple of pi/2 would contract with a peak rank
+    above ``tensor.MAX_PEAK_RANK``.  Raises ``ValueError`` when ``shots``
+    or ``seed`` is no integer (a bool or None is not one; a numpy integer
+    is), when ``shots`` is below 1, since no shot gives no majority, and
+    when ``seed`` is negative.  Every run is seeded, so a repeat call gives
+    the same output.
     """
     shots = _integer("shots", shots, 1)
     seed = _integer("seed", seed, 0)
     p.validate()
-    key = (frozenset(p.angles), frozenset(p.edges), tuple(p.readouts),
+    key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.readouts),
            frozenset(p.z_basis))
-    flow = _memoized(_flow_memo, key, lambda: find_gflow(p))
-    turns = _clifford_turns(p)
-    if turns is None:
-        constant_shots = _simulated_constant_shots(p, key, flow, seed, shots)
-    else:
-        constant_shots = _drawn_constant_shots(p, turns, seed, shots)
+    _memoized(_flow_memo, key, lambda: find_gflow(p))
+    constant_shots = _drawn_count(*_constant_law(p), seed, shots)
     majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
     agreeing = constant_shots if majority is Verdict.CONSTANT else shots - constant_shots
     return PatternOutcome(majority, complex(0), shots, agreeing)
 
 
-def _drawn_constant_shots(p: MeasurementPattern, turns: dict[int, int],
-                          seed: int, shots: int) -> int:
-    """The Constant shots of a Clifford gflow pattern, drawn exactly.
+def _constant_law(p: MeasurementPattern) -> tuple[int, int]:
+    """P(Constant) of a valid gflow pattern as ``(num, bits)``, for
+    P = num / 2^bits exactly.
 
-    S = i^k * (1 + i)^a * 2^b (:func:`_sum_exact`) gives
-    |S|^2 = 2^(a + 2b), so a shot is Constant with probability 2^-d for
-    d = n + r - a - 2b, and never when S = 0.  In blocks of at most
-    ``_BLOCK_AMPLITUDES`` shots, d words of ``getrandbits(block)`` are
-    drawn, and a shot is Constant where its bit is 0 in all of them."""
-    s = _sum_exact(p, turns)
-    if s is None:
-        return 0
-    _, a, b = s
-    d = len(p.angles) + len(p.readouts) - a - 2 * b
-    if d == 0:  # every shot is Constant; seeding the generator costs more
+    A Clifford pattern's S = i^k * (1 + i)^a * 2^b (:func:`_sum_exact`)
+    gives |S|^2 = 2^(a + 2b), so P = 2^-d for d = n + r - a - 2b, or 0 when
+    S = 0, with no tensor and no numpy.  Any other pattern's closed diagram
+    is contracted, as :func:`run_postselected` does; its amplitude is
+    S * 2^(-|E|/2), so P = |amplitude|^2 * 2^(|E| - n - r), clamped to at
+    most 1 against round-off, and the float's ``as_integer_ratio`` gives
+    num / 2^bits."""
+    exponent = len(p.angles) + len(p.readouts)
+    turns = _clifford_turns(p)
+    if turns is not None:
+        s = _sum_exact(p, turns)
+        if s is None:
+            return 0, 0
+        _, a, b = s
+        return 1, exponent - a - 2 * b
+    amplitude = complex(evaluate(pattern_to_diagram(p)))
+    prob = min(math.ldexp(abs(amplitude) ** 2, len(p.edges) - exponent), 1.0)
+    num, den = prob.as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def _drawn_count(num: int, bits: int, seed: int, shots: int) -> int:
+    """A Binomial(shots, num / 2^bits) count of Constant shots, drawn from
+    ``random.Random(seed)``.
+
+    In blocks of at most ``_BLOCK_SHOTS`` shots, one word of
+    ``getrandbits(block)`` is drawn per binary digit of num / 2^bits, most
+    significant first, so bit j of the words spells shot j's uniform number
+    in [0, 2^bits), and the shot is Constant where that number is below
+    ``num``.  All shots of a block are compared at once: ``equal`` holds the
+    shots whose digits so far are num's, and ``below`` those already
+    smaller.  Every block draws all ``bits`` words, so with num = 1 and
+    bits = d a shot is Constant where its bit is 0 in all d words.  P = 1
+    returns ``shots`` without seeding a generator, and P = 0 returns 0."""
+    if num >> bits:
         return shots
+    if not num:
+        return 0
     rng = random.Random(seed)
+    digits = [num >> k & 1 for k in reversed(range(bits))]
     constant_shots = 0
-    for start in range(0, shots, _BLOCK_AMPLITUDES):
-        n = min(_BLOCK_AMPLITUDES, shots - start)
-        hit = 0
-        for _ in range(d):
-            hit |= rng.getrandbits(n)
-        constant_shots += n - hit.bit_count()
-    return constant_shots
-
-
-def _simulated_constant_shots(p: MeasurementPattern, key: tuple, flow,
-                              seed: int, shots: int) -> int:
-    """The Constant shots of any gflow pattern, simulated with numpy.
-
-    Measures in the order of the gflow, all shots at once (in blocks of
-    ``_BLOCK_AMPLITUDES >> width`` shots for a widest frontier of
-    ``width`` qubits), each outcome drawn from its shot's Born
-    probability.  Each block grows the outcome tree branch by branch and
-    walks its shots down it by node index (see :func:`_sample_block`), so
-    each outcome history is simulated once per block.  The schedule, flip
-    table included, is memoized under ``key``; each call only computes the
-    measurement weights from its own angles."""
-    import numpy as np
-
-    steps, width = _memoized(_plan_memo, key,
-                             lambda: _sampling_plan(p, *flow))
-    bras = _bras(p, steps)
-    rng = np.random.default_rng(seed)
-    block = max(1, _BLOCK_AMPLITUDES >> width)
-    constant_shots = 0
-    for start in range(0, shots, block):
-        n = min(block, shots - start)
-        balanced = _sample_block(steps, bras, n, rng)
-        constant_shots += n - int(np.count_nonzero(balanced))
+    for start in range(0, shots, _BLOCK_SHOTS):
+        n = min(_BLOCK_SHOTS, shots - start)
+        below, equal = 0, (1 << n) - 1
+        for digit in digits:
+            word = rng.getrandbits(n)
+            if digit:
+                below |= equal & ~word
+                equal &= word
+            else:
+                equal &= ~word
+        constant_shots += below.bit_count()
     return constant_shots
 
 

@@ -5,13 +5,13 @@ describing what happened.  All rules preserve the diagram's tensor up to a
 nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
-The package's six memos (``circuit._zx_memo``, ``_rewrite_memo``,
-``mbqc._exact_memo``, ``mbqc._flow_memo``, ``mbqc._plan_memo``,
-``mbqc._lattice_memo``) share one policy, kept in :func:`_memoized`
-alone: a record is built on a miss only, at most ``MEMO_SHAPES`` keys
-stay, the first one in is evicted first, and a build that raises stores
-nothing.  Each caller reads a record the same way on a miss as on a hit,
-so the memos differ only in their keys.
+The package's five memos (``circuit._zx_memo``, ``_rewrite_memo``,
+``mbqc._exact_memo``, ``mbqc._flow_memo``, ``mbqc._lattice_memo``) share
+one policy, kept in :func:`_memoized` alone: a record is built on a miss
+only, at most ``MEMO_SHAPES`` keys stay, the first one in is evicted
+first, and a build that raises stores nothing.  Each caller reads a
+record the same way on a miss as on a hit, so the memos differ only in
+their keys.
 
 :func:`simplify_mbqc` memoizes the simplifier core :func:`simplify_core`
 per rewrite key: the diagram's shape (:func:`_shape_key`), its spider

@@ -13,9 +13,9 @@ in the order :func:`elimination_order` picks), checked against
 :func:`evaluate`.  Nothing is memoized: ``mbqc.run_exact`` decides every
 Clifford pattern, which covers every pattern for n <= 3, so the commands
 contract only a non-Clifford pattern loaded by ``simulate --pattern``,
-once per process.  numpy is imported by the functions that build an
-array, so planning a contraction, as ``max_intermediate_rank`` and
-``collapse_floor`` do, loads none of it.
+post-selected or with ``--shots``, once per process.  numpy is imported
+by the functions that build an array, so planning a contraction, as
+``max_intermediate_rank`` and ``collapse_floor`` do, loads none of it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Measurement patterns: serialization, extraction, execution, lattice."""
 
+import cmath
 import hashlib
 import importlib
 import itertools
@@ -689,37 +690,37 @@ def _star(leaves, angle=ZERO):
 
 def _non_clifford(p):
     """A copy of ``p`` with pi/4 added to every angle that is a multiple of
-    pi/2, so that no angle is one and run_sampled simulates it."""
+    pi/2, so that no angle is one and run_sampled contracts its diagram."""
     angles = {q: a + QUARTER_PI if mbqc._quarter_turns(a) is not None else a
               for q, a in p.angles.items()}
     return MeasurementPattern(angles, set(p.edges), list(p.readouts))
 
 
-def _cz_widths(monkeypatch):
-    """The frontier width of every sign vector built from now on."""
-    widths = []
-    real_signs = mbqc._cz_signs
-    monkeypatch.setattr(mbqc, "_cz_signs", lambda w, pairs: (
-        widths.append(w), real_signs(w, pairs))[1])
-    return widths
+def _tensor_ranks(monkeypatch):
+    """The rank of every spider tensor built from now on."""
+    ranks = []
+    real = tensor.spider_tensor
+    monkeypatch.setattr(tensor, "spider_tensor", lambda kind, z, rank: (
+        ranks.append(rank), real(kind, z, rank))[1])
+    return ranks
 
 
 def test_frontier_cap_raises_before_allocating(monkeypatch):
-    monkeypatch.setattr(mbqc, "_plan_memo", {})  # a cold plan builds signs
-    widths = _cz_widths(monkeypatch)
-    out = run_sampled(_star(mbqc.MAX_FRONTIER - 1, QUARTER_PI), shots=3)
-    assert out.shots == 3 and max(widths) == mbqc.MAX_FRONTIER
-    widths.clear()
-    monkeypatch.setattr(mbqc, "_sample_block", None)  # must not be reached
+    # the width cap is tensor.MAX_PEAK_RANK, the most open legs a partial
+    # contraction may hold; a pi/4 star peaks at its hub, one leg per leaf
+    monkeypatch.setattr(tensor, "MAX_PEAK_RANK", 6)
+    ranks = _tensor_ranks(monkeypatch)
+    out = run_sampled(_star(6, QUARTER_PI), shots=3)
+    assert out.shots == 3 and max(ranks) == 6
+    ranks.clear()
     with pytest.raises(WidthTooLargeError):
-        run_sampled(_star(30, QUARTER_PI), shots=1000)
-    assert widths == []
+        run_sampled(_star(7, QUARTER_PI), shots=1000)
+    assert ranks == []
 
 
 def test_clifford_star_samples_past_the_frontier_cap(monkeypatch):
-    # the drawn route builds no plan and no state, so no frontier binds it
-    for name in ("_sampling_plan", "_cz_signs", "_sample_block"):
-        monkeypatch.setattr(mbqc, name, None)  # must not be reached
+    # the exact law contracts no diagram, so no width cap binds it
+    monkeypatch.setattr(mbqc, "evaluate", None)  # must not be reached
     p = _star(30)
     out = run_sampled(p, shots=1000)
     # the hub pivots on one leaf and the other 29 leaves are free at angle
@@ -728,17 +729,27 @@ def test_clifford_star_samples_past_the_frontier_cap(monkeypatch):
     assert out.shots == 1000 and abs(out.agreeing_shots - 500) <= 80  # 5 sigma
 
 
-def test_pi_4_twin_of_the_clifford_star_raises_before_any_signs(
+def test_pi_4_twin_of_the_clifford_star_raises_before_any_tensor(
         monkeypatch):
-    monkeypatch.setattr(mbqc, "_plan_memo", {})
-    widths = _cz_widths(monkeypatch)
+    ranks = _tensor_ranks(monkeypatch)
     with pytest.raises(WidthTooLargeError):
         run_sampled(_star(30, QUARTER_PI), shots=1000)
-    assert widths == [] and mbqc._plan_memo == {}
+    assert ranks == []
+
+
+def test_zero_amplitude_pi_4_pattern_draws_no_constant_shot():
+    # a lone qubit at pi reads 1 for sure; its spider 1 + e^(i pi) is zero
+    # up to round-off, so P(Constant) is a tiny float, not 0
+    p = MeasurementPattern({0: PI, 1: QUARTER_PI}, set(), [0, 1])
+    num, bits = mbqc._constant_law(p)
+    assert 0 < math.ldexp(num, -bits) < 1e-30
+    for seed in (0, 7, 2024):
+        out = run_sampled(p, seed=seed, shots=1000)
+        assert out.verdict is Verdict.BALANCED and out.agreeing_shots == 1000
 
 
 def test_run_sampled_in_blocks(monkeypatch):
-    monkeypatch.setattr(mbqc, "_BLOCK_AMPLITUDES", 8)  # one 3-qubit shot each
+    monkeypatch.setattr(mbqc, "_BLOCK_SHOTS", 8)  # 30 shots in four blocks
     for f in enumerate_promise(2):
         out = run_sampled(dj_pattern_2q(f), shots=30)
         assert out.verdict is classify(f) and out.agreeing_shots == 30
@@ -788,61 +799,64 @@ def _constant_shots(out):
             else out.shots - out.agreeing_shots)
 
 
-def _byproducts(p):
-    """Per qubit v, the qubits an outcome 1 at v gives an X byproduct (g(v))
-    and a Z byproduct (Odd(g(v)) minus v), straight from the gflow."""
-    g, _ = find_gflow(p)
-    adj = mbqc._adjacency(p)
-    return {v: (g.get(v, frozenset()),
-                mbqc._odd(adj, g.get(v, frozenset())) - {v})
-            for v in p.angles}
+def _adaptive_constant_probability(p, corrected=True):
+    """P(every readout 0) of the adaptively corrected pattern, summed
+    exactly over every outcome string, straight from the gflow.
 
-
-def _per_shot_sampler(p):
-    """The per-shot sampler that branch merging replaced, kept as the
-    reference for ``p``: one state row, signal and Balanced flag per shot,
-    with the byproducts taken from the gflow, not the plan's flip table."""
-    byproducts = _byproducts(p)
-
-    def sample(steps, bras, shots, rng):
-        state = np.ones((shots, 1), dtype=complex)
-        signals = {q: np.zeros(shots, dtype=np.uint8) for q in p.angles}
-        balanced = np.zeros(shots, dtype=bool)
-        for s, bra in zip(steps, bras):
-            if s.added:
-                state = np.repeat(state, 1 << s.added, axis=1)
-            if s.signs is not None:
-                state *= s.signs
-            halves = state.reshape(shots, 1 << s.bit, 2, -1)
-            lifted = bra[signals[s.qubit]][:, None, None] * halves[:, :, 1]
-            b0 = halves[:, :, 0] + lifted
-            b1 = halves[:, :, 0] - lifted
-            n0, n1 = mbqc._squared_norms(b0), mbqc._squared_norms(b1)
-            one = rng.random(shots) >= n0 / (n0 + n1)
-            state = np.where(one[:, None, None], b1, b0).reshape(shots, -1)
-            state /= np.sqrt(np.where(one, n1, n0))[:, None]
-            x_byproduct, z_byproduct = byproducts[s.qubit]
-            for q in x_byproduct:
-                signals[q] ^= one.astype(np.uint8) << 1
-            for q in z_byproduct:
-                signals[q] ^= one.astype(np.uint8)
-            if s.qubit in p.readouts:
-                balanced |= one
-        return balanced
-
-    return sample
-
-
-def _sampled_outcomes(block_sampler, p, seed, shots):
-    """Every shot's Balanced bit, drawn block by block as run_sampled does."""
+    The qubits are measured in gflow order: descending layer, then the
+    readouts.  An outcome 1 at v gives each qubit of g(v) an X byproduct
+    and each of Odd(g(v)) minus v a Z byproduct, so a qubit with byproduct
+    parities sX and sZ is measured at (-1)^sX * theta + sZ * pi.  A string
+    of outcomes o has probability |<b|G>|^2, for the graph state |G> and
+    the bras <b| = <0| + (-1)^o e^(-i phi) <1| (over sqrt 2) at the
+    corrected angles phi.  ``corrected=False`` drops the byproducts."""
     g, layer = find_gflow(p)
-    steps, width = mbqc._sampling_plan(p, g, layer)
-    bras = mbqc._bras(p, steps)
-    rng = np.random.default_rng(seed)
-    block = max(1, mbqc._BLOCK_AMPLITUDES >> width)
-    return np.concatenate([
-        block_sampler(steps, bras, min(block, shots - start), rng)
-        for start in range(0, shots, block)])
+    adj = _adjacency(p)
+    order = sorted(g, key=lambda v: (-layer[v], v)) + list(p.readouts)
+    step = {q: i for i, q in enumerate(order)}
+    n = len(order)
+    # the graph state's sign on each basis string, bit i for qubit order[i]
+    signs = [(-1) ** sum(x[step[a]] & x[step[b]] for a, b in p.edges)
+             for x in itertools.product((0, 1), repeat=n)]
+    total = 0.0
+    for outcomes in itertools.product((0, 1), repeat=n - len(p.readouts)):
+        outcomes += (0,) * len(p.readouts)
+        flips = dict.fromkeys(order, 0)  # 2 * sX + sZ
+        weights = []
+        for v, o in zip(order, outcomes):
+            theta = p.angles[v].radians
+            phi = (-theta if flips[v] & 2 else theta) + math.pi * (flips[v] & 1)
+            weights.append((-1) ** o * cmath.exp(-1j * phi))
+            if o and corrected:
+                k = g.get(v, frozenset())
+                for w, bit in ([(w, 2) for w in k]
+                               + [(w, 1) for w in _odd(adj, k) - {v}]):
+                    assert step[w] > step[v]  # only later qubits
+                    flips[w] ^= bit
+        amp = 0j
+        for x, sign in zip(itertools.product((0, 1), repeat=n), signs):
+            term = complex(sign)
+            for i in range(n):
+                if x[i]:
+                    term *= weights[i]
+            amp += term
+        total += abs(amp / 2 ** n) ** 2
+    return total
+
+
+def test_exact_law_matches_the_adaptive_reference():
+    # the one law run_sampled draws from, against every outcome string
+    random_outcomes = non_clifford = uncorrected_differs = 0
+    for p in _random_flow_patterns(47, 60, max_qubits=6):
+        num, bits = mbqc._constant_law(p)
+        prob = _adaptive_constant_probability(p)
+        assert abs(math.ldexp(num, -bits) - prob) <= 1e-12, p
+        random_outcomes += 1e-9 < prob < 1 - 1e-9
+        non_clifford += mbqc._clifford_turns(p) is None
+        uncorrected_differs += abs(
+            _adaptive_constant_probability(p, corrected=False) - prob) > 1e-6
+    assert random_outcomes >= 20 and non_clifford >= 40
+    assert uncorrected_differs >= 5  # the byproducts matter
 
 
 def _random_flow_patterns(seed, count, max_qubits=8, denominator=4):
@@ -907,38 +921,38 @@ def test_drawn_counts_follow_the_exact_law():
         assert abs(constant - shots * prob) <= 5 * sigma, (i, p)
 
 
-def test_simulated_sampler_agrees_with_the_drawn_route():
-    shots = 5000
-    random_outcomes = 0
-    for i, p in enumerate(_clifford_flow_patterns()[:40]):
-        prob = _drawn_probability(p)
-        simulated = shots - int(np.count_nonzero(
-            _sampled_outcomes(mbqc._sample_block, p, i, shots)))
-        drawn = _constant_shots(run_sampled(p, seed=i, shots=shots))
-        # two independent Binomial(shots, prob) counts: their difference has
-        # variance 2 * shots * prob * (1 - prob); allow 5 sigma of it
-        bound = 5 * (2 * shots * prob * (1 - prob)) ** 0.5
-        assert abs(simulated - drawn) <= bound, (i, p, prob)
-        random_outcomes += 0 < prob < 1
-    assert random_outcomes >= 10
+def _recomputed_draw(num, bits, seed, shots, block):
+    """The documented draw, digit by digit: per block, one word of
+    getrandbits(block) per binary digit of num / 2^bits, most significant
+    first, and a shot is Constant where the number its bit spells across
+    the words is below num."""
+    rng = random.Random(seed)
+    constant = 0
+    for start in range(0, shots, block):
+        n = min(block, shots - start)
+        words = [rng.getrandbits(n) for _ in range(bits)]
+        for j in range(n):
+            u = 0
+            for w in words:
+                u = 2 * u + (w >> j & 1)
+            constant += u < num
+    return constant
 
 
 def test_drawn_route_repeats_across_blocks(monkeypatch):
-    monkeypatch.setattr(mbqc, "_BLOCK_AMPLITUDES", 64)
-    p = next(p for p in _clifford_flow_patterns()
-             if (_drawn_exponent(p) or 0) >= 2)
-    d, shots = _drawn_exponent(p), 1000  # 16 blocks, the last of 40 shots
-    out = run_sampled(p, seed=5, shots=shots)
-    assert run_sampled(p, seed=5, shots=shots) == out
-    # the documented draw, bit by bit: per block, d words of
-    # getrandbits(block), and a shot is Constant where all d read 0
-    rng = random.Random(5)
-    constant = 0
-    for start in range(0, shots, 64):
-        n = min(64, shots - start)
-        words = [rng.getrandbits(n) for _ in range(d)]
-        constant += sum(all(not w >> j & 1 for w in words) for j in range(n))
-    assert _constant_shots(out) == constant
+    monkeypatch.setattr(mbqc, "_BLOCK_SHOTS", 64)
+    clifford = next(p for p in _clifford_flow_patterns()
+                    if (_drawn_exponent(p) or 0) >= 2)
+    pi_4 = next(p for p in _random_flow_patterns(19, 40)
+                if mbqc._clifford_turns(p) is None
+                and 0.2 < _constant_probability(p) < 0.8)
+    assert mbqc._constant_law(clifford) == (1, _drawn_exponent(clifford))
+    for p in (clifford, pi_4):
+        num, bits = mbqc._constant_law(p)
+        shots = 1000  # 16 blocks, the last of 40 shots
+        out = run_sampled(p, seed=5, shots=shots)
+        assert run_sampled(p, seed=5, shots=shots) == out
+        assert _constant_shots(out) == _recomputed_draw(num, bits, 5, shots, 64)
 
 
 def _promise_patterns():
@@ -947,163 +961,33 @@ def _promise_patterns():
             + [dj_pattern_3q(f) for f in enumerate_promise(3)])
 
 
-def test_branch_merged_sampler_matches_per_shot_on_promise_patterns():
-    patterns = _promise_patterns()
-    assert len(patterns) == 4 + 8 + 72
-    for i, p in enumerate(patterns):
-        for seed in (i, 2024):
-            want = _sampled_outcomes(_per_shot_sampler(p), p, seed, 1000)
-            got = _sampled_outcomes(mbqc._sample_block, p, seed, 1000)
-            assert np.array_equal(got, want), (i, seed)
-
-
-def test_branch_merged_sampler_matches_per_shot_on_random_patterns():
-    for i, p in enumerate(_random_flow_patterns(17, 150)):
-        want = _sampled_outcomes(_per_shot_sampler(p), p, i, 777)
-        got = _sampled_outcomes(mbqc._sample_block, p, i, 777)
-        assert np.array_equal(got, want), p
-
-
-def test_branch_merged_sampler_matches_per_shot_across_blocks(monkeypatch):
-    monkeypatch.setattr(mbqc, "_BLOCK_AMPLITUDES", 1 << 9)
-    blocks = 0
-    for i, p in enumerate(_random_flow_patterns(23, 20)):
-        want = _sampled_outcomes(_per_shot_sampler(p), p, i, 777)
-        got = _sampled_outcomes(mbqc._sample_block, p, i, 777)
-        assert np.array_equal(got, want), p
-        out = run_sampled(p, seed=i, shots=777)
-        constant = 777 - int(np.count_nonzero(want))
-        assert out.agreeing_shots == max(constant, 777 - constant)
-        _, width = mbqc._sampling_plan(p, *find_gflow(p))
-        blocks += 777 > (1 << 9) >> width
-    assert blocks  # some runs take more than one block
-
-
 # SHA-256 of (verdict, agreeing_shots) over 60 seeded runs on non-promise
-# patterns: the 51 simulated ones recorded with the per-shot sampler, the 9
-# Clifford ones (16, 21, 23, 24, 26, 29, 45, 57 and 59) drawn from the exact
-# law.  _SIMULATED_DIGEST pins the 51 simulated records alone.
+# patterns, each drawn from its exact law with random.Random.
+# _CLIFFORD_DIGEST pins the records of the 9 Clifford ones (16, 21, 23, 24,
+# 26, 29, 45, 57 and 59) alone.
 _SAMPLED_DIGEST = (
-    "11adb04249de35bc4c9cae4d05e7ee31e6fab8cbd2c6ee04cd38c591331e1fb6")
-_SIMULATED_DIGEST = (
-    "05d2a24cde0724dae63705dfca0bb1e66e799aa16dad113b38d86ef231d1d53a")
+    "c45133789b6ca6850cfc1115f6847126ca3170187be6e68c19ab33e4d3c2eae2")
+_CLIFFORD_DIGEST = (
+    "4d1fc3e45b3de4c77dced11642394af612b42084a2b6be3ba665f07e12aeaa93")
 
 
 def test_sampled_outcomes_keep_the_pinned_digest():
-    record, simulated, clifford = [], [], []
+    record, clifford_records, clifford = [], [], []
     for i, p in enumerate(_random_flow_patterns(31, 60)):
         out = run_sampled(p, seed=1000 + i, shots=300 + 7 * i)
         record.append([out.verdict.value, out.agreeing_shots])
-        if mbqc._clifford_turns(p) is None:
-            simulated.append(record[-1])
-        else:
+        if mbqc._clifford_turns(p) is not None:
+            clifford_records.append(record[-1])
             clifford.append(i)
     assert clifford == [16, 21, 23, 24, 26, 29, 45, 57, 59]
     for pinned, records in ((_SAMPLED_DIGEST, record),
-                            (_SIMULATED_DIGEST, simulated)):
+                            (_CLIFFORD_DIGEST, clifford_records)):
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == pinned
 
 
-def _row_counts(monkeypatch):
-    """Rows per step of the sampler: it calls _squared_norms once per step,
-    on both outcomes of each row."""
-    rows = []
-    real = mbqc._squared_norms
-    monkeypatch.setattr(mbqc, "_squared_norms",
-                        lambda b: (rows.append(len(b) // 2), real(b))[1])
-    return rows
-
-
-def test_branches_never_outnumber_shots_or_histories(monkeypatch):
-    rows = _row_counts(monkeypatch)
-    for shots in (1, 5, 1000):
-        for p in (dj_pattern_3q(BooleanFunction(3, 0b01101001)),
-                  *_random_flow_patterns(5, 10)):
-            rows.clear()
-            _sampled_outcomes(mbqc._sample_block, p, 7, shots)
-            # one _squared_norms call per step, on both outcomes of each row
-            assert rows
-            assert all(r <= min(shots, 2 ** k) for k, r in enumerate(rows))
-    assert max(rows) > 1
-
-
-def test_sampler_grows_the_whole_tree_until_it_outgrows_the_shots(
-        monkeypatch):
-    rows = _row_counts(monkeypatch)
-    patterns = [dj_pattern_3q(BooleanFunction(3, 0b01101001)),
-                dj_pattern_3q(BooleanFunction(3, 0)),
-                max(_random_flow_patterns(9, 20), key=lambda p: len(p.angles))]
-    regimes = set()
-    for p in patterns:
-        steps, _ = mbqc._sampling_plan(p, *find_gflow(p))
-        k = len(steps)
-        assert k >= 8
-        bras = mbqc._bras(p, steps)
-        counts = {1, 2, 4096}
-        for j in (1, 2, 3, 5, k - 1, k):
-            counts |= {2 ** j - 1, 2 ** j, 2 ** j + 1}
-        for shots in sorted(counts):
-            for seed in (0, shots):
-                want = _per_shot_sampler(p)(
-                    steps, bras, shots, np.random.default_rng(seed))
-                rows.clear()
-                got = mbqc._sample_block(steps, bras, shots,
-                                         np.random.default_rng(seed))
-                assert np.array_equal(got, want), (shots, seed)
-                assert len(rows) == k and rows[0] == 1
-                for before, after in zip(rows, rows[1:]):
-                    if 2 * before <= shots:  # every child is kept
-                        assert after == 2 * before
-                        regimes.add("whole tree")
-                    else:  # only the children some shot reached
-                        assert after <= min(shots, 2 * before - 1)
-                        regimes.add("compacted")
-    assert regimes == {"whole tree", "compacted"}
-
-
-def test_flip_table_matches_the_byproducts_of_each_step():
-    for p in (dj_pattern_3q(BooleanFunction(3, 0b00111100)),
-              *_random_flow_patterns(13, 30)):
-        steps, _ = mbqc._sampling_plan(p, *find_gflow(p))
-        table = steps[0].flips.base
-        assert table.shape == (len(steps), 2, len(steps))
-        assert not table.flags.writeable
-        byproducts = _byproducts(p)
-        for k, s in enumerate(steps):
-            assert s.flips.base is table and not s.flips.any(axis=1)[0]
-            # the signals the per-shot reference sets on outcome 1 here
-            signals = dict.fromkeys(p.angles, 0)
-            x_byproduct, z_byproduct = byproducts[s.qubit]
-            for q in x_byproduct:
-                signals[q] ^= 2
-            for q in z_byproduct:
-                signals[q] ^= 1
-            want = np.array([signals[t.qubit] for t in steps], dtype=np.uint8)
-            assert want[k] == 0  # no byproduct lands on the measured qubit
-            want[k] = 4 if s.qubit in p.readouts else 0
-            assert np.array_equal(s.flips[1], want), (p, k)
-
-
 def _cold_memos(monkeypatch):
-    for name in ("_flow_memo", "_plan_memo"):
-        monkeypatch.setattr(mbqc, name, {})
-
-
-def _clear_memos():
-    mbqc._flow_memo.clear()
-    mbqc._plan_memo.clear()
-
-
-def test_flip_table_is_built_once_per_shape(monkeypatch):
-    _cold_memos(monkeypatch)
-    calls = _flow_calls(monkeypatch)
-    tables = set()
-    for f in enumerate_promise(2):
-        run_sampled(_non_clifford(dj_pattern_2q(f)), shots=20)
-        ((steps, _),) = mbqc._plan_memo.values()
-        tables.add(id(steps[0].flips.base))
-    assert len(calls) == 1 and len(tables) == 1
+    monkeypatch.setattr(mbqc, "_flow_memo", {})
 
 
 def _flow_calls(monkeypatch):
@@ -1114,12 +998,12 @@ def _flow_calls(monkeypatch):
     return calls
 
 
-def test_plan_memo_hit_equals_a_cold_run(monkeypatch):
+def test_flow_memo_hit_equals_a_cold_run(monkeypatch):
     _cold_memos(monkeypatch)
     calls = _flow_calls(monkeypatch)
     for p in _random_flow_patterns(41, 10) + _promise_patterns()[::9]:
         p = _non_clifford(p)
-        _clear_memos()
+        mbqc._flow_memo.clear()
         cold = run_sampled(p, seed=3, shots=400)
         warm = run_sampled(p, seed=3, shots=400)
         assert (warm.verdict, warm.agreeing_shots) == (
@@ -1127,7 +1011,7 @@ def test_plan_memo_hit_equals_a_cold_run(monkeypatch):
     assert len(calls) == 10 + len(_promise_patterns()[::9])
 
 
-def test_plan_memo_keys_on_shape_not_angles(monkeypatch):
+def test_flow_memo_keys_on_shape_not_angles(monkeypatch):
     _cold_memos(monkeypatch)
     calls = _flow_calls(monkeypatch)
     run_sampled(_non_clifford(dj_pattern_2q(BooleanFunction(2, 0))), shots=10)
@@ -1138,32 +1022,34 @@ def test_plan_memo_keys_on_shape_not_angles(monkeypatch):
     assert len(calls) == 1
     cold = []
     for p in twins:
-        _clear_memos()
+        mbqc._flow_memo.clear()
         cold.append(run_sampled(p, seed=9, shots=200))
     assert warm == cold
     calls.clear()
     p = _non_clifford(dj_pattern_2q(BooleanFunction(2, 6)))
-    p.readouts.reverse()  # the readout order is part of the schedule
+    p.readouts.reverse()  # the gflow reads the readouts as a set
     run_sampled(p, shots=10)
+    assert calls == []
     p.edges.add(frozenset((0, 3)))
     run_sampled(p, shots=10)
     p.angles[6] = ZERO
     p.edges.add(frozenset((5, 6)))
     run_sampled(p, shots=10)
-    assert len(calls) == 3
-    assert len(mbqc._plan_memo) == 4
+    assert len(calls) == 2
+    assert len(mbqc._flow_memo) == 3
 
 
-def test_plan_memo_stores_no_failure(monkeypatch):
+def test_flow_memo_stores_no_failure(monkeypatch):
     _cold_memos(monkeypatch)
     no_flow = _non_clifford(_open_graph(3, [(0, 1), (1, 2)], [1]))
-    for p, error, flows in (
-            (no_flow, NoFlowError, 0),
-            (_star(mbqc.MAX_FRONTIER + 1, QUARTER_PI), WidthTooLargeError, 1)):
+    # the too-wide star has a gflow, which is kept; its contraction raises
+    too_wide = _star(tensor.MAX_PEAK_RANK + 1, QUARTER_PI)
+    for p, error, flows in ((no_flow, NoFlowError, 0),
+                            (too_wide, WidthTooLargeError, 1)):
         for _ in range(3):
             with pytest.raises(error):
                 run_sampled(p, shots=5)
-        assert mbqc._plan_memo == {} and len(mbqc._flow_memo) == flows
+        assert len(mbqc._flow_memo) == flows
 
 
 # -- lattice embedding -------------------------------------------------------

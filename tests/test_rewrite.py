@@ -671,9 +671,9 @@ def test_memoized_builds_on_a_miss_alone(monkeypatch):
     assert list(memo) == [3, 4, 5]  # a raise stores and evicts nothing
 
 
-def _chain(n, angle=ZERO):
-    """An n-qubit path at ``angle``, read out at its last qubit."""
-    return MeasurementPattern(dict.fromkeys(range(n), angle),
+def _chain(n):
+    """An n-qubit path at angle 0, read out at its last qubit."""
+    return MeasurementPattern(dict.fromkeys(range(n), ZERO),
                               {frozenset((q, q + 1)) for q in range(n - 1)},
                               [n - 1])
 
@@ -695,12 +695,8 @@ _MEMOS = {
     "rewrite": (rewrite, "_rewrite_memo",
                 lambda i: simplify_mbqc(new_diagram(i + 1, i + 1))),
     "exact": (mbqc, "_exact_memo", lambda i: run_exact(_chain(i + 1))),
-    # a Clifford chain is drawn, and stores its gflow alone; a pi/4 chain
-    # is simulated, on a sampling plan
     "flow": (mbqc, "_flow_memo",
              lambda i: run_sampled(_chain(i + 1), shots=5)),
-    "plan": (mbqc, "_plan_memo",
-             lambda i: run_sampled(_chain(i + 1, Phase(1, 4)), shots=5)),
     "lattice": (mbqc, "_lattice_memo", lambda i: reduce_lattice(
         _lattice_read_out(_LATTICE_READOUTS[i]))),
 }
