@@ -108,51 +108,43 @@ class Circuit:
         return cls.from_json_dict(json.loads(text))
 
 
-@functools.cache
-def _matrix(op: str) -> np.ndarray:
-    """The read-only matrix of the one-qubit gate ``op``, "h" or "y"."""
-    import numpy as np
-
-    if op == "h":
-        m = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    else:
-        m = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    m.flags.writeable = False
-    return m
-
-
 # Widest circuit simulated densely.
 MAX_WIDTH = 10
 
 
 def _apply_gates(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the gates to ``state``, whose axes 0..w-1 are the qubits; any
-    further axes (the column axis of :func:`unitary`) ride along.
+    """Apply the gates to ``state`` in place and return it.  Its axes 0..w-1
+    are the qubits; further axes, like :func:`unitary`'s columns, ride along.
 
-    A phase or Z gate multiplies the qubit's ``1`` slice by its factor, and
-    a CNOT swaps the target's halves within the control's ``1`` slice, both
-    in place; H and Y are contracted with ``np.tensordot``.  Returns the
-    updated state, which may or may not be ``state`` itself.
+    Every gate rewrites its target qubit's ``0`` and ``1`` slices s0, s1,
+    a CNOT only where its control is ``1``: a phase or Z gate multiplies
+    s1 by its factor, a CNOT swaps s0 and s1, Y sets them to
+    (-i s1, i s0) and H to ((s0 + s1)/sqrt(2), (s0 - s1)/sqrt(2)).
     """
-    import numpy as np
-
     for g in c.gates:
+        q = g.qubits[-1]
+        # the trailing Ellipsis keeps s0 and s1 views even where every axis
+        # is indexed, so each branch writes through them
+        at = [slice(None)] * (max(g.qubits) + 1) + [...]
+        if g.op == "cnot":
+            at[g.qubits[0]] = 1
+        at[q] = 0
+        s0 = state[tuple(at)]
+        at[q] = 1
+        s1 = state[tuple(at)]
         if g.op in ("phase", "z"):
-            one = (slice(None),) * g.qubits[0] + (1,)
-            state[one] *= -1 if g.op == "z" else g.phase.phase_factor()
+            s1 *= -1 if g.op == "z" else g.phase.phase_factor()
         elif g.op == "cnot":
-            ctrl, tgt = g.qubits
-            at = [slice(None)] * (max(ctrl, tgt) + 1)
-            at[ctrl] = 1
-            at[tgt] = 0
-            low = tuple(at)
-            at[tgt] = 1
-            high = tuple(at)
-            state[low], state[high] = state[high], state[low].copy()
+            s0[...], s1[...] = s1, s0.copy()
+        elif g.op == "y":
+            s0[...], s1[...] = -1j * s1, 1j * s0
         else:
-            q = g.qubits[0]
-            state = np.moveaxis(
-                np.tensordot(_matrix(g.op), state, axes=(1, q)), 0, q)
+            # one temporary: at MAX_WIDTH a unitary's slice is 8 MiB
+            diff = s0 - s1
+            s0 += s1
+            s0 *= math.sqrt(0.5)
+            diff *= math.sqrt(0.5)
+            s1[...] = diff
     return state
 
 

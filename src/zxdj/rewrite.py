@@ -14,7 +14,7 @@ record the same way on a miss as on a hit, so the memos differ only in
 their keys.
 
 :func:`simplify_mbqc` memoizes the simplifier core :func:`simplify_core`
-per rewrite key: the diagram's shape (:func:`_shape_key`), its spider
+per rewrite key (:func:`_rewrite_key`): the diagram's shape, its spider
 kinds, its next spider and edge ids, the protected set and the phases of
 the unprotected spiders.  No rule reads a protected phase, so that key
 fixes the trace and the reduced graph, and each survivor's phase is a
@@ -438,16 +438,6 @@ _RULES = ((1, _state_rule), (2, _hadamard_wire_rule), (2, _clifford_wire_rule))
 MEMO_SHAPES = 64
 
 
-def _shape_key(d: ZxDiagram) -> tuple:
-    """The spider ids, every edge with whether it is a Hadamard edge (a
-    bool hashes in C, an enum member in Python), and the boundary; any
-    structural change gives a new key."""
-    return (tuple(sorted(d.spiders)),
-            tuple([(eid, e.a, e.b, e.kind is EdgeKind.HADAMARD)
-                   for eid, e in sorted(d.edges.items())]),
-            tuple(d.inputs), tuple(d.outputs))
-
-
 def _carrier_sum(offset: Phase, sources, values) -> Phase:
     """``offset`` plus ``values.get(s, ZERO)`` summed over ``sources``: the
     phase of a survivor whose protected inputs fused into it, and the angle
@@ -486,11 +476,16 @@ _rewrite_memo: dict[tuple, _Rewrite] = {}
 
 
 def _rewrite_key(d: ZxDiagram, protected: set[int]) -> tuple:
-    """All the simplifier reads: shape, kinds (as bools, like the shape
-    key's edge kinds), the ids new spiders and edges take, protection and
-    the unprotected phases."""
+    """All the simplifier reads: the shape (spider ids, edges and boundary,
+    so any structural change gives a new key), the kinds, the ids new
+    spiders and edges take, protection and the unprotected phases.  Kinds
+    enter as bools, since a bool hashes in C and an enum member in Python."""
     spiders = sorted(d.spiders.items())
-    return (_shape_key(d), tuple([s.kind is SpiderKind.X for _, s in spiders]),
+    shape = (tuple([v for v, _ in spiders]),
+             tuple([(eid, e.a, e.b, e.kind is EdgeKind.HADAMARD)
+                    for eid, e in sorted(d.edges.items())]),
+             tuple(d.inputs), tuple(d.outputs))
+    return (shape, tuple([s.kind is SpiderKind.X for _, s in spiders]),
             d._next_node, d._next_edge, tuple(sorted(protected)),
             tuple([s.phase for v, s in spiders if v not in protected]))
 

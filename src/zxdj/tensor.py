@@ -20,7 +20,6 @@ by the functions that build an array, so planning a contraction, as
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -35,24 +34,6 @@ if TYPE_CHECKING:
 # The one float tolerance: equivalent_up_to_scalar's relative tolerance,
 # collapse_floor's scale and circuit.dj_verdict's margin around 0 and 1.
 _TOL = 1e-9
-
-
-@functools.cache
-def _hadamard() -> np.ndarray:
-    """The Hadamard edge's matrix [[1, 1], [1, -1]] / sqrt(2), read-only."""
-    import numpy as np
-
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    h.flags.writeable = False
-    return h
-
-
-def __getattr__(name: str):
-    # HADAMARD is built on first use, so that importing this module loads no
-    # numpy
-    if name == "HADAMARD":
-        return _hadamard()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def spider_tensor(kind: SpiderKind, phase_factor: complex, rank: int) -> np.ndarray:
@@ -216,12 +197,13 @@ def evaluate(d: ZxDiagram, order: list[int] | None = None) -> np.ndarray:
         s = d.spiders[v]
         pool[v] = spider_tensor(s.kind, s.phase.phase_factor(), len(labels[v]))
     # fold each Hadamard edge's matrix into the lower-id endpoint
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     for eid, e in sorted(d.edges.items()):
         if e.kind is EdgeKind.HADAMARD:
             v = min(e.a, e.b)
             axis = labels[v].index(("e", eid))
             pool[v] = np.moveaxis(
-                np.tensordot(pool[v], _hadamard(), axes=([axis], [0])), -1, axis)
+                np.tensordot(pool[v], hadamard, axes=([axis], [0])), -1, axis)
     for keep, absorb in plan.merges:
         l1, l2 = labels[keep], labels.pop(absorb)
         ax1 = [i for i, lab in enumerate(l1) if lab in l2]

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from zxdj import circuit
 from zxdj.circuit import (
+    MAX_WIDTH,
     Circuit,
     Gate,
+    _apply_gates,
     cnot,
     dj_run_circuit,
     dj_verdict,
@@ -306,12 +308,44 @@ def test_plus_amplitude_matches_the_unitary(rng, width, depth):
        st.integers(0, 16))
 @settings(max_examples=100, deadline=None)
 def test_gatewise_updates_match_the_reference_composition(rng, width, depth):
-    # plus_amplitude and unitary share the gate-wise updates; the reference
-    # is the product of kron-embedded gate matrices
+    # plus_amplitude and unitary apply every gate by the one slice rule of
+    # _apply_gates, in place on the target qubit's 0 and 1 slices; the
+    # reference is the product of kron-embedded gate matrices
     c = _random_circuit(rng, width, depth)
     ref = _reference_unitary(c)
     assert abs(plus_amplitude(c) - ref.sum() / 2 ** width) <= 1e-12
     assert np.allclose(unitary(c), ref, atol=1e-12)
+
+
+def _one_gate_cases(width):
+    """Every gate kind on every qubit of ``width`` wires, each CNOT in both
+    qubit orders, so its control sits above and below its target."""
+    for q in range(width):
+        yield phase_gate(q, Phase(1, 8))
+        yield phase_gate(q, Phase(3, 4))
+        yield pauli_z(q)
+        yield pauli_y(q)
+        yield hadamard(q)
+    for control, target in itertools.permutations(range(width), 2):
+        yield cnot(control, target)
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+def test_every_gate_rewrites_the_state_in_place(width):
+    # the slice rule's contract: each gate updates the very array it is
+    # given, on a plain state and with unitary's trailing column axis
+    rng = np.random.default_rng(width)
+    dim = 2 ** width
+    for g in _one_gate_cases(width):
+        c = Circuit(width, [g])
+        ref = _reference_unitary(c)
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        state = psi.reshape((2,) * width).copy()
+        assert _apply_gates(c, state) is state
+        assert np.allclose(state.reshape(dim), ref @ psi, atol=1e-12)
+        columns = np.eye(dim, dtype=complex).reshape((2,) * width + (dim,))
+        assert _apply_gates(c, columns) is columns
+        assert np.allclose(columns.reshape(dim, dim), ref, atol=1e-12)
 
 
 def test_cnot_updates_in_either_qubit_order():
@@ -383,3 +417,27 @@ def test_hadamard_and_eighth_pi_circuits_take_the_state_vector(monkeypatch,
                         lambda c: (calls.append(c), real(c))[1])
     assert _judge(dj_run_circuit, c) == _judge(_state_vector_verdict, c)
     assert calls[0] is c
+
+
+@pytest.mark.parametrize("kinds", [
+    ("cnot",), ("z", "cnot"), ("phase", "cnot"), ("phase", "z", "y", "cnot"),
+], ids=["constant", "balanced", "neither", "every-kind"])
+def test_a_full_width_hadamard_pair_takes_the_state_vector(monkeypatch,
+                                                           kinds):
+    # an H.H pair inserted into a MAX_WIDTH circuit at multiples of pi/4
+    # sends it to the state vector, which must judge it as the exact route
+    # judges the circuit without the pair: with these seeds and kinds the
+    # verdicts are constant, balanced, a NotPromiseError and balanced
+    rng = random.Random(MAX_WIDTH)
+    c = _random_circuit(rng, MAX_WIDTH, 60, kinds)
+    at, q = rng.randrange(len(c.gates) + 1), rng.randrange(MAX_WIDTH)
+    padded = Circuit(MAX_WIDTH,
+                     c.gates[:at] + [hadamard(q), hadamard(q)] + c.gates[at:])
+    calls = []
+    real = circuit.plus_amplitude
+    monkeypatch.setattr(circuit, "plus_amplitude",
+                        lambda c: (calls.append(c), real(c))[1])
+    exact = _judge(dj_run_circuit, c)
+    assert not calls
+    assert _judge(dj_run_circuit, padded) == exact
+    assert len(calls) == 1 and calls[0] is padded

@@ -23,7 +23,6 @@ from zxdj.oracle import BooleanFunction, enumerate_promise
 from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.rewrite import fuse_spiders
 from zxdj.tensor import (
-    HADAMARD,
     _degree_score,
     _fill_score,
     _greedy_order,
@@ -40,8 +39,19 @@ from test_diagram import diagrams, random_diagram
 from test_rewrite import _random_circuit
 
 
+# the Hadamard edge's matrix, from the expression evaluate builds it with,
+# so that the reference contraction matches it bit for bit
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
 def test_hadamard_is_involutive():
-    assert np.allclose(HADAMARD @ HADAMARD, np.eye(2), atol=1e-15)
+    # a lone Hadamard edge evaluates to H, which squares to the identity
+    d = new_diagram(1, 1)
+    ((eid, e),) = d.edges.items()
+    d.replace_edge(eid, e.a, e.b, EdgeKind.HADAMARD)
+    m = evaluate(d)
+    assert np.array_equal(m, _H)
+    assert np.allclose(m @ m, np.eye(2), atol=1e-15)
 
 
 def test_z_spider_tensor_definition():
@@ -279,7 +289,7 @@ def _reference_factors(d):
             f = factors[min(e.a, e.b)]
             axis = f.labels.index(("e", eid))
             f.data = np.moveaxis(
-                np.tensordot(f.data, HADAMARD, axes=([axis], [0])), -1, axis)
+                np.tensordot(f.data, _H, axes=([axis], [0])), -1, axis)
     return factors
 
 
