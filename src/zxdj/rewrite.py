@@ -25,7 +25,6 @@ Which survivor holds which input is tracked in one place: each fusion in
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
@@ -249,22 +248,19 @@ def local_complement(d: ZxDiagram, v: int) -> RewriteStep:
 
 
 def _reduce_parallel_hadamard(d: ZxDiagram, eids,
-                              steps: list[RewriteStep]) -> set[int]:
+                              steps: list[RewriteStep]) -> None:
     """Delete parallel Hadamard edges two at a time, each spider pair at its
-    lowest id in the ascending ``eids``; returns the spiders that lost any."""
+    lowest id in the ascending ``eids``."""
     by_pair: dict[tuple[int, int], list[int]] = {}
     for eid in eids:
         e = d.edges[eid]
         if e.kind is EdgeKind.HADAMARD:
             by_pair.setdefault((min(e.a, e.b), max(e.a, e.b)), []).append(eid)
-    touched: set[int] = set()
     for pair, hadamards in by_pair.items():
         while len(hadamards) >= 2:
             d.remove_edge(hadamards.pop())
             d.remove_edge(hadamards.pop())
             steps.append(RewriteStep("hopf_pair", pair, pair))
-            touched.update(pair)
-    return touched
 
 
 def _fuse(d: ZxDiagram, a: int, b: int, held: dict[int, list[int]],
@@ -332,18 +328,17 @@ def _plug_inplace(d: ZxDiagram, steps: list[RewriteStep]) -> None:
 
 
 # A simplifier rule looks at one spider.  If it applies there, it rewrites,
-# appends its steps and returns every spider where a rule may have become
-# applicable, else None.  Rules read a spider's kind, phase and legs, its
-# neighbors' kind and protection, and whether a wire's ends share an edge;
-# none fires on a protected spider.  A spider is protected while it holds a
-# protected input (a key of ``held``).  Rules run only in simplify_core,
-# after the boundary is plugged, so no spider has a boundary leg.
+# appends its steps and returns True, else None.  Rules read a spider's
+# kind, phase and legs, its neighbors' kind and protection, and whether a
+# wire's ends share an edge; none fires on a protected spider.  A spider is
+# protected while it holds a protected input (a key of ``held``).  Rules
+# run only in simplify_core, after the boundary is plugged, so no spider
+# has a boundary leg.
 
 def _state_rule(d, v, held, steps):
     """Decouple a phase-0 state on an unprotected Z spider: an X state on a
     plain leg, or a Z state on a Hadamard leg (a trailing cap, color-changed
-    first).  The caps this leaves on like-kind neighbors fuse at once; the
-    capped neighbors and the other caps are returned."""
+    first).  The caps this leaves on like-kind neighbors fuse at once."""
     s = d.spiders[v]
     if v in held or d.degree(v) != 1 or not s.phase.is_zero():
         return None
@@ -356,20 +351,11 @@ def _state_rule(d, v, held, steps):
         steps.append(color_change(d, v))
     step = decouple_x_state(d, v)
     steps.append(step)
-    touched = set()
     for cap in step.after:
         (n,) = d.neighbors(cap)
-        touched.add(n)
         if d.spiders[n].kind is d.spiders[cap].kind:
             _fuse(d, n, cap, held, steps)
-        else:
-            touched.add(cap)
-    return touched
-
-
-def _with_neighbors(d: ZxDiagram, vs) -> set[int]:
-    """``vs`` and their neighbors, for a step that changed edges among ``vs``."""
-    return set(vs).union(*(d.neighbors(v) for v in vs))
+    return True
 
 
 def _wire_ends(d: ZxDiagram, v: int, held: dict[int, list[int]]):
@@ -391,8 +377,8 @@ def _hadamard_wire_rule(d, v, held, steps):
     steps.append(hadamard_cancel(d, v))
     a, b = sorted(ends)
     _fuse(d, a, b, held, steps)
-    return _with_neighbors(
-        d, {a} | _reduce_parallel_hadamard(d, d.edges_at(a), steps))
+    _reduce_parallel_hadamard(d, d.edges_at(a), steps)
+    return True
 
 
 def _clifford_wire_rule(d, v, held, steps):
@@ -402,33 +388,17 @@ def _clifford_wire_rule(d, v, held, steps):
             or not _wire_ends(d, v, held)):
         return None
     steps.append(local_complement(d, v))
-    return _with_neighbors(d, steps[-1].after)
+    return True
 
 
 def _drive(d: ZxDiagram, held: dict[int, list[int]],
            steps: list[RewriteStep], rules) -> None:
-    """Apply the (degree, rule) pairs until none applies, each step the
-    first rule in list order that applies somewhere, at its lowest spider
-    id.  A min-heap per rule holds spiders of its degree; after a step only
-    the spiders the rule returns are queued again."""
-    heaps = [sorted(v for v in d.spiders if d.degree(v) == k) for k, _ in rules]
-    rank = 0
-    while rank < len(rules):
-        heap = heaps[rank]
-        if not heap:
-            rank += 1
-            continue
-        v = heapq.heappop(heap)
-        # a spider queued twice is checked at its last copy
-        if v not in d.spiders or (heap and heap[0] == v):
-            continue
-        touched = rules[rank][1](d, v, held, steps)
-        if touched is not None:
-            rank = 0
-            for u in touched:
-                for (k, _), queue in zip(rules, heaps):
-                    if k == d.degree(u):
-                        heapq.heappush(queue, u)
+    """Apply the (degree, rule) pairs until none applies: each step applies
+    the first rule in list order that applies at a spider of its degree,
+    at the lowest such id, and the next step scans the diagram afresh."""
+    while any(rule(d, v, held, steps) for k, rule in rules
+              for v in sorted(d.spiders) if d.degree(v) == k):
+        pass
 
 
 _RULES = ((1, _state_rule), (2, _hadamard_wire_rule), (2, _clifford_wire_rule))

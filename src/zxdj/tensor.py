@@ -20,7 +20,6 @@ by the functions that build an array, so planning a contraction, as
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -69,29 +68,19 @@ def _fill_score(u: int, adj: dict[int, set[int]]) -> tuple:
 
 
 def _greedy_order(d: ZxDiagram, internal: list[int], score) -> list[int]:
-    """Eliminate spiders least (score, id) first.  Eliminating v makes a
-    clique of its neighbors, which can rescore only them and their
-    neighbors; stale heap entries are skipped, so this equals a rescan."""
+    """Eliminate the remaining spider of least (score, id) first, scoring
+    every one at each step; eliminating v makes a clique of its neighbors."""
     adj = {v: d.neighbors(v) for v in d.spiders}
-    current = {v: score(v, adj) for v in internal}
-    heap = [(s, v) for v, s in current.items()]
-    heapq.heapify(heap)
+    remaining = set(internal)
     order = []
-    while heap:
-        s, v = heapq.heappop(heap)
-        if current.get(v) != s:
-            continue
-        del current[v]
+    while remaining:
+        v = min(remaining, key=lambda u: (score(u, adj), u))
+        remaining.remove(v)
         order.append(v)
         nbrs = adj.pop(v)
         for u in nbrs:
             adj[u].discard(v)
             adj[u] |= nbrs - {u}
-        for u in nbrs.union(*(adj[w] for w in nbrs)) & current.keys():
-            s = score(u, adj)
-            if s != current[u]:
-                current[u] = s
-                heapq.heappush(heap, (s, u))
     return order
 
 
@@ -197,7 +186,7 @@ def evaluate(d: ZxDiagram, order: list[int] | None = None) -> np.ndarray:
         s = d.spiders[v]
         pool[v] = spider_tensor(s.kind, s.phase.phase_factor(), len(labels[v]))
     # fold each Hadamard edge's matrix into the lower-id endpoint
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) * math.sqrt(0.5)
     for eid, e in sorted(d.edges.items()):
         if e.kind is EdgeKind.HADAMARD:
             v = min(e.a, e.b)

@@ -672,8 +672,8 @@ def test_compile_circuit_whose_wire_ends_share_an_edge(capsys, tmp_path):
 
 
 # SHA-256 of the "trace" arrays of compile-mbqc --trace over the 72
-# three-bit tables, fixed before the rewrite worklist replaced the rescanning
-# loops: the circuit route must apply the same rules at the same spiders
+# three-bit tables, fixed under the first, rescanning simplifier: the
+# rewrite driver must apply the same rules at the same spiders
 COMPILE_TRACE_DIGEST = (
     "c89db3cdc7ca4d132196cc8f92cd21435bdc4bb16a96ebca380cd3e166f4dfc1")
 

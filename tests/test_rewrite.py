@@ -294,19 +294,32 @@ def test_simplify_mbqc_random_circuit_sweep():
             assert_sound(closed, out)
 
 
+def _assert_fixpoint(d, protected):
+    """Run ``simplify_core`` on ``d``; no rule may still apply at any of the
+    spiders it leaves."""
+    _, formulas = rewrite.simplify_core(d, protected)
+    held = {u: list(ps) for u, _, ps in formulas}
+    for _, rule in rewrite._RULES:
+        for v in sorted(d.spiders):
+            assert rule(d.copy(), v, held, []) is None
+
+
 def test_simplified_circuits_are_fixpoints():
-    # the worklist re-queues only what a step may have made eligible; no rule
-    # may still apply anywhere when it stops
+    # the driver stops only when a scan of every spider finds no rule that
+    # applies; check the result on random circuits and on the lattice
     rng = random.Random(11)
     for _ in range(100):
         d, carriers = to_zx_tracked(_random_circuit(rng, 4, 12))
         for protected in (set(), set(carriers)):
-            out = d.copy()
-            _, formulas = rewrite.simplify_core(out, protected)
-            for _, rule in rewrite._RULES:
-                for v in sorted(out.spiders):
-                    held = {u: list(ps) for u, _, ps in formulas}
-                    assert rule(out.copy(), v, held, []) is None
+            _assert_fixpoint(d.copy(), protected)
+    lattice = mbqc.pattern_to_diagram(lattice_pattern_3q(BooleanFunction(3, 0)))
+    _assert_fixpoint(lattice, set(mbqc._LATTICE_CARRIER_IDS))
+
+
+@given(diagrams, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_simplified_diagrams_are_fixpoints(d, rng):
+    _assert_fixpoint(d, {v for v in d.spiders if rng.random() < 0.5})
 
 
 def _replayed_formulas(d, inputs, steps):
@@ -425,7 +438,8 @@ def _restarting_fuse_all_plain(d, live, steps):
 
 
 def _scanning_hopf_pairs(d, steps):
-    """The parallel-Hadamard pass before the worklist: scan every edge."""
+    """The first parallel-Hadamard pass, kept as a reference: scan every
+    edge."""
     seen = set()
     for eid in sorted(d.edges):
         e = d.edges.get(eid)
@@ -444,7 +458,7 @@ def _scanning_hopf_pairs(d, steps):
 
 
 def _rescanning_simplify(d, protected):
-    """The simplifier before the worklist, kept as a reference: after the
+    """The simplifier's first form, kept as a reference: after the
     graph-like pass, restart a scan from the lowest spider id after every
     rule, trailing caps before Hadamard wires (which skip a wire whose ends
     already share an edge).  It has no Clifford-wire rule."""
@@ -495,8 +509,8 @@ def _rescanning_simplify(d, protected):
 
 
 def test_worklist_matches_the_rescanning_loops(monkeypatch):
-    # without the Clifford-wire rule, the worklist must pick the same
-    # rule at the same spider as the restart-from-zero scans, step by step;
+    # without the Clifford-wire rule, the driver must pick the same rule
+    # at the same spider as the hand-written per-rule scans, step by step;
     # an empty memo keeps results of the full rule set from being replayed
     monkeypatch.setattr(rewrite, "_rewrite_memo", {})
     monkeypatch.setattr(rewrite, "_RULES", rewrite._RULES[:2])

@@ -41,7 +41,7 @@ from test_rewrite import _random_circuit
 
 # the Hadamard edge's matrix, from the expression evaluate builds it with,
 # so that the reference contraction matches it bit for bit
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) * math.sqrt(0.5)
 
 
 def test_hadamard_is_involutive():
@@ -436,12 +436,13 @@ def _seeded_diagram(rng, max_spiders=8, max_boundary=2):
     return d
 
 
-# SHA-256 of the shapes and bytes evaluate returns in the test below, taken
-# when evaluate still ran a program compiled per shape.  It holds for one
-# numpy and BLAS build: another may round a product differently in the
-# last bit, and then the digest is retaken from the same build.
+# SHA-256 of the shapes and bytes evaluate returns in the test below, last
+# retaken when the Hadamard edge's scale became math.sqrt(0.5), the nearest
+# double to 1/sqrt(2).  It holds for one numpy and BLAS build: another may
+# round a product differently in the last bit, and then the digest is
+# retaken from the same build.
 EVALUATE_DIGEST = (
-    "33bd8b49c02af8ddfafaed4e1207eeffa1623e915017280202d92d84eb7a69e0")
+    "f55d79393e452d39eaf1425b763d1f7023a02c45a3a0612111b5705c95e7246c")
 
 
 def test_evaluate_keeps_the_pinned_digest():
