@@ -189,7 +189,8 @@ def pattern_from_graph_like(d: ZxDiagram,
 
 
 def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
-    """Closed diagram of the fully measured (outcome-0) pattern.
+    """Closed diagram of the fully measured (outcome-0) pattern, with its
+    edges added in ascending ``(a, b)`` order.
 
     A z-basis qubit becomes a phase-0 spider capped by a plain-attached
     phase-0 X state, which is exactly the computational-basis projector.
@@ -199,8 +200,7 @@ def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
     ids = {}
     for q in p.qubits():
         ids[q] = d.add_spider(SpiderKind.Z, p.angles[q])
-    for e in p.edges:
-        a, b = sorted(e)
+    for a, b in sorted(map(sorted, p.edges)):
         d.add_edge(ids[a], ids[b], EdgeKind.HADAMARD)
     for q in sorted(p.z_basis):
         cap = d.add_spider(SpiderKind.X, ZERO)
@@ -305,7 +305,7 @@ class _Template(NamedTuple):
 
     angles: dict[int, Phase]  # every qubit in id order; _fill sets carriers
     carriers: tuple[tuple[int, Phase, tuple], ...]  # qubit, offset, sources
-    edges: tuple[frozenset, ...]  # in the order the pattern's set takes them
+    edges: tuple[frozenset, ...]
     readouts: tuple[int, ...]
     z_basis: tuple[int, ...]
 
@@ -438,7 +438,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-# run_exact's preludes by pattern shape (see run_exact).
+# _prelude's records by pattern shape (see _prelude).
 _exact_memo: dict[tuple, tuple[tuple, tuple[int, ...], tuple[bool, ...]]] = {}
 
 
@@ -460,6 +460,12 @@ def _exact_prelude(p: MeasurementPattern) -> tuple:
         for u in _bits(adj[v]):
             adj[u] ^= 1 << v
     return tuple(qubits), tuple(adj), tuple(live)
+
+
+def _prelude(p: MeasurementPattern) -> tuple:
+    """:func:`_exact_prelude`, memoized by the shape it reads."""
+    key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.z_basis))
+    return _memoized(_exact_memo, key, lambda: _exact_prelude(p))
 
 
 def run_exact(p: MeasurementPattern) -> PatternOutcome:
@@ -487,11 +493,10 @@ def run_exact(p: MeasurementPattern) -> PatternOutcome:
     ``PreconditionFailed`` on an angle that is no multiple of pi/2.
 
     The qubit order and the adjacency rows with the z-basis qubits dropped
-    (:func:`_exact_prelude`) depend only on the qubit ids, the edges and the
-    z-basis set, and are memoized by that shape (see
-    ``rewrite._memoized``), so each call only maps its angles to quarter
-    turns and runs the elimination.  A pattern with an angle that is no
-    multiple of pi/2 raises before the memo is read.
+    are memoized by the pattern's shape (:func:`_prelude`), so each call
+    only maps its angles to quarter turns and runs the elimination.  A
+    pattern with an angle that is no multiple of pi/2 raises before the
+    memo is read.
     """
     p.validate()
     turns = _clifford_turns(p)
@@ -519,9 +524,7 @@ def _sum_exact(p: MeasurementPattern,
     """S of :func:`run_exact` on a valid pattern, given each qubit's
     quarter turns: ``(k, a, b)`` for S = i^k * (1 + i)^a * 2^b, or None for
     S = 0."""
-    key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.z_basis))
-    qubits, rows, free = _memoized(_exact_memo, key,
-                                   lambda: _exact_prelude(p))
+    qubits, rows, free = _prelude(p)
     turns = [by_qubit[q] for q in qubits]
     adj, live = list(rows), list(free)
     k = a = b = 0
@@ -580,43 +583,32 @@ def _amplitude(k: int, a: int, b: int, halvings: int) -> complex:
     return complex(unit) * scale
 
 
-def _adjacency(p: MeasurementPattern) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {q: set() for q in p.angles}
-    for a, b in p.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
-def _solve_layer(adj, solved: list[int], todo: list[int]) -> dict:
-    """Map every u in ``todo`` that has a K within ``solved`` whose Odd(K)
-    meets ``todo`` in {u} alone to one such K.
+def _solve_layer(rows: tuple, solved_mask: int, todo: list[int]) -> dict:
+    """Map every index u in ``todo`` that has a K within ``solved_mask``
+    whose Odd(K) meets ``todo`` in {u} alone to one such K, as a bitset.
 
     One GF(2) elimination of the todo x solved adjacency matrix M serves
     every u: each row holds its solved-column bits and, as a mask over the
-    original rows, the row operations that made it.  M x = e_u is solvable
-    iff no row reduced to zero took in row u.
+    original rows, the row operations that made it.  Each row that is not
+    zero by its turn pivots on its lowest bit.  M x = e_u is solvable iff no
+    row reduced to zero took in row u, and then x is the pivots whose rows
+    took in row u.
     """
-    column = {q: j for j, q in enumerate(solved)}
-    rows = [[sum(1 << column[q] for q in adj[u] if q in column), 1 << i]
-            for i, u in enumerate(todo)]
-    pivots: list[int] = []
-    for j in range(len(solved)):
-        r = len(pivots)
-        hit = next((k for k in range(r, len(rows)) if rows[k][0] >> j & 1), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        for k, row in enumerate(rows):
-            if k != r and row[0] >> j & 1:
-                row[0] ^= rows[r][0]
-                row[1] ^= rows[r][1]
-        pivots.append(j)
+    matrix = [[rows[u] & solved_mask, 1 << i] for i, u in enumerate(todo)]
+    pivots = []
+    for row in matrix:
+        if row[0]:
+            j = (row[0] & -row[0]).bit_length() - 1
+            for other in matrix:
+                if other is not row and other[0] >> j & 1:
+                    other[0] ^= row[0]
+                    other[1] ^= row[1]
+            pivots.append((j, row))
     unsolvable = 0
-    for row in rows[len(pivots):]:
-        unsolvable |= row[1]
-    return {u: frozenset(solved[j] for j, row in zip(pivots, rows)
-                         if row[1] >> i & 1)
+    for bits, made in matrix:
+        if not bits:
+            unsolvable |= made
+    return {u: sum(1 << j for j, row in pivots if row[1] >> i & 1)
             for i, u in enumerate(todo) if not unsolvable >> i & 1}
 
 
@@ -628,27 +620,31 @@ def find_gflow(p: MeasurementPattern):
     efficiently", ICALP 2008): the outputs form layer 0, and layer d holds
     every unlayered qubit u with a K among the layered qubits whose Odd(K)
     meets the unlayered qubits in {u} alone; then g(u) = K.  Higher layers
-    are measured first.  Raises ``NoFlowError`` when a layer comes out
-    empty, and on computational-basis qubits, which would need Pauli flow.
+    are measured first.  It runs on :func:`_prelude`'s bitset rows.
+    Raises ``NoFlowError`` when a layer comes out empty, and on
+    computational-basis qubits, which would need Pauli flow.
     """
     p.validate()
     if p.z_basis:
         raise NoFlowError("z-basis qubits need Pauli flow, not XY gflow")
-    adj = _adjacency(p)
-    solved = sorted(set(p.readouts))
-    layer = dict.fromkeys(solved, 0)
+    qubits, rows, _ = _prelude(p)
+    outputs = set(p.readouts)
+    layer = dict.fromkeys(sorted(outputs), 0)
     g: dict[int, frozenset] = {}
-    todo = [q for q in p.qubits() if q not in layer]
+    solved = sum(1 << i for i, q in enumerate(qubits) if q in outputs)
+    todo = [i for i, q in enumerate(qubits) if q not in outputs]
     depth = 0
     while todo:
-        found = _solve_layer(adj, solved, todo)
+        found = _solve_layer(rows, solved, todo)
         if not found:
-            raise NoFlowError(f"no XY gflow: qubits {todo} cannot be corrected")
+            raise NoFlowError(f"no XY gflow: qubits "
+                              f"{[qubits[i] for i in todo]} cannot be corrected")
         depth += 1
-        g.update(found)
-        layer.update(dict.fromkeys(found, depth))
-        solved += found
-        todo = [q for q in todo if q not in found]
+        for u, k in found.items():
+            g[qubits[u]] = frozenset(qubits[j] for j in _bits(k))
+            layer[qubits[u]] = depth
+            solved |= 1 << u
+        todo = [i for i in todo if i not in found]
     return g, layer
 
 
@@ -691,8 +687,8 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
     S behind the post-selected amplitude, n qubits and r readouts
     (:func:`_constant_law`), and the count is drawn from that law with
     ``random.Random(seed)`` (:func:`_drawn_count`).  ``verdict`` is the
-    majority, with ``agreeing_shots`` the shots behind it; both counts are
-    Python ints.
+    majority, and a tie reads Constant; ``agreeing_shots`` counts the shots
+    behind the verdict.  Both counts are Python ints.
 
     The gflow depends only on the pattern's shape: its qubit ids, edges,
     readout set and z-basis set.  It is memoized by that shape (see
@@ -725,9 +721,9 @@ def _constant_law(p: MeasurementPattern) -> tuple[int, int]:
     gives |S|^2 = 2^(a + 2b), so P = 2^-d for d = n + r - a - 2b, or 0 when
     S = 0, with no tensor and no numpy.  Any other pattern's closed diagram
     is contracted, as :func:`run_postselected` does; its amplitude is
-    S * 2^(-|E|/2), so P = |amplitude|^2 * 2^(|E| - n - r), clamped to at
-    most 1 against round-off, and the float's ``as_integer_ratio`` gives
-    num / 2^bits."""
+    S * 2^(-|E|/2), so P = |amplitude|^2 * 2^(|E| - n - r), and the float's
+    ``as_integer_ratio`` gives num / 2^bits.  A P that round-off lifts above
+    1 draws every shot Constant (:func:`_drawn_count`)."""
     exponent = len(p.angles) + len(p.readouts)
     turns = _clifford_turns(p)
     if turns is not None:
@@ -737,8 +733,8 @@ def _constant_law(p: MeasurementPattern) -> tuple[int, int]:
         _, a, b = s
         return 1, exponent - a - 2 * b
     amplitude = complex(evaluate(pattern_to_diagram(p)))
-    prob = min(math.ldexp(abs(amplitude) ** 2, len(p.edges) - exponent), 1.0)
-    num, den = prob.as_integer_ratio()
+    num, den = math.ldexp(abs(amplitude) ** 2,
+                          len(p.edges) - exponent).as_integer_ratio()
     return num, den.bit_length() - 1
 
 
@@ -753,7 +749,7 @@ def _drawn_count(num: int, bits: int, seed: int, shots: int) -> int:
     ``num``.  All shots of a block are compared at once: ``equal`` holds the
     shots whose digits so far are num's, and ``below`` those already
     smaller.  Every block draws all ``bits`` words, so with num = 1 and
-    bits = d a shot is Constant where its bit is 0 in all d words.  P = 1
+    bits = d a shot is Constant where its bit is 0 in all d words.  P >= 1
     returns ``shots`` without seeding a generator, and P = 0 returns 0."""
     if num >> bits:
         return shots
@@ -811,9 +807,6 @@ _LATTICE_LAYOUT = {
     (6, 3): MINUS_HALF_PI, (6, 4): HALF_PI, (6, 5): HALF_PI,
     (6, 6): _parity(1, 2, offset=HALF_PI),
 }
-# The edges go in the insertion order of the row-major sweep, so that every
-# copy iterates in one order and pattern_to_diagram numbers the edges the
-# same way.
 _LATTICE = _template(
     {_grid_id(pos): entry for pos, entry in _LATTICE_LAYOUT.items()},
     [(_grid_id((r, c)), _grid_id(nbr)) for r, c in _LATTICE_LAYOUT
@@ -868,16 +861,15 @@ def reduce_lattice(p: MeasurementPattern):
     most 2, as a missing spare or a tampered angle can leave.
 
     Memoized (see ``rewrite._memoized``) per key: the sorted qubit ids
-    (which fix the carriers), the edges in iteration order (which number the
-    diagram's edges), the z-basis set, the readouts in order and the
-    non-carrier angles in qubit order.  No rule reads a carrier's angle, so
-    all 72 variants share a key, and only a miss builds a diagram: the key
-    stores the reduced pattern as a template whose carriers are the
-    survivors the lattice carriers fused into, and :func:`_fill` sets each
-    to a stored constant plus their angles."""
+    (which fix the carriers), the edge set, the z-basis set, the readouts in
+    order and the non-carrier angles in qubit order.  No rule reads a
+    carrier's angle, so all 72 variants share a key, and only a miss builds
+    a diagram: the key stores the reduced pattern as a template whose
+    carriers are the survivors the lattice carriers fused into, and
+    :func:`_fill` sets each to a stored constant plus their angles."""
     p.validate()
     qubits = p.qubits()
-    key = (tuple(qubits), tuple(p.edges), frozenset(p.z_basis),
+    key = (tuple(qubits), frozenset(p.edges), frozenset(p.z_basis),
            tuple(p.readouts), tuple([p.angles[q] for q in qubits
                                      if q not in _LATTICE_CARRIER_IDS]))
     template, steps = _memoized(_lattice_memo, key,

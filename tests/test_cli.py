@@ -724,11 +724,12 @@ def test_simulate_circuit_output_is_byte_identical(capsys, tmp_path):
 
 
 # SHA-256 of the concatenated lattice --reduce --trace stdout over the 72
-# three-bit tables in ascending order, fixed before reduce_lattice was
-# memoized per key: the first table runs the reduction, the other 71 replay
-# it with their carrier angles, and neither may change a byte
+# three-bit tables in ascending order: the first table runs the reduction,
+# the other 71 replay it with their carrier angles, and neither may change a
+# byte.  Last retaken when pattern_to_diagram began to number edges in
+# ascending pair order, which renumbers the edge ids the trace names
 LATTICE_REDUCE_DIGEST = (
-    "f387fbe5129212bc45c530fbc2eab9603376fde879f16eee1529e5390b42c38e")
+    "10489dcde39f81c3c99c9d39df76d8d1cfc0385ad047e8d9bcae08d50cb152ee")
 
 
 def test_lattice_reduce_output_is_byte_identical(capsys, monkeypatch):

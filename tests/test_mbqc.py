@@ -748,6 +748,26 @@ def test_zero_amplitude_pi_4_pattern_draws_no_constant_shot():
         assert out.verdict is Verdict.BALANCED and out.agreeing_shots == 1000
 
 
+def test_a_tied_count_reads_constant():
+    # one qubit at pi/2, read out: S = 1 + i, so P(Constant) = 2 / 2^2
+    p = MeasurementPattern({0: HALF_PI}, set(), [0])
+    assert mbqc._constant_law(p) == (1, 1)
+    out = run_sampled(p, seed=5, shots=2)
+    assert out.verdict is Verdict.CONSTANT and out.agreeing_shots == 1
+
+
+def test_a_law_of_one_or_more_draws_every_shot():
+    # num == 2^bits, and a float law that round-off lifts one ulp above 1,
+    # as _constant_law hands it on: neither needs a clamp
+    above_one = 1.0000000000000002
+    assert above_one == math.nextafter(1.0, 2.0)
+    ulp_num, ulp_den = above_one.as_integer_ratio()
+    for num, bits in ((1, 0), (1 << 7, 7),
+                      (ulp_num, ulp_den.bit_length() - 1)):
+        for seed, shots in ((0, 1), (5, 1000)):
+            assert mbqc._drawn_count(num, bits, seed, shots) == shots
+
+
 def test_run_sampled_in_blocks(monkeypatch):
     monkeypatch.setattr(mbqc, "_BLOCK_SHOTS", 8)  # 30 shots in four blocks
     for f in enumerate_promise(2):
@@ -1098,10 +1118,49 @@ def test_lattice_pattern_matches_the_grid_sweep():
     for f in enumerate_promise(3):
         p, ref = lattice_pattern_3q(f), _swept_lattice_pattern(f)
         assert p == ref, f.table
-        # the same iteration order, so pattern_to_diagram numbers the
-        # edges as before and the rewrite traces stay the same
+        # the template fills its containers in the sweep's order; no result
+        # reads that order, since pattern_to_diagram sorts the edges
         assert list(p.edges) == list(ref.edges), f.table
         assert list(p.angles) == list(ref.angles), f.table
+
+
+def _refilled(p, reorder):
+    """A copy of ``p`` whose edge set was filled in the order that
+    ``reorder`` leaves the ascending edge list in."""
+    edges = sorted(map(sorted, p.edges))
+    reorder(edges)
+    return MeasurementPattern(dict(p.angles), {frozenset(e) for e in edges},
+                              list(p.readouts), set(p.z_basis))
+
+
+def test_equal_lattices_reduce_alike_however_their_edges_were_filled(
+        monkeypatch):
+    monkeypatch.setattr(mbqc, "_lattice_memo", {})
+    rng = random.Random(7)
+    for f in enumerate_promise(3):
+        p = lattice_pattern_3q(f)
+        expected = reduce_lattice(p)
+        for q in (_refilled(p, list.reverse), _refilled(p, rng.shuffle)):
+            assert q == p and list(q.edges) != list(p.edges), f.table
+            assert reduce_lattice(q) == expected, f.table
+            with monkeypatch.context() as m:
+                m.setattr(mbqc, "_lattice_memo", {})
+                assert reduce_lattice(q) == expected, f.table
+    assert len(mbqc._lattice_memo) == 1
+
+
+_EIGHTHS = tuple(Phase(k, 4) for k in range(8))
+
+
+@given(st.integers(0, 9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_equal_patterns_give_equal_diagrams_and_amplitudes(n, data):
+    p = data.draw(small_patterns(n, _EIGHTHS))
+    q = _refilled(p, random.Random(data.draw(st.integers(0, 2**32))).shuffle)
+    assert q == p
+    d, e = pattern_to_diagram(p), pattern_to_diagram(q)
+    assert d.to_json() == e.to_json()
+    assert evaluate(d).tobytes() == evaluate(e).tobytes()
 
 
 def test_lattice_patterns_own_their_containers():
@@ -1129,8 +1188,8 @@ def test_dj_patterns_own_their_containers():
 def _builder_record(f):
     """Every byte the templated builders hand on for ``f``: the oracle
     circuit, both three-qubit patterns with their edges in set iteration
-    order (which numbers pattern_to_diagram's edges and keys the lattice
-    memo), and the circuit's translation with its carriers and next ids."""
+    order (which the templates' tuples fix, though no result reads it), and
+    the circuit's translation with its carriers and next ids."""
     c = oracle_circuit_3q(f)
     d, carriers = to_zx_tracked(c)
     record = [c.to_json()]
@@ -1450,6 +1509,16 @@ def _prelude_calls(monkeypatch):
     monkeypatch.setattr(mbqc, "_exact_prelude",
                         lambda p: (calls.append(p), real(p))[1])
     return calls
+
+
+def test_gflow_and_exact_sum_share_one_prelude(monkeypatch):
+    monkeypatch.setattr(mbqc, "_flow_memo", {})
+    calls = _prelude_calls(monkeypatch)
+    p = dj_pattern_3q(BooleanFunction(3, 0))
+    run_sampled(p, seed=1, shots=10)  # find_gflow, then the exact sum
+    assert len(calls) == 1
+    run_sampled(p, seed=1, shots=10)
+    assert len(calls) == 1
 
 
 def test_exact_memo_hit_equals_a_cold_run(monkeypatch):

@@ -437,12 +437,13 @@ def _seeded_diagram(rng, max_spiders=8, max_boundary=2):
 
 
 # SHA-256 of the shapes and bytes evaluate returns in the test below, last
-# retaken when the Hadamard edge's scale became math.sqrt(0.5), the nearest
-# double to 1/sqrt(2).  It holds for one numpy and BLAS build: another may
-# round a product differently in the last bit, and then the digest is
-# retaken from the same build.
+# retaken when pattern_to_diagram began to add edges in ascending pair
+# order, which changes the order of the lattice's and the eleven-qubit
+# pattern's floating-point products.  It holds for one numpy and BLAS build:
+# another may round a product differently in the last bit, and then the
+# digest is retaken from the same build.
 EVALUATE_DIGEST = (
-    "f55d79393e452d39eaf1425b763d1f7023a02c45a3a0612111b5705c95e7246c")
+    "8921dce80eeb2b6334ef79c90c8fc772994766c2bdf3ce6ddadc729ad15d4d2c")
 
 
 def test_evaluate_keeps_the_pinned_digest():

@@ -1,0 +1,158 @@
+"""Mutation probe for zxdj: which one-line faults does Tier-1 catch?
+
+    python3 tools/mutation_probe.py
+
+It probes the checkout it sits in.  For each mutant of ``MUTANTS``, it
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, replaces the mutant's old text (which must occur exactly once)
+by its new text, and runs Tier-1 there with ``-x``.  It prints one JSON object per mutant on its own line: the mutant's
+name, file and fault, whether a test failed (``killed``) and the seconds
+the run took.  First it runs the unmutated copy, which must pass, or every
+mutant would read as killed.
+
+Exit status: 0 when every mutant is killed or listed as equivalent, 1 when
+some other mutant survives, 2 on a stale table or a failing unmutated copy.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    """A one-line fault: ``old`` becomes ``new`` in ``path``.  A mutant
+    with an ``equivalent`` reason behaves as the program does, so its
+    survival is expected."""
+
+    name: str
+    path: str
+    old: str
+    new: str
+    fault: str
+    equivalent: str | None = None
+
+
+MBQC = "src/zxdj/mbqc.py"
+MUTANTS = [
+    Mutant("flow-memo-key-without-readouts", MBQC,
+           "key = (frozenset(p.angles), frozenset(p.edges), "
+           "frozenset(p.readouts),",
+           "key = (frozenset(p.angles), frozenset(p.edges),",
+           "_flow_memo's key leaves out the readout set"),
+    Mutant("pivot-term-dropped", MBQC,
+           "if m >> x & 1:\n                        turns[x] += 2\n",
+           "if m >> x & 1:\n                        turns[x] += 0\n",
+           "_sum_exact's pivot drops the x_t x_t = x_t term"),
+    Mutant("cross-term-sign", "src/zxdj/circuit.py",
+           "cross = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0",
+           "cross = a0 * a1 + a1 * a2 + a2 * a3 + a3 * a0",
+           "dj_run_circuit's |S|^2 cross term adds a3*a0"),
+    Mutant("greedy-ties-by-highest-id", "src/zxdj/tensor.py",
+           "key=lambda u: (score(u, adj), u))",
+           "key=lambda u: (score(u, adj), -u))",
+           "_greedy_order breaks ties by the highest id"),
+    Mutant("drawn-word-bit-0-set", MBQC,
+           "word = rng.getrandbits(n)\n",
+           "word = rng.getrandbits(n) | 1\n",
+           "_drawn_count forces bit 0 of every word to 1"),
+    Mutant("seed-0-refused", MBQC,
+           'seed = _integer("seed", seed, 0)',
+           'seed = _integer("seed", seed, 1)',
+           "run_sampled refuses a seed of 0"),
+    Mutant("tie-reads-balanced", MBQC,
+           "constant_shots * 2 >= shots",
+           "constant_shots * 2 > shots",
+           "a tied count reads Balanced, not Constant"),
+    Mutant("diagram-edges-unsorted", MBQC,
+           "for a, b in sorted(map(sorted, p.edges)):",
+           "for a, b in map(sorted, p.edges):",
+           "pattern_to_diagram numbers edges in set iteration order"),
+    Mutant("lattice-key-edge-order", MBQC,
+           "key = (tuple(qubits), frozenset(p.edges),",
+           "key = (tuple(qubits), tuple(p.edges),",
+           "reduce_lattice keys its memo on the edges in iteration order"),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _tier1(copy: Path) -> bool:
+    """Whether Tier-1 passes on ``copy``, checking first that the copy's
+    package is the one imported."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import zxdj; print(zxdj.__file__)"],
+        cwd=copy, env=env, capture_output=True, text=True, check=True)
+    if not Path(where.stdout.strip()).is_relative_to(copy):
+        raise SystemExit(f"zxdj imported from {where.stdout.strip()}, "
+                         f"not from {copy}")
+    try:
+        run = subprocess.run(TIER1, cwd=copy, env=env,
+                             stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False  # a suite that hangs does not pass
+    return run.returncode == 0
+
+
+def _probe(mutant: Mutant | None) -> tuple[bool, float]:
+    """Whether Tier-1 passes with ``mutant`` applied (None applies none),
+    and the seconds it took."""
+    with tempfile.TemporaryDirectory(prefix="zxdj-mutant-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        if mutant is not None:
+            target = copy / mutant.path
+            text = target.read_text()
+            target.write_text(text.replace(mutant.old, mutant.new))
+        start = time.perf_counter()
+        passed = _tier1(copy)
+        return passed, round(time.perf_counter() - start, 1)
+
+
+def main() -> int:
+    stale = [m.name for m in MUTANTS
+             if (ROOT / m.path).read_text().count(m.old) != 1]
+    if stale:
+        print(f"old text not found exactly once: {stale}", file=sys.stderr)
+        return 2
+    passed, seconds = _probe(None)
+    if not passed:
+        print(f"Tier-1 fails on the unmutated copy ({seconds} s)",
+              file=sys.stderr)
+        return 2
+    survivors = []
+    for m in MUTANTS:
+        passed, seconds = _probe(m)
+        print(json.dumps({"mutant": m.name, "file": m.path, "fault": m.fault,
+                          "killed": not passed, "equivalent": m.equivalent,
+                          "seconds": seconds}), flush=True)
+        if passed and m.equivalent is None:
+            survivors.append(m.name)
+    if survivors:
+        print(f"surviving mutants: {survivors}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
