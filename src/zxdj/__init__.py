@@ -53,7 +53,6 @@ from .mbqc import (
     pattern_to_diagram,
     patterns_isomorphic,
     reduce_lattice,
-    run_exact,
     run_postselected,
     run_sampled,
 )

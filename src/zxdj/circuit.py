@@ -311,13 +311,14 @@ def dj_run_circuit(oracle: Circuit):
     a0, a1, a2, a3 = [low.bit_count() - 2 * (low & p2).bit_count()
                       for low in (~p0 & ~p1 & full, p0 & ~p1, ~p0 & p1, p0 & p1)]
     squares = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-    cross = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
     from .oracle import Verdict  # local import to avoid a cycle
 
     if not squares:
         return Verdict.BALANCED
-    if squares == 1 << 2 * w and not cross:
+    # sum |a_j| <= 2^w: squares = 4^w leaves one a_j = +-2^w, so cross = 0
+    if squares == 1 << 2 * w:
         return Verdict.CONSTANT
+    cross = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
     raise _not_promise(math.sqrt(squares + cross * math.sqrt(2)) / (1 << w))
 
 

@@ -340,12 +340,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="zxdj", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, table=True, files=False, sampling=False):
+    def common(p, files=False, sampling=False, variant=False):
         p.add_argument("--human", action="store_true")
         p.add_argument("--out")
-        if table:
-            p.add_argument("--n", type=int)
-            p.add_argument("--table")
+        p.add_argument("--n", type=int)
+        p.add_argument("--table")
+        if variant:  # a two-bit function, so not where n must be 3
             p.add_argument("--variant")
         if files:
             p.add_argument("--circuit")
@@ -354,14 +354,14 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
             p.add_argument("--shots", type=int, default=0)
 
-    common(sub.add_parser("classify"))
+    common(sub.add_parser("classify"), variant=True)
     common(sub.add_parser("synth-circuit"))
     p = sub.add_parser("compile-mbqc")
     common(p)
     p.add_argument("--circuit")
     p.add_argument("--trace", action="store_true")
     p = sub.add_parser("simulate")
-    common(p, files=True, sampling=True)
+    common(p, files=True, sampling=True, variant=True)
     p = sub.add_parser("verify-all")
     p.add_argument("--n", type=int)
     p.add_argument("--human", action="store_true")
@@ -371,7 +371,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reduce", action="store_true")
     p.add_argument("--trace", action="store_true")
     p = sub.add_parser("export-dot")
-    common(p, files=True)
+    common(p, files=True, variant=True)
     return parser
 
 

@@ -2,7 +2,7 @@
 
 A pattern is a cluster-state graph plus an XY-plane measurement angle per
 qubit.  Post-selected execution sums a Clifford pattern's amplitude
-exactly (:func:`run_exact`) and contracts any other pattern's closed
+exactly (:func:`_sum_exact`) and contracts any other pattern's closed
 diagram.  Sampled execution (:func:`run_sampled`) runs any pattern with
 an XY-plane gflow (:func:`find_gflow`): each shot is Constant with
 probability |S|^2 * 2^-(n + r), for the sum S behind the post-selected
@@ -27,14 +27,12 @@ from .errors import (
     ArityMismatchError,
     NoFlowError,
     NotGraphLikeError,
-    PreconditionFailed,
     ReductionStuckError,
 )
 from .oracle import (
     BooleanFunction,
     Verdict,
     _READOUT_PARITIES,
-    classify,
     one_qubit_spider_angles,
     phase_polynomial,
     two_qubit_spider_angles,
@@ -393,15 +391,20 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     """The all-outcomes-zero amplitude; a nonzero one means every
     measurement can succeed, i.e. the function is constant.
 
-    A Clifford pattern (every angle a multiple of pi/2) is decided exactly
-    by :func:`run_exact`, with no tolerance.  Any other pattern's closed
+    A Clifford pattern (every angle a multiple of pi/2) is Constant exactly
+    when :func:`_sum_exact`'s S is nonzero.  Any other pattern's closed
     diagram is contracted and judged against ``tensor.collapse_floor``;
     that raises ``WidthTooLargeError`` before building any tensor when the
     contraction plan peaks above ``tensor.MAX_PEAK_RANK``."""
+    p.validate()
     turns = _clifford_turns(p)
     if turns is not None:
-        p.validate()
-        return _exact_outcome(p, turns)
+        s = _sum_exact(p, turns)
+        if s is None:
+            return PatternOutcome(Verdict.BALANCED, complex(0))
+        e, h = s
+        return PatternOutcome(Verdict.CONSTANT, _amplitude(
+            e, h + 2 * len(p.z_basis) - len(p.edges)))
     d = pattern_to_diagram(p)
     amplitude = complex(evaluate(d))
     floor = collapse_floor(d)
@@ -468,16 +471,17 @@ def _prelude(p: MeasurementPattern) -> tuple:
     return _memoized(_exact_memo, key, lambda: _exact_prelude(p))
 
 
-def run_exact(p: MeasurementPattern) -> PatternOutcome:
-    """Decide a Clifford pattern's all-outcomes-zero amplitude exactly.
+def _sum_exact(p: MeasurementPattern,
+               by_qubit: dict[int, int]) -> tuple[int, int] | None:
+    """S of a valid pattern, given each qubit's quarter turns: ``(e, h)``
+    for S = omega^e * sqrt(2)^h, omega = e^(i pi/4), or None for S = 0.
 
-    With l_v = angle_v / (pi/2) and x_v = 0 fixed on z-basis qubits, the
-    closed diagram of :func:`pattern_to_diagram` is
-    S * 2^|Z| * 2^(-|E|/2), for the sum over the free bits x of
-    S = i^(sum l_v x_v) * (-1)^(sum over edges uv of x_u x_v).
-    S is summed out one bit at a time, in integer arithmetic on bitset
-    adjacency rows, in O(degree) row operations per step (the arithmetic
-    form of Clifford ZX simplification: Duncan, Kissinger, Perdrix & van
+    With l_v = angle_v / (pi/2) and x_v = 0 on z-basis qubits, the closed
+    diagram of :func:`pattern_to_diagram` is S * 2^|Z| * 2^(-|E|/2) for
+    S = sum over the free bits x of i^(sum l_v x_v) * (-1)^(sum over edges
+    uv of x_u x_v).  S is summed out one bit at a time on the bitset rows
+    of :func:`_prelude`, in O(degree) row operations per step (Clifford ZX
+    simplification in integer arithmetic: Duncan, Kissinger, Perdrix & van
     de Wetering, Quantum 4, 279, 2020; Amy, arXiv:1805.06908):
 
     - odd l_v: x_v sums to (1 + i) or (1 - i) times i^(-l_v * parity of
@@ -487,60 +491,24 @@ def run_exact(p: MeasurementPattern) -> PatternOutcome:
       the neighbours' parity is l_v / 2, which fixes x_w as a parity of the
       other neighbours (a pivot) and removes v and w;
     - even l_v with no neighbour: 2 for l_v = 0, and S = 0 for l_v = 2.
-
-    S = i^k * (1 + i)^a * 2^b or 0, and the verdict is Constant exactly
-    when S is nonzero; only the amplitude is a float.  Raises
-    ``PreconditionFailed`` on an angle that is no multiple of pi/2.
-
-    The qubit order and the adjacency rows with the z-basis qubits dropped
-    are memoized by the pattern's shape (:func:`_prelude`), so each call
-    only maps its angles to quarter turns and runs the elimination.  A
-    pattern with an angle that is no multiple of pi/2 raises before the
-    memo is read.
     """
-    p.validate()
-    turns = _clifford_turns(p)
-    if turns is None:
-        q = next(q for q in p.qubits() if _quarter_turns(p.angles[q]) is None)
-        raise PreconditionFailed(
-            f"qubit {q} is measured at {p.angles[q]}*pi, no multiple of pi/2")
-    return _exact_outcome(p, turns)
-
-
-def _exact_outcome(p: MeasurementPattern,
-                   turns: dict[int, int]) -> PatternOutcome:
-    """:func:`run_exact` on a valid pattern, given each qubit's quarter
-    turns."""
-    s = _sum_exact(p, turns)
-    if s is None:
-        return PatternOutcome(Verdict.BALANCED, complex(0))
-    k, a, b = s
-    return PatternOutcome(Verdict.CONSTANT, _amplitude(
-        k, a, b + len(p.z_basis), len(p.edges)))
-
-
-def _sum_exact(p: MeasurementPattern,
-               by_qubit: dict[int, int]) -> tuple[int, int, int] | None:
-    """S of :func:`run_exact` on a valid pattern, given each qubit's
-    quarter turns: ``(k, a, b)`` for S = i^k * (1 + i)^a * 2^b, or None for
-    S = 0."""
     qubits, rows, free = _prelude(p)
     turns = [by_qubit[q] for q in qubits]
     adj, live = list(rows), list(free)
-    k = a = b = 0
+    e = h = 0
     for v in range(len(qubits)):
         if not live[v]:
             continue
         live[v] = False
         nbrs, lv = adj[v], turns[v]
         if lv & 1:
-            a += 1
-            k -= lv >> 1  # 1 - i = (1 + i) * i^-1
+            e += 1 - (lv & 2)  # 1 +- i = sqrt(2) * omega^(+-1)
+            h += 1
             for u in _bits(nbrs):
                 adj[u] ^= nbrs ^ (1 << u) ^ (1 << v)
                 turns[u] = (turns[u] - lv) % 4
         elif nbrs:
-            b += 1
+            h += 2
             w = (nbrs & -nbrs).bit_length() - 1
             live[w] = False
             lw, c = turns[w], lv >> 1
@@ -550,7 +518,7 @@ def _sum_exact(p: MeasurementPattern,
             # x_w = c + sum over m of x_u (mod 2): l_w x_w turns into
             # c l_w + (-1)^c l_w (sum - 2 * pairs), and 2 x_w x_t into
             # 2 c x_t + 2 x_t x_u over u in m, where x_t x_t = x_t
-            k += c * lw
+            e += 2 * c * lw
             shift = -lw if c else lw
             for x in _bits(m | t):
                 row = adj[x] & gone
@@ -569,18 +537,16 @@ def _sum_exact(p: MeasurementPattern,
         elif lv:
             return None
         else:
-            b += 1
-    return k, a, b
+            h += 2
+    return e % 8, h
 
 
-def _amplitude(k: int, a: int, b: int, halvings: int) -> complex:
-    """i^k * (1 + i)^a * 2^b / sqrt(2)^halvings as one complex number,
-    using (1 + i)^2 = 2i."""
-    unit = (1, 1j, -1, -1j)[(k + a // 2) % 4] * (1 + 1j if a & 1 else 1)
-    half_powers = 2 * (b + a // 2) - halvings
-    scale = math.ldexp(math.sqrt(2) if half_powers & 1 else 1.0,
-                       half_powers >> 1)
-    return complex(unit) * scale
+def _amplitude(e: int, h: int) -> complex:
+    """omega^e * sqrt(2)^h for e in 0..7 as one complex number, written as
+    i^(e >> 1) * (1 + i)^(e & 1) * sqrt(2)^(h - (e & 1))."""
+    unit = (1, 1j, -1, -1j)[e >> 1] * (1 + 1j if e & 1 else 1)
+    h -= e & 1  # 1 + i holds one sqrt(2)
+    return complex(unit) * math.ldexp(math.sqrt(2) if h & 1 else 1.0, h >> 1)
 
 
 def _solve_layer(rows: tuple, solved_mask: int, todo: list[int]) -> dict:
@@ -717,21 +683,20 @@ def _constant_law(p: MeasurementPattern) -> tuple[int, int]:
     """P(Constant) of a valid gflow pattern as ``(num, bits)``, for
     P = num / 2^bits exactly.
 
-    A Clifford pattern's S = i^k * (1 + i)^a * 2^b (:func:`_sum_exact`)
-    gives |S|^2 = 2^(a + 2b), so P = 2^-d for d = n + r - a - 2b, or 0 when
-    S = 0, with no tensor and no numpy.  Any other pattern's closed diagram
-    is contracted, as :func:`run_postselected` does; its amplitude is
-    S * 2^(-|E|/2), so P = |amplitude|^2 * 2^(|E| - n - r), and the float's
-    ``as_integer_ratio`` gives num / 2^bits.  A P that round-off lifts above
-    1 draws every shot Constant (:func:`_drawn_count`)."""
+    A Clifford pattern's S = omega^e * sqrt(2)^h (:func:`_sum_exact`) gives
+    |S|^2 = 2^h, so P = 2^-(n + r - h), or 0 when S = 0, with no tensor and
+    no numpy.  Any other pattern's closed diagram is contracted, as
+    :func:`run_postselected` does; its amplitude is S * 2^(-|E|/2), so
+    P = |amplitude|^2 * 2^(|E| - n - r), and the float's ``as_integer_ratio``
+    gives num / 2^bits.  A P that round-off lifts above 1 draws every shot
+    Constant (:func:`_drawn_count`)."""
     exponent = len(p.angles) + len(p.readouts)
     turns = _clifford_turns(p)
     if turns is not None:
         s = _sum_exact(p, turns)
         if s is None:
             return 0, 0
-        _, a, b = s
-        return 1, exponent - a - 2 * b
+        return 1, exponent - s[1]
     amplitude = complex(evaluate(pattern_to_diagram(p)))
     num, den = math.ldexp(abs(amplitude) ** 2,
                           len(p.edges) - exponent).as_integer_ratio()

@@ -10,7 +10,7 @@ through ``equivalent_up_to_scalar``.
 A contraction is planned on index labels alone (:func:`plan_contraction`,
 in the order :func:`elimination_order` picks), checked against
 ``MAX_PEAK_RANK``, and only then run on the spider tensors by
-:func:`evaluate`.  Nothing is memoized: ``mbqc.run_exact`` decides every
+:func:`evaluate`.  Nothing is memoized: ``mbqc._sum_exact`` decides every
 Clifford pattern, which covers every pattern for n <= 3, so the commands
 contract only a non-Clifford pattern loaded by ``simulate --pattern``,
 post-selected or with ``--shots``, once per process.  numpy is imported

@@ -10,7 +10,7 @@ import os
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zxdj import mbqc, tensor
+from zxdj import cli, mbqc, tensor
 from zxdj.cli import main
 from zxdj.circuit import (
     MAX_WIDTH, Circuit, _apply_gates, hadamard, pauli_z, plus_amplitude)
@@ -21,7 +21,7 @@ from zxdj.mbqc import (
     run_postselected,
 )
 from zxdj.oracle import (
-    BooleanFunction, classify, enumerate_promise, oracle_circuit_3q)
+    BooleanFunction, Verdict, classify, enumerate_promise, oracle_circuit_3q)
 from zxdj.phase import HALF_PI
 
 
@@ -58,6 +58,17 @@ def test_usage_errors_exit_2(capsys):
         code, out = run(capsys, *argv)
         assert code == 2, argv
         assert "error" in json.loads(out), argv
+
+
+def test_variant_is_refused_where_no_two_bit_function_fits(capsys):
+    # synth-circuit, compile-mbqc and lattice need n = 3, and --variant
+    # names a two-bit function, so they do not take the flag at all
+    for argv in (["synth-circuit"], ["compile-mbqc"], ["lattice"],
+                 ["compile-mbqc", "--n", "3", "--table", "01101001"]):
+        code, out = run(capsys, *argv, "--variant", "iii")
+        assert code == 2, argv
+        assert "unrecognized arguments: --variant iii" in json.loads(
+            out)["error"], argv
 
 
 def test_domain_errors_exit_1(capsys):
@@ -703,6 +714,22 @@ def test_verify_all_output_is_byte_identical(capsys, n):
     code, out = run(capsys, "verify-all", "--n", n)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_verify_all_exits_1_when_routes_disagree(capsys, monkeypatch, n):
+    real = cli.run_postselected
+
+    def flipped(p):
+        out = real(p)
+        out.verdict = (Verdict.BALANCED if out.verdict is Verdict.CONSTANT
+                       else Verdict.CONSTANT)
+        return out
+
+    monkeypatch.setattr(cli, "run_postselected", flipped)
+    code, out = run(capsys, "verify-all", "--n", n)
+    assert code == 1
+    assert json.loads(out)["all_agree"] is False
 
 
 # SHA-256 of the simulate --circuit stdout of the 72 three-bit oracle

@@ -23,7 +23,6 @@ from zxdj.errors import (
     ArityMismatchError,
     NoFlowError,
     NotGraphLikeError,
-    PreconditionFailed,
     ReductionStuckError,
     WidthTooLargeError,
 )
@@ -38,7 +37,6 @@ from zxdj.mbqc import (
     pattern_to_diagram,
     patterns_isomorphic,
     reduce_lattice,
-    run_exact,
     run_postselected,
     run_sampled,
 )
@@ -724,8 +722,8 @@ def test_clifford_star_samples_past_the_frontier_cap(monkeypatch):
     p = _star(30)
     out = run_sampled(p, shots=1000)
     # the hub pivots on one leaf and the other 29 leaves are free at angle
-    # 0, so S = 2^30 and P(Constant) = |S|^2 / 2^(31 + 30) = 1/2
-    assert mbqc._sum_exact(p, mbqc._clifford_turns(p)) == (0, 0, 30)
+    # 0, so S = 2^30 = sqrt(2)^60 and P(Constant) = |S|^2 / 2^(31 + 30) = 1/2
+    assert mbqc._sum_exact(p, mbqc._clifford_turns(p)) == (0, 60)
     assert out.shots == 1000 and abs(out.agreeing_shots - 500) <= 80  # 5 sigma
 
 
@@ -908,13 +906,13 @@ def _clifford_flow_patterns():
 
 
 def _drawn_exponent(p):
-    """d = n + r - a - 2b of a Clifford gflow pattern, for which the drawn
-    route reads Constant with probability 2^-d; None when S = 0."""
+    """d = n + r - h of a Clifford gflow pattern with S = omega^e *
+    sqrt(2)^h, whose drawn route reads Constant with probability 2^-d;
+    None when S = 0."""
     s = mbqc._sum_exact(p, mbqc._clifford_turns(p))
     if s is None:
         return None
-    _, a, b = s
-    return len(p.angles) + len(p.readouts) - a - 2 * b
+    return len(p.angles) + len(p.readouts) - s[1]
 
 
 def _drawn_probability(p):
@@ -1070,6 +1068,18 @@ def test_flow_memo_stores_no_failure(monkeypatch):
             with pytest.raises(error):
                 run_sampled(p, shots=5)
         assert len(mbqc._flow_memo) == flows
+
+
+def test_flow_memo_keys_on_the_z_basis_set(monkeypatch):
+    _cold_memos(monkeypatch)
+    chain = _open_graph(3, [(0, 1), (1, 2)], [2])
+    run_sampled(chain, shots=5)
+    # the same ids, edges and readouts: a z-basis qubit needs Pauli flow,
+    # so the warm memo must not hand the twin the chain's gflow
+    twin = _open_graph(3, [(0, 1), (1, 2)], [2])
+    twin.z_basis = {0}
+    with pytest.raises(NoFlowError):
+        run_sampled(twin, shots=5)
 
 
 # -- lattice embedding -------------------------------------------------------
@@ -1468,7 +1478,7 @@ def _assert_exact_matches_dense(p):
     and an exact 0 wherever the dense verdict is Balanced."""
     d = pattern_to_diagram(p)
     dense, floor = complex(evaluate(d)), collapse_floor(d)
-    exact = run_exact(p)
+    exact = run_postselected(p)
     constant = abs(dense) > floor
     assert exact.verdict is (Verdict.CONSTANT if constant else Verdict.BALANCED)
     assert abs(exact.amplitude - dense) <= floor * 1e-3
@@ -1524,14 +1534,14 @@ def test_gflow_and_exact_sum_share_one_prelude(monkeypatch):
 def test_exact_memo_hit_equals_a_cold_run(monkeypatch):
     calls = _prelude_calls(monkeypatch)
     for build in (dj_pattern_3q, lattice_pattern_3q):
-        run_exact(build(BooleanFunction(3, 0)))
+        run_postselected(build(BooleanFunction(3, 0)))
         for f in enumerate_promise(3):
             # each hit reuses the prelude stored by the previous table
             calls.clear()
-            warm = run_exact(build(f))
+            warm = run_postselected(build(f))
             assert not calls, f.table
             mbqc._exact_memo.clear()
-            cold = run_exact(build(f))
+            cold = run_postselected(build(f))
             assert len(calls) == 1, f.table
             assert warm == cold, f.table
     assert len(mbqc._exact_memo) == 1
@@ -1546,19 +1556,20 @@ def test_exact_memo_hit_equals_a_cold_run_on_clifford_patterns(p, data):
         {v: a if v in p.z_basis else Phase(data.draw(st.integers(0, 3)), 2)
          for v, a in p.angles.items()}, set(p.edges), [], set(p.z_basis))
     mbqc._exact_memo.clear()
-    run_exact(p)
-    warm = run_exact(q)
+    run_postselected(p)
+    warm = run_postselected(q)
     assert len(mbqc._exact_memo) == 1
     mbqc._exact_memo.clear()
-    assert run_exact(q) == warm
+    assert run_postselected(q) == warm
 
 
-def _cold_run_exact(p):
-    """run_exact with an empty memo; the memo is restored afterwards."""
+def _cold_run(p):
+    """run_postselected with an empty memo; the memo is restored
+    afterwards."""
     saved = dict(mbqc._exact_memo)
     mbqc._exact_memo.clear()
     try:
-        return run_exact(p)
+        return run_postselected(p)
     finally:
         mbqc._exact_memo.clear()
         mbqc._exact_memo.update(saved)
@@ -1568,37 +1579,34 @@ def test_exact_memo_keeps_no_part_of_the_pattern(monkeypatch):
     calls = _prelude_calls(monkeypatch)
     f = BooleanFunction(3, 0b00001111)
     p = lattice_pattern_3q(f)
-    first = run_exact(p)
+    first = run_postselected(p)
     p.z_basis.clear()  # the same ids and edges, no z-basis qubit
-    assert run_exact(p) == _cold_run_exact(p) != first
+    assert run_postselected(p) == _cold_run(p) != first
     p.edges.difference_update(list(p.edges)[::2])
     p.angles[0] = PI
-    assert run_exact(p) == _cold_run_exact(p)
+    assert run_postselected(p) == _cold_run(p)
     assert len(calls) == 5
-    assert run_exact(lattice_pattern_3q(f)) == first
+    assert run_postselected(lattice_pattern_3q(f)) == first
     assert len(calls) == 5
 
 
 def test_run_exact_small_cases():
-    assert run_exact(MeasurementPattern({}, set(), [])).amplitude == 1
+    assert run_postselected(MeasurementPattern({}, set(), [])).amplitude == 1
     # an isolated qubit at pi sums to 1 - 1 = 0
-    lone = run_exact(MeasurementPattern({0: PI}, set(), [0]))
+    lone = run_postselected(MeasurementPattern({0: PI}, set(), [0]))
     assert lone.verdict is Verdict.BALANCED and lone.amplitude == 0
     # the z-basis qubit 1 fixes its bit to 0, which leaves qubit 0 alone
     pair = MeasurementPattern({0: PI, 1: ZERO}, {frozenset((0, 1))}, [0], {1})
-    assert run_exact(pair).amplitude == 0
+    assert run_postselected(pair).amplitude == 0
     # x_0 sums to 2, the cap pays 2 and the edge 1/sqrt(2)
     pair.angles[0] = ZERO
-    assert run_exact(pair).amplitude == pytest.approx(2 * 2 / 2 ** 0.5)
+    assert run_postselected(pair).amplitude == pytest.approx(2 * 2 / 2 ** 0.5)
 
 
 def test_run_exact_refuses_a_quarter_turn():
-    with pytest.raises(PreconditionFailed, match="qubit 1 "):
-        run_exact(MeasurementPattern({0: ZERO, 1: QUARTER_PI, 2: QUARTER_PI},
-                                     set(), [0]))
     # a malformed pattern fails validation before its angles are read
     with pytest.raises(NotGraphLikeError):
-        run_exact(MeasurementPattern({0: QUARTER_PI}, set(), [5]))
+        run_postselected(MeasurementPattern({0: QUARTER_PI}, set(), [5]))
 
 
 def test_quarter_turns_are_computed_once_per_pattern(monkeypatch):
@@ -1617,12 +1625,10 @@ def test_quarter_turns_are_computed_once_per_pattern(monkeypatch):
 
 def test_non_clifford_pattern_stores_no_exact_prelude(monkeypatch):
     monkeypatch.setattr(mbqc, "_exact_memo", {})
-    run_exact(dj_pattern_3q(BooleanFunction(3, 0)))
+    run_postselected(dj_pattern_3q(BooleanFunction(3, 0)))
     saved = dict(mbqc._exact_memo)
     p = _triangle_pattern()
     p.angles[0] = QUARTER_PI
-    with pytest.raises(PreconditionFailed):
-        run_exact(p)
     run_postselected(p)
     assert mbqc._exact_memo == saved
 
@@ -1685,7 +1691,7 @@ def test_exact_judge_agrees_across_reduce_lattice():
         for q in carriers:
             p.angles[q] = Phase(rng.randrange(4), 2)
         reduced, _ = reduce_lattice(p)
-        big, small = run_exact(p), run_exact(reduced)
+        big, small = run_postselected(p), run_postselected(reduced)
         assert big.verdict is small.verdict
         verdicts.add(big.verdict)
         if big.verdict is Verdict.CONSTANT:

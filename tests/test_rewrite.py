@@ -18,7 +18,7 @@ from zxdj import circuit, mbqc, rewrite
 from zxdj.circuit import (
     Circuit, cnot, hadamard, phase_gate, to_zx, to_zx_tracked)
 from zxdj.mbqc import (
-    MeasurementPattern, lattice_pattern_3q, reduce_lattice, run_exact,
+    MeasurementPattern, lattice_pattern_3q, reduce_lattice, run_postselected,
     run_sampled)
 from zxdj.oracle import BooleanFunction, enumerate_promise, oracle_circuit_3q
 from zxdj.phase import HALF_PI, MINUS_HALF_PI, PI, Phase, ZERO
@@ -708,7 +708,8 @@ _MEMOS = {
         Circuit(i + 1, [phase_gate(i, PI)]))),
     "rewrite": (rewrite, "_rewrite_memo",
                 lambda i: simplify_mbqc(new_diagram(i + 1, i + 1))),
-    "exact": (mbqc, "_exact_memo", lambda i: run_exact(_chain(i + 1))),
+    "exact": (mbqc, "_exact_memo",
+              lambda i: run_postselected(_chain(i + 1))),
     "flow": (mbqc, "_flow_memo",
              lambda i: run_sampled(_chain(i + 1), shots=5)),
     "lattice": (mbqc, "_lattice_memo", lambda i: reduce_lattice(

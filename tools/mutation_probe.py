@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 MBQC = "src/zxdj/mbqc.py"
+CLI = "src/zxdj/cli.py"
 MUTANTS = [
     Mutant("flow-memo-key-without-readouts", MBQC,
            "key = (frozenset(p.angles), frozenset(p.edges), "
@@ -84,6 +85,59 @@ MUTANTS = [
            "key = (tuple(qubits), frozenset(p.edges),",
            "key = (tuple(qubits), tuple(p.edges),",
            "reduce_lattice keys its memo on the edges in iteration order"),
+    Mutant("prelude-key-without-z-basis", MBQC,
+           "key = (frozenset(p.angles), frozenset(p.edges), "
+           "frozenset(p.z_basis))",
+           "key = (frozenset(p.angles), frozenset(p.edges))",
+           "_prelude's key leaves out the z-basis set"),
+    Mutant("prelude-key-without-qubits", MBQC,
+           "key = (frozenset(p.angles), frozenset(p.edges), "
+           "frozenset(p.z_basis))",
+           "key = (frozenset(p.edges), frozenset(p.z_basis))",
+           "_prelude's key leaves out the qubit set"),
+    Mutant("amplitude-without-z-basis-scale", MBQC,
+           "e, h + 2 * len(p.z_basis) - len(p.edges)))",
+           "e, h - len(p.edges)))",
+           "run_postselected drops the 2^|Z| of the z-basis caps"),
+    Mutant("dense-law-exponent-off-by-one", MBQC,
+           "len(p.edges) - exponent).as_integer_ratio()",
+           "len(p.edges) - exponent - 1).as_integer_ratio()",
+           "_constant_law halves a contracted pattern's P(Constant)"),
+    Mutant("shots-disagreement-exits-0", CLI,
+           "({out.agreeing_shots}/{out.shots} agree)\"])\n"
+           "            return 1\n",
+           "({out.agreeing_shots}/{out.shots} agree)\"])\n"
+           "            return 0\n",
+           "simulate --shots exits 0 when the shots disagree"),
+    Mutant("flow-memo-key-without-z-basis", MBQC,
+           "frozenset(p.readouts),\n           frozenset(p.z_basis))",
+           "frozenset(p.readouts))",
+           "_flow_memo's key leaves out the z-basis set"),
+    Mutant("verify-all-exits-0-on-disagreement", CLI,
+           'return 0 if doc["all_agree"] else 1',
+           "return 0",
+           "verify-all exits 0 when the routes disagree"),
+    Mutant("clifford-law-h-off-by-one", MBQC,
+           "return 1, exponent - s[1]\n",
+           "return 1, exponent - s[1] + 1\n",
+           "_constant_law's Clifford exponent is n + r - h + 1"),
+    Mutant("local-complement-h-plus-2", MBQC,
+           "            h += 1\n",
+           "            h += 2\n",
+           "_sum_exact's local complementation counts 2 for sqrt(2)"),
+    Mutant("solve-layer-highest-pivot", MBQC,
+           "j = (row[0] & -row[0]).bit_length() - 1",
+           "j = row[0].bit_length() - 1",
+           "_solve_layer pivots on each row's highest bit",
+           "any pivot solves the same system, so the layers are unchanged "
+           "and only the chosen K differs"),
+    Mutant("dense-verdict-at-the-floor", MBQC,
+           "abs(amplitude) > floor else",
+           "abs(amplitude) >= floor else",
+           "run_postselected reads Constant at |amplitude| equal to the "
+           "floor",
+           "the two differ only when |amplitude| equals the floor to the "
+           "last bit"),
 ]
 
 
