@@ -261,65 +261,68 @@ def _bit_tables(n: int) -> tuple[int, ...]:
 _wire_tables = functools.cache(_bit_tables)
 
 
-def _add_eighths(planes, b0, b1, b2):
-    """The per-path eighths in ``planes`` plus those in (b0, b1, b2), mod 8:
-    one ripple-carry add on three bit-planes over all paths at once."""
-    p0, p1, p2 = planes
-    carry = p0 & b0
-    t = p1 ^ b1
-    return p0 ^ b0, t ^ carry, p2 ^ b2 ^ ((p1 & b1) | (t & carry))
-
-
 def dj_run_circuit(oracle: Circuit):
     """Run the deterministic promise test: amplitude of |+...+> after the
     oracle decides constant (magnitude 1) versus balanced (magnitude 0).
 
-    A circuit of CNOT, Z, Y and phase gates at multiples of pi/4 maps each
-    input x to one output with a phase of k(x) eighths of a turn, so 2^w
-    times the amplitude is the exact sum of omega^k(x), omega = e^(i pi/4).
-    Each wire is a 2^w-bit truth table over the inputs and k(x) is kept
-    in three bit-planes, so every path moves at once.  With c_j paths at
-    k = j, the sum is a_0 + a_1 omega + a_2 omega^2 + a_3 omega^3 for
-    a_j = c_j - c_{j+4}: it is 0 iff every a_j is, and its squared
-    magnitude is A + B sqrt(2), with A the sum of the a_j^2 and
-    B = a0 a1 + a1 a2 + a2 a3 - a3 a0.  Any other circuit is judged by
-    ``dj_verdict`` on ``plus_amplitude``.
+    A circuit of CNOT, Z, Y and phase gates at dyadic multiples of pi maps
+    each input x to one output with a phase of k(x) units of pi/half, for
+    ``half`` the lcm (the largest) of the phase denominators, so 2^w times
+    the amplitude is the exact path sum of zeta^k(x), zeta = e^(i pi/half)
+    (Amy, arXiv:1805.06908).  Each wire is a 2^w-bit truth table over the
+    inputs and k(x) mod 2*half sits in half.bit_length() bit-planes, so one
+    ripple-carry add on the paths where a wire is 1 moves every path: Z
+    adds ``half`` units, a phase gate ``Phase.turns(half)``, and Y = iXZ
+    adds ``half`` and flips its wire (a global i moves no magnitude).
+    Splitting the paths by the lower planes gives at most 2^w groups, one
+    per j = k mod half, and the top plane then gives a_j = c_j - c_(j+half)
+    for c_k paths at k, so the sum is that of a_j zeta^j over j < half.
+    Those powers of zeta are independent over the rationals and no two
+    point the same way, while the |a_j| sum to at most 2^w: the sum is 0
+    (balanced) iff every a_j is, and of magnitude 2^w (constant) iff some
+    |a_j| is 2^w.  A circuit with an H gate or a non-dyadic phase is
+    judged by ``dj_verdict`` on ``plus_amplitude`` before any gate runs.
     """
     _check_width(oracle)
+    half = math.lcm(*[g.phase.denominator for g in oracle.gates
+                      if g.phase is not None])
+    if half & (half - 1) or any(g.op == "h" for g in oracle.gates):
+        return dj_verdict(plus_amplitude(oracle))
     w = oracle.width
     full = (1 << (1 << w)) - 1
     wires = list(_wire_tables(w))
-    planes = (0, 0, 0)
+    planes = [0] * half.bit_length()
     for g in oracle.gates:
         if g.op == "cnot":
             wires[g.qubits[1]] ^= wires[g.qubits[0]]
             continue
-        q = g.qubits[0]
-        m = wires[q]
-        if g.op == "z":
-            planes = _add_eighths(planes, 0, 0, m)
-        elif g.op == "y":
-            planes = _add_eighths(planes, 0, full, m)
-            wires[q] = m ^ full
-        elif g.op == "phase" and 4 % g.phase.denominator == 0:
-            k = 4 // g.phase.denominator * g.phase.numerator
-            planes = _add_eighths(planes, m if k & 1 else 0,
-                                  m if k & 2 else 0, m if k & 4 else 0)
-        else:
-            return dj_verdict(plus_amplitude(oracle))
-    p0, p1, p2 = planes
-    a0, a1, a2, a3 = [low.bit_count() - 2 * (low & p2).bit_count()
-                      for low in (~p0 & ~p1 & full, p0 & ~p1, ~p0 & p1, p0 & p1)]
-    squares = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+        m = wires[g.qubits[0]]
+        k = half if g.phase is None else g.phase.turns(half)
+        if not k:
+            continue
+        carry = 0
+        for i, p in enumerate(planes):
+            b = m if k >> i & 1 else 0
+            planes[i] = p ^ b ^ carry
+            carry = p & b | carry & (p ^ b)
+        if g.op == "y":
+            wires[g.qubits[0]] = m ^ full
+    *low, top = planes
+    groups = {0: full}  # the paths at each j = k mod half
+    for i, p in enumerate(low):
+        groups = {key: part for j, paths in groups.items()
+                  for key, part in ((j, paths & ~p), (j | 1 << i, paths & p))
+                  if part}
+    a = {j: paths.bit_count() - 2 * (paths & top).bit_count()
+         for j, paths in groups.items()}
     from .oracle import Verdict  # local import to avoid a cycle
 
-    if not squares:
+    if not any(a.values()):
         return Verdict.BALANCED
-    # sum |a_j| <= 2^w: squares = 4^w leaves one a_j = +-2^w, so cross = 0
-    if squares == 1 << 2 * w:
+    if (1 << w) in map(abs, a.values()):
         return Verdict.CONSTANT
-    cross = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
-    raise _not_promise(math.sqrt(squares + cross * math.sqrt(2)) / (1 << w))
+    total = sum(a_j * Phase(j, half).phase_factor() for j, a_j in a.items())
+    raise _not_promise(abs(total) / (1 << w))
 
 
 def _not_promise(magnitude: float) -> NotPromiseError:

@@ -412,21 +412,12 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     return PatternOutcome(verdict, amplitude)
 
 
-def _quarter_turns(angle: Phase) -> int | None:
-    """The angle over pi/2, in 0..3, or None for no multiple of pi/2."""
-    if angle.denominator == 1:
-        return 2 * angle.numerator
-    if angle.denominator == 2:
-        return angle.numerator
-    return None
-
-
 def _clifford_turns(p: MeasurementPattern) -> dict[int, int] | None:
-    """Each qubit's quarter turns, or None if some angle is no multiple of
-    pi/2."""
+    """Each qubit's quarter turns (``Phase.turns(2)``), or None if some
+    angle is no multiple of pi/2."""
     turns = {}
     for q, angle in p.angles.items():
-        t = _quarter_turns(angle)
+        t = angle.turns(2)
         if t is None:
             return None
         turns[q] = t
@@ -442,27 +433,22 @@ def _bits(mask: int):
 
 
 # _prelude's records by pattern shape (see _prelude).
-_exact_memo: dict[tuple, tuple[tuple, tuple[int, ...], tuple[bool, ...]]] = {}
+_exact_memo: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
 
 
 def _exact_prelude(p: MeasurementPattern) -> tuple:
-    """The qubits in ascending order, each qubit's adjacency row as a
-    bitset over their indices, and whether it is a free bit; a z-basis
+    """The qubits outside the z basis in ascending order, and each one's
+    adjacency row among them as a bitset over their indices; a z-basis
     qubit has x_v = 0, which drops it and its edges from S."""
-    qubits = p.qubits()
+    qubits = [q for q in p.qubits() if q not in p.z_basis]
     index = {q: i for i, q in enumerate(qubits)}
     adj = [0] * len(qubits)
     for q, r in p.edges:
-        u, v = index[q], index[r]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    live = [True] * len(qubits)
-    for q in p.z_basis:
-        v = index[q]
-        live[v] = False
-        for u in _bits(adj[v]):
-            adj[u] ^= 1 << v
-    return tuple(qubits), tuple(adj), tuple(live)
+        if q in index and r in index:
+            u, v = index[q], index[r]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return tuple(qubits), tuple(adj)
 
 
 def _prelude(p: MeasurementPattern) -> tuple:
@@ -492,9 +478,9 @@ def _sum_exact(p: MeasurementPattern,
       other neighbours (a pivot) and removes v and w;
     - even l_v with no neighbour: 2 for l_v = 0, and S = 0 for l_v = 2.
     """
-    qubits, rows, free = _prelude(p)
+    qubits, rows = _prelude(p)
     turns = [by_qubit[q] for q in qubits]
-    adj, live = list(rows), list(free)
+    adj, live = list(rows), [True] * len(qubits)
     e = h = 0
     for v in range(len(qubits)):
         if not live[v]:
@@ -593,7 +579,7 @@ def find_gflow(p: MeasurementPattern):
     p.validate()
     if p.z_basis:
         raise NoFlowError("z-basis qubits need Pauli flow, not XY gflow")
-    qubits, rows, _ = _prelude(p)
+    qubits, rows = _prelude(p)
     outputs = set(p.readouts)
     layer = dict.fromkeys(sorted(outputs), 0)
     g: dict[int, frozenset] = {}

@@ -59,6 +59,13 @@ class Phase:
         pinned tensor digest depend on these bits."""
         return cmath.exp(1j * self.radians)
 
+    def turns(self, half: int) -> int | None:
+        """The angle in units of pi/half, in 0..2*half - 1, or None when it
+        is no whole number of them."""
+        if half % self.denominator:
+            return None  # reduced, so den | num * half iff den | half
+        return half // self.denominator * self.numerator
+
     def is_zero(self) -> bool:
         return self.numerator == 0
 

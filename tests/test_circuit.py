@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -75,14 +76,17 @@ def _reference_unitary(c: Circuit) -> np.ndarray:
     return u
 
 
-def _random_circuit(rng, width, depth, kinds=("phase", "z", "y", "h", "cnot")):
+def _random_circuit(rng, width, depth, kinds=("phase", "z", "y", "h", "cnot"),
+                    half=4):
+    """A circuit of ``depth`` gates drawn from ``kinds``, with phases at
+    multiples of pi/half."""
     one_qubit = [k for k in kinds if k != "cnot"]
     gates = []
     for _ in range(depth):
         kind = rng.choice(kinds if width > 1 else one_qubit)
         if kind == "phase":
             gates.append(phase_gate(rng.randrange(width),
-                                    Phase(rng.randrange(8), 4)))
+                                    Phase(rng.randrange(2 * half), half)))
         elif kind == "cnot":
             a, b = rng.sample(range(width), 2)
             gates.append(cnot(a, b))
@@ -383,34 +387,81 @@ def _state_vector_verdict(c):
        st.integers(0, 16))
 @settings(max_examples=200, deadline=None)
 def test_exact_route_matches_the_state_vector(rng, width, depth):
-    # every gate kind but H, at phases that are multiples of pi/4: the path
-    # sum decides every circuit, and must give the verdict, or the message,
-    # that the state vector gives
-    c = (_random_circuit(rng, width, depth, ("phase", "z", "y", "cnot"))
+    # every gate kind but H, at phases that are multiples of pi/32 (six
+    # bit-planes, so a carry ripples through several): the path sum decides
+    # every circuit, and must give the verdict, or the message, that the
+    # state vector gives
+    c = (_random_circuit(rng, width, depth, ("phase", "z", "y", "cnot"), 32)
          if width else Circuit(0, []))
     assert _judge(dj_run_circuit, c) == _judge(_state_vector_verdict, c)
 
 
-def test_exact_route_builds_no_state_vector(monkeypatch):
+def _refuse_the_state_vector(monkeypatch):
     def refuse(c):
         raise AssertionError("the state vector was built")
 
     monkeypatch.setattr(circuit, "plus_amplitude", refuse)
     monkeypatch.delattr(circuit, "_TOL")
+
+
+def test_exact_route_builds_no_state_vector(monkeypatch):
+    _refuse_the_state_vector(monkeypatch)
     for f in enumerate_promise(3):
         assert dj_run_circuit(oracle_circuit_3q(f)) is classify(f)
+
+
+@pytest.mark.parametrize("c", [
+    Circuit(1, [phase_gate(0, Phase(1, 8))]),
+    Circuit(2, [phase_gate(0, Phase(1, 8)), phase_gate(0, Phase(15, 8)),
+                pauli_y(1)]),
+], ids=["eighth-pi", "eighth-pi-undone"])
+def test_dyadic_phase_circuits_build_no_state_vector(monkeypatch, c):
+    # |<+|U|+>| = cos(pi/16) is no promise magnitude; pi/8 then 15pi/8 is
+    # the identity, and Y on wire 1 makes the circuit balanced
+    dense = _judge(_state_vector_verdict, c)
+    _refuse_the_state_vector(monkeypatch)
+    assert _judge(dj_run_circuit, c) == dense
+
+
+def test_a_phase_the_float_judge_misreads_is_no_promise():
+    # |<+|U|+>| = cos(pi/2^17) is within _TOL of 1, so the state vector
+    # reads Constant; the path sum counts a_0 = a_1 = 1 at half = 2^16,
+    # which is neither a zero sum nor one |a_j| = 2
+    c = Circuit(1, [phase_gate(0, Phase(1, 2 ** 16))])
+    assert dj_verdict(plus_amplitude(c)) is Verdict.CONSTANT
+    with pytest.raises(NotPromiseError, match="neither 0 nor 1"):
+        dj_run_circuit(c)
+
+
+def test_a_fine_dyadic_phase_takes_as_many_planes_as_it_needs():
+    # 201 bit-planes: the paths are split one plane at a time, never
+    # counted over all 2^201 values of k
+    rng = random.Random(200)
+    half = 2 ** 200
+    c = Circuit(MAX_WIDTH, [
+        phase_gate(rng.randrange(MAX_WIDTH),
+                   Phase(rng.randrange(2 * half), half))
+        for _ in range(20)])
+    undone = Circuit(MAX_WIDTH, c.gates + [
+        phase_gate(g.qubits[0], -g.phase) for g in c.gates])
+    start = time.perf_counter()
+    with pytest.raises(NotPromiseError):
+        dj_run_circuit(c)
+    assert dj_run_circuit(undone) is Verdict.CONSTANT
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("c", [
     Circuit(1, [hadamard(0)]),
     Circuit(1, [hadamard(0), pauli_z(0), hadamard(0)]),
     Circuit(2, [cnot(0, 1), hadamard(1), hadamard(1), pauli_z(0)]),
-    Circuit(1, [phase_gate(0, Phase(1, 8))]),
-    Circuit(2, [phase_gate(0, Phase(1, 8)), phase_gate(0, Phase(15, 8)),
-                pauli_y(1)]),
-], ids=["h", "h-z-h", "h-h-z", "eighth-pi", "eighth-pi-undone"])
+    Circuit(1, [phase_gate(0, Phase(1, 3))]),
+    Circuit(2, [phase_gate(1, Phase(1, 3)), pauli_y(0),
+                phase_gate(1, Phase(5, 3))]),
+], ids=["h", "h-z-h", "h-h-z", "third-pi", "third-pi-undone"])
 def test_hadamard_and_eighth_pi_circuits_take_the_state_vector(monkeypatch,
                                                                 c):
+    # only an H gate or a non-dyadic phase takes the state vector
     calls = []
     real = circuit.plus_amplitude
     monkeypatch.setattr(circuit, "plus_amplitude",

@@ -689,7 +689,7 @@ def _star(leaves, angle=ZERO):
 def _non_clifford(p):
     """A copy of ``p`` with pi/4 added to every angle that is a multiple of
     pi/2, so that no angle is one and run_sampled contracts its diagram."""
-    angles = {q: a + QUARTER_PI if mbqc._quarter_turns(a) is not None else a
+    angles = {q: a + QUARTER_PI if a.turns(2) is not None else a
               for q, a in p.angles.items()}
     return MeasurementPattern(angles, set(p.edges), list(p.readouts))
 
@@ -1612,9 +1612,9 @@ def test_run_exact_refuses_a_quarter_turn():
 def test_quarter_turns_are_computed_once_per_pattern(monkeypatch):
     monkeypatch.setattr(mbqc, "_exact_memo", {})
     calls = []
-    real = mbqc._quarter_turns
-    monkeypatch.setattr(mbqc, "_quarter_turns",
-                        lambda a: (calls.append(a), real(a))[1])
+    real = Phase.turns
+    monkeypatch.setattr(Phase, "turns",
+                        lambda a, half: (calls.append(a), real(a, half))[1])
     f = BooleanFunction(3, 0b01101001)
     for warm in (False, True):  # a memo miss, then a hit
         calls.clear()

@@ -21,7 +21,7 @@ from zxdj.mbqc import (
     MeasurementPattern, lattice_pattern_3q, reduce_lattice, run_postselected,
     run_sampled)
 from zxdj.oracle import BooleanFunction, enumerate_promise, oracle_circuit_3q
-from zxdj.phase import HALF_PI, MINUS_HALF_PI, PI, Phase, ZERO
+from zxdj.phase import HALF_PI, MINUS_HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.rewrite import (
     MEMO_SHAPES,
     RewriteStep,
@@ -646,6 +646,42 @@ def test_memo_key_holds_what_the_rules_read(monkeypatch):
     assert run() > 0
     assert run() == 0
     assert len(rewrite._rewrite_memo) == 4
+
+
+def _spider_chain(kinds, phases, edge=EdgeKind.PLAIN):
+    """A chain of spiders of these kinds and phases, joined by ``edge``
+    edges, with the first spider the input and the last the output."""
+    d = ZxDiagram()
+    ids = [d.add_spider(k, a) for k, a in zip(kinds, phases)]
+    for a, b in zip(ids, ids[1:]):
+        d.add_edge(a, b, edge)
+    d.inputs, d.outputs = ids[:1], ids[-1:]
+    return d
+
+
+def _cold(d, protected):
+    """simplify_core's diagram and trace on a copy of ``d``."""
+    d = d.copy()
+    steps, _ = rewrite.simplify_core(d, protected)
+    return d.to_json(), steps
+
+
+def test_memo_key_holds_the_spider_kinds(monkeypatch):
+    # Z-Z-Z and Z-X-Z have the same ids, edges, boundary and phases
+    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
+    phases = (ZERO, QUARTER_PI, ZERO)
+    simplify_mbqc(_spider_chain((SpiderKind.Z,) * 3, phases))
+    twin = _spider_chain((SpiderKind.Z, SpiderKind.X, SpiderKind.Z), phases)
+    out, steps = simplify_mbqc(twin)
+    assert (out.to_json(), steps) == _cold(twin, frozenset())
+
+
+def test_memo_key_holds_the_protected_set(monkeypatch):
+    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
+    d = _spider_chain((SpiderKind.Z,) * 4, (ZERO,) * 4, EdgeKind.HADAMARD)
+    simplify_mbqc(d, frozenset({1}))
+    out, steps = simplify_mbqc(d, frozenset({2}))
+    assert (out.to_json(), steps) == _cold(d, frozenset({2}))
 
 
 def test_memo_keeps_memo_shapes_first_in(monkeypatch):

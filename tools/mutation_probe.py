@@ -47,6 +47,8 @@ class Mutant(NamedTuple):
 
 MBQC = "src/zxdj/mbqc.py"
 CLI = "src/zxdj/cli.py"
+CIRCUIT = "src/zxdj/circuit.py"
+REWRITE = "src/zxdj/rewrite.py"
 MUTANTS = [
     Mutant("flow-memo-key-without-readouts", MBQC,
            "key = (frozenset(p.angles), frozenset(p.edges), "
@@ -57,10 +59,6 @@ MUTANTS = [
            "if m >> x & 1:\n                        turns[x] += 2\n",
            "if m >> x & 1:\n                        turns[x] += 0\n",
            "_sum_exact's pivot drops the x_t x_t = x_t term"),
-    Mutant("cross-term-sign", "src/zxdj/circuit.py",
-           "cross = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0",
-           "cross = a0 * a1 + a1 * a2 + a2 * a3 + a3 * a0",
-           "dj_run_circuit's |S|^2 cross term adds a3*a0"),
     Mutant("greedy-ties-by-highest-id", "src/zxdj/tensor.py",
            "key=lambda u: (score(u, adj), u))",
            "key=lambda u: (score(u, adj), -u))",
@@ -138,6 +136,66 @@ MUTANTS = [
            "floor",
            "the two differ only when |amplitude| equals the floor to the "
            "last bit"),
+    Mutant("zx-memo-key-without-width", CIRCUIT,
+           "key = (c.width, tuple([(g.op, tuple(g.qubits))",
+           "key = (0, tuple([(g.op, tuple(g.qubits))",
+           "_zx_memo's key leaves out the circuit width"),
+    Mutant("zx-memo-key-ops-only", CIRCUIT,
+           "tuple([(g.op, tuple(g.qubits)) for g in c.gates])",
+           "tuple([g.op for g in c.gates])",
+           "_zx_memo's key holds each gate's op but not its qubits"),
+    Mutant("rewrite-key-without-next-ids", REWRITE,
+           "d._next_node, d._next_edge, tuple(sorted(protected)),",
+           "tuple(sorted(protected)),",
+           "_rewrite_key leaves out the ids new spiders and edges take"),
+    Mutant("rewrite-key-without-unprotected-phases", REWRITE,
+           "tuple([s.phase for v, s in spiders if v not in protected]))",
+           "())",
+           "_rewrite_key leaves out the unprotected phases"),
+    Mutant("rewrite-key-without-kinds", REWRITE,
+           "return (shape, tuple([s.kind is SpiderKind.X for _, s in spiders]),",
+           "return (shape, (),",
+           "_rewrite_key leaves out the spider kinds"),
+    Mutant("rewrite-key-without-protected-set", REWRITE,
+           "d._next_node, d._next_edge, tuple(sorted(protected)),",
+           "d._next_node, d._next_edge, (),",
+           "_rewrite_key leaves out the protected set"),
+    Mutant("memoized-evicts-the-newest", REWRITE,
+           "del memo[next(iter(memo))]",
+           "del memo[next(reversed(memo))]",
+           "_memoized evicts the last key in, not the first"),
+    Mutant("memoized-bound-off-by-one", REWRITE,
+           "if len(memo) >= MEMO_SHAPES:",
+           "if len(memo) > MEMO_SHAPES:",
+           "_memoized keeps MEMO_SHAPES + 1 keys"),
+    Mutant("lattice-key-without-spare-angles", MBQC,
+           "tuple(p.readouts), tuple([p.angles[q] for q in qubits",
+           "tuple(p.readouts), tuple([ZERO for q in qubits",
+           "reduce_lattice's key leaves out the non-carrier angles"),
+    Mutant("usage-error-exits-1", CLI,
+           "        return 2\n    except ZxError as exc:",
+           "        return 1\n    except ZxError as exc:",
+           "main exits 1 on a usage error"),
+    Mutant("domain-error-exits-2", CLI,
+           "        return 1\n\n\nif __name__",
+           "        return 2\n\n\nif __name__",
+           "main exits 2 on a domain error"),
+    Mutant("negative-seed-let-through", CLI,
+           "if args.seed < 0:",
+           "if args.seed < -1:",
+           "simulate lets --seed -1 through"),
+    Mutant("parity-coefficient-sign", "src/zxdj/oracle.py",
+           "phases[(2 * (table & mask).bit_count() - ones) % size]",
+           "phases[(ones - 2 * (table & mask).bit_count()) % size]",
+           "phase_polynomial flips every parity coefficient's sign"),
+    Mutant("ripple-add-carry-dropped", CIRCUIT,
+           "carry = p & b | carry & (p ^ b)",
+           "carry = p & b",
+           "dj_run_circuit's ripple-carry add drops the incoming carry"),
+    Mutant("constant-at-half-magnitude", CIRCUIT,
+           "if (1 << w) in map(abs, a.values()):",
+           "if (1 << w - 1) in map(abs, a.values()):",
+           "dj_run_circuit reads Constant at |a_j| = 2^(w-1), not 2^w"),
 ]
 
 
