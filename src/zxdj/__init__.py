@@ -14,6 +14,7 @@ numpy is imported only where an array is built: inside the functions of
 from .circuit import (
     Circuit,
     Gate,
+    Verdict,
     cnot,
     dj_run_circuit,
     hadamard,
@@ -59,7 +60,6 @@ from .mbqc import (
 from .oracle import (
     BooleanFunction,
     PhasePolynomial,
-    Verdict,
     classify,
     count_balanced,
     enumerate_promise,

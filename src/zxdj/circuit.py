@@ -6,6 +6,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import TYPE_CHECKING
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
@@ -20,6 +21,13 @@ if TYPE_CHECKING:
 # ops: "phase" (1q, carries an angle), "cnot" (control, target),
 #      "z", "y", "h" (1q)
 _ONE_QUBIT_OPS = {"phase", "z", "y", "h"}
+
+
+class Verdict(Enum):
+    """The promise verdict; ``dj_run_circuit`` and ``dj_verdict`` return it."""
+
+    CONSTANT = "constant"
+    BALANCED = "balanced"
 
 
 @dataclass(frozen=True)
@@ -315,8 +323,6 @@ def dj_run_circuit(oracle: Circuit):
                   if part}
     a = {j: paths.bit_count() - 2 * (paths & top).bit_count()
          for j, paths in groups.items()}
-    from .oracle import Verdict  # local import to avoid a cycle
-
     if not any(a.values()):
         return Verdict.BALANCED
     if (1 << w) in map(abs, a.values()):
@@ -326,15 +332,17 @@ def dj_run_circuit(oracle: Circuit):
 
 
 def _not_promise(magnitude: float) -> NotPromiseError:
-    return NotPromiseError(
-        f"|<+...+|U|+...+>| = {magnitude:.6f} is neither 0 nor 1")
+    """The error for a magnitude neither 0 nor 1, printed with six decimals
+    unless they would round it to 0 or 1, when it is printed in full."""
+    text = f"{magnitude:.6f}"
+    if text in ("0.000000", "1.000000"):
+        text = repr(magnitude)
+    return NotPromiseError(f"|<+...+|U|+...+>| = {text} is neither 0 nor 1")
 
 
 def dj_verdict(amplitude: complex):
     """The promise verdict of a |+...+> amplitude: Constant at magnitude 1,
     Balanced at 0, each within _TOL, ``NotPromiseError`` otherwise."""
-    from .oracle import Verdict  # local import to avoid a cycle
-
     if abs(abs(amplitude) - 1.0) <= _TOL:
         return Verdict.CONSTANT
     if abs(amplitude) <= _TOL:

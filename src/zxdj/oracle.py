@@ -6,9 +6,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
-from .circuit import Circuit, Gate, _bit_tables, cnot, phase_gate
+from .circuit import Circuit, Gate, Verdict, _bit_tables, cnot, phase_gate
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
 
@@ -16,11 +15,6 @@ from .phase import Phase, PI, ZERO
 # Most input bits a BooleanFunction takes: its table is a 2^n-bit integer,
 # 128 KiB at n = 20.
 MAX_INPUT_BITS = 20
-
-
-class Verdict(Enum):
-    CONSTANT = "constant"
-    BALANCED = "balanced"
 
 
 @dataclass(frozen=True)

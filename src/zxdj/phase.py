@@ -4,31 +4,35 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True, order=True)
-class Phase:
+class Phase(namedtuple("Phase", "numerator denominator")):
     """A phase angle (numerator/denominator)*pi with the fraction reduced
     and normalized into [0, 2).
 
     Addition is modulo 2*pi.  All angles used by the compiler are dyadic
     multiples of pi, but any rational multiple is representable.
+
+    A phase is the immutable pair ``(numerator, denominator)``, so its
+    hash, equality and order are the tuple's, run in C: it hashes as that
+    pair, orders as pairs do, and equals the plain tuple ``(n, d)``.  Its
+    own methods index ``self[0]``/``self[1]``, which CPython specializes,
+    rather than read the named fields, which it does not.
     """
 
-    numerator: int
-    denominator: int
+    __slots__ = ()
 
-    def __init__(self, numerator: int, denominator: int = 1):
+    def __new__(cls, numerator: int, denominator: int = 1):
         if denominator == 0:
             raise ValueError("phase denominator must be nonzero")
         # dividing by the signed gcd leaves a positive denominator, and
         # reducing before the modulus keeps the fraction reduced after it
         g = math.gcd(numerator, denominator) * (-1 if denominator < 0 else 1)
         denominator //= g
-        object.__setattr__(self, "numerator", numerator // g % (2 * denominator))
-        object.__setattr__(self, "denominator", denominator)
+        return tuple.__new__(
+            cls, (numerator // g % (2 * denominator), denominator))
 
     @classmethod
     def from_fraction(cls, frac: Fraction) -> "Phase":
@@ -46,11 +50,11 @@ class Phase:
 
     @property
     def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+        return Fraction(self[0], self[1])
 
     @property
     def radians(self) -> float:
-        return self.numerator / self.denominator * cmath.pi
+        return self[0] / self[1] * cmath.pi
 
     def phase_factor(self) -> complex:
         """exp(i * angle) by ``cmath.exp``, rounded to double precision.
@@ -62,30 +66,32 @@ class Phase:
     def turns(self, half: int) -> int | None:
         """The angle in units of pi/half, in 0..2*half - 1, or None when it
         is no whole number of them."""
-        if half % self.denominator:
+        if half % self[1]:
             return None  # reduced, so den | num * half iff den | half
-        return half // self.denominator * self.numerator
+        return half // self[1] * self[0]
 
     def is_zero(self) -> bool:
-        return self.numerator == 0
+        return self[0] == 0
 
     def __add__(self, other: "Phase") -> "Phase":
-        if not other.numerator:
+        """The sum mod 2*pi; a zero operand returns the other one."""
+        if not other[0]:
             return self
-        return Phase(self.numerator * other.denominator
-                     + other.numerator * self.denominator,
-                     self.denominator * other.denominator)
+        if not self[0]:
+            return other
+        return Phase(self[0] * other[1] + other[0] * self[1],
+                     self[1] * other[1])
 
     def __sub__(self, other: "Phase") -> "Phase":
         return self + -other
 
     def __neg__(self) -> "Phase":
-        return Phase(-self.numerator, self.denominator)
+        return Phase(-self[0], self[1])
 
     def __str__(self) -> str:
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
+        if self[1] == 1:
+            return str(self[0])
+        return f"{self[0]}/{self[1]}"
 
 
 ZERO = Phase(0)

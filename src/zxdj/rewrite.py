@@ -449,15 +449,24 @@ def _rewrite_key(d: ZxDiagram, protected: set[int]) -> tuple:
     """All the simplifier reads: the shape (spider ids, edges and boundary,
     so any structural change gives a new key), the kinds, the ids new
     spiders and edges take, protection and the unprotected phases.  Kinds
-    enter as bools, since a bool hashes in C and an enum member in Python."""
-    spiders = sorted(d.spiders.items())
-    shape = (tuple([v for v, _ in spiders]),
-             tuple([(eid, e.a, e.b, e.kind is EdgeKind.HADAMARD)
-                    for eid, e in sorted(d.edges.items())]),
+    enter as bools, since a bool hashes in C and an enum member in Python;
+    the two members are read once, as an enum class attribute read is not
+    specialized.
+
+    The diagram is read in its own dict order, not sorted: that order is
+    finer than the sorted one, so equal keys still mean identical diagrams
+    and a hit is never wrong, while the same diagram built in another
+    insertion order only misses once.  ``to_zx_tracked`` copies keep the
+    order of their shape's diagram, so every oracle variant shares a key."""
+    hadamard, x = EdgeKind.HADAMARD, SpiderKind.X
+    shape = (tuple(d.spiders), tuple(d.edges),
+             tuple([(e.a, e.b, e.kind is hadamard)
+                    for e in d.edges.values()]),
              tuple(d.inputs), tuple(d.outputs))
-    return (shape, tuple([s.kind is SpiderKind.X for _, s in spiders]),
+    return (shape, tuple([s.kind is x for s in d.spiders.values()]),
             d._next_node, d._next_edge, tuple(sorted(protected)),
-            tuple([s.phase for v, s in spiders if v not in protected]))
+            tuple([s.phase for v, s in d.spiders.items()
+                   if v not in protected]))
 
 
 def simplify_core(d: ZxDiagram, protected) -> tuple[list[RewriteStep], tuple]:

@@ -433,6 +433,26 @@ def test_a_phase_the_float_judge_misreads_is_no_promise():
         dj_run_circuit(c)
 
 
+def test_the_not_promise_message_never_reads_0_or_1():
+    # cos(pi/2^17) rounds to 1.000000 at six decimals, so it is printed in
+    # full; cos(pi/4) keeps its six decimals
+    with pytest.raises(NotPromiseError) as fine:
+        dj_run_circuit(Circuit(1, [phase_gate(0, Phase(1, 2 ** 16))]))
+    assert "neither 0 nor 1" in str(fine.value)
+    assert "= 1.000000" not in str(fine.value)
+    assert "= 0.99999999971" in str(fine.value)  # cos(pi/2^17) in full
+    with pytest.raises(NotPromiseError, match=r"= 0\.707107 is neither"):
+        dj_run_circuit(Circuit(1, [phase_gate(0, HALF_PI)]))
+    assert "= 1e-09 is" in str(circuit._not_promise(1e-9))
+
+
+def test_verdict_is_one_class():
+    import zxdj
+    from zxdj import oracle
+
+    assert zxdj.Verdict is oracle.Verdict is circuit.Verdict
+
+
 def test_a_fine_dyadic_phase_takes_as_many_planes_as_it_needs():
     # 201 bit-planes: the paths are split one plane at a time, never
     # counted over all 2^201 values of k

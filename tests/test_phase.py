@@ -110,3 +110,40 @@ def test_factor_matches_radians(a):
 @given(phases)
 def test_str_round_trip(a):
     assert Phase.parse(str(a)) == a
+
+
+# -- a phase is the immutable pair (numerator, denominator) -------------------
+
+
+@given(phases)
+def test_hash_is_the_pairs(p):
+    # a set of phases iterates in the order its pairs' hashes give
+    assert hash(p) == hash((p.numerator, p.denominator))
+    assert p == (p.numerator, p.denominator)
+
+
+@given(phases)
+def test_a_zero_operand_returns_the_other(p):
+    # when both are zero either one is returned, so only equality holds
+    assert ZERO + p == p == p + ZERO
+    if not p.is_zero():
+        assert ZERO + p is p
+        assert p + ZERO is p
+
+
+@given(st.lists(phases))
+def test_phases_sort_as_their_pairs(ps):
+    assert ([(p.numerator, p.denominator) for p in sorted(ps)]
+            == sorted((p.numerator, p.denominator) for p in ps))
+
+
+@given(phases)
+def test_phases_are_immutable(p):
+    with pytest.raises(AttributeError):
+        p.numerator = 1
+    with pytest.raises(AttributeError):
+        p.turn = 1
+
+
+def test_repr_names_the_fields():
+    assert repr(HALF_PI) == "Phase(numerator=1, denominator=2)"

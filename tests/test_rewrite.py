@@ -801,6 +801,44 @@ def test_memo_hands_out_results_a_caller_may_mutate(monkeypatch):
     assert len(rewrite._rewrite_memo) == 1
 
 
+def test_every_oracle_translation_shares_one_memo_entry(monkeypatch):
+    # to_zx_tracked copies keep their shape's dict order, which the key reads
+    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
+    for f in enumerate_promise(3):
+        d, carriers = to_zx_tracked(oracle_circuit_3q(f))
+        simplify_mbqc(d, frozenset(carriers))
+    assert len(rewrite._rewrite_memo) == 1
+
+
+def _reversed(d):
+    """A copy of ``d`` whose spider and edge dicts hold the same items in
+    reverse insertion order."""
+    out = d.copy()
+    out.spiders = dict(reversed(out.spiders.items()))
+    out.edges = dict(reversed(out.edges.items()))
+    return out
+
+
+def test_a_reordered_diagram_simplifies_as_a_cold_run(monkeypatch):
+    # the key reads a diagram in its dict order: the same content in
+    # another order may miss, but must never take another order's record
+    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
+    for f in enumerate_promise(3):
+        d, carriers = to_zx_tracked(oracle_circuit_3q(f))
+        protected = frozenset(carriers)
+        simplify_mbqc(d, protected)
+        cold = _reversed(d)
+        steps, formulas = rewrite.simplify_core(cold, protected)
+        out, trace = simplify_mbqc(_reversed(d), protected)
+        record = rewrite._rewrite_memo[rewrite._rewrite_key(_reversed(d),
+                                                            protected)]
+        assert out.to_json() == cold.to_json()
+        assert (out._next_node, out._next_edge) == (cold._next_node,
+                                                    cold._next_edge)
+        assert trace == steps
+        assert record.formulas == formulas
+
+
 # -- a Hadamard edge parallel to a fused plain edge ----------------------------
 
 def test_fusion_absorbs_a_parallel_hadamard_edge_as_pi():

@@ -149,17 +149,27 @@ MUTANTS = [
            "tuple(sorted(protected)),",
            "_rewrite_key leaves out the ids new spiders and edges take"),
     Mutant("rewrite-key-without-unprotected-phases", REWRITE,
-           "tuple([s.phase for v, s in spiders if v not in protected]))",
+           "tuple([s.phase for v, s in d.spiders.items()\n"
+           "                   if v not in protected]))",
            "())",
            "_rewrite_key leaves out the unprotected phases"),
     Mutant("rewrite-key-without-kinds", REWRITE,
-           "return (shape, tuple([s.kind is SpiderKind.X for _, s in spiders]),",
+           "return (shape, tuple([s.kind is x for s in d.spiders.values()]),",
            "return (shape, (),",
            "_rewrite_key leaves out the spider kinds"),
+    Mutant("rewrite-key-without-edge-endpoints", REWRITE,
+           "tuple([(e.a, e.b, e.kind is hadamard)\n"
+           "                    for e in d.edges.values()]),\n",
+           "",
+           "_rewrite_key leaves out each edge's endpoints and kind"),
     Mutant("rewrite-key-without-protected-set", REWRITE,
            "d._next_node, d._next_edge, tuple(sorted(protected)),",
            "d._next_node, d._next_edge, (),",
            "_rewrite_key leaves out the protected set"),
+    Mutant("zero-plus-phase-is-zero", "src/zxdj/phase.py",
+           "        if not self[0]:\n            return other\n",
+           "        if not self[0]:\n            return self\n",
+           "Phase.__add__ returns the zero left operand, not the other one"),
     Mutant("memoized-evicts-the-newest", REWRITE,
            "del memo[next(iter(memo))]",
            "del memo[next(reversed(memo))]",
