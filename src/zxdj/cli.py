@@ -142,25 +142,18 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _pattern_from_text(text: str) -> MeasurementPattern:
+    """A pattern document, or a ``compile-mbqc`` or ``lattice`` output whose
+    ``"pattern"`` key holds one."""
     doc = json.loads(text)
     if isinstance(doc, dict) and "pattern" in doc:
         doc = doc["pattern"]
     return MeasurementPattern.from_json_dict(doc)
 
 
-def _load_pattern(path: str) -> MeasurementPattern:
-    """Load a pattern document, or a ``compile-mbqc`` or ``lattice`` output
-    whose ``"pattern"`` key holds one; ``NotGraphLikeError`` when it fails
-    ``MeasurementPattern.validate``."""
-    p = _load(path, "pattern", _pattern_from_text)
-    p.validate()
-    return p
-
-
 def _pattern_of(args) -> MeasurementPattern:
     """The ``--pattern`` file, else the hand-built pattern of the function."""
     if args.pattern:
-        return _load_pattern(args.pattern)
+        return _load(args.pattern, "pattern", _pattern_from_text)
     f = _parse_function(args)
     if f.n not in _PATTERN_MAKERS:
         raise UsageError("--n must be 1, 2, or 3")

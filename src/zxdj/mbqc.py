@@ -19,8 +19,8 @@ import operator
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram
 from .errors import (
@@ -48,44 +48,51 @@ def _qubit_id(q) -> int:
     return q
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementPattern:
-    """Cluster graph + measurement angles.
+    """Cluster graph + measurement angles: an immutable value, checked once
+    when it is built, so no consumer checks it again.
 
-    ``angles`` maps qubit id to its XY-plane angle (0 = x basis).  Qubits in
-    ``z_basis`` are instead measured in the computational basis (used by the
-    lattice embedding's removed spares); their angle entry must be 0.
+    ``angles`` maps qubit id to its XY-plane angle (0 = x basis), as a
+    read-only view of the pattern's own copy.  Qubits in ``z_basis`` are
+    instead measured in the computational basis (used by the lattice
+    embedding's removed spares); their angle entry must be 0.  ``edges``
+    and ``z_basis`` are frozensets and ``readouts`` is a tuple.
     """
 
-    angles: dict[int, Phase]
-    edges: set[frozenset]
-    readouts: list[int]
-    z_basis: set[int] = field(default_factory=set)
+    angles: MappingProxyType[int, Phase]
+    edges: frozenset[frozenset]
+    readouts: tuple[int, ...]
+    z_basis: frozenset[int] = frozenset()
 
-    def qubits(self) -> list[int]:
-        return sorted(self.angles)
-
-    def validate(self) -> None:
-        qubits = set(self.angles)
-        for e in self.edges:
+    def __post_init__(self):
+        angles = MappingProxyType(dict(self.angles))
+        edges, readouts = frozenset(self.edges), tuple(self.readouts)
+        z_basis = frozenset(self.z_basis)
+        for e in edges:
             if len(e) == 1:
                 raise NotGraphLikeError(f"self-edge {set(e)}")
             if len(e) != 2:
                 raise NotGraphLikeError(
                     f"edge {set(e)} joins {len(e)} qubits, not 2")
-            if not e <= qubits:
+            if not e <= angles.keys():
                 raise NotGraphLikeError(f"edge {set(e)} references unknown qubit")
-        listed = self.qubits()  # a list: JSON may give an unhashable readout
-        unknown = [q for q in self.readouts if q not in listed]
+        listed = sorted(angles)  # a list: JSON may give an unhashable readout
+        unknown = [q for q in readouts if q not in listed]
         if unknown:
             raise NotGraphLikeError(f"readouts {unknown} are not qubits")
-        if len(set(self.readouts)) != len(self.readouts):
+        if len(set(readouts)) != len(readouts):
             raise NotGraphLikeError("readouts name a qubit twice")
-        for q in self.z_basis:
-            if q not in self.angles:
+        for q in z_basis:
+            if q not in angles:
                 raise NotGraphLikeError(f"z-basis id {q!r} is not a qubit")
-            if not self.angles[q].is_zero():
+            if not angles[q].is_zero():
                 raise NotGraphLikeError(f"z-basis qubit {q} carries an angle")
+        vars(self).update(angles=angles, edges=edges, readouts=readouts,
+                          z_basis=z_basis)
+
+    def qubits(self) -> list[int]:
+        return sorted(self.angles)
 
     def to_json_dict(self) -> dict:
         qubits = []
@@ -164,7 +171,7 @@ def pattern_from_graph_like(d: ZxDiagram,
     Qubit ids are the spider ids.  ``readouts`` names the readout qubits;
     without it the single highest id is read out, which need not leave the
     pattern an XY gflow (:func:`find_gflow`), so ``run_sampled`` may refuse it.
-    The pattern is checked by :meth:`MeasurementPattern.validate`.
+    The pattern's constructor refuses a repeated or unknown readout.
     """
     if not d.is_closed():
         raise NotGraphLikeError("diagram has open boundary legs")
@@ -180,10 +187,8 @@ def pattern_from_graph_like(d: ZxDiagram,
             raise NotGraphLikeError(f"parallel edge {set(pair)}")
         edges.add(pair)
     angles = {v: d.spiders[v].phase for v in d.spiders}
-    readouts = list(sorted(angles)[-1:] if readouts is None else readouts)
-    p = MeasurementPattern(angles, edges, readouts)
-    p.validate()
-    return p
+    return MeasurementPattern(
+        angles, edges, sorted(angles)[-1:] if readouts is None else readouts)
 
 
 def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
@@ -193,7 +198,6 @@ def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
     A z-basis qubit becomes a phase-0 spider capped by a plain-attached
     phase-0 X state, which is exactly the computational-basis projector.
     """
-    p.validate()
     d = ZxDiagram()
     ids = {}
     for q in p.qubits():
@@ -209,8 +213,7 @@ def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
 def patterns_isomorphic(p1: MeasurementPattern,
                         p2: MeasurementPattern) -> bool:
     """Whether the two cluster graphs are isomorphic, matching how each
-    qubit is measured (in the z basis, or in XY at its angle).  Raises
-    ``NotGraphLikeError`` on a malformed pattern.
+    qubit is measured (in the z basis, or in XY at its angle).
 
     Colour refinement runs on both graphs at once.  Where a colour still
     holds several qubits, one of them is given a colour of its own together
@@ -218,8 +221,6 @@ def patterns_isomorphic(p1: MeasurementPattern,
     again (individualisation and backtracking: McKay & Piperno, J. Symb.
     Comput. 60, 2014).
     """
-    p1.validate()
-    p2.validate()
     n = len(p1.angles)
     if n != len(p2.angles) or len(p1.edges) != len(p2.edges):
         return False
@@ -297,15 +298,21 @@ class _Slot:
     offset: Phase = ZERO
 
 
-class _Template(NamedTuple):
-    """A pattern shape with its carrier angles left open: :func:`_fill`
-    sets each carrier to its offset plus the values of its sources."""
+@dataclass(frozen=True)
+class _Template:
+    """A checked pattern whose carriers' angles are left open: :func:`_fill`
+    sets each carrier to its offset plus the values of its sources.  The
+    constructor raises ``ValueError`` unless each carrier is a qubit outside
+    the z basis, so the pattern stays well formed at any carrier angles."""
 
-    angles: dict[int, Phase]  # every qubit in id order; _fill sets carriers
+    pattern: MeasurementPattern
     carriers: tuple[tuple[int, Phase, tuple], ...]  # qubit, offset, sources
-    edges: tuple[frozenset, ...]
-    readouts: tuple[int, ...]
-    z_basis: tuple[int, ...]
+
+    def __post_init__(self):
+        bad = [q for q, _, _ in self.carriers
+               if q not in self.pattern.angles or q in self.pattern.z_basis]
+        if bad:
+            raise ValueError(f"carriers {bad} name no qubit or a z-basis one")
 
 
 def _template(layout: dict, edges, readout_sources) -> _Template:
@@ -321,21 +328,23 @@ def _template(layout: dict, edges, readout_sources) -> _Template:
         elif entry == "z":
             z_basis.append(q)
         angles[q] = entry if isinstance(entry, Phase) else ZERO
-    return _Template(angles, tuple(carriers), tuple(map(frozenset, edges)),
-                     tuple(carrier_of[s] for s in readout_sources),
-                     tuple(z_basis))
+    return _Template(MeasurementPattern(
+        angles, map(frozenset, edges),
+        [carrier_of[s] for s in readout_sources], z_basis), tuple(carriers))
 
 
 def _fill(t: _Template, values: dict) -> MeasurementPattern:
-    """The pattern of template ``t``, in fresh containers, with each
-    carrier's angle given by ``rewrite._carrier_sum`` over ``values``: a
-    phase polynomial's ``coeffs`` by parity set, spider angles by index, or
-    a lattice's angles by qubit."""
-    angles = dict(t.angles)
+    """The pattern of template ``t`` with each carrier's angle given by
+    ``rewrite._carrier_sum`` over ``values``: a phase polynomial's
+    ``coeffs`` by parity set, spider angles by index, or a lattice's angles
+    by qubit.  It shares the template's checked edges, readouts and z basis
+    and checks nothing, since ``_Template`` checked its carriers."""
+    angles = t.pattern.angles.copy()
     for q, offset, sources in t.carriers:
         angles[q] = _carrier_sum(offset, sources, values)
-    return MeasurementPattern(angles, set(t.edges), list(t.readouts),
-                              set(t.z_basis))
+    p = object.__new__(MeasurementPattern)
+    vars(p).update(vars(t.pattern), angles=MappingProxyType(angles))
+    return p
 
 
 def _parity(*bits: int, offset: Phase = ZERO) -> _Slot:
@@ -370,7 +379,7 @@ _CHAIN_2Q = _template(
 
 def dj_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
     """The eleven-qubit pattern of ``f``, filled into the template
-    ``_DJ_3Q``.  Every call returns fresh containers."""
+    ``_DJ_3Q``."""
     if f.n != 3:
         raise ArityMismatchError("three-qubit pattern needs n = 3")
     return _fill(_DJ_3Q, phase_polynomial(f).coeffs)
@@ -396,7 +405,6 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     diagram is contracted and judged against ``tensor.collapse_floor``;
     that raises ``WidthTooLargeError`` before building any tensor when the
     contraction plan peaks above ``tensor.MAX_PEAK_RANK``."""
-    p.validate()
     turns = _clifford_turns(p)
     if turns is not None:
         s = _sum_exact(p, turns)
@@ -453,7 +461,7 @@ def _exact_prelude(p: MeasurementPattern) -> tuple:
 
 def _prelude(p: MeasurementPattern) -> tuple:
     """:func:`_exact_prelude`, memoized by the shape it reads."""
-    key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.z_basis))
+    key = (frozenset(p.angles), p.edges, p.z_basis)
     return _memoized(_exact_memo, key, lambda: _exact_prelude(p))
 
 
@@ -576,7 +584,6 @@ def find_gflow(p: MeasurementPattern):
     Raises ``NoFlowError`` when a layer comes out empty, and on
     computational-basis qubits, which would need Pauli flow.
     """
-    p.validate()
     if p.z_basis:
         raise NoFlowError("z-basis qubits need Pauli flow, not XY gflow")
     qubits, rows = _prelude(p)
@@ -655,9 +662,7 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
     """
     shots = _integer("shots", shots, 1)
     seed = _integer("seed", seed, 0)
-    p.validate()
-    key = (frozenset(p.angles), frozenset(p.edges), frozenset(p.readouts),
-           frozenset(p.z_basis))
+    key = (frozenset(p.angles), p.edges, frozenset(p.readouts), p.z_basis)
     _memoized(_flow_memo, key, lambda: find_gflow(p))
     constant_shots = _drawn_count(*_constant_law(p), seed, shots)
     majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
@@ -770,8 +775,7 @@ _LATTICE_CARRIER_IDS = frozenset(q for q, _, _ in _LATTICE.carriers)
 def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
     """The 6x6 lattice embedding of the eleven-qubit pattern of ``f``,
     filled into the template ``_LATTICE``, which ``_LATTICE_LAYOUT``
-    gives.  Every call returns fresh containers, so a caller may edit its
-    copy."""
+    gives."""
     if f.n != 3:
         raise ArityMismatchError("lattice pattern needs n = 3")
     return _fill(_LATTICE, phase_polynomial(f).coeffs)
@@ -796,17 +800,15 @@ def _reduction(p: MeasurementPattern,
         raise ReductionStuckError(
             f"spiders {stuck} outside the carriers survive with degree <= 2")
     r = pattern_from_graph_like(d, [qubits.index(q) for q in p.readouts])
-    carriers = tuple((v, constant, tuple(qubits[c] for c in inputs))
-                     for v, constant, inputs in formulas)
-    return (_Template(r.angles, carriers, tuple(r.edges), tuple(r.readouts),
-                      ()), tuple(steps))
+    return _Template(r, tuple((v, const, tuple(qubits[c] for c in inputs))
+                              for v, const, inputs in formulas)), tuple(steps)
 
 
 def reduce_lattice(p: MeasurementPattern):
     """Shrink the lattice to its embedded eleven-qubit pattern by the
-    simplifier core, with the parameter carriers protected.  Returns fresh
-    copies of the reduced pattern, in the diagram's ids (qubit ranks), with
-    the lattice's readouts, and of the rewrite trace.  Raises
+    simplifier core, with the parameter carriers protected.  Returns the
+    reduced pattern, in the diagram's ids (qubit ranks), with the lattice's
+    readouts, and a fresh list of the rewrite trace.  Raises
     ``ReductionStuckError`` when a spider holding no carrier (the survivors
     ``simplify_core``'s formulas name hold them) survives with degree at
     most 2, as a missing spare or a tampered angle can leave.
@@ -818,11 +820,9 @@ def reduce_lattice(p: MeasurementPattern):
     a diagram: the key stores the reduced pattern as a template whose
     carriers are the survivors the lattice carriers fused into, and
     :func:`_fill` sets each to a stored constant plus their angles."""
-    p.validate()
     qubits = p.qubits()
-    key = (tuple(qubits), frozenset(p.edges), frozenset(p.z_basis),
-           tuple(p.readouts), tuple([p.angles[q] for q in qubits
-                                     if q not in _LATTICE_CARRIER_IDS]))
+    key = (tuple(qubits), p.edges, p.z_basis, p.readouts, tuple(
+        [p.angles[q] for q in qubits if q not in _LATTICE_CARRIER_IDS]))
     template, steps = _memoized(_lattice_memo, key,
                                 lambda: _reduction(p, qubits))
     return _fill(template, p.angles), list(steps)

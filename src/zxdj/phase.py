@@ -19,10 +19,12 @@ class Phase(namedtuple("Phase", "numerator denominator")):
     hash, equality and order are the tuple's, run in C: it hashes as that
     pair, orders as pairs do, and equals the plain tuple ``(n, d)``.  Its
     own methods index ``self[0]``/``self[1]``, which CPython specializes,
-    rather than read the named fields, which it does not.
+    rather than read the named fields, which it does not.  It unpacks as
+    the pair, but ``*``, ``tuple + phase`` and ``in`` raise ``TypeError``.
     """
 
     __slots__ = ()
+    __contains__ = None
 
     def __new__(cls, numerator: int, denominator: int = 1):
         if denominator == 0:
@@ -81,6 +83,11 @@ class Phase(namedtuple("Phase", "numerator denominator")):
             return other
         return Phase(self[0] * other[1] + other[0] * self[1],
                      self[1] * other[1])
+
+    def __radd__(self, other):
+        raise TypeError("a Phase is an angle, not a sequence")
+
+    __mul__ = __rmul__ = __radd__  # NotImplemented would fall back to tuple's
 
     def __sub__(self, other: "Phase") -> "Phase":
         return self + -other

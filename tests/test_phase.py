@@ -147,3 +147,33 @@ def test_phases_are_immutable(p):
 
 def test_repr_names_the_fields():
     assert repr(HALF_PI) == "Phase(numerator=1, denominator=2)"
+
+
+# -- but not a sequence -------------------------------------------------------
+
+def test_a_phase_times_an_int_raises():
+    with pytest.raises(TypeError, match="not a sequence"):
+        HALF_PI * 2
+
+
+def test_an_int_times_a_phase_raises():
+    with pytest.raises(TypeError, match="not a sequence"):
+        2 * HALF_PI
+
+
+def test_a_tuple_plus_a_phase_raises():
+    with pytest.raises(TypeError, match="not a sequence"):
+        (0, 1) + HALF_PI
+
+
+def test_membership_in_a_phase_raises():
+    with pytest.raises(TypeError, match="not a container"):
+        2 in HALF_PI
+
+
+@given(phases)
+def test_a_phase_unpacks_as_its_pair(p):
+    numerator, denominator = p
+    assert (numerator, denominator) == tuple(p) == (p.numerator,
+                                                   p.denominator)
+    assert type(tuple(p)) is tuple

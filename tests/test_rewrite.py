@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,7 +365,8 @@ def test_simplify_core_formulas_match_the_trace_replay():
         formulas = _assert_formulas_match_the_replay(
             mbqc.pattern_to_diagram(p), set(mbqc._LATTICE_CARRIER_IDS))
         assert len(formulas) == 7
-        p.angles[mbqc._grid_id((3, 1))] = PI  # carrier (6, 1) fuses into it
+        # carrier (6, 1) fuses into the spare at pi
+        p = replace(p, angles={**p.angles, mbqc._grid_id((3, 1)): PI})
         formulas = _assert_formulas_match_the_replay(
             mbqc.pattern_to_diagram(p), set(mbqc._LATTICE_CARRIER_IDS))
         assert mbqc._grid_id((3, 1)) in {v for v, _, _ in formulas}
@@ -729,9 +731,7 @@ def _chain(n):
 
 
 def _lattice_read_out(order):
-    p = lattice_pattern_3q(BooleanFunction(3, 0))
-    p.readouts = list(order)
-    return p
+    return replace(lattice_pattern_3q(BooleanFunction(3, 0)), readouts=order)
 
 
 _LATTICE_READOUTS = [

@@ -4,11 +4,15 @@
 
 It probes the checkout it sits in.  For each mutant of ``MUTANTS``, it
 copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, replaces the mutant's old text (which must occur exactly once)
-by its new text, and runs Tier-1 there with ``-x``.  It prints one JSON object per mutant on its own line: the mutant's
-name, file and fault, whether a test failed (``killed``) and the seconds
-the run took.  First it runs the unmutated copy, which must pass, or every
-mutant would read as killed.
+directory and replaces the mutant's old text (which must occur exactly
+once) by its new text.  There it runs the mutated module's own test file,
+``tests/test_<module>.py``, with ``-x``, which kills most mutants in a
+fraction of Tier-1's time; a mutant that file does not kill faces all of
+Tier-1, with ``-x``, before it counts as a survivor.  It prints one JSON
+object per mutant on its own line: the mutant's name, file and fault,
+whether a test failed (``killed``), which run killed it (``"module"`` or
+``"tier1"``) and the seconds the runs took.  First it runs Tier-1 on the
+unmutated copy, which must pass, or every mutant would read as killed.
 
 Exit status: 0 when every mutant is killed or listed as equivalent, 1 when
 some other mutant survives, 2 on a stale table or a failing unmutated copy.
@@ -49,11 +53,12 @@ MBQC = "src/zxdj/mbqc.py"
 CLI = "src/zxdj/cli.py"
 CIRCUIT = "src/zxdj/circuit.py"
 REWRITE = "src/zxdj/rewrite.py"
+PHASE = "src/zxdj/phase.py"
 MUTANTS = [
     Mutant("flow-memo-key-without-readouts", MBQC,
-           "key = (frozenset(p.angles), frozenset(p.edges), "
-           "frozenset(p.readouts),",
-           "key = (frozenset(p.angles), frozenset(p.edges),",
+           "key = (frozenset(p.angles), p.edges, frozenset(p.readouts), "
+           "p.z_basis)",
+           "key = (frozenset(p.angles), p.edges, p.z_basis)",
            "_flow_memo's key leaves out the readout set"),
     Mutant("pivot-term-dropped", MBQC,
            "if m >> x & 1:\n                        turns[x] += 2\n",
@@ -80,18 +85,16 @@ MUTANTS = [
            "for a, b in map(sorted, p.edges):",
            "pattern_to_diagram numbers edges in set iteration order"),
     Mutant("lattice-key-edge-order", MBQC,
-           "key = (tuple(qubits), frozenset(p.edges),",
+           "key = (tuple(qubits), p.edges,",
            "key = (tuple(qubits), tuple(p.edges),",
            "reduce_lattice keys its memo on the edges in iteration order"),
     Mutant("prelude-key-without-z-basis", MBQC,
-           "key = (frozenset(p.angles), frozenset(p.edges), "
-           "frozenset(p.z_basis))",
-           "key = (frozenset(p.angles), frozenset(p.edges))",
+           "key = (frozenset(p.angles), p.edges, p.z_basis)",
+           "key = (frozenset(p.angles), p.edges)",
            "_prelude's key leaves out the z-basis set"),
     Mutant("prelude-key-without-qubits", MBQC,
-           "key = (frozenset(p.angles), frozenset(p.edges), "
-           "frozenset(p.z_basis))",
-           "key = (frozenset(p.edges), frozenset(p.z_basis))",
+           "key = (frozenset(p.angles), p.edges, p.z_basis)",
+           "key = (p.edges, p.z_basis)",
            "_prelude's key leaves out the qubit set"),
     Mutant("amplitude-without-z-basis-scale", MBQC,
            "e, h + 2 * len(p.z_basis) - len(p.edges)))",
@@ -108,8 +111,9 @@ MUTANTS = [
            "            return 0\n",
            "simulate --shots exits 0 when the shots disagree"),
     Mutant("flow-memo-key-without-z-basis", MBQC,
-           "frozenset(p.readouts),\n           frozenset(p.z_basis))",
-           "frozenset(p.readouts))",
+           "key = (frozenset(p.angles), p.edges, frozenset(p.readouts), "
+           "p.z_basis)",
+           "key = (frozenset(p.angles), p.edges, frozenset(p.readouts))",
            "_flow_memo's key leaves out the z-basis set"),
     Mutant("verify-all-exits-0-on-disagreement", CLI,
            'return 0 if doc["all_agree"] else 1',
@@ -166,7 +170,7 @@ MUTANTS = [
            "d._next_node, d._next_edge, tuple(sorted(protected)),",
            "d._next_node, d._next_edge, (),",
            "_rewrite_key leaves out the protected set"),
-    Mutant("zero-plus-phase-is-zero", "src/zxdj/phase.py",
+    Mutant("zero-plus-phase-is-zero", PHASE,
            "        if not self[0]:\n            return other\n",
            "        if not self[0]:\n            return self\n",
            "Phase.__add__ returns the zero left operand, not the other one"),
@@ -179,8 +183,8 @@ MUTANTS = [
            "if len(memo) > MEMO_SHAPES:",
            "_memoized keeps MEMO_SHAPES + 1 keys"),
     Mutant("lattice-key-without-spare-angles", MBQC,
-           "tuple(p.readouts), tuple([p.angles[q] for q in qubits",
-           "tuple(p.readouts), tuple([ZERO for q in qubits",
+           "[p.angles[q] for q in qubits if q not in _LATTICE_CARRIER_IDS]",
+           "[ZERO for q in qubits if q not in _LATTICE_CARRIER_IDS]",
            "reduce_lattice's key leaves out the non-carrier angles"),
     Mutant("usage-error-exits-1", CLI,
            "        return 2\n    except ZxError as exc:",
@@ -206,6 +210,65 @@ MUTANTS = [
            "if (1 << w) in map(abs, a.values()):",
            "if (1 << w - 1) in map(abs, a.values()):",
            "dj_run_circuit reads Constant at |a_j| = 2^(w-1), not 2^w"),
+    Mutant("pattern-self-edge-unnamed", MBQC,
+           "if len(e) == 1:",
+           "if len(e) == 0:",
+           "the constructor names a self-edge an edge that joins 1 qubit"),
+    Mutant("pattern-hyperedge-let-through", MBQC,
+           "if len(e) != 2:",
+           "if len(e) > 3:",
+           "the constructor accepts an edge of three qubits"),
+    Mutant("pattern-edge-to-no-qubit-let-through", MBQC,
+           "if not e <= angles.keys():",
+           "if False:",
+           "the constructor accepts an edge to a qubit it does not list"),
+    Mutant("pattern-unknown-readout-let-through", MBQC,
+           "unknown = [q for q in readouts if q not in listed]",
+           "unknown = []",
+           "the constructor accepts a readout that names no qubit"),
+    Mutant("pattern-repeated-readout-let-through", MBQC,
+           "if len(set(readouts)) != len(readouts):",
+           "if len(set(readouts)) > len(readouts):",
+           "the constructor accepts a readout named twice"),
+    Mutant("pattern-z-basis-id-unchecked", MBQC,
+           "if q not in angles:",
+           "if False:",
+           "the constructor reads the angle of a z-basis id that names no "
+           "qubit"),
+    Mutant("pattern-z-basis-angle-let-through", MBQC,
+           "if not angles[q].is_zero():",
+           "if False:",
+           "the constructor accepts a z-basis qubit with a nonzero angle"),
+    Mutant("pattern-angles-shared-with-the-caller", MBQC,
+           "angles = MappingProxyType(dict(self.angles))",
+           "angles = MappingProxyType(self.angles)",
+           "the pattern's angles are a view of the caller's dict"),
+    Mutant("template-carrier-in-the-z-basis", MBQC,
+           "if q not in self.pattern.angles or q in self.pattern.z_basis]",
+           "if q not in self.pattern.angles]",
+           "a template accepts a z-basis carrier, which a fill would give "
+           "an angle"),
+    Mutant("fill-copies-the-edges", MBQC,
+           "vars(p).update(vars(t.pattern), angles=MappingProxyType(angles))",
+           "vars(p).update(vars(t.pattern), angles=MappingProxyType(angles),"
+           " edges=frozenset(set(t.pattern.edges)))",
+           "_fill copies the template's edge set"),
+    Mutant("phase-membership-let-through", PHASE,
+           "    __contains__ = None\n",
+           "",
+           "2 in HALF_PI reads the phase as a tuple"),
+    Mutant("phase-times-int-let-through", PHASE,
+           "__mul__ = __rmul__ = __radd__  #",
+           "__rmul__ = __radd__  #",
+           "HALF_PI * 2 repeats the pair"),
+    Mutant("int-times-phase-let-through", PHASE,
+           "__mul__ = __rmul__ = __radd__  #",
+           "__mul__ = __radd__  #",
+           "2 * HALF_PI repeats the pair"),
+    Mutant("tuple-plus-phase-let-through", PHASE,
+           "__mul__ = __rmul__ = __radd__  #",
+           "__mul__ = __rmul__ = __radd__; del __radd__  #",
+           "(0, 1) + HALF_PI concatenates the pairs"),
 ]
 
 
@@ -216,9 +279,10 @@ def _copy(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _tier1(copy: Path) -> bool:
-    """Whether Tier-1 passes on ``copy``, checking first that the copy's
-    package is the one imported."""
+def _tier1(copy: Path, tests: tuple[str, ...] = ()) -> bool:
+    """Whether Tier-1 passes on ``copy``, or only its test files ``tests``
+    when given, checking first that the copy's package is the one
+    imported."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     where = subprocess.run(
@@ -228,7 +292,7 @@ def _tier1(copy: Path) -> bool:
         raise SystemExit(f"zxdj imported from {where.stdout.strip()}, "
                          f"not from {copy}")
     try:
-        run = subprocess.run(TIER1, cwd=copy, env=env,
+        run = subprocess.run(TIER1 + list(tests), cwd=copy, env=env,
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -236,19 +300,25 @@ def _tier1(copy: Path) -> bool:
     return run.returncode == 0
 
 
-def _probe(mutant: Mutant | None) -> tuple[bool, float]:
-    """Whether Tier-1 passes with ``mutant`` applied (None applies none),
-    and the seconds it took."""
+def _probe(mutant: Mutant | None) -> tuple[str | None, float]:
+    """Which run killed ``mutant`` (None applies none): ``"module"`` for
+    its module's own test file, ``"tier1"`` for all of Tier-1, or None when
+    both pass; and the seconds the runs took."""
     with tempfile.TemporaryDirectory(prefix="zxdj-mutant-") as tmp:
         copy = Path(tmp)
         _copy(copy)
+        start = time.perf_counter()
+        killed = None
         if mutant is not None:
             target = copy / mutant.path
             text = target.read_text()
             target.write_text(text.replace(mutant.old, mutant.new))
-        start = time.perf_counter()
-        passed = _tier1(copy)
-        return passed, round(time.perf_counter() - start, 1)
+            own = f"tests/test_{Path(mutant.path).stem}.py"
+            if (copy / own).exists() and not _tier1(copy, (own,)):
+                killed = "module"
+        if killed is None and not _tier1(copy):
+            killed = "tier1"
+        return killed, round(time.perf_counter() - start, 1)
 
 
 def main() -> int:
@@ -257,18 +327,19 @@ def main() -> int:
     if stale:
         print(f"old text not found exactly once: {stale}", file=sys.stderr)
         return 2
-    passed, seconds = _probe(None)
-    if not passed:
+    killed, seconds = _probe(None)
+    if killed:
         print(f"Tier-1 fails on the unmutated copy ({seconds} s)",
               file=sys.stderr)
         return 2
     survivors = []
     for m in MUTANTS:
-        passed, seconds = _probe(m)
+        killed, seconds = _probe(m)
         print(json.dumps({"mutant": m.name, "file": m.path, "fault": m.fault,
-                          "killed": not passed, "equivalent": m.equivalent,
-                          "seconds": seconds}), flush=True)
-        if passed and m.equivalent is None:
+                          "killed": killed is not None, "by": killed,
+                          "equivalent": m.equivalent, "seconds": seconds}),
+              flush=True)
+        if killed is None and m.equivalent is None:
             survivors.append(m.name)
     if survivors:
         print(f"surviving mutants: {survivors}", file=sys.stderr)
