@@ -184,15 +184,14 @@ def to_zx_tracked(c: Circuit):
     phase-carrying spiders (phase gates and Pauli Z/Y translations) in gate
     order.
 
-    Everything but the phase gates' phases depends only on the circuit's
-    shape: its width and each gate's op and qubits.  The translation is
-    memoized by that shape (see ``rewrite._memoized``), and every call
-    copies the stored diagram and writes each phase gate's phase onto its
-    spider, so it returns a fresh diagram and list.
+    :func:`_translate` builds the diagram from the circuit's shape alone,
+    its width and each gate's op and qubits, memoized by that shape (see
+    ``rewrite._memoized``).  Every call copies the stored diagram and writes
+    each phase gate's phase onto its spider: a fresh diagram and list.
     """
     key = (c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
     skeleton, carriers, phased = _memoized(_zx_memo, key,
-                                           lambda: _translate(c))
+                                           lambda: _translate(*key))
     d = skeleton.copy()
     spiders = d.spiders
     for v, g in zip(phased, [g for g in c.gates if g.op == "phase"]):
@@ -200,13 +199,13 @@ def to_zx_tracked(c: Circuit):
     return d, list(carriers)
 
 
-def _translate(c: Circuit):
-    """The translation of ``c``, its carriers, and the phase gates'
-    carriers, each in gate order."""
+def _translate(width: int, ops: tuple):
+    """The translation of a circuit of ``width`` and gates ``ops``, as (op,
+    qubits) pairs, at phase 0; its carriers and phase gates' carriers."""
     d = ZxDiagram()
-    last = [d.add_spider(SpiderKind.Z, ZERO) for _ in range(c.width)]
+    last = [d.add_spider(SpiderKind.Z, ZERO) for _ in range(width)]
     d.inputs = list(last)
-    pending = [EdgeKind.PLAIN] * c.width
+    pending = [EdgeKind.PLAIN] * width
     carriers: list[int] = []
     phased: list[int] = []
 
@@ -217,24 +216,24 @@ def _translate(c: Circuit):
         last[wire] = v
         return v
 
-    for g in c.gates:
-        if g.op == "phase":
-            carriers.append(extend(g.qubits[0], SpiderKind.Z, g.phase))
+    for op, qubits in ops:
+        if op == "phase":
+            carriers.append(extend(qubits[0], SpiderKind.Z, ZERO))
             phased.append(carriers[-1])
-        elif g.op == "z":
-            carriers.append(extend(g.qubits[0], SpiderKind.Z, PI))
-        elif g.op == "y":
-            carriers.append(extend(g.qubits[0], SpiderKind.X, PI))
-            carriers.append(extend(g.qubits[0], SpiderKind.Z, PI))
-        elif g.op == "h":
-            pending[g.qubits[0]] = pending[g.qubits[0]].toggled()
-        elif g.op == "cnot":
-            ctrl, tgt = g.qubits
+        elif op == "z":
+            carriers.append(extend(qubits[0], SpiderKind.Z, PI))
+        elif op == "y":
+            carriers.append(extend(qubits[0], SpiderKind.X, PI))
+            carriers.append(extend(qubits[0], SpiderKind.Z, PI))
+        elif op == "h":
+            pending[qubits[0]] = pending[qubits[0]].toggled()
+        elif op == "cnot":
+            ctrl, tgt = qubits
             zc = extend(ctrl, SpiderKind.Z, ZERO)
             xt = extend(tgt, SpiderKind.X, ZERO)
             d.add_edge(zc, xt, EdgeKind.PLAIN)
     outs = []
-    for wire in range(c.width):
+    for wire in range(width):
         v = d.add_spider(SpiderKind.Z, ZERO)
         d.add_edge(last[wire], v, pending[wire])
         outs.append(v)

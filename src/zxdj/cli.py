@@ -13,7 +13,6 @@ import sys
 
 from .circuit import (
     Circuit, _check_width, dj_run_circuit, to_zx_tracked)
-from .diagram import ZxDiagram
 from .errors import WidthTooLargeError, ZxError
 from .mbqc import (
     DEFAULT_SEED,
@@ -313,15 +312,13 @@ def _cmd_export_dot(args) -> int:
     if not args.out:
         raise UsageError("export-dot requires --out FILE")
     if args.circuit:
-        c = _load_circuit(args.circuit)
-        target = to_zx_tracked(c)[0]
+        target = to_zx_tracked(_load_circuit(args.circuit))[0]
+        nodes = len(target.spiders)
     else:
         target = _pattern_of(args)
+        nodes = len(target.angles)
     _write(args.out, target.to_dot() + "\n")
-    if isinstance(target, ZxDiagram):
-        nodes, edges = len(target.spiders), len(target.edges)
-    else:
-        nodes, edges = len(target.angles), len(target.edges)
+    edges = len(target.edges)
     doc = {"written": args.out, "nodes": nodes, "edges": edges}
     # --out names the DOT file here, so the summary goes to stdout
     summary_args = argparse.Namespace(**{**vars(args), "out": None})

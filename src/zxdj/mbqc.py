@@ -18,7 +18,7 @@ import math
 import operator
 import random
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -48,6 +48,9 @@ def _qubit_id(q) -> int:
     return q
 
 
+_Shape = namedtuple("_Shape", "qubits edges readouts z_basis")
+
+
 @dataclass(frozen=True)
 class MeasurementPattern:
     """Cluster graph + measurement angles: an immutable value, checked once
@@ -57,7 +60,8 @@ class MeasurementPattern:
     read-only view of the pattern's own copy.  Qubits in ``z_basis`` are
     instead measured in the computational basis (used by the lattice
     embedding's removed spares); their angle entry must be 0.  ``edges``
-    and ``z_basis`` are frozensets and ``readouts`` is a tuple.
+    and ``z_basis`` are frozensets and ``readouts`` is a tuple; with the ids,
+    sorted once, they are its ``_shape``, the key of each per-shape memo.
     """
 
     angles: MappingProxyType[int, Phase]
@@ -77,7 +81,7 @@ class MeasurementPattern:
                     f"edge {set(e)} joins {len(e)} qubits, not 2")
             if not e <= angles.keys():
                 raise NotGraphLikeError(f"edge {set(e)} references unknown qubit")
-        listed = sorted(angles)  # a list: JSON may give an unhashable readout
+        listed = tuple(sorted(angles))  # no set: JSON may give an unhashable readout
         unknown = [q for q in readouts if q not in listed]
         if unknown:
             raise NotGraphLikeError(f"readouts {unknown} are not qubits")
@@ -89,10 +93,15 @@ class MeasurementPattern:
             if not angles[q].is_zero():
                 raise NotGraphLikeError(f"z-basis qubit {q} carries an angle")
         vars(self).update(angles=angles, edges=edges, readouts=readouts,
-                          z_basis=z_basis)
+                          z_basis=z_basis,
+                          _shape=_Shape(listed, edges, readouts, z_basis))
 
-    def qubits(self) -> list[int]:
-        return sorted(self.angles)
+    def qubits(self) -> tuple[int, ...]:
+        return self._shape.qubits
+
+    def _sorted_edges(self) -> list[list[int]]:
+        """The edges as ascending pairs in ascending order."""
+        return sorted(map(sorted, self.edges))
 
     def to_json_dict(self) -> dict:
         qubits = []
@@ -103,7 +112,7 @@ class MeasurementPattern:
             qubits.append(rec)
         return {
             "qubits": qubits,
-            "edges": sorted(sorted(e) for e in self.edges),
+            "edges": self._sorted_edges(),
             "readouts": list(self.readouts),
         }
 
@@ -150,8 +159,8 @@ class MeasurementPattern:
             label = "z" if q in self.z_basis else (
                 "" if angle.is_zero() else str(angle))
             lines.append(f'  q{q} [shape=ellipse, label="{label}"];')
-        for e in sorted(sorted(x) for x in self.edges):
-            lines.append(f"  q{e[0]} -- q{e[1]} [style=dashed];")
+        for a, b in self._sorted_edges():
+            lines.append(f"  q{a} -- q{b} [style=dashed];")
         lines.append("}")
         return "\n".join(lines)
 
@@ -187,8 +196,9 @@ def pattern_from_graph_like(d: ZxDiagram,
             raise NotGraphLikeError(f"parallel edge {set(pair)}")
         edges.add(pair)
     angles = {v: d.spiders[v].phase for v in d.spiders}
-    return MeasurementPattern(
-        angles, edges, sorted(angles)[-1:] if readouts is None else readouts)
+    if readouts is None:
+        readouts = [max(angles)] if angles else []
+    return MeasurementPattern(angles, edges, readouts)
 
 
 def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
@@ -199,10 +209,8 @@ def pattern_to_diagram(p: MeasurementPattern) -> ZxDiagram:
     phase-0 X state, which is exactly the computational-basis projector.
     """
     d = ZxDiagram()
-    ids = {}
-    for q in p.qubits():
-        ids[q] = d.add_spider(SpiderKind.Z, p.angles[q])
-    for a, b in sorted(map(sorted, p.edges)):
+    ids = {q: d.add_spider(SpiderKind.Z, p.angles[q]) for q in p.qubits()}
+    for a, b in p._sorted_edges():
         d.add_edge(ids[a], ids[b], EdgeKind.HADAMARD)
     for q in sorted(p.z_basis):
         cap = d.add_spider(SpiderKind.X, ZERO)
@@ -337,8 +345,8 @@ def _fill(t: _Template, values: dict) -> MeasurementPattern:
     """The pattern of template ``t`` with each carrier's angle given by
     ``rewrite._carrier_sum`` over ``values``: a phase polynomial's
     ``coeffs`` by parity set, spider angles by index, or a lattice's angles
-    by qubit.  It shares the template's checked edges, readouts and z basis
-    and checks nothing, since ``_Template`` checked its carriers."""
+    by qubit.  It shares the template's checked shape and checks nothing,
+    since ``_Template`` checked its carriers."""
     angles = t.pattern.angles.copy()
     for q, offset, sources in t.carriers:
         angles[q] = _carrier_sum(offset, sources, values)
@@ -441,17 +449,17 @@ def _bits(mask: int):
 
 
 # _prelude's records by pattern shape (see _prelude).
-_exact_memo: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
+_exact_memo: dict[_Shape, tuple[tuple, tuple[int, ...]]] = {}
 
 
-def _exact_prelude(p: MeasurementPattern) -> tuple:
+def _exact_prelude(s: _Shape) -> tuple:
     """The qubits outside the z basis in ascending order, and each one's
     adjacency row among them as a bitset over their indices; a z-basis
     qubit has x_v = 0, which drops it and its edges from S."""
-    qubits = [q for q in p.qubits() if q not in p.z_basis]
+    qubits = [q for q in s.qubits if q not in s.z_basis]
     index = {q: i for i, q in enumerate(qubits)}
     adj = [0] * len(qubits)
-    for q, r in p.edges:
+    for q, r in s.edges:
         if q in index and r in index:
             u, v = index[q], index[r]
             adj[u] |= 1 << v
@@ -459,10 +467,9 @@ def _exact_prelude(p: MeasurementPattern) -> tuple:
     return tuple(qubits), tuple(adj)
 
 
-def _prelude(p: MeasurementPattern) -> tuple:
-    """:func:`_exact_prelude`, memoized by the shape it reads."""
-    key = (frozenset(p.angles), p.edges, p.z_basis)
-    return _memoized(_exact_memo, key, lambda: _exact_prelude(p))
+def _prelude(s: _Shape) -> tuple:
+    """:func:`_exact_prelude`, memoized by the shape, all that it reads."""
+    return _memoized(_exact_memo, s, lambda: _exact_prelude(s))
 
 
 def _sum_exact(p: MeasurementPattern,
@@ -486,7 +493,7 @@ def _sum_exact(p: MeasurementPattern,
       other neighbours (a pivot) and removes v and w;
     - even l_v with no neighbour: 2 for l_v = 0, and S = 0 for l_v = 2.
     """
-    qubits, rows = _prelude(p)
+    qubits, rows = _prelude(p._shape)
     turns = [by_qubit[q] for q in qubits]
     adj, live = list(rows), [True] * len(qubits)
     e = h = 0
@@ -580,14 +587,14 @@ def find_gflow(p: MeasurementPattern):
     efficiently", ICALP 2008): the outputs form layer 0, and layer d holds
     every unlayered qubit u with a K among the layered qubits whose Odd(K)
     meets the unlayered qubits in {u} alone; then g(u) = K.  Higher layers
-    are measured first.  It runs on :func:`_prelude`'s bitset rows.
-    Raises ``NoFlowError`` when a layer comes out empty, and on
-    computational-basis qubits, which would need Pauli flow.
+    are measured first.  It reads only the pattern's shape, on
+    :func:`_prelude`'s bitset rows.  Raises ``NoFlowError`` when a layer
+    comes out empty, and on z-basis qubits, which would need Pauli flow.
     """
-    if p.z_basis:
+    if p._shape.z_basis:
         raise NoFlowError("z-basis qubits need Pauli flow, not XY gflow")
-    qubits, rows = _prelude(p)
-    outputs = set(p.readouts)
+    qubits, rows = _prelude(p._shape)
+    outputs = set(p._shape.readouts)
     layer = dict.fromkeys(sorted(outputs), 0)
     g: dict[int, frozenset] = {}
     solved = sum(1 << i for i, q in enumerate(qubits) if q in outputs)
@@ -614,7 +621,7 @@ DEFAULT_SEED = 2024
 # part of what a seed's output depends on.
 _BLOCK_SHOTS = 1 << 18
 # Gflows by pattern shape (see run_sampled).
-_flow_memo: dict[tuple, tuple[dict, dict]] = {}
+_flow_memo: dict[_Shape, tuple[dict, dict]] = {}
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -649,21 +656,19 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
     majority, and a tie reads Constant; ``agreeing_shots`` counts the shots
     behind the verdict.  Both counts are Python ints.
 
-    The gflow depends only on the pattern's shape: its qubit ids, edges,
-    readout set and z-basis set.  It is memoized by that shape (see
-    ``rewrite._memoized``).  Raises ``NoFlowError`` without a gflow, and
-    ``WidthTooLargeError``, before building any tensor, when a pattern with
-    an angle that is no multiple of pi/2 would contract with a peak rank
-    above ``tensor.MAX_PEAK_RANK``.  Raises ``ValueError`` when ``shots``
-    or ``seed`` is no integer (a bool or None is not one; a numpy integer
-    is), when ``shots`` is below 1, since no shot gives no majority, and
-    when ``seed`` is negative.  Every run is seeded, so a repeat call gives
-    the same output.
+    The gflow search is memoized by the pattern's shape, all that it reads
+    (see ``rewrite._memoized``).  Raises ``NoFlowError`` without a gflow,
+    and ``WidthTooLargeError``, before building any tensor, when a pattern
+    with an angle that is no multiple of pi/2 would contract with a peak
+    rank above ``tensor.MAX_PEAK_RANK``.  Raises ``ValueError`` when
+    ``shots`` or ``seed`` is no integer (a bool or None is not one; a numpy
+    integer is), when ``shots`` is below 1, since no shot gives no
+    majority, and when ``seed`` is negative.  Every run is seeded, so a
+    repeat call gives the same output.
     """
     shots = _integer("shots", shots, 1)
     seed = _integer("seed", seed, 0)
-    key = (frozenset(p.angles), p.edges, frozenset(p.readouts), p.z_basis)
-    _memoized(_flow_memo, key, lambda: find_gflow(p))
+    _memoized(_flow_memo, p._shape, lambda: find_gflow(p))
     constant_shots = _drawn_count(*_constant_law(p), seed, shots)
     majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
     agreeing = constant_shots if majority is Verdict.CONSTANT else shots - constant_shots
@@ -786,10 +791,9 @@ def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
 _lattice_memo: dict[tuple, tuple[_Template, tuple]] = {}
 
 
-def _reduction(p: MeasurementPattern,
-               qubits: list[int]) -> tuple[_Template, tuple]:
-    """Reduce ``p``, whose qubits in ascending order are ``qubits``; raises
-    ``ReductionStuckError`` naming the spiders that leave it stuck."""
+def _reduction(p: MeasurementPattern) -> tuple[_Template, tuple]:
+    """Reduce ``p``, or raise ``ReductionStuckError`` naming stuck spiders."""
+    qubits = p.qubits()
     d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
     steps, formulas = simplify_core(
         d, {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS})
@@ -813,16 +817,13 @@ def reduce_lattice(p: MeasurementPattern):
     ``simplify_core``'s formulas name hold them) survives with degree at
     most 2, as a missing spare or a tampered angle can leave.
 
-    Memoized (see ``rewrite._memoized``) per key: the sorted qubit ids
-    (which fix the carriers), the edge set, the z-basis set, the readouts in
-    order and the non-carrier angles in qubit order.  No rule reads a
-    carrier's angle, so all 72 variants share a key, and only a miss builds
-    a diagram: the key stores the reduced pattern as a template whose
-    carriers are the survivors the lattice carriers fused into, and
-    :func:`_fill` sets each to a stored constant plus their angles."""
-    qubits = p.qubits()
-    key = (tuple(qubits), p.edges, p.z_basis, p.readouts, tuple(
-        [p.angles[q] for q in qubits if q not in _LATTICE_CARRIER_IDS]))
-    template, steps = _memoized(_lattice_memo, key,
-                                lambda: _reduction(p, qubits))
+    Memoized (see ``rewrite._memoized``) by the pattern's shape and its
+    non-carrier angles in qubit order: no rule reads a carrier's angle, so
+    all 72 variants share a key.  The key stores the reduced pattern as a
+    template whose carriers are the survivors the lattice carriers fused
+    into, and :func:`_fill` sets each to a stored constant plus their
+    angles."""
+    key = (p._shape, tuple([p.angles[q] for q in p.qubits()
+                            if q not in _LATTICE_CARRIER_IDS]))
+    template, steps = _memoized(_lattice_memo, key, lambda: _reduction(p))
     return _fill(template, p.angles), list(steps)

@@ -20,7 +20,7 @@ class Phase(namedtuple("Phase", "numerator denominator")):
     pair, orders as pairs do, and equals the plain tuple ``(n, d)``.  Its
     own methods index ``self[0]``/``self[1]``, which CPython specializes,
     rather than read the named fields, which it does not.  It unpacks as
-    the pair, but ``*``, ``tuple + phase`` and ``in`` raise ``TypeError``.
+    the pair, but ``*``, ``in`` and ``+`` a non-phase raise ``TypeError``.
     """
 
     __slots__ = ()
@@ -77,6 +77,8 @@ class Phase(namedtuple("Phase", "numerator denominator")):
 
     def __add__(self, other: "Phase") -> "Phase":
         """The sum mod 2*pi; a zero operand returns the other one."""
+        if other.__class__ is not Phase:
+            raise TypeError(f"a Phase adds only a Phase, not {other!r}")
         if not other[0]:
             return self
         if not self[0]:

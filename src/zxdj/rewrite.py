@@ -5,13 +5,14 @@ describing what happened.  All rules preserve the diagram's tensor up to a
 nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
-The package's five memos (``circuit._zx_memo``, ``_rewrite_memo``,
-``mbqc._exact_memo``, ``mbqc._flow_memo``, ``mbqc._lattice_memo``) share
-one policy, kept in :func:`_memoized` alone: a record is built on a miss
-only, at most ``MEMO_SHAPES`` keys stay, the first one in is evicted
-first, and a build that raises stores nothing.  Each caller reads a
-record the same way on a miss as on a hit, so the memos differ only in
-their keys.
+The package's five memos share one policy, kept in :func:`_memoized`
+alone: a record is built on a miss only, at most ``MEMO_SHAPES`` keys
+stay, the first one in is evicted first, and a build that raises stores
+nothing.  A caller reads a record alike on a miss and a hit, and each key
+is what its builder reads: a circuit's width and gates' ops and qubits
+(``circuit._zx_memo``), the rewrite key below (``_rewrite_memo``), a
+pattern's ``mbqc._Shape`` (``mbqc._exact_memo``, ``mbqc._flow_memo``), and
+that shape with the lattice's spare angles (``mbqc._lattice_memo``).
 
 :func:`simplify_mbqc` memoizes the simplifier core :func:`simplify_core`
 per rewrite key (:func:`_rewrite_key`): the diagram's shape, its spider

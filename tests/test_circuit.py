@@ -254,8 +254,8 @@ def test_zx_memo_keys_on_shape_not_phases(monkeypatch):
     monkeypatch.setattr(circuit, "_zx_memo", {})
     calls = []
     real = circuit._translate
-    monkeypatch.setattr(circuit, "_translate",
-                        lambda c: (calls.append(c), real(c))[1])
+    monkeypatch.setattr(circuit, "_translate", lambda width, ops: (
+        calls.append((width, ops)), real(width, ops))[1])
     for phases in _MIXED_PHASES:
         to_zx_tracked(_mixed_circuit(phases))
     assert len(calls) == 1
@@ -268,6 +268,27 @@ def test_zx_memo_keys_on_shape_not_phases(monkeypatch):
     assert to_zx_tracked(Circuit(3, [phase_gate(0, HALF_PI)]))[0].spiders[
         3].phase == HALF_PI
     assert len(calls) == 1 + len(shapes)
+
+
+def test_translate_reads_only_the_memo_key():
+    """``_translate`` of to_zx_tracked's key is the translation of the
+    circuit with every phase gate at phase 0."""
+    circuits = ([oracle_circuit_3q(f) for f in enumerate_promise(3)[::9]]
+                + [_mixed_circuit(phases) for phases in _MIXED_PHASES])
+    for c in circuits:
+        key = (c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
+        d, carriers, phased = circuit._translate(*key)
+        zeroed = Circuit(c.width, [phase_gate(g.qubits[0], ZERO)
+                                   if g.op == "phase" else g for g in c.gates])
+        e, expected = to_zx_tracked(zeroed)
+        assert d.to_json_dict() == e.to_json_dict()
+        assert (list(carriers), d._next_node, d._next_edge) == (
+            expected, e._next_node, e._next_edge)
+        # the phase gates' spiders take their phases back
+        for v, g in zip(phased, [g for g in c.gates if g.op == "phase"],
+                        strict=True):
+            d.spiders[v].phase = g.phase
+        assert d.to_json_dict() == to_zx_tracked(c)[0].to_json_dict()
 
 
 def test_zx_memo_hands_out_fresh_diagrams(monkeypatch):

@@ -1097,16 +1097,16 @@ def test_flow_memo_keys_on_shape_not_angles(monkeypatch):
     assert warm == cold
     calls.clear()
     p = _non_clifford(dj_pattern_2q(BooleanFunction(2, 6)))
-    # the gflow reads the readouts as a set
+    # the readouts in another order are another shape
     run_sampled(replace(p, readouts=p.readouts[::-1]), shots=10)
-    assert calls == []
+    assert len(calls) == 1
     p = replace(p, edges=p.edges | {frozenset((0, 3))})
     run_sampled(p, shots=10)
     p = replace(p, angles={**p.angles, 6: ZERO},
                 edges=p.edges | {frozenset((5, 6))})
     run_sampled(p, shots=10)
-    assert len(calls) == 2
-    assert len(mbqc._flow_memo) == 3
+    assert len(calls) == 3
+    assert len(mbqc._flow_memo) == 4
 
 
 def test_flow_memo_stores_no_failure(monkeypatch):
@@ -1243,7 +1243,7 @@ def test_dj_patterns_own_their_containers():
 def _templates():
     """Every template by name, the reduced lattice's from a cold reduction."""
     lattice = lattice_pattern_3q(BooleanFunction(3, 0))
-    reduced, _ = mbqc._reduction(lattice, lattice.qubits())
+    reduced, _ = mbqc._reduction(lattice)
     return {"dj-3q": mbqc._DJ_3Q, "chain-1q": mbqc._CHAIN_1Q,
             "chain-2q": mbqc._CHAIN_2Q, "lattice": mbqc._LATTICE,
             "reduced-lattice": reduced}
@@ -1268,6 +1268,16 @@ def test_a_filled_template_is_the_pattern_the_constructor_builds(name, data):
     assert filled.edges is t.pattern.edges
     assert filled.readouts is t.pattern.readouts
     assert filled.z_basis is t.pattern.z_basis
+    # and its shape, which the constructor computes alike
+    assert filled._shape is t.pattern._shape
+    assert filled._shape == built._shape
+
+
+@given(st.lists(st.integers(-50, 50), unique=True))
+def test_qubits_ascend_however_the_angles_were_listed(ids):
+    p = MeasurementPattern(dict.fromkeys(ids, ZERO), set(), ids[:1])
+    assert p.qubits() == tuple(sorted(ids))
+    assert list(p.angles) == ids
 
 
 @pytest.mark.parametrize("carrier", [5, 1], ids=["no-qubit", "z-basis"])

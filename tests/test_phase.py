@@ -166,6 +166,26 @@ def test_a_tuple_plus_a_phase_raises():
         (0, 1) + HALF_PI
 
 
+def test_a_phase_plus_a_pair_raises():
+    with pytest.raises(TypeError, match=r"adds only a Phase, not \(1, 2\)"):
+        HALF_PI + (1, 2)
+
+
+def test_a_phase_plus_a_list_raises():
+    with pytest.raises(TypeError, match=r"adds only a Phase, not \[1, 2\]"):
+        HALF_PI + [1, 2]
+
+
+def test_a_phase_plus_an_int_raises():
+    with pytest.raises(TypeError, match="adds only a Phase, not 1"):
+        HALF_PI + 1
+
+
+def test_a_phase_minus_a_pair_raises():
+    with pytest.raises(TypeError):
+        HALF_PI - (1, 2)
+
+
 def test_membership_in_a_phase_raises():
     with pytest.raises(TypeError, match="not a container"):
         2 in HALF_PI
