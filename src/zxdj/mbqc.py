@@ -428,16 +428,18 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     return PatternOutcome(verdict, amplitude)
 
 
-def _clifford_turns(p: MeasurementPattern) -> dict[int, int] | None:
-    """Each qubit's quarter turns (``Phase.turns(2)``), or None if some
-    angle is no multiple of pi/2."""
-    turns = {}
-    for q, angle in p.angles.items():
-        t = angle.turns(2)
-        if t is None:
-            return None
-        turns[q] = t
-    return turns
+# The quarter turns of each multiple of pi/2: a normalized phase is one
+# exactly when it is a key here.
+_QUARTER_TURNS = {Phase(k, 2): Phase(k, 2).turns(2) for k in range(4)}
+
+
+def _clifford_turns(p: MeasurementPattern) -> list[int] | None:
+    """The quarter turns of the qubits in :func:`_prelude`'s order, or None
+    if some angle is no multiple of pi/2, which builds no prelude."""
+    if not all(map(_QUARTER_TURNS.__contains__, p.angles.values())):
+        return None
+    return list(map(_QUARTER_TURNS.__getitem__,
+                    map(p.angles.__getitem__, _prelude(p._shape)[0])))
 
 
 def _bits(mask: int):
@@ -473,9 +475,10 @@ def _prelude(s: _Shape) -> tuple:
 
 
 def _sum_exact(p: MeasurementPattern,
-               by_qubit: dict[int, int]) -> tuple[int, int] | None:
-    """S of a valid pattern, given each qubit's quarter turns: ``(e, h)``
-    for S = omega^e * sqrt(2)^h, omega = e^(i pi/4), or None for S = 0.
+               turns: list[int]) -> tuple[int, int] | None:
+    """S of a valid pattern from its :func:`_clifford_turns`, which it
+    consumes: ``(e, h)`` for S = omega^e * sqrt(2)^h, omega = e^(i pi/4),
+    or None for S = 0.
 
     With l_v = angle_v / (pi/2) and x_v = 0 on z-basis qubits, the closed
     diagram of :func:`pattern_to_diagram` is S * 2^|Z| * 2^(-|E|/2) for
@@ -494,7 +497,6 @@ def _sum_exact(p: MeasurementPattern,
     - even l_v with no neighbour: 2 for l_v = 0, and S = 0 for l_v = 2.
     """
     qubits, rows = _prelude(p._shape)
-    turns = [by_qubit[q] for q in qubits]
     adj, live = list(rows), [True] * len(qubits)
     e = h = 0
     for v in range(len(qubits)):
@@ -505,8 +507,11 @@ def _sum_exact(p: MeasurementPattern,
         if lv & 1:
             e += 1 - (lv & 2)  # 1 +- i = sqrt(2) * omega^(+-1)
             h += 1
-            for u in _bits(nbrs):
-                adj[u] ^= nbrs ^ (1 << u) ^ (1 << v)
+            rest = nbrs
+            while rest:
+                u = (low := rest & -rest).bit_length() - 1
+                rest ^= low
+                adj[u] ^= nbrs ^ low ^ (1 << v)
                 turns[u] = (turns[u] - lv) % 4
         elif nbrs:
             h += 2
@@ -521,17 +526,20 @@ def _sum_exact(p: MeasurementPattern,
             # 2 c x_t + 2 x_t x_u over u in m, where x_t x_t = x_t
             e += 2 * c * lw
             shift = -lw if c else lw
-            for x in _bits(m | t):
+            rest = m | t
+            while rest:
+                x = (low := rest & -rest).bit_length() - 1
+                rest ^= low
                 row = adj[x] & gone
-                if m >> x & 1:
+                if m & low:
                     turns[x] += shift
                     row ^= t
                     if lw & 1:
-                        row ^= m ^ (1 << x)
-                if t >> x & 1:
+                        row ^= m ^ low
+                if t & low:
                     turns[x] += 2 * c
                     row ^= m
-                    if m >> x & 1:
+                    if m & low:
                         turns[x] += 2
                 turns[x] %= 4
                 adj[x] = row

@@ -49,7 +49,7 @@ class BooleanFunction:
         return [self.value(i) for i in range(self.size)]
 
     def popcount(self) -> int:
-        return bin(self.table).count("1")
+        return self.table.bit_count()
 
     @classmethod
     def from_values(cls, values) -> "BooleanFunction":
@@ -199,6 +199,15 @@ _ORACLE_READOUT_GATES = tuple(
     for s in _READOUT_PARITIES)
 
 
+# The oracle circuit at phase 0, built and checked once by the public
+# constructors, and the index and parity of each of its phase gates.
+_ORACLE_CIRCUIT = Circuit(3, [entry if isinstance(entry, Gate)
+                              else phase_gate(entry[0], ZERO)
+                              for entry in _ORACLE_3Q])
+_ORACLE_SLOTS = tuple((i, entry[1]) for i, entry in enumerate(_ORACLE_3Q)
+                      if not isinstance(entry, Gate))
+
+
 def oracle_circuit_3q(f: BooleanFunction) -> Circuit:
     """Three-qubit phase-oracle circuit over single-qubit phases and CNOTs.
 
@@ -206,17 +215,20 @@ def oracle_circuit_3q(f: BooleanFunction) -> Circuit:
     coefficient belongs to; the CNOT ladder computes every parity of the
     three inputs and restores the wires afterwards.  All seven phase gates
     are always emitted (possibly with angle 0) so that every variant
-    compiles to the same diagram shape.  The gates come from the template
-    ``_ORACLE_3Q``: its six CNOTs are shared frozen gates, and each call
-    builds only the seven phase gates, in a fresh list.
+    compiles to the same diagram shape.  A call fills the checked template
+    ``_ORACLE_CIRCUIT``, checking nothing again: a fresh list holds its six
+    frozen CNOTs and a fresh phase gate on each of its phase gates' wires.
     """
     if f.n != 3:
         raise ArityMismatchError("three-qubit synthesis needs n = 3")
     coeffs = phase_polynomial(f).coeffs
-    gates = [entry if isinstance(entry, Gate)
-             else phase_gate(entry[0], coeffs.get(entry[1], ZERO))
-             for entry in _ORACLE_3Q]
-    return Circuit(3, gates)
+    gates = _ORACLE_CIRCUIT.gates.copy()
+    for i, parity in _ORACLE_SLOTS:
+        gates[i] = g = object.__new__(Gate)
+        vars(g).update(vars(_ORACLE_CIRCUIT.gates[i]), phase=coeffs[parity])
+    c = object.__new__(Circuit)
+    vars(c).update(vars(_ORACLE_CIRCUIT), gates=gates)
+    return c
 
 
 def two_qubit_spider_angles(f: BooleanFunction):

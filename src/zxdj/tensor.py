@@ -49,7 +49,7 @@ def spider_tensor(kind: SpiderKind, phase_factor: complex, rank: int) -> np.ndar
         return data
     # X spider: entry at bits b is 1 + e^{i*alpha} * (-1)^popcount(b)
     flat = np.array(
-        [1 + phase_factor * (-1) ** bin(i).count("1") for i in range(2 ** rank)],
+        [1 + phase_factor * (-1) ** i.bit_count() for i in range(2 ** rank)],
         dtype=complex,
     )
     return flat.reshape((2,) * rank)

@@ -749,6 +749,24 @@ def test_simulate_circuit_output_is_byte_identical(capsys, tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_CIRCUIT_DIGEST
 
 
+# SHA-256 of the concatenated synth-circuit stdout of the 72 three-bit
+# tables in enumeration order, fixed when each gate of the oracle circuit
+# was still built through its checked constructor: filling a checked
+# template instead must not change a byte
+SYNTH_CIRCUIT_DIGEST = (
+    "175ffc5bb0cc8ec1afbc3db7ba9b6550e73c425c393cd11258e6096e49c9c74c")
+
+
+def test_synth_circuit_output_is_byte_identical(capsys):
+    text = ""
+    for f in enumerate_promise(3):
+        code, out = run(capsys, "synth-circuit", "--n", "3", "--table",
+                        format(f.table, "08b"))
+        assert code == 0
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == SYNTH_CIRCUIT_DIGEST
+
+
 # SHA-256 of the concatenated lattice --reduce --trace stdout over the 72
 # three-bit tables in ascending order: the first table runs the reduction,
 # the other 71 replay it with their carrier angles, and neither may change a

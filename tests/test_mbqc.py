@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import zxdj
 from zxdj import cli, mbqc, rewrite, tensor
@@ -46,7 +46,7 @@ from zxdj.circuit import to_zx_tracked
 from zxdj.oracle import (
     BooleanFunction, Verdict, classify, enumerate_promise, oracle_circuit_3q,
     phase_polynomial)
-from zxdj.phase import HALF_PI, PI, Phase, QUARTER_PI, ZERO
+from zxdj.phase import HALF_PI, MINUS_HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.rewrite import (
     decouple_x_state, fuse_spiders, local_complement, simplify_mbqc)
 from zxdj.tensor import collapse_floor, equivalent_up_to_scalar, evaluate
@@ -1692,18 +1692,36 @@ def test_the_exact_sum_on_small_cases():
     assert run_postselected(pair).amplitude == pytest.approx(2 * 2 / 2 ** 0.5)
 
 
-def test_quarter_turns_are_computed_once_per_pattern(monkeypatch):
+def test_a_clifford_run_converts_no_angle(monkeypatch):
+    # the quarter turns are read from a table built at import, so neither
+    # a cold run (a memo miss) nor a warm one (a hit) calls Phase.turns
     monkeypatch.setattr(mbqc, "_exact_memo", {})
+    monkeypatch.setattr(mbqc, "_flow_memo", {})
     calls = []
     real = Phase.turns
     monkeypatch.setattr(Phase, "turns",
                         lambda a, half: (calls.append(a), real(a, half))[1])
     f = BooleanFunction(3, 0b01101001)
-    for warm in (False, True):  # a memo miss, then a hit
-        calls.clear()
-        out = run_postselected(lattice_pattern_3q(f))
+    for warm in (False, True):
+        for p in (lattice_pattern_3q(f), dj_pattern_3q(f)):
+            assert run_postselected(p).verdict is Verdict.BALANCED
+        out = run_sampled(dj_pattern_3q(f), shots=100)
         assert out.verdict is Verdict.BALANCED
-        assert len(calls) == 36, warm
+        assert calls == [], warm
+
+
+@given(st.integers(-2 ** 12, 2 ** 12),
+       st.integers(-2 ** 10, 2 ** 10).filter(bool))
+@example(-6, -4)  # 3pi/2, negative and unreduced
+@example(12, 8)   # 3pi/2, unreduced
+@example(-1, 2)   # 3pi/2
+@example(3, 4)    # no multiple of pi/2
+def test_the_quarter_turn_table_agrees_with_phase_turns(n, d):
+    # a normalized phase is a key exactly when it is a multiple of pi/2,
+    # so the table answers None for every other phase
+    a = Phase(n, d)
+    assert mbqc._QUARTER_TURNS.get(a) == a.turns(2)
+    assert len(mbqc._QUARTER_TURNS) == 4
 
 
 def test_non_clifford_pattern_stores_no_exact_prelude(monkeypatch):
@@ -1732,11 +1750,20 @@ def test_clifford_pattern_skips_the_dense_route(monkeypatch):
             return real(*args)
         return counted
 
+    f = BooleanFunction(3, 0b01101001)
+    triangle = _triangle_pattern()
+    cliffords = (dj_pattern_3q(f), lattice_pattern_3q(f), triangle,
+                 _reangled(triangle, {0: MINUS_HALF_PI}))
+    # each quarter turn sits in some pattern here, so a table without one
+    # would send a pattern down the dense route, with the same verdict
+    assert {a for p in cliffords for a in p.angles.values()} == {
+        ZERO, HALF_PI, PI, MINUS_HALF_PI}
     for name in ("evaluate", "collapse_floor", "pattern_to_diagram"):
         monkeypatch.setattr(mbqc, name, counting(name))
-    f = BooleanFunction(3, 0b01101001)
-    for p in (dj_pattern_3q(f), lattice_pattern_3q(f)):
+    for p in cliffords[:2]:
         assert run_postselected(p).verdict is Verdict.BALANCED
+    for p in cliffords:  # checked against this module's unpatched names
+        _assert_exact_matches_dense(p)
     assert calls == []
     p = _reangled(_triangle_pattern(), {0: QUARTER_PI})
     run_postselected(p)

@@ -1,6 +1,7 @@
 """Promise functions and oracle synthesis, checked against brute force."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from zxdj import oracle
-from zxdj.circuit import unitary
+from zxdj.circuit import Circuit, cnot, hadamard, phase_gate, unitary
 from zxdj.errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from zxdj.oracle import (
     MAX_INPUT_BITS,
@@ -236,6 +237,37 @@ def test_oracle_circuit_3q_is_diagonal_oracle():
         diag = np.diag([(-1.0) ** f.value(i) for i in range(8)]).astype(complex)
         ok, _ = equivalent_up_to_scalar(u, diag)
         assert ok, table
+
+
+def _oracle_circuit_by_hand(f):
+    """The oracle circuit of ``f`` built gate by gate through the checked
+    constructors, each phase gate on the wire holding its parity."""
+    coeffs = phase_polynomial(f).coeffs
+
+    def phase(wire, *bits):
+        return phase_gate(wire, coeffs[frozenset(bits)])
+
+    return Circuit(3, [
+        phase(0, 0), phase(1, 1), phase(2, 2), cnot(0, 1), cnot(0, 2),
+        phase(1, 0, 1), phase(2, 0, 2), cnot(1, 2), phase(2, 1, 2),
+        cnot(0, 2), phase(2, 0, 1, 2), cnot(1, 2), cnot(0, 1)])
+
+
+def test_oracle_circuit_3q_fills_its_template():
+    template = oracle._ORACLE_CIRCUIT
+    before = list(template.gates)
+    for f in enumerate_promise(3):
+        c = oracle_circuit_3q(f)
+        assert c == _oracle_circuit_by_hand(f)
+        assert Circuit.from_json(c.to_json()) == c
+        assert c.gates is not template.gates
+        shared = [g is t for g, t in zip(c.gates, template.gates)
+                  if g.op == "cnot"]
+        assert shared == [True] * 6
+        c.gates.append(hadamard(0))  # the next fill must not see this
+        assert oracle_circuit_3q(f) == _oracle_circuit_by_hand(f)
+        assert template.gates == before
+        assert all(map(operator.is_, template.gates, before))
 
 
 def test_oracle_circuit_3q_guard():

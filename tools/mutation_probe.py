@@ -56,9 +56,26 @@ REWRITE = "src/zxdj/rewrite.py"
 PHASE = "src/zxdj/phase.py"
 MUTANTS = [
     Mutant("pivot-term-dropped", MBQC,
-           "if m >> x & 1:\n                        turns[x] += 2\n",
-           "if m >> x & 1:\n                        turns[x] += 0\n",
+           "if m & low:\n                        turns[x] += 2\n",
+           "if m & low:\n                        turns[x] += 0\n",
            "_sum_exact's pivot drops the x_t x_t = x_t term"),
+    Mutant("pivot-row-keeps-its-own-bit", MBQC,
+           "row ^= m ^ low\n",
+           "row ^= m\n",
+           "_sum_exact's pivot gives a qubit in m an edge to itself"),
+    Mutant("quarter-turns-without-minus-half-pi", MBQC,
+           "Phase(k, 2).turns(2) for k in range(4)}",
+           "Phase(k, 2).turns(2) for k in range(3)}",
+           "the quarter-turn table leaves out 3pi/2, so a pattern holding it "
+           "is contracted densely"),
+    Mutant("oracle-fill-all-zero", "src/zxdj/oracle.py",
+           "phase=coeffs[parity])",
+           "phase=ZERO)",
+           "oracle_circuit_3q fills every phase gate with 0"),
+    Mutant("oracle-fill-shares-the-template-list", "src/zxdj/oracle.py",
+           "gates = _ORACLE_CIRCUIT.gates.copy()",
+           "gates = _ORACLE_CIRCUIT.gates",
+           "oracle_circuit_3q fills the template's own gate list"),
     Mutant("greedy-ties-by-highest-id", "src/zxdj/tensor.py",
            "key=lambda u: (score(u, adj), u))",
            "key=lambda u: (score(u, adj), -u))",
