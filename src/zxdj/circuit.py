@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .diagram import EdgeKind, SpiderKind, ZxDiagram
+from .diagram import EdgeKind, SpiderKind, ZxDiagram, _Record, _View
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
 from .rewrite import _memoized
@@ -173,8 +173,16 @@ def unitary(c: Circuit) -> np.ndarray:
     return _apply_gates(c, state).reshape(2 ** w, 2 ** w)
 
 
-# Translated skeletons by circuit shape (see to_zx_tracked).
-_zx_memo: dict[tuple, tuple[ZxDiagram, tuple[int, ...], tuple[int, ...]]] = {}
+@dataclass(frozen=True, eq=False)
+class _Translation(_Record):
+    """A translation's record (see :func:`to_zx_tracked`): ``phased`` are
+    its phase gates' carriers, and ``carriers`` all its carriers."""
+
+    carriers: tuple[int, ...]
+
+
+# Translation records by circuit shape (see to_zx_tracked).
+_zx_memo: dict[tuple, _Translation] = {}
 
 
 def to_zx_tracked(c: Circuit):
@@ -186,17 +194,20 @@ def to_zx_tracked(c: Circuit):
 
     :func:`_translate` builds the diagram from the circuit's shape alone,
     its width and each gate's op and qubits, memoized by that shape (see
-    ``rewrite._memoized``).  Every call copies the stored diagram and writes
-    each phase gate's phase onto its spider: a fresh diagram and list.
+    ``rewrite._memoized``).  Every call returns a fresh list and a view
+    (``diagram._View``) of the stored diagram with each phase gate's phase
+    on its spider, which copies the diagram on its first read or write.
     """
     key = (c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
-    skeleton, carriers, phased = _memoized(_zx_memo, key,
-                                           lambda: _translate(*key))
-    d = skeleton.copy()
-    spiders = d.spiders
-    for v, g in zip(phased, [g for g in c.gates if g.op == "phase"]):
-        spiders[v].phase = g.phase
-    return d, list(carriers)
+
+    def build() -> _Translation:
+        d, carriers, phased = _translate(*key)
+        return _Translation(d, phased, carriers)
+
+    record = _memoized(_zx_memo, key, build)
+    phases = dict(zip(record.phased,
+                      [g.phase for g in c.gates if g.op == "phase"]))
+    return _View(record, phases), list(record.carriers)
 
 
 def _translate(width: int, ops: tuple):

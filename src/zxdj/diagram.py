@@ -5,12 +5,16 @@ A diagram is a plain value: spiders live in a dict keyed by stable NodeIds
 Boundaries are ordered lists of spider ids; a spider listed in ``inputs`` or
 ``outputs`` carries one dangling tensor leg per occurrence.  Incident edges
 are indexed per spider, so only diagram methods may change the two dicts.
+
+A memo hands out a :class:`_View`: the diagram of a :class:`_Record`
+with some spiders' phases replaced, which holds no state until it is
+first read or written.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -200,6 +204,68 @@ class ZxDiagram:
             lines.append(f"  n{e.a} -- n{e.b}{style};")
         lines.append("}")
         return "\n".join(lines)
+
+
+# The attributes a diagram's state is made of, which a view lacks.
+_STATE = frozenset(vars(ZxDiagram()))
+
+
+@dataclass(frozen=True, eq=False)
+class _Record:
+    """A memo's diagram, which nothing writes once it is stored, and the
+    spiders whose phases each view of it sets (``phased``).  What is built
+    from it is kept on it, by key, through ``rewrite._memoized``: the
+    rewrite of its diagram per protected set (``rewrites``) and its
+    pattern template per readout choice (``templates``).  A record that
+    keeps what its builder found besides subclasses this one."""
+
+    diagram: ZxDiagram
+    phased: tuple[int, ...]
+    rewrites: dict = field(default_factory=dict, init=False, repr=False)
+    templates: dict = field(default_factory=dict, init=False, repr=False)
+
+
+class _View(ZxDiagram):
+    """``record.diagram`` with ``phases`` (by spider id, over
+    ``record.phased``), as a memo hands it out.  It holds no state of its
+    own: its first read or write of any (``_STATE``) copies the record's
+    diagram, sets the phases and makes it an ordinary :class:`ZxDiagram`.
+    Python calls ``__getattr__`` only for a missing attribute, so an
+    ordinary diagram pays nothing for this.  Until then a consumer may
+    read the record rather than the state (``rewrite.simplify_mbqc``,
+    ``mbqc.pattern_from_graph_like``)."""
+
+    def __init__(self, record: _Record, phases: dict) -> None:
+        vars(self).update(_record=record, _phases=phases)
+
+    def __getattr__(self, name: str):
+        if name not in _STATE:
+            raise AttributeError(
+                f"'ZxDiagram' object has no attribute {name!r}")
+        self._build()
+        return getattr(self, name)
+
+    def __setattr__(self, name: str, value) -> None:
+        self._build()
+        setattr(self, name, value)
+
+    def _build(self) -> None:
+        state = vars(self)
+        record, phases = state.pop("_record"), state.pop("_phases")
+        object.__setattr__(self, "__class__", ZxDiagram)
+        state.update(vars(record.diagram.copy()))
+        for v, phase in phases.items():
+            self.spiders[v].phase = phase
+
+    def copy(self) -> "ZxDiagram":
+        """Another view of the same record and phases."""
+        return _View(self._record, self._phases)
+
+    def __reduce_ex__(self, protocol):
+        # copy, deepcopy and pickle take the state, not the record and
+        # the memo entries hanging off it
+        self._build()
+        return self.__reduce_ex__(protocol)
 
 
 def new_diagram(n_in: int, n_out: int) -> ZxDiagram:

@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .diagram import EdgeKind, SpiderKind, ZxDiagram
+from .diagram import EdgeKind, SpiderKind, ZxDiagram, _View
 from .errors import (
     ArityMismatchError,
     NoFlowError,
@@ -181,7 +181,28 @@ def pattern_from_graph_like(d: ZxDiagram,
     without it the single highest id is read out, which need not leave the
     pattern an XY gflow (:func:`find_gflow`), so ``run_sampled`` may refuse it.
     The pattern's constructor refuses a repeated or unknown readout.
+
+    A view (``diagram._View``) is read through its record: the record's
+    diagram is read once per readout choice, into a :class:`_Template`
+    memoized on the record (see ``rewrite._memoized``) whose carriers are
+    the spiders the view sets, and :func:`_fill` gives them the view's
+    phases.  Readouts other than ints take the reader, as any other
+    diagram does.
     """
+    if d.__class__ is _View:
+        key = readouts if readouts is None else tuple(readouts)
+        if key is None or all([q.__class__ is int for q in key]):
+            record = d._record
+            template = _memoized(record.templates, key, lambda: _Template(
+                _read(record.diagram, key),
+                tuple([(v, ZERO, (v,)) for v in record.phased])))
+            return _fill(template, d._phases)
+        readouts = key
+    return _read(d, readouts)
+
+
+def _read(d: ZxDiagram, readouts) -> MeasurementPattern:
+    """The pattern of ``d`` (see :func:`pattern_from_graph_like`)."""
     if not d.is_closed():
         raise NotGraphLikeError("diagram has open boundary legs")
     for v, s in d.spiders.items():

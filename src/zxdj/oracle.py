@@ -137,21 +137,38 @@ def _parity_masks(n: int):
         yield m
 
 
+class _Phases(dict):
+    """The phases 2*pi*k/size by k, each built on its first lookup."""
+
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, k: int) -> Phase:
+        phase = self[k] = Phase(2 * k, self.size)
+        return phase
+
+
 def _parity_data(n: int):
     """``(sets, masks, phases)`` for every nonempty parity S in mask order
     1..2^n - 1, bit i of the input being mask bit n - 1 - i: the input bits
-    of S, its truth table M_S (from ``_parity_masks``), and the 2^n phases
-    2*pi*k/2^n for k = 0..2^n - 1.  Kept per n up to
-    ``_PARITY_TABLE_BITS``; a wider n gets its masks as an iterator."""
+    of S, its truth table M_S (from ``_parity_masks``), and the phases
+    2*pi*k/2^n by k.  Each set is the set of ``mask & (mask - 1)`` plus
+    the input of the mask's lowest bit.  Kept per n up to
+    ``_PARITY_TABLE_BITS``; a wider n gets its masks as an iterator and
+    its phases as they are looked up (:class:`_Phases`)."""
     data = _parity_table.get(n)
     if data is None:
         size = 1 << n
-        sets = tuple(frozenset(i for i in range(n) if mask >> (n - 1 - i) & 1)
-                     for mask in range(1, size))
-        phases = tuple(Phase(2 * k, size) for k in range(size))
+        sets = [frozenset()]
+        for mask in range(1, size):
+            sets.append(sets[mask & (mask - 1)]
+                        | {n - (mask & -mask).bit_length()})
         if n > _PARITY_TABLE_BITS:
-            return sets, _parity_masks(n), phases
-        data = _parity_table[n] = sets, tuple(_parity_masks(n)), phases
+            return sets[1:], _parity_masks(n), _Phases(size)
+        data = _parity_table[n] = (
+            tuple(sets[1:]), tuple(_parity_masks(n)),
+            tuple(Phase(2 * k, size) for k in range(size)))
     return data
 
 

@@ -5,30 +5,33 @@ describing what happened.  All rules preserve the diagram's tensor up to a
 nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
-The package's five memos share one policy, kept in :func:`_memoized`
-alone: a record is built on a miss only, at most ``MEMO_SHAPES`` keys
-stay, the first one in is evicted first, and a build that raises stores
-nothing.  A caller reads a record alike on a miss and a hit, and each key
-is what its builder reads: a circuit's width and gates' ops and qubits
-(``circuit._zx_memo``), the rewrite key below (``_rewrite_memo``), a
-pattern's ``mbqc._Shape`` (``mbqc._exact_memo``, ``mbqc._flow_memo``), and
-that shape with the lattice's spare angles (``mbqc._lattice_memo``).
+The package's memos share one policy, kept in :func:`_memoized` alone: a
+record is built on a miss only, at most ``MEMO_SHAPES`` keys stay, the
+first one in is evicted first, and a build that raises stores nothing.  A
+caller reads a record alike on a miss and a hit, and each key is what its
+builder reads: a circuit's width and gates' ops and qubits
+(``circuit._zx_memo``), a pattern's ``mbqc._Shape`` (``mbqc._exact_memo``,
+``mbqc._flow_memo``), and that shape with the lattice's spare angles
+(``mbqc._lattice_memo``).  A ``diagram._Record`` holds two more:
+:func:`simplify_mbqc` keeps the rewrite of the record's diagram per
+protected set (``rewrites``), and ``mbqc.pattern_from_graph_like`` its
+pattern template per readout choice (``templates``), so what is built
+from a record goes with it.
 
-:func:`simplify_mbqc` memoizes the simplifier core :func:`simplify_core`
-per rewrite key (:func:`_rewrite_key`): the diagram's shape, its spider
-kinds, its next spider and edge ids, the protected set and the phases of
-the unprotected spiders.  No rule reads a protected phase, so that key
-fixes the trace and the reduced graph, and each survivor's phase is a
-constant plus the phases of the protected input spiders fused into it.
-Which survivor holds which input is tracked in one place: each fusion in
-:func:`simplify_core` hands them on, and its formulas are read off that.
+:func:`simplify_mbqc` of a ``diagram._View`` whose replaced phases are all
+protected reads its record, not its state.  No rule reads a protected
+phase, so the record's diagram and the view have the same trace and
+reduced graph, and each survivor's phase is a constant plus the phases of
+the protected input spiders fused into it.  Which survivor holds which
+input is tracked in one place: each fusion in :func:`simplify_core` hands
+them on, and its formulas are read off that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import EdgeKind, SpiderKind, ZxDiagram
+from .diagram import EdgeKind, SpiderKind, ZxDiagram, _Record, _View
 from .errors import (
     KindMismatchError,
     NotAdjacentError,
@@ -432,51 +435,15 @@ def _memoized(memo: dict, key, build):
     return value
 
 
-@dataclass(frozen=True)
-class _Rewrite:
-    """What one rewrite key reduces to.  ``formulas`` gives each survivor
-    that absorbed protected input spiders as ``(survivor, constant,
-    inputs)``: its phase is the constant plus the inputs' phases."""
-
-    reduced: ZxDiagram
-    steps: tuple[RewriteStep, ...]
-    formulas: tuple[tuple[int, Phase, tuple[int, ...]], ...]
-
-
-_rewrite_memo: dict[tuple, _Rewrite] = {}
-
-
-def _rewrite_key(d: ZxDiagram, protected: set[int]) -> tuple:
-    """All the simplifier reads: the shape (spider ids, edges and boundary,
-    so any structural change gives a new key), the kinds, the ids new
-    spiders and edges take, protection and the unprotected phases.  Kinds
-    enter as bools, since a bool hashes in C and an enum member in Python;
-    the two members are read once, as an enum class attribute read is not
-    specialized.
-
-    The diagram is read in its own dict order, not sorted: that order is
-    finer than the sorted one, so equal keys still mean identical diagrams
-    and a hit is never wrong, while the same diagram built in another
-    insertion order only misses once.  ``to_zx_tracked`` copies keep the
-    order of their shape's diagram, so every oracle variant shares a key."""
-    hadamard, x = EdgeKind.HADAMARD, SpiderKind.X
-    shape = (tuple(d.spiders), tuple(d.edges),
-             tuple([(e.a, e.b, e.kind is hadamard)
-                    for e in d.edges.values()]),
-             tuple(d.inputs), tuple(d.outputs))
-    return (shape, tuple([s.kind is x for s in d.spiders.values()]),
-            d._next_node, d._next_edge, tuple(sorted(protected)),
-            tuple([s.phase for v, s in d.spiders.items()
-                   if v not in protected]))
-
-
 def simplify_core(d: ZxDiagram, protected) -> tuple[list[RewriteStep], tuple]:
     """The simplifier core, unmemoized: plug the boundary, decouple X
     states (before the graph-like pass color-changes them), then remove
     trailing caps, phase-0 and +-pi/2 wires in that priority, all in place.
     A fusion hands the ``protected`` inputs its spider holds to the
     survivor; ``protected`` itself is left as it was.  Returns the trace
-    and the :class:`_Rewrite` formulas, by lowest input, inputs ascending."""
+    and the formulas ``(survivor, constant, inputs)`` of each survivor
+    that absorbed protected inputs: its phase is the constant plus the
+    inputs' phases.  They come by lowest input, inputs ascending."""
     held = {p: [p] for p in protected if p in d.spiders}
     inputs = {p: d.spiders[p].phase for p in held}
     steps: list[RewriteStep] = []
@@ -494,30 +461,52 @@ def simplify_core(d: ZxDiagram, protected) -> tuple[list[RewriteStep], tuple]:
     return steps, tuple(formulas)
 
 
-def _rewrite(d: ZxDiagram, protected) -> _Rewrite:
-    """The record of ``d``; it keeps a copy of the reduced diagram, whose
-    dicts the deletions left sparse and slow to copy on each replay."""
+@dataclass(frozen=True, eq=False)
+class _Rewrite(_Record):
+    """A reduced diagram's record (see :func:`_rewrite`): its trace
+    (``steps``), the :func:`simplify_core` formulas of the survivors in
+    ``phased``, and the protected phases they were read at (``inputs``)."""
+
+    steps: tuple[RewriteStep, ...]
+    formulas: tuple[tuple[int, Phase, tuple[int, ...]], ...]
+    inputs: dict[int, Phase]
+
+
+def _rewrite(d: ZxDiagram, protected: frozenset) -> _Rewrite:
+    """The record of ``d`` reduced.  It keeps a copy of the reduced
+    diagram, whose dicts the deletions left sparse and slow to copy on
+    each build of a view."""
     reduced = d.copy()
+    inputs = {p: reduced.spiders[p].phase for p in protected
+              if p in reduced.spiders}
     steps, formulas = simplify_core(reduced, protected)
-    return _Rewrite(reduced.copy(), tuple(steps), formulas)
+    return _Rewrite(reduced.copy(), tuple([v for v, _, _ in formulas]),
+                    tuple(steps), formulas, inputs)
 
 
 def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
     """Reduce a (closable) circuit translation to a graph-like closed diagram.
 
-    Memoized per rewrite key (see the module docstring): every call returns
-    a copy of the key's reduced diagram, each survivor's phase evaluated on
-    the protected phases ``d`` holds now, and a copy of its trace; only a
-    miss runs the rules.  ``protected`` spiders are the oracle's parameter
-    carriers: they survive the cleanup so that every oracle variant
-    compiles to the same graph shape regardless of which phases happen to
-    vanish, and it is their phases alone that vary between variants.
-    Returns the reduced diagram and the full step trace.
+    ``protected`` spiders are the oracle's parameter carriers: they
+    survive the cleanup so that every oracle variant compiles to the same
+    graph shape regardless of which phases happen to vanish, and it is
+    their phases alone that vary between variants.  Returns the reduced
+    diagram and a fresh list of the full step trace.
+
+    A view (``diagram._View``) whose replaced phases are all protected
+    takes the rewrite of its record's diagram, memoized on that record by
+    the protected set (see the module docstring), and returns a view of
+    the reduced diagram whose survivors take their formulas' phases at
+    the view's protected phases: only a miss runs the rules.  Any other
+    diagram is simplified on a copy.
     """
-    memo = _memoized(_rewrite_memo, _rewrite_key(d, protected),
-                     lambda: _rewrite(d, protected))
-    result = memo.reduced.copy()
-    phases = {p: d.spiders[p].phase for p in protected if p in d.spiders}
-    for v, constant, ps in memo.formulas:
-        result.spiders[v].phase = _carrier_sum(constant, ps, phases)
-    return result, list(memo.steps)
+    protected = frozenset(protected)
+    if d.__class__ is _View and d._phases.keys() <= protected:
+        record = d._record
+        r = _memoized(record.rewrites, protected,
+                      lambda: _rewrite(record.diagram, protected))
+        values = {**r.inputs, **d._phases}
+        return _View(r, {v: _carrier_sum(constant, ps, values)
+                         for v, constant, ps in r.formulas}), list(r.steps)
+    d = d.copy()
+    return d, simplify_core(d, protected)[0]

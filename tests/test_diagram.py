@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
+from zxdj.diagram import (
+    _STATE, EdgeKind, SpiderKind, ZxDiagram, _Record, _View, new_diagram)
 from zxdj.errors import (
     SelfLoopError,
     UnknownNodeError,
@@ -116,6 +117,71 @@ def test_copy_is_independent(d):
     d2 = d.copy()
     d2.add_spider(SpiderKind.Z, PI)
     assert len(d2.spiders) == len(d.spiders) + 1
+
+
+# -- views ---------------------------------------------------------------------
+
+def _view_of(d, phases):
+    """A view of a record of ``d`` that sets ``phases``."""
+    return _View(_Record(d, tuple(phases)), phases)
+
+
+@given(diagrams, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_a_view_builds_its_state_on_first_read(d, rng):
+    phases = {v: Phase(rng.randrange(8), 4) for v in d.spiders
+              if rng.random() < 0.5}
+    expected = d.copy()
+    for v, phase in phases.items():
+        expected.spiders[v].phase = phase
+    record = d.to_json()
+    view = _view_of(d, phases)
+    assert set(vars(view)) == {"_record", "_phases"}  # no state yet
+    assert view.to_json() == expected.to_json()
+    # the read made it an ordinary diagram, which holds its state alone
+    assert type(view) is ZxDiagram and set(vars(view)) == _STATE
+    assert (view._next_node, view._next_edge) == (d._next_node, d._next_edge)
+    # and that state is its own
+    v = view.add_spider(SpiderKind.X, PI)
+    view.add_edge(v, min(view.spiders))
+    for s in view.spiders.values():
+        s.phase = HALF_PI
+    view.inputs.append(v)
+    assert d.to_json() == record
+    assert_index_matches_scan(view)
+
+
+def test_a_write_builds_the_view_first():
+    d = new_diagram(2, 2)
+    view = _view_of(d, {0: PI})
+    view.inputs = [1]  # a write that reads nothing first
+    assert type(view) is ZxDiagram
+    assert (view.inputs, view.outputs) == ([1], d.outputs)
+    assert view.spiders[0].phase == PI and d.spiders[0].phase == ZERO
+    assert d.inputs == [0, 1]
+
+
+def test_a_view_builds_nothing_for_a_missing_name():
+    view = _view_of(new_diagram(1, 1), {0: PI})
+    with pytest.raises(AttributeError, match="nothing"):
+        view.nothing
+    assert type(view) is _View
+
+
+def test_a_views_copy_is_another_view():
+    d = new_diagram(2, 2)
+    view = _view_of(d, {0: PI})
+    twin = view.copy()
+    assert type(twin) is _View and twin is not view
+    twin.spiders[0].phase = HALF_PI
+    twin.remove_edge(0)
+    assert type(view) is _View  # building the copy left the view as it was
+    assert view.spiders[0].phase == PI and 0 in view.edges
+    # a built view copies as any diagram does
+    built = view.copy()
+    assert type(built) is ZxDiagram
+    built.spiders[0].phase = ZERO
+    assert view.spiders[0].phase == PI
 
 
 def test_to_dot_shapes():

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import zxdj
-from zxdj import cli, mbqc, rewrite, tensor
-from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, new_diagram
+from zxdj import circuit, cli, mbqc, rewrite, tensor
+from zxdj.diagram import EdgeKind, SpiderKind, ZxDiagram, _View, new_diagram
 from zxdj.errors import (
     ArityMismatchError,
     NoFlowError,
@@ -247,6 +247,157 @@ def test_pattern_from_graph_like_readouts():
     for readouts in ([a, 7], [b, b], [[a]]):
         with pytest.raises(NotGraphLikeError):
             pattern_from_graph_like(d, readouts)
+
+
+# -- a compile through views --------------------------------------------------
+
+_GATE_KINDS = ("phase", "z", "y", "h", "cnot")
+
+
+@st.composite
+def _circuits(draw, max_width=4, max_gates=12):
+    """A circuit of every gate kind, phases at multiples of pi/4."""
+    w = draw(st.integers(1, max_width))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(
+            _GATE_KINDS if w > 1 else _GATE_KINDS[:4]), max_size=max_gates)):
+        q = draw(st.integers(0, w - 1))
+        if kind == "phase":
+            gates.append(circuit.phase_gate(q, Phase(draw(st.integers(0, 7)), 4)))
+        elif kind == "cnot":
+            gates.append(circuit.cnot(q, draw(st.sampled_from(
+                [t for t in range(w) if t != q]))))
+        else:
+            gates.append(circuit.Gate(kind, (q,)))
+    return circuit.Circuit(w, gates)
+
+
+def _rephased(c, phases):
+    """``c`` with its phase gates at ``phases`` (multiples of pi/4), in
+    order, cycling through them."""
+    gates, k = [], 0
+    for g in c.gates:
+        if g.op == "phase":
+            g = circuit.phase_gate(g.qubits[0], Phase(phases[k % len(phases)], 4))
+            k += 1
+        gates.append(g)
+    return circuit.Circuit(c.width, gates)
+
+
+def _touch(d, how):
+    """Read or write ``d``'s state, or leave it: a write turns the lowest
+    spider's phase a quarter."""
+    if how == "read":
+        len(d.spiders)
+    elif how == "write" and d.spiders:
+        s = d.spiders[min(d.spiders)]
+        s.phase = s.phase + QUARTER_PI
+
+
+def _outcome(call):
+    """What ``call()`` gives: its pattern's JSON, or its error."""
+    try:
+        return call().to_json()
+    except NotGraphLikeError as error:
+        return repr(error)
+
+
+@given(_circuits(), st.lists(st.integers(0, 7), min_size=1, max_size=4),
+       st.sampled_from(["none", "read", "write"]),
+       st.sampled_from(["none", "read", "write"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_view_route_equals_a_cold_run(c, phases, touch_d, touch_reduced,
+                                          data):
+    """to_zx_tracked, simplify_mbqc and pattern_from_graph_like give what
+    simplify_core and the reader give on built copies: warm (the shape was
+    compiled at other phases) or cold, with or without readouts, and with
+    a read or a write of the diagrams between the steps."""
+    if data.draw(st.booleans()):  # warm the records of the shape
+        d, carriers = to_zx_tracked(c)
+        pattern_from_graph_like(simplify_mbqc(d, frozenset(carriers))[0])
+    d, carriers = to_zx_tracked(_rephased(c, phases))
+    protected = frozenset(data.draw(st.sampled_from(
+        [carriers, carriers[1:], []])))
+    _touch(d, touch_d)
+    ref = d.copy()
+    ref_steps, _ = rewrite.simplify_core(ref, protected)
+    reduced, steps = simplify_mbqc(d, protected)
+    assert steps == ref_steps
+    _touch(reduced, touch_reduced)
+    _touch(ref, touch_reduced)
+    ids = sorted(ref.spiders)
+    readouts = data.draw(st.none() | st.lists(
+        st.sampled_from(ids + [-1]) if ids else st.just(-1), max_size=3))
+    assert _outcome(lambda: pattern_from_graph_like(reduced, readouts)) == \
+        _outcome(lambda: pattern_from_graph_like(ref, readouts))
+    assert (reduced.to_json(), reduced._next_node, reduced._next_edge) == (
+        ref.to_json(), ref._next_node, ref._next_edge)
+
+
+def test_a_view_reads_out_what_it_is_asked(monkeypatch):
+    # the templates of a reduced diagram are kept per readout choice
+    monkeypatch.setattr(circuit, "_zx_memo", {})
+    for f in enumerate_promise(3)[::9]:
+        d, carriers = to_zx_tracked(oracle_circuit_3q(f))
+        reduced, _ = simplify_mbqc(d, frozenset(carriers))
+        cold = reduced.copy()
+        len(cold.spiders)  # build the copy: the reader's route
+        parities = [carriers[i] for i in cli._ORACLE_READOUT_GATES]
+        for readouts in (None, parities, parities[::-1], parities[:1]):
+            expected = pattern_from_graph_like(cold, readouts)
+            got = pattern_from_graph_like(reduced, readouts)
+            assert got.to_json() == expected.to_json()
+            assert got.readouts == expected.readouts
+        assert pattern_from_graph_like(reduced, iter(parities)).readouts == \
+            tuple(parities)
+        assert type(reduced) is not ZxDiagram  # read through its record
+        assert len(reduced._record.templates) == 4
+
+
+def test_a_view_reads_readouts_that_are_not_ints_afresh(monkeypatch):
+    # True equals 1 and hashes alike, but the reader keeps what it is given
+    monkeypatch.setattr(circuit, "_zx_memo", {})
+    c = circuit.Circuit(2, [circuit.phase_gate(0, QUARTER_PI),
+                            circuit.phase_gate(1, QUARTER_PI)])
+    d, carriers = to_zx_tracked(c)
+    reduced, _ = simplify_mbqc(d, frozenset(carriers))
+    assert 1 in reduced.copy().spiders
+    assert pattern_from_graph_like(reduced, [True]).readouts[0] is True
+    assert pattern_from_graph_like(reduced, [1]).readouts[0] is not True
+    with pytest.raises(NotGraphLikeError):
+        pattern_from_graph_like(reduced, [[1]])
+
+
+def test_a_warm_compile_copies_simplifies_and_checks_nothing(monkeypatch):
+    """Every oracle circuit shares one shape: once it is compiled, a
+    compile builds no diagram state, runs no rule and checks no pattern."""
+    for f in enumerate_promise(3)[:1]:
+        cli._compile(oracle_circuit_3q(f), oracle=True)
+        d, carriers = to_zx_tracked(oracle_circuit_3q(f))
+        pattern_from_graph_like(simplify_mbqc(d, frozenset(carriers))[0])
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: (
+            calls.append(name), real(*args, **kwargs))[1])
+
+    spy(ZxDiagram, "copy")
+    spy(_View, "copy")
+    spy(rewrite, "simplify_core")
+    spy(MeasurementPattern, "__init__")
+    patterns = []
+    for f in enumerate_promise(3):
+        d, carriers = to_zx_tracked(oracle_circuit_3q(f))
+        reduced, _ = simplify_mbqc(d, frozenset(carriers))
+        patterns.append((pattern_from_graph_like(reduced),
+                         cli._compile(oracle_circuit_3q(f), oracle=True)[0]))
+    assert calls == []
+    # and each pattern is the compiled one
+    for f, (plain, oracle) in zip(enumerate_promise(3), patterns):
+        assert patterns_isomorphic(plain, dj_pattern_3q(f))
+        assert patterns_isomorphic(oracle, dj_pattern_3q(f))
+        assert run_postselected(oracle).verdict is classify(f)
 
 
 def test_reduced_lattice_keeps_the_lattice_readouts():
@@ -1414,10 +1565,10 @@ def test_reduce_lattice_empty_pattern():
 
 
 def _diagram_builds(monkeypatch):
-    """Empty both memos and record the patterns reduce_lattice builds a
-    diagram of."""
+    """Empty the lattice and translation memos and record the patterns
+    reduce_lattice builds a diagram of."""
     monkeypatch.setattr(mbqc, "_lattice_memo", {})
-    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
+    monkeypatch.setattr(circuit, "_zx_memo", {})
     calls = []
     real = mbqc.pattern_to_diagram
     monkeypatch.setattr(mbqc, "pattern_to_diagram",
@@ -1439,7 +1590,7 @@ def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch):
     assert len(builds) == 3
     assert messages == messages[:1] * 3
     assert not mbqc._lattice_memo
-    assert not rewrite._rewrite_memo
+    assert not circuit._zx_memo
 
 
 @pytest.mark.parametrize("table", [0, 0b01101001])
@@ -1459,7 +1610,6 @@ def test_a_carrier_fused_into_a_spare_leaves_no_stuck_spider(table):
 
 def test_warm_reduce_lattice_runs_no_rule(monkeypatch):
     monkeypatch.setattr(mbqc, "_lattice_memo", {})
-    monkeypatch.setattr(rewrite, "_rewrite_memo", {})
     calls = []
 
     def counting(rule):
@@ -1477,7 +1627,6 @@ def test_warm_reduce_lattice_runs_no_rule(monkeypatch):
     warm, warm_steps = reduce_lattice(lattice_pattern_3q(second))
     assert not calls
     mbqc._lattice_memo.clear()
-    rewrite._rewrite_memo.clear()
     cold, cold_steps = reduce_lattice(lattice_pattern_3q(second))
     assert warm.to_json() == cold.to_json()
     assert warm_steps == cold_steps
@@ -1500,7 +1649,7 @@ def test_lattice_memo_hit_equals_a_cold_run(monkeypatch):
         assert warm_steps == cold_steps, f.table
     # the lattice's simplifier run is memoized here alone
     assert len(mbqc._lattice_memo) == 1
-    assert not rewrite._rewrite_memo
+    assert not circuit._zx_memo
 
 
 def test_lattice_memo_hands_out_fresh_containers(monkeypatch):

@@ -170,6 +170,30 @@ def test_phase_polynomial_matches_the_generator_sums_at_five_and_six_bits():
             assert pp.constant == ref.constant
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_phase_polynomial_past_the_kept_widths_matches_the_definition(
+        monkeypatch, n):
+    # past _PARITY_TABLE_BITS the sets and phases are built per call
+    assert n > oracle._PARITY_TABLE_BITS
+    monkeypatch.setattr(oracle, "_parity_table", {})
+    rng = random.Random(n)
+    ones = rng.sample(range(1 << n), 1 << (n - 1))
+    table = 0
+    for x in ones:
+        table |= 1 << ((1 << n) - 1 - x)
+    for f in (BooleanFunction(n, table), BooleanFunction(n, 0)):
+        xs = ones if f.table else []
+        expected = {}
+        for mask in range(1, 1 << n):
+            subset = frozenset(i for i in range(n) if mask >> (n - 1 - i) & 1)
+            w = sum(1 - 2 * ((x & mask).bit_count() & 1) for x in xs)
+            expected[subset] = Phase(-2 * w, 1 << n)
+        pp = phase_polynomial(f)
+        assert list(pp.coeffs.items()) == list(expected.items())
+        assert pp.constant == (PI if f.value(0) else ZERO)
+    assert not oracle._parity_table
+
+
 def _some_promise_functions(n, rng):
     """Every promise function up to n = 3; constants and five random
     balanced functions at n = 4."""

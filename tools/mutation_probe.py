@@ -54,6 +54,7 @@ CLI = "src/zxdj/cli.py"
 CIRCUIT = "src/zxdj/circuit.py"
 REWRITE = "src/zxdj/rewrite.py"
 PHASE = "src/zxdj/phase.py"
+DIAGRAM = "src/zxdj/diagram.py"
 MUTANTS = [
     Mutant("pivot-term-dropped", MBQC,
            "if m & low:\n                        turns[x] += 2\n",
@@ -140,28 +141,29 @@ MUTANTS = [
            "floor",
            "the two differ only when |amplitude| equals the floor to the "
            "last bit"),
-    Mutant("rewrite-key-without-next-ids", REWRITE,
-           "d._next_node, d._next_edge, tuple(sorted(protected)),",
-           "tuple(sorted(protected)),",
-           "_rewrite_key leaves out the ids new spiders and edges take"),
-    Mutant("rewrite-key-without-unprotected-phases", REWRITE,
-           "tuple([s.phase for v, s in d.spiders.items()\n"
-           "                   if v not in protected]))",
-           "())",
-           "_rewrite_key leaves out the unprotected phases"),
-    Mutant("rewrite-key-without-kinds", REWRITE,
-           "return (shape, tuple([s.kind is x for s in d.spiders.values()]),",
-           "return (shape, (),",
-           "_rewrite_key leaves out the spider kinds"),
-    Mutant("rewrite-key-without-edge-endpoints", REWRITE,
-           "tuple([(e.a, e.b, e.kind is hadamard)\n"
-           "                    for e in d.edges.values()]),\n",
+    Mutant("view-guard-dropped", REWRITE,
+           "if d.__class__ is _View and d._phases.keys() <= protected:",
+           "if d.__class__ is _View:",
+           "simplify_mbqc takes a view's record even where a rule may read "
+           "a phase the view sets"),
+    Mutant("view-build-drops-the-phases", DIAGRAM,
+           "        for v, phase in phases.items():\n"
+           "            self.spiders[v].phase = phase\n",
            "",
-           "_rewrite_key leaves out each edge's endpoints and kind"),
-    Mutant("rewrite-key-without-protected-set", REWRITE,
-           "d._next_node, d._next_edge, tuple(sorted(protected)),",
-           "d._next_node, d._next_edge, (),",
-           "_rewrite_key leaves out the protected set"),
+           "a view builds its record's state without its own phases"),
+    Mutant("view-build-leaves-the-view", DIAGRAM,
+           '        object.__setattr__(self, "__class__", ZxDiagram)\n',
+           "",
+           "a built view stays a view"),
+    Mutant("template-key-without-readouts", MBQC,
+           "template = _memoized(record.templates, key, lambda: _Template(",
+           "template = _memoized(record.templates, None, lambda: _Template(",
+           "a view's pattern templates are kept per record, not per readout "
+           "choice"),
+    Mutant("view-copy-shares-state", DIAGRAM,
+           "        return _View(self._record, self._phases)",
+           "        return self",
+           "copy() of a view returns the view itself"),
     Mutant("zero-plus-phase-is-zero", PHASE,
            "        if not self[0]:\n            return other\n",
            "        if not self[0]:\n            return self\n",
@@ -194,6 +196,10 @@ MUTANTS = [
            "phases[(2 * (table & mask).bit_count() - ones) % size]",
            "phases[(ones - 2 * (table & mask).bit_count()) % size]",
            "phase_polynomial flips every parity coefficient's sign"),
+    Mutant("parity-set-takes-the-next-bit", "src/zxdj/oracle.py",
+           "| {n - (mask & -mask).bit_length()})",
+           "| {n - 1 - (mask & -mask).bit_length()})",
+           "each parity set adds the input after its mask's lowest bit"),
     Mutant("ripple-add-carry-dropped", CIRCUIT,
            "carry = p & b | carry & (p ^ b)",
            "carry = p & b",
