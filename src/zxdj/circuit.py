@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 from .diagram import EdgeKind, SpiderKind, ZxDiagram, _Record, _View
 from .errors import ArityMismatchError, NotPromiseError, WidthTooLargeError
 from .phase import Phase, PI, ZERO
-from .rewrite import _memoized
+from .rewrite import MEMO_SHAPES
 from .tensor import _TOL
 
 if TYPE_CHECKING:
@@ -181,10 +181,6 @@ class _Translation(_Record):
     carriers: tuple[int, ...]
 
 
-# Translation records by circuit shape (see to_zx_tracked).
-_zx_memo: dict[tuple, _Translation] = {}
-
-
 def to_zx_tracked(c: Circuit):
     """Translate a circuit to a diagram, reporting parameter spider ids.
 
@@ -192,27 +188,23 @@ def to_zx_tracked(c: Circuit):
     phase-carrying spiders (phase gates and Pauli Z/Y translations) in gate
     order.
 
-    :func:`_translate` builds the diagram from the circuit's shape alone,
-    its width and each gate's op and qubits, memoized by that shape (see
-    ``rewrite._memoized``).  Every call returns a fresh list and a view
-    (``diagram._View``) of the stored diagram with each phase gate's phase
-    on its spider, which copies the diagram on its first read or write.
+    The diagram is built from the circuit's shape alone, its width and each
+    gate's op and qubits (:func:`_translate`).  Every call returns a fresh
+    list and a view (``diagram._View``) of the stored diagram with each
+    phase gate's phase on its spider, which copies the diagram on its first
+    read or write.
     """
-    key = (c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
-
-    def build() -> _Translation:
-        d, carriers, phased = _translate(*key)
-        return _Translation(d, phased, carriers)
-
-    record = _memoized(_zx_memo, key, build)
+    record = _translate(c.width, tuple([(g.op, tuple(g.qubits))
+                                        for g in c.gates]))
     phases = dict(zip(record.phased,
                       [g.phase for g in c.gates if g.op == "phase"]))
     return _View(record, phases), list(record.carriers)
 
 
-def _translate(width: int, ops: tuple):
-    """The translation of a circuit of ``width`` and gates ``ops``, as (op,
-    qubits) pairs, at phase 0; its carriers and phase gates' carriers."""
+@functools.lru_cache(MEMO_SHAPES)
+def _translate(width: int, ops: tuple) -> _Translation:
+    """The translation record of a circuit of ``width`` and gates ``ops``,
+    as (op, qubits) pairs, with every phase gate at phase 0."""
     d = ZxDiagram()
     last = [d.add_spider(SpiderKind.Z, ZERO) for _ in range(width)]
     d.inputs = list(last)
@@ -249,7 +241,7 @@ def _translate(width: int, ops: tuple):
         d.add_edge(last[wire], v, pending[wire])
         outs.append(v)
     d.outputs = outs
-    return d, tuple(carriers), tuple(phased)
+    return _Translation(d, tuple(phased), tuple(carriers))
 
 
 def to_zx(c: Circuit) -> ZxDiagram:

@@ -14,7 +14,7 @@ first read or written.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -213,16 +213,13 @@ _STATE = frozenset(vars(ZxDiagram()))
 @dataclass(frozen=True, eq=False)
 class _Record:
     """A memo's diagram, which nothing writes once it is stored, and the
-    spiders whose phases each view of it sets (``phased``).  What is built
-    from it is kept on it, by key, through ``rewrite._memoized``: the
-    rewrite of its diagram per protected set (``rewrites``) and its
-    pattern template per readout choice (``templates``).  A record that
+    spiders whose phases each view of it sets (``phased``).  It hashes by
+    identity, so a memo of what is built from it (``rewrite._rewrite``,
+    ``mbqc._view_template``) keys on the record itself.  A record that
     keeps what its builder found besides subclasses this one."""
 
     diagram: ZxDiagram
     phased: tuple[int, ...]
-    rewrites: dict = field(default_factory=dict, init=False, repr=False)
-    templates: dict = field(default_factory=dict, init=False, repr=False)
 
 
 class _View(ZxDiagram):
@@ -262,8 +259,7 @@ class _View(ZxDiagram):
         return _View(self._record, self._phases)
 
     def __reduce_ex__(self, protocol):
-        # copy, deepcopy and pickle take the state, not the record and
-        # the memo entries hanging off it
+        # copy, deepcopy and pickle take the state, not the record
         self._build()
         return self.__reduce_ex__(protocol)
 

@@ -13,6 +13,8 @@ routes load none of it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import operator
@@ -22,7 +24,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .diagram import EdgeKind, SpiderKind, ZxDiagram, _View
+from .diagram import EdgeKind, SpiderKind, ZxDiagram, _Record, _View
 from .errors import (
     ArityMismatchError,
     NoFlowError,
@@ -38,7 +40,7 @@ from .oracle import (
     two_qubit_spider_angles,
 )
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
-from .rewrite import _carrier_sum, _memoized, simplify_core
+from .rewrite import MEMO_SHAPES, _carrier_sum, simplify_core
 from .tensor import collapse_floor, evaluate
 
 
@@ -62,6 +64,7 @@ class MeasurementPattern:
     embedding's removed spares); their angle entry must be 0.  ``edges``
     and ``z_basis`` are frozensets and ``readouts`` is a tuple; with the ids,
     sorted once, they are its ``_shape``, the key of each per-shape memo.
+    Every qubit id, wherever it is named, is an int (a bool is not one).
     """
 
     angles: MappingProxyType[int, Phase]
@@ -73,6 +76,8 @@ class MeasurementPattern:
         angles = MappingProxyType(dict(self.angles))
         edges, readouts = frozenset(self.edges), tuple(self.readouts)
         z_basis = frozenset(self.z_basis)
+        for q in itertools.chain(angles, readouts, z_basis, *edges):
+            _qubit_id(q)
         for e in edges:
             if len(e) == 1:
                 raise NotGraphLikeError(f"self-edge {set(e)}")
@@ -81,7 +86,7 @@ class MeasurementPattern:
                     f"edge {set(e)} joins {len(e)} qubits, not 2")
             if not e <= angles.keys():
                 raise NotGraphLikeError(f"edge {set(e)} references unknown qubit")
-        listed = tuple(sorted(angles))  # no set: JSON may give an unhashable readout
+        listed = tuple(sorted(angles))
         unknown = [q for q in readouts if q not in listed]
         if unknown:
             raise NotGraphLikeError(f"readouts {unknown} are not qubits")
@@ -145,8 +150,7 @@ class MeasurementPattern:
             if pair in edges:
                 raise ValueError(f"edge {sorted(pair)} is listed twice")
             edges.add(pair)
-        return cls(angles, edges, [_qubit_id(q) for q in doc["readouts"]],
-                   z_basis)
+        return cls(angles, edges, doc["readouts"], z_basis)
 
     @classmethod
     def from_json(cls, text: str) -> "MeasurementPattern":
@@ -180,25 +184,27 @@ def pattern_from_graph_like(d: ZxDiagram,
     Qubit ids are the spider ids.  ``readouts`` names the readout qubits;
     without it the single highest id is read out, which need not leave the
     pattern an XY gflow (:func:`find_gflow`), so ``run_sampled`` may refuse it.
-    The pattern's constructor refuses a repeated or unknown readout.
+    A readout that is no int raises ``ValueError`` (a bool is not one), and
+    the pattern's constructor refuses a repeated or unknown one.
 
     A view (``diagram._View``) is read through its record: the record's
-    diagram is read once per readout choice, into a :class:`_Template`
-    memoized on the record (see ``rewrite._memoized``) whose carriers are
-    the spiders the view sets, and :func:`_fill` gives them the view's
-    phases.  Readouts other than ints take the reader, as any other
-    diagram does.
+    diagram is read once per readout choice, into the
+    :func:`_view_template` whose carriers are the spiders the view sets,
+    and :func:`_fill` gives them the view's phases.
     """
+    if readouts is not None:
+        readouts = tuple(map(_qubit_id, readouts))
     if d.__class__ is _View:
-        key = readouts if readouts is None else tuple(readouts)
-        if key is None or all([q.__class__ is int for q in key]):
-            record = d._record
-            template = _memoized(record.templates, key, lambda: _Template(
-                _read(record.diagram, key),
-                tuple([(v, ZERO, (v,)) for v in record.phased])))
-            return _fill(template, d._phases)
-        readouts = key
+        return _fill(_view_template(d._record, readouts), d._phases)
     return _read(d, readouts)
+
+
+@functools.lru_cache(MEMO_SHAPES)
+def _view_template(record: _Record, readouts: tuple | None) -> _Template:
+    """The template of ``record``'s diagram read out at ``readouts``, whose
+    carriers are the spiders its views set."""
+    return _Template(_read(record.diagram, readouts),
+                     tuple([(v, ZERO, (v,)) for v in record.phased]))
 
 
 def _read(d: ZxDiagram, readouts) -> MeasurementPattern:
@@ -471,11 +477,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-# _prelude's records by pattern shape (see _prelude).
-_exact_memo: dict[_Shape, tuple[tuple, tuple[int, ...]]] = {}
-
-
-def _exact_prelude(s: _Shape) -> tuple:
+@functools.lru_cache(MEMO_SHAPES)
+def _prelude(s: _Shape) -> tuple:
     """The qubits outside the z basis in ascending order, and each one's
     adjacency row among them as a bitset over their indices; a z-basis
     qubit has x_v = 0, which drops it and its edges from S."""
@@ -488,11 +491,6 @@ def _exact_prelude(s: _Shape) -> tuple:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     return tuple(qubits), tuple(adj)
-
-
-def _prelude(s: _Shape) -> tuple:
-    """:func:`_exact_prelude`, memoized by the shape, all that it reads."""
-    return _memoized(_exact_memo, s, lambda: _exact_prelude(s))
 
 
 def _sum_exact(p: MeasurementPattern,
@@ -616,14 +614,23 @@ def find_gflow(p: MeasurementPattern):
     efficiently", ICALP 2008): the outputs form layer 0, and layer d holds
     every unlayered qubit u with a K among the layered qubits whose Odd(K)
     meets the unlayered qubits in {u} alone; then g(u) = K.  Higher layers
-    are measured first.  It reads only the pattern's shape, on
-    :func:`_prelude`'s bitset rows.  Raises ``NoFlowError`` when a layer
-    comes out empty, and on z-basis qubits, which would need Pauli flow.
+    are measured first.  Raises ``NoFlowError`` when a layer comes out
+    empty, and on z-basis qubits, which would need Pauli flow.  The search
+    (:func:`_gflow`) reads only the pattern's shape and is memoized by it;
+    each call returns fresh dicts.
     """
-    if p._shape.z_basis:
+    g, layer = _gflow(p._shape)
+    return dict(g), dict(layer)
+
+
+@functools.lru_cache(MEMO_SHAPES)
+def _gflow(s: _Shape) -> tuple[dict, dict]:
+    """:func:`find_gflow` of the patterns of shape ``s``, on
+    :func:`_prelude`'s bitset rows."""
+    if s.z_basis:
         raise NoFlowError("z-basis qubits need Pauli flow, not XY gflow")
-    qubits, rows = _prelude(p._shape)
-    outputs = set(p._shape.readouts)
+    qubits, rows = _prelude(s)
+    outputs = set(s.readouts)
     layer = dict.fromkeys(sorted(outputs), 0)
     g: dict[int, frozenset] = {}
     solved = sum(1 << i for i, q in enumerate(qubits) if q in outputs)
@@ -649,8 +656,6 @@ DEFAULT_SEED = 2024
 # bit each per word.  Each block draws its own words, so the block size is
 # part of what a seed's output depends on.
 _BLOCK_SHOTS = 1 << 18
-# Gflows by pattern shape (see run_sampled).
-_flow_memo: dict[_Shape, tuple[dict, dict]] = {}
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -686,7 +691,7 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
     behind the verdict.  Both counts are Python ints.
 
     The gflow search is memoized by the pattern's shape, all that it reads
-    (see ``rewrite._memoized``).  Raises ``NoFlowError`` without a gflow,
+    (:func:`_gflow`).  Raises ``NoFlowError`` without a gflow,
     and ``WidthTooLargeError``, before building any tensor, when a pattern
     with an angle that is no multiple of pi/2 would contract with a peak
     rank above ``tensor.MAX_PEAK_RANK``.  Raises ``ValueError`` when
@@ -697,7 +702,7 @@ def run_sampled(p: MeasurementPattern, seed: int = DEFAULT_SEED,
     """
     shots = _integer("shots", shots, 1)
     seed = _integer("seed", seed, 0)
-    _memoized(_flow_memo, p._shape, lambda: find_gflow(p))
+    _gflow(p._shape)
     constant_shots = _drawn_count(*_constant_law(p), seed, shots)
     majority = Verdict.CONSTANT if constant_shots * 2 >= shots else Verdict.BALANCED
     agreeing = constant_shots if majority is Verdict.CONSTANT else shots - constant_shots
@@ -815,14 +820,17 @@ def lattice_pattern_3q(f: BooleanFunction) -> MeasurementPattern:
     return _fill(_LATTICE, phase_polynomial(f).coeffs)
 
 
-# Lattice reductions by key (see reduce_lattice): the reduced pattern's
-# template, whose sources are lattice carrier qubits, and the rewrite trace.
-_lattice_memo: dict[tuple, tuple[_Template, tuple]] = {}
-
-
-def _reduction(p: MeasurementPattern) -> tuple[_Template, tuple]:
-    """Reduce ``p``, or raise ``ReductionStuckError`` naming stuck spiders."""
-    qubits = p.qubits()
+@functools.lru_cache(MEMO_SHAPES)
+def _reduction(s: _Shape, spare_angles: tuple) -> tuple[_Template, tuple]:
+    """The reduced pattern's template, whose sources are lattice carrier
+    qubits, and the rewrite trace of the pattern of shape ``s`` whose qubits
+    outside the carriers take ``spare_angles`` in order and whose carriers
+    are at angle 0; or ``ReductionStuckError`` naming stuck spiders."""
+    spares = iter(spare_angles)
+    qubits = s.qubits
+    p = MeasurementPattern(
+        {q: ZERO if q in _LATTICE_CARRIER_IDS else next(spares)
+         for q in qubits}, s.edges, s.readouts, s.z_basis)
     d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
     steps, formulas = simplify_core(
         d, {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS})
@@ -832,7 +840,7 @@ def _reduction(p: MeasurementPattern) -> tuple[_Template, tuple]:
     if stuck:
         raise ReductionStuckError(
             f"spiders {stuck} outside the carriers survive with degree <= 2")
-    r = pattern_from_graph_like(d, [qubits.index(q) for q in p.readouts])
+    r = pattern_from_graph_like(d, [qubits.index(q) for q in s.readouts])
     return _Template(r, tuple((v, const, tuple(qubits[c] for c in inputs))
                               for v, const, inputs in formulas)), tuple(steps)
 
@@ -846,13 +854,12 @@ def reduce_lattice(p: MeasurementPattern):
     ``simplify_core``'s formulas name hold them) survives with degree at
     most 2, as a missing spare or a tampered angle can leave.
 
-    Memoized (see ``rewrite._memoized``) by the pattern's shape and its
-    non-carrier angles in qubit order: no rule reads a carrier's angle, so
-    all 72 variants share a key.  The key stores the reduced pattern as a
-    template whose carriers are the survivors the lattice carriers fused
-    into, and :func:`_fill` sets each to a stored constant plus their
-    angles."""
-    key = (p._shape, tuple([p.angles[q] for q in p.qubits()
-                            if q not in _LATTICE_CARRIER_IDS]))
-    template, steps = _memoized(_lattice_memo, key, lambda: _reduction(p))
+    The reduction (:func:`_reduction`) is built from the pattern's shape
+    and its non-carrier angles in qubit order alone, with the carriers at
+    angle 0, and memoized by them: no rule reads a carrier's angle, so all
+    72 variants share a key.  It stores the reduced pattern as a template
+    whose carriers are the survivors the lattice carriers fused into, and
+    :func:`_fill` sets each to a stored constant plus their angles."""
+    template, steps = _reduction(p._shape, tuple([
+        p.angles[q] for q in p.qubits() if q not in _LATTICE_CARRIER_IDS]))
     return _fill(template, p.angles), list(steps)

@@ -5,18 +5,9 @@ describing what happened.  All rules preserve the diagram's tensor up to a
 nonzero scalar; the test suite certifies this against the dense evaluator
 rather than trusting the derivations.
 
-The package's memos share one policy, kept in :func:`_memoized` alone: a
-record is built on a miss only, at most ``MEMO_SHAPES`` keys stay, the
-first one in is evicted first, and a build that raises stores nothing.  A
-caller reads a record alike on a miss and a hit, and each key is what its
-builder reads: a circuit's width and gates' ops and qubits
-(``circuit._zx_memo``), a pattern's ``mbqc._Shape`` (``mbqc._exact_memo``,
-``mbqc._flow_memo``), and that shape with the lattice's spare angles
-(``mbqc._lattice_memo``).  A ``diagram._Record`` holds two more:
-:func:`simplify_mbqc` keeps the rewrite of the record's diagram per
-protected set (``rewrites``), and ``mbqc.pattern_from_graph_like`` its
-pattern template per readout choice (``templates``), so what is built
-from a record goes with it.
+Every memo in the package is a ``functools.lru_cache`` of ``MEMO_SHAPES``
+keys on a builder whose arguments are its whole key, so a builder cannot
+read what its key leaves out, and a build that raises stores nothing.
 
 :func:`simplify_mbqc` of a ``diagram._View`` whose replaced phases are all
 protected reads its record, not its state.  No rule reads a protected
@@ -29,6 +20,7 @@ them on, and its formulas are read off that.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .diagram import EdgeKind, SpiderKind, ZxDiagram, _Record, _View
@@ -408,7 +400,7 @@ def _drive(d: ZxDiagram, held: dict[int, list[int]],
 _RULES = ((1, _state_rule), (2, _hadamard_wire_rule), (2, _clifford_wire_rule))
 
 
-# Keys a memo holds (see _memoized).
+# Keys a memo holds (see the module docstring).
 MEMO_SHAPES = 64
 
 
@@ -419,20 +411,6 @@ def _carrier_sum(offset: Phase, sources, values) -> Phase:
     for s in sources:
         offset = offset + values.get(s, ZERO)
     return offset
-
-
-def _memoized(memo: dict, key, build):
-    """``memo[key]``, which ``build()`` makes on a miss (see the module
-    docstring for the policy)."""
-    try:
-        return memo[key]
-    except KeyError:
-        pass
-    value = build()
-    if len(memo) >= MEMO_SHAPES:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
 
 
 def simplify_core(d: ZxDiagram, protected) -> tuple[list[RewriteStep], tuple]:
@@ -472,11 +450,12 @@ class _Rewrite(_Record):
     inputs: dict[int, Phase]
 
 
-def _rewrite(d: ZxDiagram, protected: frozenset) -> _Rewrite:
-    """The record of ``d`` reduced.  It keeps a copy of the reduced
-    diagram, whose dicts the deletions left sparse and slow to copy on
-    each build of a view."""
-    reduced = d.copy()
+@functools.lru_cache(MEMO_SHAPES)
+def _rewrite(record: _Record, protected: frozenset) -> _Rewrite:
+    """The record of ``record.diagram`` reduced.  It keeps a copy of the
+    reduced diagram, whose dicts the deletions left sparse and slow to copy
+    on each build of a view."""
+    reduced = record.diagram.copy()
     inputs = {p: reduced.spiders[p].phase for p in protected
               if p in reduced.spiders}
     steps, formulas = simplify_core(reduced, protected)
@@ -494,17 +473,14 @@ def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
     diagram and a fresh list of the full step trace.
 
     A view (``diagram._View``) whose replaced phases are all protected
-    takes the rewrite of its record's diagram, memoized on that record by
-    the protected set (see the module docstring), and returns a view of
-    the reduced diagram whose survivors take their formulas' phases at
-    the view's protected phases: only a miss runs the rules.  Any other
-    diagram is simplified on a copy.
+    takes the rewrite of its record's diagram by the protected set
+    (:func:`_rewrite`), and returns a view of the reduced diagram whose
+    survivors take their formulas' phases at the view's protected phases:
+    only a miss runs the rules.  Any other diagram is simplified on a copy.
     """
     protected = frozenset(protected)
     if d.__class__ is _View and d._phases.keys() <= protected:
-        record = d._record
-        r = _memoized(record.rewrites, protected,
-                      lambda: _rewrite(record.diagram, protected))
+        r = _rewrite(d._record, protected)
         values = {**r.inputs, **d._phases}
         return _View(r, {v: _carrier_sum(constant, ps, values)
                          for v, constant, ps in r.formulas}), list(r.steps)

@@ -239,35 +239,30 @@ _MIXED_PHASES = [(ZERO, ZERO, ZERO), (HALF_PI, PI, QUARTER_PI),
                  (Phase(3, 4), ZERO, Phase(7, 4)), (PI, HALF_PI, ZERO)]
 
 
-def test_zx_memo_hit_equals_a_cold_run(monkeypatch):
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+def test_zx_memo_hit_equals_a_cold_run(cold_memos):
     circuits = ([oracle_circuit_3q(f) for f in enumerate_promise(3)]
                 + [_mixed_circuit(phases) for phases in _MIXED_PHASES])
     for c in circuits:
         warm = _translation(c)  # a hit after the first of each shape
-        circuit._zx_memo.clear()
+        circuit._translate.cache_clear()
         assert _translation(c) == warm
-    assert len(circuit._zx_memo) == 1
+    assert circuit._translate.cache_info().currsize == 1
 
 
-def test_zx_memo_keys_on_shape_not_phases(monkeypatch):
-    monkeypatch.setattr(circuit, "_zx_memo", {})
-    calls = []
-    real = circuit._translate
-    monkeypatch.setattr(circuit, "_translate", lambda width, ops: (
-        calls.append((width, ops)), real(width, ops))[1])
+def test_zx_memo_keys_on_shape_not_phases(cold_memos):
     for phases in _MIXED_PHASES:
         to_zx_tracked(_mixed_circuit(phases))
-    assert len(calls) == 1
+    assert circuit._translate.cache_info().misses == 1
     shapes = [Circuit(3, [cnot(0, 1)]), Circuit(3, [cnot(1, 0)]),
               Circuit(2, [cnot(0, 1)]), Circuit(3, [pauli_z(0)]),
               Circuit(3, [pauli_y(0)]), Circuit(3, [phase_gate(0, PI)])]
     for c in shapes:
         to_zx_tracked(c)
-    assert len(calls) == 1 + len(shapes)
+    assert circuit._translate.cache_info().misses == 1 + len(shapes)
     assert to_zx_tracked(Circuit(3, [phase_gate(0, HALF_PI)]))[0].spiders[
         3].phase == HALF_PI
-    assert len(calls) == 1 + len(shapes)
+    assert circuit._translate.cache_info()[:2] == (
+        len(_MIXED_PHASES), 1 + len(shapes))
 
 
 def test_translate_reads_only_the_memo_key():
@@ -276,8 +271,9 @@ def test_translate_reads_only_the_memo_key():
     circuits = ([oracle_circuit_3q(f) for f in enumerate_promise(3)[::9]]
                 + [_mixed_circuit(phases) for phases in _MIXED_PHASES])
     for c in circuits:
-        key = (c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
-        d, carriers, phased = circuit._translate(*key)
+        record = circuit._translate.__wrapped__(
+            c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
+        d, carriers, phased = record.diagram, record.carriers, record.phased
         zeroed = Circuit(c.width, [phase_gate(g.qubits[0], ZERO)
                                    if g.op == "phase" else g for g in c.gates])
         e, expected = to_zx_tracked(zeroed)
@@ -291,11 +287,10 @@ def test_translate_reads_only_the_memo_key():
         assert d.to_json_dict() == to_zx_tracked(c)[0].to_json_dict()
 
 
-def test_zx_memo_hands_out_fresh_diagrams(monkeypatch):
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+def test_zx_memo_hands_out_fresh_diagrams(cold_memos):
     c = _mixed_circuit(_MIXED_PHASES[1])
     expected = _translation(c)
-    circuit._zx_memo.clear()
+    circuit._translate.cache_clear()
     for _ in range(2):  # the cold result, then a hit
         d, carriers = to_zx_tracked(c)
         for v in carriers:

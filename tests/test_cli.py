@@ -10,6 +10,8 @@ import os
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import MEMOS
+
 from zxdj import cli, mbqc, tensor
 from zxdj.cli import main
 from zxdj.circuit import (
@@ -776,13 +778,39 @@ LATTICE_REDUCE_DIGEST = (
     "10489dcde39f81c3c99c9d39df76d8d1cfc0385ad047e8d9bcae08d50cb152ee")
 
 
-def test_lattice_reduce_output_is_byte_identical(capsys, monkeypatch):
-    monkeypatch.setattr(mbqc, "_lattice_memo", {})
+def test_lattice_reduce_output_is_byte_identical(capsys, cold_memos):
     text = ""
     for table in sorted(f.table for f in enumerate_promise(3)):
         code, out = run(capsys, "lattice", "--n", "3", "--table",
                         format(table, "08b"), "--reduce", "--trace")
         assert code == 0
         text += out
-    assert len(mbqc._lattice_memo) == 1
+    assert mbqc._reduction.cache_info()[:2] == (71, 1)
     assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_REDUCE_DIGEST
+
+
+# Each memo's (hits, misses) over commands run from cold in one process,
+# by conftest.MEMOS name; a memo not named stays untouched.  Every pattern
+# these commands build fills a template, so each key after the first hits:
+# a key that stops hitting shows here, not only as a slower benchmark.
+# run_postselected looks the exact prelude up twice per pattern.
+_TRAFFIC = {
+    "verify-all-n3": ([["verify-all", "--n", "3"]], {
+        "zx": (71, 1), "rewrite": (71, 1), "template": (71, 1),
+        "exact": (429, 3)}),
+    "verify-all-n2": ([["verify-all", "--n", "2"]], {
+        "exact": (32, 1), "flow": (7, 1)}),
+    "lattice-reduce": ([["lattice", "--n", "3", "--table",
+                         format(f.table, "08b"), "--reduce"]
+                        for f in enumerate_promise(3)], {"lattice": (71, 1)}),
+}
+
+
+@pytest.mark.parametrize("name", _TRAFFIC)
+def test_memo_traffic_from_cold(capsys, cold_memos, name):
+    commands, expected = _TRAFFIC[name]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0
+    assert {memo: tuple(cache.cache_info()[:2])
+            for memo, cache in MEMOS.items()} == {
+        memo: expected.get(memo, (0, 0)) for memo in MEMOS}

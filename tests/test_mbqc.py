@@ -48,7 +48,8 @@ from zxdj.oracle import (
     phase_polynomial)
 from zxdj.phase import HALF_PI, MINUS_HALF_PI, PI, Phase, QUARTER_PI, ZERO
 from zxdj.rewrite import (
-    decouple_x_state, fuse_spiders, local_complement, simplify_mbqc)
+    MEMO_SHAPES, decouple_x_state, fuse_spiders, local_complement,
+    simplify_mbqc)
 from zxdj.tensor import collapse_floor, equivalent_up_to_scalar, evaluate
 
 
@@ -77,9 +78,6 @@ _MALFORMED = {
                    [0]), "edge {0, 1, 2} joins 3 qubits, not 2"),
     "readout-of-no-qubit": (({0: ZERO}, set(), [0, 5]),
                             "readouts [5] are not qubits"),
-    # JSON may give an unhashable readout
-    "unhashable-readout": (({0: ZERO}, set(), [[0]]),
-                           "readouts [[0]] are not qubits"),
     # the angles of a malformed pattern are never read
     "readout-of-no-qubit-at-a-quarter-turn": (
         ({0: QUARTER_PI}, set(), [5]), "readouts [5] are not qubits"),
@@ -92,11 +90,40 @@ _MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", _MALFORMED)
+# Constructor arguments that name a qubit by other than an int (a bool is
+# not one), each with the id the constructor refuses.  JSON may give an
+# unhashable readout.
+_NOT_INT_IDS = {
+    "unhashable-readout": (({0: ZERO}, set(), [[0]]), [0]),
+    "bool-qubit": (({True: ZERO}, set(), []), True),
+    "bool-readout": (({0: ZERO, 1: ZERO}, [frozenset((0, 1))], [True]),
+                     True),
+    "bool-edge-end": (({0: ZERO, 1: ZERO}, [frozenset((0, True))], []), True),
+    "bool-z-basis-id": (({0: ZERO, 1: ZERO}, set(), [0], {True}), True),
+    "str-qubit": (({"0": ZERO}, set(), []), "0"),
+}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED, *_NOT_INT_IDS])
 def test_the_constructor_refuses_a_malformed_pattern(case):
-    args, message = _MALFORMED[case]
-    with pytest.raises(NotGraphLikeError, match=f"^{re.escape(message)}$"):
+    if case in _MALFORMED:
+        (args, message), error = _MALFORMED[case], NotGraphLikeError
+    else:
+        args, q = _NOT_INT_IDS[case]
+        message, error = f"qubit id {q!r} is not an int", ValueError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         MeasurementPattern(*args)
+
+
+def test_a_pattern_to_json_writes_from_json_reads_back():
+    p = MeasurementPattern({0: ZERO, 1: HALF_PI}, [frozenset((0, 1))], [1],
+                           {0})
+    assert MeasurementPattern.from_json(p.to_json()) == p
+    # JSON would write a bool id as true, which the reader refuses, so the
+    # constructor refuses it first
+    for case in ("bool-readout", "bool-qubit"):
+        with pytest.raises(ValueError, match="^qubit id True is not an int$"):
+            MeasurementPattern(*_NOT_INT_IDS[case][0])
 
 
 def test_z_basis_id_that_names_no_qubit_is_not_graph_like():
@@ -242,10 +269,13 @@ def test_pattern_from_graph_like_readouts():
     d.add_edge(a, b, EdgeKind.HADAMARD)
     assert pattern_from_graph_like(d).readouts == (b,)
     assert pattern_from_graph_like(d, [a]).readouts == (a,)
-    # an unknown id, a repeat, and an unhashable id: the constructor
-    # refuses each
-    for readouts in ([a, 7], [b, b], [[a]]):
+    # an unknown id and a repeat: the constructor refuses each
+    for readouts in ([a, 7], [b, b]):
         with pytest.raises(NotGraphLikeError):
+            pattern_from_graph_like(d, readouts)
+    # an unhashable id and a bool are no ints
+    for readouts in ([[a]], [True]):
+        with pytest.raises(ValueError, match="is not an int"):
             pattern_from_graph_like(d, readouts)
 
 
@@ -334,9 +364,8 @@ def test_the_view_route_equals_a_cold_run(c, phases, touch_d, touch_reduced,
         ref.to_json(), ref._next_node, ref._next_edge)
 
 
-def test_a_view_reads_out_what_it_is_asked(monkeypatch):
+def test_a_view_reads_out_what_it_is_asked(cold_memos):
     # the templates of a reduced diagram are kept per readout choice
-    monkeypatch.setattr(circuit, "_zx_memo", {})
     for f in enumerate_promise(3)[::9]:
         d, carriers = to_zx_tracked(oracle_circuit_3q(f))
         reduced, _ = simplify_mbqc(d, frozenset(carriers))
@@ -351,21 +380,27 @@ def test_a_view_reads_out_what_it_is_asked(monkeypatch):
         assert pattern_from_graph_like(reduced, iter(parities)).readouts == \
             tuple(parities)
         assert type(reduced) is not ZxDiagram  # read through its record
-        assert len(reduced._record.templates) == 4
+    # one template per readout choice; the iterator's is the parities'
+    assert mbqc._view_template.cache_info()[:2] == (36, 4)
 
 
-def test_a_view_reads_readouts_that_are_not_ints_afresh(monkeypatch):
-    # True equals 1 and hashes alike, but the reader keeps what it is given
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+def test_a_view_refuses_readouts_that_are_not_ints(cold_memos):
+    # True equals 1 and hashes alike, so a warm template of readout 1 would
+    # read it out as 1; like the reader, a view refuses it, cold and warm
     c = circuit.Circuit(2, [circuit.phase_gate(0, QUARTER_PI),
                             circuit.phase_gate(1, QUARTER_PI)])
     d, carriers = to_zx_tracked(c)
     reduced, _ = simplify_mbqc(d, frozenset(carriers))
     assert 1 in reduced.copy().spiders
-    assert pattern_from_graph_like(reduced, [True]).readouts[0] is True
-    assert pattern_from_graph_like(reduced, [1]).readouts[0] is not True
-    with pytest.raises(NotGraphLikeError):
-        pattern_from_graph_like(reduced, [[1]])
+    for warm in (False, True):
+        for readouts in ([True], [[1]]):
+            with pytest.raises(ValueError, match="is not an int"):
+                pattern_from_graph_like(reduced, readouts)
+        with pytest.raises(ValueError, match="is not an int"):
+            pattern_from_graph_like(reduced.copy(), [True])  # the reader
+        p = pattern_from_graph_like(reduced, [1])
+        assert p.readouts[0] is not True
+        assert MeasurementPattern.from_json(p.to_json()) == p
 
 
 def test_a_warm_compile_copies_simplifies_and_checks_nothing(monkeypatch):
@@ -1207,61 +1242,61 @@ def test_sampled_outcomes_keep_the_pinned_digest():
         assert digest == pinned
 
 
-def _cold_memos(monkeypatch):
-    monkeypatch.setattr(mbqc, "_flow_memo", {})
+def _flow_searches():
+    return mbqc._gflow.cache_info().misses
 
 
-def _flow_calls(monkeypatch):
-    calls = []
-    real = mbqc.find_gflow
-    monkeypatch.setattr(mbqc, "find_gflow",
-                        lambda p: (calls.append(p), real(p))[1])
-    return calls
-
-
-def test_flow_memo_hit_equals_a_cold_run(monkeypatch):
-    _cold_memos(monkeypatch)
-    calls = _flow_calls(monkeypatch)
+def test_flow_memo_hit_equals_a_cold_run(cold_memos):
     for p in _random_flow_patterns(41, 10) + _promise_patterns()[::9]:
         p = _non_clifford(p)
-        mbqc._flow_memo.clear()
+        mbqc._gflow.cache_clear()
         cold = run_sampled(p, seed=3, shots=400)
         warm = run_sampled(p, seed=3, shots=400)
         assert (warm.verdict, warm.agreeing_shots) == (
             cold.verdict, cold.agreeing_shots)
-    assert len(calls) == 10 + len(_promise_patterns()[::9])
+        assert mbqc._gflow.cache_info()[:2] == (1, 1)
 
 
-def test_flow_memo_keys_on_shape_not_angles(monkeypatch):
-    _cold_memos(monkeypatch)
-    calls = _flow_calls(monkeypatch)
+def test_find_gflow_hands_out_fresh_dicts(cold_memos):
+    p = dj_pattern_3q(BooleanFunction(3, 0))
+    g, layer = find_gflow(p)
+    expected = (dict(g), dict(layer))
+    g.clear()
+    layer[min(layer)] = 99
+    run_sampled(p, shots=10)
+    assert find_gflow(p) == expected
+    assert find_gflow(p)[0] is not find_gflow(p)[0]
+    assert _flow_searches() == 1
+
+
+def test_flow_memo_keys_on_shape_not_angles(cold_memos):
     run_sampled(_non_clifford(dj_pattern_2q(BooleanFunction(2, 0))), shots=10)
-    assert len(calls) == 1
+    assert _flow_searches() == 1
     # all eight two-bit variants share one shape; a new angle hits
     twins = [_non_clifford(dj_pattern_2q(f)) for f in enumerate_promise(2)]
     warm = [run_sampled(p, seed=9, shots=200) for p in twins]
-    assert len(calls) == 1
+    assert _flow_searches() == 1
     cold = []
     for p in twins:
-        mbqc._flow_memo.clear()
+        mbqc._gflow.cache_clear()
         cold.append(run_sampled(p, seed=9, shots=200))
     assert warm == cold
-    calls.clear()
+    mbqc._gflow.cache_clear()
+    run_sampled(twins[0], shots=10)
     p = _non_clifford(dj_pattern_2q(BooleanFunction(2, 6)))
     # the readouts in another order are another shape
     run_sampled(replace(p, readouts=p.readouts[::-1]), shots=10)
-    assert len(calls) == 1
+    assert _flow_searches() == 2
     p = replace(p, edges=p.edges | {frozenset((0, 3))})
     run_sampled(p, shots=10)
     p = replace(p, angles={**p.angles, 6: ZERO},
                 edges=p.edges | {frozenset((5, 6))})
     run_sampled(p, shots=10)
-    assert len(calls) == 3
-    assert len(mbqc._flow_memo) == 4
+    assert _flow_searches() == 4
+    assert mbqc._gflow.cache_info().currsize == 4
 
 
-def test_flow_memo_stores_no_failure(monkeypatch):
-    _cold_memos(monkeypatch)
+def test_flow_memo_stores_no_failure(cold_memos):
     no_flow = _non_clifford(_open_graph(3, [(0, 1), (1, 2)], [1]))
     # the too-wide star has a gflow, which is kept; its contraction raises
     too_wide = _star(tensor.MAX_PEAK_RANK + 1, QUARTER_PI)
@@ -1270,11 +1305,10 @@ def test_flow_memo_stores_no_failure(monkeypatch):
         for _ in range(3):
             with pytest.raises(error):
                 run_sampled(p, shots=5)
-        assert len(mbqc._flow_memo) == flows
+        assert mbqc._gflow.cache_info().currsize == flows
 
 
-def test_flow_memo_keys_on_the_z_basis_set(monkeypatch):
-    _cold_memos(monkeypatch)
+def test_flow_memo_keys_on_the_z_basis_set(cold_memos):
     chain = _open_graph(3, [(0, 1), (1, 2)], [2])
     run_sampled(chain, shots=5)
     # the same ids, edges and readouts: a z-basis qubit needs Pauli flow,
@@ -1345,8 +1379,7 @@ def _refilled(p, reorder):
 
 
 def test_equal_lattices_reduce_alike_however_their_edges_were_filled(
-        monkeypatch):
-    monkeypatch.setattr(mbqc, "_lattice_memo", {})
+        cold_memos):
     rng = random.Random(7)
     for f in enumerate_promise(3):
         p = lattice_pattern_3q(f)
@@ -1354,10 +1387,9 @@ def test_equal_lattices_reduce_alike_however_their_edges_were_filled(
         for q in (_refilled(p, list.reverse), _refilled(p, rng.shuffle)):
             assert q == p and list(q.edges) != list(p.edges), f.table
             assert reduce_lattice(q) == expected, f.table
-            with monkeypatch.context() as m:
-                m.setattr(mbqc, "_lattice_memo", {})
-                assert reduce_lattice(q) == expected, f.table
-    assert len(mbqc._lattice_memo) == 1
+            assert mbqc._reduction.cache_info().misses == 1
+            assert mbqc._reduction.__wrapped__(*_reduction_key(q)) == \
+                mbqc._reduction(*_reduction_key(p)), f.table
 
 
 _EIGHTHS = tuple(Phase(k, 4) for k in range(8))
@@ -1391,10 +1423,16 @@ def test_dj_patterns_own_their_containers():
     assert dj_pattern_3q(f).z_basis == set()
 
 
+def _reduction_key(p):
+    """The arguments of ``mbqc._reduction`` for the pattern ``p``."""
+    return p._shape, tuple([p.angles[q] for q in p.qubits()
+                            if q not in mbqc._LATTICE_CARRIER_IDS])
+
+
 def _templates():
     """Every template by name, the reduced lattice's from a cold reduction."""
     lattice = lattice_pattern_3q(BooleanFunction(3, 0))
-    reduced, _ = mbqc._reduction(lattice)
+    reduced, _ = mbqc._reduction.__wrapped__(*_reduction_key(lattice))
     return {"dj-3q": mbqc._DJ_3Q, "chain-1q": mbqc._CHAIN_1Q,
             "chain-2q": mbqc._CHAIN_2Q, "lattice": mbqc._LATTICE,
             "reduced-lattice": reduced}
@@ -1565,10 +1603,8 @@ def test_reduce_lattice_empty_pattern():
 
 
 def _diagram_builds(monkeypatch):
-    """Empty the lattice and translation memos and record the patterns
-    reduce_lattice builds a diagram of."""
-    monkeypatch.setattr(mbqc, "_lattice_memo", {})
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+    """Record the patterns reduce_lattice builds a diagram of; the test
+    takes cold_memos, so the memos start empty."""
     calls = []
     real = mbqc.pattern_to_diagram
     monkeypatch.setattr(mbqc, "pattern_to_diagram",
@@ -1576,7 +1612,7 @@ def _diagram_builds(monkeypatch):
     return calls
 
 
-def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch):
+def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch, cold_memos):
     builds = _diagram_builds(monkeypatch)
     # grid position (2, 5) must hold -pi/2; at pi it survives with degree 2
     p = _reangled(lattice_pattern_3q(BooleanFunction(3, 0)),
@@ -1589,8 +1625,8 @@ def test_reduce_lattice_stuck_on_tampered_angle(monkeypatch):
         messages.append(str(error.value))
     assert len(builds) == 3
     assert messages == messages[:1] * 3
-    assert not mbqc._lattice_memo
-    assert not circuit._zx_memo
+    assert mbqc._reduction.cache_info()[1:] == (3, MEMO_SHAPES, 0)
+    assert circuit._translate.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("table", [0, 0b01101001])
@@ -1608,8 +1644,7 @@ def test_a_carrier_fused_into_a_spare_leaves_no_stuck_spider(table):
     assert run_postselected(p).verdict is classify(f)
 
 
-def test_warm_reduce_lattice_runs_no_rule(monkeypatch):
-    monkeypatch.setattr(mbqc, "_lattice_memo", {})
+def test_warm_reduce_lattice_runs_no_rule(monkeypatch, cold_memos):
     calls = []
 
     def counting(rule):
@@ -1626,13 +1661,13 @@ def test_warm_reduce_lattice_runs_no_rule(monkeypatch):
     calls.clear()
     warm, warm_steps = reduce_lattice(lattice_pattern_3q(second))
     assert not calls
-    mbqc._lattice_memo.clear()
+    mbqc._reduction.cache_clear()
     cold, cold_steps = reduce_lattice(lattice_pattern_3q(second))
     assert warm.to_json() == cold.to_json()
     assert warm_steps == cold_steps
 
 
-def test_lattice_memo_hit_equals_a_cold_run(monkeypatch):
+def test_lattice_memo_hit_equals_a_cold_run(monkeypatch, cold_memos):
     builds = _diagram_builds(monkeypatch)
     reduce_lattice(lattice_pattern_3q(BooleanFunction(3, 0)))
     for f in enumerate_promise(3):
@@ -1640,7 +1675,7 @@ def test_lattice_memo_hit_equals_a_cold_run(monkeypatch):
         builds.clear()
         warm, warm_steps = reduce_lattice(lattice_pattern_3q(f))
         assert not builds, f.table
-        mbqc._lattice_memo.clear()
+        mbqc._reduction.cache_clear()
         cold, cold_steps = reduce_lattice(lattice_pattern_3q(f))
         assert len(builds) == 1, f.table
         assert warm.to_json() == cold.to_json(), f.table
@@ -1648,11 +1683,11 @@ def test_lattice_memo_hit_equals_a_cold_run(monkeypatch):
         assert list(warm.edges) == list(cold.edges), f.table
         assert warm_steps == cold_steps, f.table
     # the lattice's simplifier run is memoized here alone
-    assert len(mbqc._lattice_memo) == 1
-    assert not circuit._zx_memo
+    assert mbqc._reduction.cache_info().currsize == 1
+    assert circuit._translate.cache_info().misses == 0
 
 
-def test_lattice_memo_hands_out_fresh_containers(monkeypatch):
+def test_lattice_memo_hands_out_fresh_containers(monkeypatch, cold_memos):
     """The trace is a fresh list, and the reduced pattern refuses edits."""
     _diagram_builds(monkeypatch)
     f = BooleanFunction(3, 0b11110000)
@@ -1667,7 +1702,8 @@ def test_lattice_memo_hands_out_fresh_containers(monkeypatch):
         assert again_steps == expected_steps
 
 
-def test_lattice_memo_keys_on_non_carrier_angles_and_readouts(monkeypatch):
+def test_lattice_memo_keys_on_non_carrier_angles_and_readouts(monkeypatch,
+                                                              cold_memos):
     builds = _diagram_builds(monkeypatch)
     f = BooleanFunction(3, 0b01101001)
     reduce_lattice(lattice_pattern_3q(f))
@@ -1681,7 +1717,24 @@ def test_lattice_memo_keys_on_non_carrier_angles_and_readouts(monkeypatch):
     # at a non-carrier spare
     reduce_lattice(_reangled(p, {mbqc._grid_id((2, 2)): PI}))  # not stuck: the key stores its reduction
     assert len(builds) == 3
-    assert len(mbqc._lattice_memo) == 3
+    assert mbqc._reduction.cache_info()[1:] == (3, MEMO_SHAPES, 3)
+
+
+def test_a_reduction_reads_no_carrier_angle(cold_memos):
+    # _reduction runs the rules with the carriers at angle 0; its template,
+    # filled with a lattice's carrier angles, is what the rules give on
+    # that lattice
+    for f in enumerate_promise(3)[::9]:
+        p = lattice_pattern_3q(f)
+        qubits = p.qubits()
+        d = pattern_to_diagram(p)
+        steps, _ = rewrite.simplify_core(d, {
+            v for v, q in enumerate(qubits) if q in mbqc._LATTICE_CARRIER_IDS})
+        cold = pattern_from_graph_like(d, [qubits.index(q) for q in p.readouts])
+        reduced, trace = reduce_lattice(p)
+        assert (reduced, trace) == (cold, steps), f.table
+        assert list(reduced.angles.items()) == list(cold.angles.items())
+    assert mbqc._reduction.cache_info()[:2] == (7, 1)
 
 
 def test_reduce_lattice_stuck_on_missing_spare():
@@ -1750,39 +1803,31 @@ def test_the_exact_sum_matches_dense_on_clifford_patterns(p):
     _assert_exact_matches_dense(p)
 
 
-def _prelude_calls(monkeypatch):
-    monkeypatch.setattr(mbqc, "_exact_memo", {})
-    calls = []
-    real = mbqc._exact_prelude
-    monkeypatch.setattr(mbqc, "_exact_prelude",
-                        lambda p: (calls.append(p), real(p))[1])
-    return calls
+def _prelude_builds():
+    return mbqc._prelude.cache_info().misses
 
 
-def test_gflow_and_exact_sum_share_one_prelude(monkeypatch):
-    monkeypatch.setattr(mbqc, "_flow_memo", {})
-    calls = _prelude_calls(monkeypatch)
+def test_gflow_and_exact_sum_share_one_prelude(cold_memos):
     p = dj_pattern_3q(BooleanFunction(3, 0))
-    run_sampled(p, seed=1, shots=10)  # find_gflow, then the exact sum
-    assert len(calls) == 1
+    run_sampled(p, seed=1, shots=10)  # the gflow search, then the exact sum
+    assert _prelude_builds() == 1
     run_sampled(p, seed=1, shots=10)
-    assert len(calls) == 1
+    assert _prelude_builds() == 1
 
 
-def test_exact_memo_hit_equals_a_cold_run(monkeypatch):
-    calls = _prelude_calls(monkeypatch)
+def test_exact_memo_hit_equals_a_cold_run(cold_memos):
     for build in (dj_pattern_3q, lattice_pattern_3q):
         run_postselected(build(BooleanFunction(3, 0)))
         for f in enumerate_promise(3):
             # each hit reuses the prelude stored by the previous table
-            calls.clear()
+            builds = _prelude_builds()
             warm = run_postselected(build(f))
-            assert not calls, f.table
-            mbqc._exact_memo.clear()
+            assert _prelude_builds() == builds, f.table
+            mbqc._prelude.cache_clear()
             cold = run_postselected(build(f))
-            assert len(calls) == 1, f.table
+            assert _prelude_builds() == 1, f.table
             assert warm == cold, f.table
-    assert len(mbqc._exact_memo) == 1
+    assert mbqc._prelude.cache_info().currsize == 1
 
 
 @given(clifford_patterns(), st.data())
@@ -1793,28 +1838,22 @@ def test_exact_memo_hit_equals_a_cold_run_on_clifford_patterns(p, data):
     q = MeasurementPattern(
         {v: a if v in p.z_basis else Phase(data.draw(st.integers(0, 3)), 2)
          for v, a in p.angles.items()}, p.edges, [], p.z_basis)
-    mbqc._exact_memo.clear()
+    mbqc._prelude.cache_clear()
     run_postselected(p)
     warm = run_postselected(q)
-    assert len(mbqc._exact_memo) == 1
-    mbqc._exact_memo.clear()
+    assert mbqc._prelude.cache_info()[1:] == (1, MEMO_SHAPES, 1)
+    mbqc._prelude.cache_clear()
     assert run_postselected(q) == warm
 
 
 def _cold_run(p):
-    """run_postselected with an empty memo; the memo is restored
-    afterwards."""
-    saved = dict(mbqc._exact_memo)
-    mbqc._exact_memo.clear()
-    try:
+    """run_postselected on a prelude built afresh, outside the memo."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mbqc, "_prelude", mbqc._prelude.__wrapped__)
         return run_postselected(p)
-    finally:
-        mbqc._exact_memo.clear()
-        mbqc._exact_memo.update(saved)
 
 
-def test_exact_memo_keeps_no_part_of_the_pattern(monkeypatch):
-    calls = _prelude_calls(monkeypatch)
+def test_exact_memo_keeps_no_part_of_the_pattern(cold_memos):
     f = BooleanFunction(3, 0b00001111)
     p = lattice_pattern_3q(f)
     first = run_postselected(p)
@@ -1823,9 +1862,9 @@ def test_exact_memo_keeps_no_part_of_the_pattern(monkeypatch):
     p = replace(p, angles={**p.angles, 0: PI},
                 edges=p.edges - set(list(p.edges)[::2]))
     assert run_postselected(p) == _cold_run(p)
-    assert len(calls) == 5
+    assert _prelude_builds() == 3
     assert run_postselected(lattice_pattern_3q(f)) == first
-    assert len(calls) == 5
+    assert _prelude_builds() == 3
 
 
 def test_the_exact_sum_on_small_cases():
@@ -1841,11 +1880,9 @@ def test_the_exact_sum_on_small_cases():
     assert run_postselected(pair).amplitude == pytest.approx(2 * 2 / 2 ** 0.5)
 
 
-def test_a_clifford_run_converts_no_angle(monkeypatch):
+def test_a_clifford_run_converts_no_angle(monkeypatch, cold_memos):
     # the quarter turns are read from a table built at import, so neither
     # a cold run (a memo miss) nor a warm one (a hit) calls Phase.turns
-    monkeypatch.setattr(mbqc, "_exact_memo", {})
-    monkeypatch.setattr(mbqc, "_flow_memo", {})
     calls = []
     real = Phase.turns
     monkeypatch.setattr(Phase, "turns",
@@ -1873,13 +1910,12 @@ def test_the_quarter_turn_table_agrees_with_phase_turns(n, d):
     assert len(mbqc._QUARTER_TURNS) == 4
 
 
-def test_non_clifford_pattern_stores_no_exact_prelude(monkeypatch):
-    monkeypatch.setattr(mbqc, "_exact_memo", {})
+def test_non_clifford_pattern_stores_no_exact_prelude(cold_memos):
     run_postselected(dj_pattern_3q(BooleanFunction(3, 0)))
-    saved = dict(mbqc._exact_memo)
+    saved = mbqc._prelude.cache_info()
     p = _reangled(_triangle_pattern(), {0: QUARTER_PI})
     run_postselected(p)
-    assert mbqc._exact_memo == saved
+    assert mbqc._prelude.cache_info() == saved
 
 
 def test_non_clifford_pattern_keeps_the_dense_route():

@@ -1,8 +1,10 @@
 """Rewrite rules: targeted examples, soundness, involutions."""
 
 import copy
+import importlib
 import itertools
 import pickle
+import pkgutil
 import random
 from dataclasses import replace
 
@@ -16,9 +18,12 @@ from zxdj.errors import (
     NotAdjacentError,
     NotGraphLikeError,
     PreconditionFailed,
+    NoFlowError,
+    ReductionStuckError,
     UnknownNodeError,
     WouldSelfLoopError,
 )
+import zxdj
 from zxdj import circuit, mbqc, rewrite
 from zxdj.circuit import (
     Circuit, cnot, hadamard, pauli_z, phase_gate, to_zx, to_zx_tracked)
@@ -43,6 +48,7 @@ from zxdj.rewrite import (
 )
 from zxdj.tensor import equivalent_up_to_scalar, evaluate
 
+from conftest import MEMOS
 from test_diagram import diagrams
 
 
@@ -514,12 +520,11 @@ def _rescanning_simplify(d, protected):
     return result, steps
 
 
-def test_worklist_matches_the_rescanning_loops(monkeypatch):
+def test_worklist_matches_the_rescanning_loops(monkeypatch, cold_memos):
     # without the Clifford-wire rule, the driver must pick the same rule
     # at the same spider as the hand-written per-rule scans, step by step;
-    # fresh translation records keep results of the full rule set from
-    # being replayed
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+    # cold memos keep results of the full rule set from being replayed,
+    # and keep this test's from outliving it
     monkeypatch.setattr(rewrite, "_RULES", rewrite._RULES[:2])
     rng = random.Random(3)
     for _ in range(150):
@@ -598,28 +603,25 @@ def _rephased(c, rng):
         if g.op == "phase" else g for g in c.gates])
 
 
-def test_memo_hit_equals_a_cold_run(monkeypatch):
+def test_memo_hit_equals_a_cold_run(cold_memos):
     # a circuit of a known shape takes the rewrite record of its
     # translation's record, and evaluates the phase formulas on its own
     # phases; it must leave what the rule search would leave
-    monkeypatch.setattr(circuit, "_zx_memo", {})
     rng = random.Random(17)
     hits = 0
     for _ in range(200):
         c = _random_circuit(rng, 4, 12)
+        rewrite._rewrite.cache_clear()
         _simplified(*to_zx_tracked(c))
         d, carriers = to_zx_tracked(_rephased(c, rng))
-        record = d._record
-        assert len(record.rewrites) == 1
         hit = _simplified(d, carriers)
-        assert len(record.rewrites) == 1
+        assert rewrite._rewrite.cache_info()[:2] == (1, 1)
         assert hit == _cold(d, carriers)
         hits += any(g.op == "phase" for g in c.gates)
     assert hits > 150
 
 
-def test_memo_hit_is_sound(monkeypatch):
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+def test_memo_hit_is_sound(cold_memos):
     rng = random.Random(19)
     for _ in range(30):
         c = _random_circuit(rng, 3, 10)
@@ -643,15 +645,14 @@ def _count_searches(monkeypatch):
     return calls
 
 
-def test_memo_key_holds_what_the_rules_read(monkeypatch):
+def test_memo_key_holds_what_the_rules_read(monkeypatch, cold_memos):
     # a view takes its record's rewrite, by protected set, only where no
     # rule can read a phase it sets and only while its state is unbuilt
-    monkeypatch.setattr(circuit, "_zx_memo", {})
     searches = _count_searches(monkeypatch)
     c = Circuit(2, [phase_gate(0, Phase(1, 4)), cnot(0, 1),
                     phase_gate(1, ZERO), hadamard(1), phase_gate(1, HALF_PI)])
     d, carriers = to_zx_tracked(c)
-    record, protected = d._record, frozenset(carriers)
+    protected = frozenset(carriers)
     plain = next(v for v in sorted(d.spiders) if v not in carriers)
 
     def run(d, protected):
@@ -677,59 +678,34 @@ def test_memo_key_holds_what_the_rules_read(monkeypatch):
     assert run(built, protected) > 0
     assert run(view(), protected | {plain}) > 0  # another protected set
     assert run(view(), protected | {plain}) == 0
-    assert list(record.rewrites) == [protected, protected | {plain}]
+    # the two protected sets the views took the record with
+    assert rewrite._rewrite.cache_info()[1:] == (2, MEMO_SHAPES, 2)
 
 
-def test_memo_key_holds_the_protected_set(monkeypatch):
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+def test_memo_key_holds_the_protected_set(cold_memos):
     c = Circuit(1, [hadamard(0), pauli_z(0), hadamard(0), pauli_z(0),
                     hadamard(0)])
     d, (a, b) = to_zx_tracked(c)
     first = _simplified(d, {a})
     second = _simplified(to_zx_tracked(c)[0], {b})
     assert second == _cold(d, {b}) and second != first
-    assert len(d._record.rewrites) == 2
+    assert rewrite._rewrite.cache_info().misses == 2
 
 
 # A one-wire circuit of Z gates, whose spiders 0..MEMO_SHAPES + 11 each
 # protect differently.
 _Z_CHAIN = Circuit(1, [pauli_z(0)] * (MEMO_SHAPES + 10))
-
-
-def test_memo_keeps_memo_shapes_first_in(monkeypatch):
-    monkeypatch.setattr(circuit, "_zx_memo", {})
-    keys = [frozenset({v}) for v in range(MEMO_SHAPES + 10)]
-    for key in keys:
-        simplify_mbqc(to_zx_tracked(_Z_CHAIN)[0], key)
-    rewrites = to_zx_tracked(_Z_CHAIN)[0]._record.rewrites
-    assert list(rewrites) == keys[-MEMO_SHAPES:]
-
-
-def test_memoized_builds_on_a_miss_alone(monkeypatch):
-    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 3)
-    memo, builds = {}, []
-
-    def build(key):
-        return lambda: builds.append(key) or [key]
-
-    first = rewrite._memoized(memo, 1, build(1))
-    assert first == [1] and builds == [1]
-    # a hit builds nothing and returns what the miss returned
-    assert rewrite._memoized(memo, 1, build("again")) is first
-    assert builds == [1]
-    for key in (2, 3, 4):
-        rewrite._memoized(memo, key, build(key))
-    assert list(memo) == [2, 3, 4]  # at most MEMO_SHAPES keys, first in out
-    rewrite._memoized(memo, 2, build("again"))  # a hit does not refresh 2
-    rewrite._memoized(memo, 5, build(5))
-    assert list(memo) == [3, 4, 5] and builds == [1, 2, 3, 4, 5]
-
-    def refuse():
-        raise PreconditionFailed("refused")
-
-    with pytest.raises(PreconditionFailed):
-        rewrite._memoized(memo, 6, refuse)
-    assert list(memo) == [3, 4, 5]  # a raise stores and evicts nothing
+# Readout choices of the reduced oracle diagram: each spider, then each
+# ordered pair.
+_ORACLE = oracle_circuit_3q(BooleanFunction(3, 0b01101001))
+_ORACLE_SPIDERS = sorted(simplify_mbqc(
+    *to_zx_tracked(_ORACLE))[0].copy().spiders)
+_READOUT_CHOICES = [(q,) for q in _ORACLE_SPIDERS] + list(
+    itertools.permutations(_ORACLE_SPIDERS, 2))
+# Sets of lattice carriers: a pattern of them, unjoined, reduces to itself.
+_CARRIER_SETS = [
+    [q for j, q in enumerate(sorted(mbqc._LATTICE_CARRIER_IDS)) if i >> j & 1]
+    for i in range(1, 1 << len(mbqc._LATTICE_CARRIER_IDS))]
 
 
 def _chain(n):
@@ -739,50 +715,124 @@ def _chain(n):
                               [n - 1])
 
 
-def _lattice_read_out(order):
-    return replace(lattice_pattern_3q(BooleanFunction(3, 0)), readouts=order)
+def _translated(i):
+    d, carriers = to_zx_tracked(Circuit(i + 1, [phase_gate(i, PI)]))
+    return d.to_json(), carriers
 
 
-_LATTICE_READOUTS = [
-    order for r in (1, 2, 3) for order in itertools.permutations(
-        lattice_pattern_3q(BooleanFunction(3, 0)).readouts, r)]
+def _read_out(i):
+    d, carriers = to_zx_tracked(_ORACLE)
+    reduced, _ = simplify_mbqc(d, frozenset(carriers))
+    return pattern_from_graph_like(reduced, _READOUT_CHOICES[i])
 
-# Each memo, a call that misses it with a new key for each i in 0..9, and
-# where the memo lives, when not at the module attribute: the rewrites
-# hang off the record of _Z_CHAIN's translation.
-_MEMOS = {
-    "zx": (circuit, "_zx_memo", lambda i: to_zx_tracked(
-        Circuit(i + 1, [phase_gate(i, PI)])), None),
-    "rewrite": (circuit, "_zx_memo", lambda i: simplify_mbqc(
-        to_zx_tracked(_Z_CHAIN)[0], frozenset({i})),
-        lambda: to_zx_tracked(_Z_CHAIN)[0]._record.rewrites),
-    "exact": (mbqc, "_exact_memo",
-              lambda i: run_postselected(_chain(i + 1)), None),
-    "flow": (mbqc, "_flow_memo",
-             lambda i: run_sampled(_chain(i + 1), shots=5), None),
-    "lattice": (mbqc, "_lattice_memo", lambda i: reduce_lattice(
-        _lattice_read_out(_LATTICE_READOUTS[i])), None),
+
+def _stuck_lattice():
+    # grid position (2, 5) must hold -pi/2; at pi it survives with degree 2
+    p = lattice_pattern_3q(BooleanFunction(3, 0))
+    return replace(p, angles={**p.angles, mbqc._grid_id((2, 5)): PI})
+
+
+def _refused_rewrite(monkeypatch):
+    def refuse(*args):
+        raise PreconditionFailed("refused")
+
+    monkeypatch.setattr(rewrite, "_drive", refuse)
+    simplify_mbqc(*to_zx_tracked(Circuit(1, [pauli_z(0)])))
+
+
+# Each memo by name (conftest.MEMOS): a call that misses it with a new key
+# for each i below MEMO_SHAPES + 10, in a form a cold run can be compared
+# with; a call whose build raises, given monkeypatch; and what it raises.
+# The translation and exact builders raise only on a key no caller makes.
+_MEMO_CALLS = {
+    "zx": (_translated,
+           lambda m: circuit._translate(1, (("phase", (1,)),)), IndexError),
+    "rewrite": (lambda i: _simplified(to_zx_tracked(_Z_CHAIN)[0], {i}),
+                _refused_rewrite, PreconditionFailed),
+    "template": (_read_out, lambda m: pattern_from_graph_like(
+        to_zx_tracked(_ORACLE)[0]), NotGraphLikeError),
+    "exact": (lambda i: run_postselected(_chain(i + 1)),
+              lambda m: mbqc._prelude(mbqc._Shape(
+                  (0, 1, 2), frozenset({frozenset((0, 1, 2))}), (),
+                  frozenset())), ValueError),
+    "flow": (lambda i: run_sampled(_chain(i + 1), shots=5),
+             lambda m: run_sampled(replace(_chain(3), readouts=[1])),
+             NoFlowError),
+    "lattice": (lambda i: reduce_lattice(MeasurementPattern(
+        dict.fromkeys(_CARRIER_SETS[i], ZERO), set(), [])),
+                lambda m: reduce_lattice(_stuck_lattice()),
+                ReductionStuckError),
 }
 
 
-@pytest.mark.parametrize("name", _MEMOS)
-def test_every_memo_stays_within_memo_shapes(monkeypatch, name):
-    module, attr, call, where = _MEMOS[name]
-    monkeypatch.setattr(module, attr, {})
-    monkeypatch.setattr(rewrite, "MEMO_SHAPES", 4)
-    keys = []
-    for i in range(10):
+@pytest.mark.parametrize("name", _MEMO_CALLS)
+def test_every_memo_stays_within_memo_shapes(cold_memos, name):
+    memo, (call, _, _) = MEMOS[name], _MEMO_CALLS[name]
+    assert memo.cache_info().maxsize == MEMO_SHAPES
+    for i in range(MEMO_SHAPES + 10):
         call(i)
-        memo = where() if where else getattr(module, attr)
-        assert len(memo) == min(i + 1, 4)
-        keys.append(list(memo)[-1])
-    assert len(set(keys)) == 10
-    assert list(memo) == keys[-4:]
+        assert memo.cache_info()[1:] == (
+            i + 1, MEMO_SHAPES, min(i + 1, MEMO_SHAPES))
+    # the least recently used key went first
+    call(MEMO_SHAPES + 9)
+    assert memo.cache_info().misses == MEMO_SHAPES + 10
+    call(0)
+    assert memo.cache_info().misses == MEMO_SHAPES + 11
 
 
-def test_memo_stores_nothing_when_the_search_raises(monkeypatch):
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+@pytest.mark.parametrize("name", _MEMO_CALLS)
+def test_every_memo_hit_equals_a_cold_run(cold_memos, name):
+    memo, (call, _, _) = MEMOS[name], _MEMO_CALLS[name]
+    for i in range(3):
+        memo.cache_clear()
+        call(i)
+        warm = call(i)
+        assert memo.cache_info().misses == 1
+        memo.cache_clear()
+        assert call(i) == warm
+        assert memo.cache_info().misses == 1
 
+
+@pytest.mark.parametrize("name", _MEMO_CALLS)
+def test_every_memo_stores_nothing_when_its_build_raises(
+        monkeypatch, cold_memos, name):
+    memo, (_, refused, error) = MEMOS[name], _MEMO_CALLS[name]
+    for attempt in range(1, 3):
+        with pytest.raises(error):
+            refused(monkeypatch)
+        assert memo.cache_info()[1:] == (attempt, MEMO_SHAPES, 0)
+
+
+def _package_caches():
+    """Every functools cache wrapper a zxdj module or class holds, by id."""
+    found = {}
+    for info in pkgutil.iter_modules(zxdj.__path__):
+        module = importlib.import_module(f"zxdj.{info.name}")
+        for value in list(vars(module).values()):
+            inner = vars(value).values() if isinstance(value, type) else ()
+            for candidate in [value, *inner]:
+                if hasattr(candidate, "cache_info"):
+                    found[id(candidate)] = candidate
+    return found
+
+
+# Tables capped by their input's size, not memos: nothing evicts them.
+_TABLES = (circuit._wire_tables,)
+
+
+def test_every_cache_in_the_package_is_a_listed_memo_or_table():
+    assert _MEMO_CALLS.keys() == MEMOS.keys()
+    found = _package_caches()
+    listed = [*MEMOS.values(), *_TABLES]
+    assert {id(c) for c in listed} == found.keys(), [
+        c.__wrapped__.__qualname__ for c in found.values()
+        if all(c is not m for m in listed)]
+    for table in _TABLES:
+        assert table.cache_info().maxsize is None
+
+
+def test_memo_stores_nothing_when_the_search_raises(monkeypatch,
+                                                    cold_memos):
     def refuse(*args):
         raise PreconditionFailed("refused")
 
@@ -793,14 +843,14 @@ def test_memo_stores_nothing_when_the_search_raises(monkeypatch):
     # nor does a pattern read that raises: the translation is open
     with pytest.raises(NotGraphLikeError):
         pattern_from_graph_like(d)
-    assert not d._record.rewrites and not d._record.templates
+    assert rewrite._rewrite.cache_info().currsize == 0
+    assert mbqc._view_template.cache_info().currsize == 0
 
 
-def test_memo_hands_out_results_a_caller_may_mutate(monkeypatch):
+def test_memo_hands_out_results_a_caller_may_mutate(cold_memos):
     # a miss and a hit each return a diagram and a trace of the caller's
     # own; mutating them, or the translation, leaves the next hit as the
     # rule search left it
-    monkeypatch.setattr(circuit, "_zx_memo", {})
     c = Circuit(2, [phase_gate(0, Phase(1, 4)), cnot(0, 1), hadamard(1),
                     phase_gate(1, HALF_PI), cnot(1, 0)])
     d, carriers = to_zx_tracked(c)
@@ -817,14 +867,12 @@ def test_memo_hands_out_results_a_caller_may_mutate(monkeypatch):
         d.spiders[carriers[0]].phase = ZERO
         d.add_spider(SpiderKind.X)
         assert _simplified(to_zx_tracked(c)[0], protected) == expected
-    assert len(to_zx_tracked(c)[0]._record.rewrites) == 1
+    assert rewrite._rewrite.cache_info().misses == 1
 
 
-def test_a_view_copies_and_pickles_as_its_state(monkeypatch):
+def test_a_view_copies_and_pickles_as_its_state(cold_memos):
     # copy, deepcopy and pickle of a view take its state alone, not its
-    # record and the memo entries on it: the pattern template those hold
-    # refuses deepcopy and pickle
-    monkeypatch.setattr(circuit, "_zx_memo", {})
+    # record
     c = oracle_circuit_3q(enumerate_promise(3)[5])
     for _ in range(2):  # the second round is warm
         d, carriers = to_zx_tracked(c)
@@ -845,20 +893,20 @@ def test_a_view_copies_and_pickles_as_its_state(monkeypatch):
         assert view.to_json() == expected[0]
 
 
-def test_every_oracle_translation_shares_one_memo_entry(monkeypatch):
+def test_every_oracle_translation_shares_one_memo_entry(cold_memos):
     # all 72 oracle circuits have one shape: one translation record, one
     # rewrite of it and one pattern template of that
-    monkeypatch.setattr(circuit, "_zx_memo", {})
     records = set()
     for f in enumerate_promise(3):
         d, carriers = to_zx_tracked(oracle_circuit_3q(f))
         reduced, _ = simplify_mbqc(d, frozenset(carriers))
         pattern_from_graph_like(reduced)
         records.add((d._record, reduced._record))
-    assert len(circuit._zx_memo) == 1
     ((translation, reduction),) = records
-    assert list(translation.rewrites.values()) == [reduction]
-    assert list(reduction.templates) == [None]
+    assert type(translation) is circuit._Translation
+    assert type(reduction) is rewrite._Rewrite
+    for memo in (circuit._translate, rewrite._rewrite, mbqc._view_template):
+        assert memo.cache_info()[:2] == (71, 1)
 
 
 def _reversed(d):

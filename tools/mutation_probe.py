@@ -99,8 +99,9 @@ MUTANTS = [
            "pattern_to_diagram, JSON and DOT take the edges in set "
            "iteration order"),
     Mutant("lattice-key-edge-order", MBQC,
-           "key = (p._shape, tuple([",
-           "key = (p._shape, tuple(p.edges), tuple([",
+           "template, steps = _reduction(p._shape, tuple([",
+           "template, steps = _reduction("
+           "p._shape._replace(edges=tuple(p.edges)), tuple([",
            "reduce_lattice keys its memo on the edges in iteration order"),
     Mutant("amplitude-without-z-basis-scale", MBQC,
            "e, h + 2 * len(p.z_basis) - len(p.edges)))",
@@ -156,8 +157,8 @@ MUTANTS = [
            "",
            "a built view stays a view"),
     Mutant("template-key-without-readouts", MBQC,
-           "template = _memoized(record.templates, key, lambda: _Template(",
-           "template = _memoized(record.templates, None, lambda: _Template(",
+           "return _fill(_view_template(d._record, readouts), d._phases)",
+           "return _fill(_view_template(d._record, None), d._phases)",
            "a view's pattern templates are kept per record, not per readout "
            "choice"),
     Mutant("view-copy-shares-state", DIAGRAM,
@@ -168,18 +169,31 @@ MUTANTS = [
            "        if not self[0]:\n            return other\n",
            "        if not self[0]:\n            return self\n",
            "Phase.__add__ returns the zero left operand, not the other one"),
-    Mutant("memoized-evicts-the-newest", REWRITE,
-           "del memo[next(iter(memo))]",
-           "del memo[next(reversed(memo))]",
-           "_memoized evicts the last key in, not the first"),
-    Mutant("memoized-bound-off-by-one", REWRITE,
-           "if len(memo) >= MEMO_SHAPES:",
-           "if len(memo) > MEMO_SHAPES:",
-           "_memoized keeps MEMO_SHAPES + 1 keys"),
+    Mutant("memo-unbounded", REWRITE,
+           "@functools.lru_cache(MEMO_SHAPES)",
+           "@functools.lru_cache(None)",
+           "the rewrite memo keeps every key"),
+    Mutant("gflow-hands-out-the-memo", MBQC,
+           "return dict(g), dict(layer)",
+           "return g, layer",
+           "find_gflow returns the memo's own dicts"),
     Mutant("lattice-key-without-spare-angles", MBQC,
-           "tuple([p.angles[q] for q in p.qubits()",
-           "tuple([ZERO for q in p.qubits()",
+           "        p.angles[q] for q in p.qubits() if q not in "
+           "_LATTICE_CARRIER_IDS]))",
+           "        ZERO for q in p.qubits() if q not in "
+           "_LATTICE_CARRIER_IDS]))",
            "reduce_lattice's key leaves out the non-carrier angles"),
+    Mutant("reduction-spares-reversed", MBQC,
+           "spares = iter(spare_angles)",
+           "spares = reversed(spare_angles)",
+           "_reduction gives the spare angles to the spares in reverse "
+           "order"),
+    Mutant("pattern-bool-id-let-through", MBQC,
+           "for q in itertools.chain(angles, readouts, z_basis, *edges):\n"
+           "            _qubit_id(q)\n",
+           "for q in itertools.chain(angles, readouts, z_basis, *edges):\n"
+           "            isinstance(q, int) or _qubit_id(q)\n",
+           "the constructor takes a bool for an int qubit id"),
     Mutant("usage-error-exits-1", CLI,
            "        return 2\n    except ZxError as exc:",
            "        return 1\n    except ZxError as exc:",
