@@ -173,14 +173,6 @@ def unitary(c: Circuit) -> np.ndarray:
     return _apply_gates(c, state).reshape(2 ** w, 2 ** w)
 
 
-@dataclass(frozen=True, eq=False)
-class _Translation(_Record):
-    """A translation's record (see :func:`to_zx_tracked`): ``phased`` are
-    its phase gates' carriers, and ``carriers`` all its carriers."""
-
-    carriers: tuple[int, ...]
-
-
 def to_zx_tracked(c: Circuit):
     """Translate a circuit to a diagram, reporting parameter spider ids.
 
@@ -190,27 +182,28 @@ def to_zx_tracked(c: Circuit):
 
     The diagram is built from the circuit's shape alone, its width and each
     gate's op and qubits (:func:`_translate`).  Every call returns a fresh
-    list and a view (``diagram._View``) of the stored diagram with each
-    phase gate's phase on its spider, which copies the diagram on its first
-    read or write.
+    list and a view (``diagram._View``) of the stored diagram whose values
+    are the phase gates' phases by index, which copies the diagram on its
+    first read or write.
     """
-    record = _translate(c.width, tuple([(g.op, tuple(g.qubits))
-                                        for g in c.gates]))
-    phases = dict(zip(record.phased,
-                      [g.phase for g in c.gates if g.op == "phase"]))
-    return _View(record, phases), list(record.carriers)
+    record, carriers = _translate(c.width, tuple([(g.op, tuple(g.qubits))
+                                                  for g in c.gates]))
+    return _View(record, dict(enumerate(
+        [g.phase for g in c.gates if g.op == "phase"]))), list(carriers)
 
 
 @functools.lru_cache(MEMO_SHAPES)
-def _translate(width: int, ops: tuple) -> _Translation:
+def _translate(width: int, ops: tuple) -> tuple[_Record, tuple]:
     """The translation record of a circuit of ``width`` and gates ``ops``,
-    as (op, qubits) pairs, with every phase gate at phase 0."""
+    as (op, qubits) pairs, and the ids of all its carriers.  The record's
+    carriers are its phase gates' spiders, the i-th at phase 0 with the
+    source i."""
     d = ZxDiagram()
     last = [d.add_spider(SpiderKind.Z, ZERO) for _ in range(width)]
     d.inputs = list(last)
     pending = [EdgeKind.PLAIN] * width
     carriers: list[int] = []
-    phased: list[int] = []
+    phased: list[tuple[int, Phase, tuple]] = []
 
     def extend(wire: int, kind: SpiderKind, phase: Phase) -> int:
         v = d.add_spider(kind, phase)
@@ -222,7 +215,7 @@ def _translate(width: int, ops: tuple) -> _Translation:
     for op, qubits in ops:
         if op == "phase":
             carriers.append(extend(qubits[0], SpiderKind.Z, ZERO))
-            phased.append(carriers[-1])
+            phased.append((carriers[-1], ZERO, (len(phased),)))
         elif op == "z":
             carriers.append(extend(qubits[0], SpiderKind.Z, PI))
         elif op == "y":
@@ -241,7 +234,7 @@ def _translate(width: int, ops: tuple) -> _Translation:
         d.add_edge(last[wire], v, pending[wire])
         outs.append(v)
     d.outputs = outs
-    return _Translation(d, tuple(phased), tuple(carriers))
+    return _Record(d, tuple(phased)), tuple(carriers)
 
 
 def to_zx(c: Circuit) -> ZxDiagram:

@@ -7,8 +7,11 @@ Boundaries are ordered lists of spider ids; a spider listed in ``inputs`` or
 are indexed per spider, so only diagram methods may change the two dicts.
 
 A memo hands out a :class:`_View`: the diagram of a :class:`_Record`
-with some spiders' phases replaced, which holds no state until it is
-first read or written.
+with its carriers' phases set from a dict of values, which holds no state
+until it is first read or written.  A carrier is a ``(spider, offset,
+sources)`` triple whose phase is the offset plus the values of its sources
+(:func:`_carrier_sum`), the format ``mbqc._Template`` uses for a
+pattern's angles.
 """
 
 from __future__ import annotations
@@ -210,30 +213,39 @@ class ZxDiagram:
 _STATE = frozenset(vars(ZxDiagram()))
 
 
+def _carrier_sum(offset: Phase, sources, values) -> Phase:
+    """``offset`` plus ``values.get(s, ZERO)`` summed over ``sources``: the
+    phase of a record's carrier in a view, and the angle of a pattern
+    template's carrier (``mbqc._fill``)."""
+    for s in sources:
+        offset = offset + values.get(s, ZERO)
+    return offset
+
+
 @dataclass(frozen=True, eq=False)
 class _Record:
-    """A memo's diagram, which nothing writes once it is stored, and the
-    spiders whose phases each view of it sets (``phased``).  It hashes by
-    identity, so a memo of what is built from it (``rewrite._rewrite``,
-    ``mbqc._view_template``) keys on the record itself.  A record that
-    keeps what its builder found besides subclasses this one."""
+    """A memo's diagram, which nothing writes once it is stored, and its
+    ``(spider, offset, sources)`` carriers, each held at its offset.  It
+    hashes by identity, so a memo of what is built from it
+    (``rewrite._rewrite``, ``mbqc._view_template``) keys on the record
+    itself."""
 
     diagram: ZxDiagram
-    phased: tuple[int, ...]
+    carriers: tuple[tuple[int, Phase, tuple], ...]
 
 
 class _View(ZxDiagram):
-    """``record.diagram`` with ``phases`` (by spider id, over
-    ``record.phased``), as a memo hands it out.  It holds no state of its
-    own: its first read or write of any (``_STATE``) copies the record's
-    diagram, sets the phases and makes it an ordinary :class:`ZxDiagram`.
-    Python calls ``__getattr__`` only for a missing attribute, so an
-    ordinary diagram pays nothing for this.  Until then a consumer may
-    read the record rather than the state (``rewrite.simplify_mbqc``,
-    ``mbqc.pattern_from_graph_like``)."""
+    """``record.diagram`` with each carrier's phase summed over ``values``
+    (:func:`_carrier_sum`), as a memo hands it out.  It holds no state of
+    its own: its first read or write of any (``_STATE``) copies the
+    record's diagram, sets the carriers' phases and makes it an ordinary
+    :class:`ZxDiagram`.  Python calls ``__getattr__`` only for a missing
+    attribute, so an ordinary diagram pays nothing for this.  Until then a
+    consumer may read the record rather than the state
+    (``rewrite.simplify_mbqc``, ``mbqc.pattern_from_graph_like``)."""
 
-    def __init__(self, record: _Record, phases: dict) -> None:
-        vars(self).update(_record=record, _phases=phases)
+    def __init__(self, record: _Record, values: dict) -> None:
+        vars(self).update(_record=record, _values=values)
 
     def __getattr__(self, name: str):
         if name not in _STATE:
@@ -248,15 +260,15 @@ class _View(ZxDiagram):
 
     def _build(self) -> None:
         state = vars(self)
-        record, phases = state.pop("_record"), state.pop("_phases")
+        record, values = state.pop("_record"), state.pop("_values")
         object.__setattr__(self, "__class__", ZxDiagram)
         state.update(vars(record.diagram.copy()))
-        for v, phase in phases.items():
-            self.spiders[v].phase = phase
+        for v, offset, sources in record.carriers:
+            self.spiders[v].phase = _carrier_sum(offset, sources, values)
 
     def copy(self) -> "ZxDiagram":
-        """Another view of the same record and phases."""
-        return _View(self._record, self._phases)
+        """Another view of the same record and values."""
+        return _View(self._record, self._values)
 
     def __reduce_ex__(self, protocol):
         # copy, deepcopy and pickle take the state, not the record

@@ -24,7 +24,8 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .diagram import EdgeKind, SpiderKind, ZxDiagram, _Record, _View
+from .diagram import (
+    EdgeKind, SpiderKind, ZxDiagram, _carrier_sum, _Record, _View)
 from .errors import (
     ArityMismatchError,
     NoFlowError,
@@ -40,7 +41,7 @@ from .oracle import (
     two_qubit_spider_angles,
 )
 from .phase import HALF_PI, MINUS_HALF_PI, Phase, ZERO
-from .rewrite import MEMO_SHAPES, _carrier_sum, simplify_core
+from .rewrite import MEMO_SHAPES, _rewrite
 from .tensor import collapse_floor, evaluate
 
 
@@ -189,22 +190,21 @@ def pattern_from_graph_like(d: ZxDiagram,
 
     A view (``diagram._View``) is read through its record: the record's
     diagram is read once per readout choice, into the
-    :func:`_view_template` whose carriers are the spiders the view sets,
-    and :func:`_fill` gives them the view's phases.
+    :func:`_view_template` whose carriers are the record's, and
+    :func:`_fill` sums them over the view's values.
     """
     if readouts is not None:
         readouts = tuple(map(_qubit_id, readouts))
     if d.__class__ is _View:
-        return _fill(_view_template(d._record, readouts), d._phases)
+        return _fill(_view_template(d._record, readouts), d._values)
     return _read(d, readouts)
 
 
 @functools.lru_cache(MEMO_SHAPES)
 def _view_template(record: _Record, readouts: tuple | None) -> _Template:
     """The template of ``record``'s diagram read out at ``readouts``, whose
-    carriers are the spiders its views set."""
-    return _Template(_read(record.diagram, readouts),
-                     tuple([(v, ZERO, (v,)) for v in record.phased]))
+    carriers are the record's."""
+    return _Template(_read(record.diagram, readouts), record.carriers)
 
 
 def _read(d: ZxDiagram, readouts) -> MeasurementPattern:
@@ -370,10 +370,11 @@ def _template(layout: dict, edges, readout_sources) -> _Template:
 
 def _fill(t: _Template, values: dict) -> MeasurementPattern:
     """The pattern of template ``t`` with each carrier's angle given by
-    ``rewrite._carrier_sum`` over ``values``: a phase polynomial's
-    ``coeffs`` by parity set, spider angles by index, or a lattice's angles
-    by qubit.  It shares the template's checked shape and checks nothing,
-    since ``_Template`` checked its carriers."""
+    ``diagram._carrier_sum`` over ``values``: a phase polynomial's
+    ``coeffs`` by parity set, spider angles or a circuit's phase-gate
+    phases by index, or a lattice's angles by qubit.  It shares the
+    template's checked shape and checks nothing, since ``_Template``
+    checked its carriers."""
     angles = t.pattern.angles.copy()
     for q, offset, sources in t.carriers:
         angles[q] = _carrier_sum(offset, sources, values)
@@ -440,9 +441,9 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
     diagram is contracted and judged against ``tensor.collapse_floor``;
     that raises ``WidthTooLargeError`` before building any tensor when the
     contraction plan peaks above ``tensor.MAX_PEAK_RANK``."""
-    turns = _clifford_turns(p)
-    if turns is not None:
-        s = _sum_exact(p, turns)
+    clifford = _clifford_turns(p)
+    if clifford is not None:
+        s = _sum_exact(*clifford)
         if s is None:
             return PatternOutcome(Verdict.BALANCED, complex(0))
         e, h = s
@@ -460,13 +461,15 @@ def run_postselected(p: MeasurementPattern) -> PatternOutcome:
 _QUARTER_TURNS = {Phase(k, 2): Phase(k, 2).turns(2) for k in range(4)}
 
 
-def _clifford_turns(p: MeasurementPattern) -> list[int] | None:
-    """The quarter turns of the qubits in :func:`_prelude`'s order, or None
-    if some angle is no multiple of pi/2, which builds no prelude."""
+def _clifford_turns(p: MeasurementPattern) -> tuple[tuple, list[int]] | None:
+    """The bitset rows of :func:`_prelude` and the quarter turns of its
+    qubits, in its order, as :func:`_sum_exact` takes them; or None if some
+    angle is no multiple of pi/2, which builds no prelude."""
     if not all(map(_QUARTER_TURNS.__contains__, p.angles.values())):
         return None
-    return list(map(_QUARTER_TURNS.__getitem__,
-                    map(p.angles.__getitem__, _prelude(p._shape)[0])))
+    qubits, rows = _prelude(p._shape)
+    return rows, list(map(_QUARTER_TURNS.__getitem__,
+                          map(p.angles.__getitem__, qubits)))
 
 
 def _bits(mask: int):
@@ -493,10 +496,9 @@ def _prelude(s: _Shape) -> tuple:
     return tuple(qubits), tuple(adj)
 
 
-def _sum_exact(p: MeasurementPattern,
-               turns: list[int]) -> tuple[int, int] | None:
-    """S of a valid pattern from its :func:`_clifford_turns`, which it
-    consumes: ``(e, h)`` for S = omega^e * sqrt(2)^h, omega = e^(i pi/4),
+def _sum_exact(rows: tuple, turns: list[int]) -> tuple[int, int] | None:
+    """S of a valid pattern from its :func:`_clifford_turns`, whose turns
+    it consumes: ``(e, h)`` for S = omega^e * sqrt(2)^h, omega = e^(i pi/4),
     or None for S = 0.
 
     With l_v = angle_v / (pi/2) and x_v = 0 on z-basis qubits, the closed
@@ -515,10 +517,9 @@ def _sum_exact(p: MeasurementPattern,
       other neighbours (a pivot) and removes v and w;
     - even l_v with no neighbour: 2 for l_v = 0, and S = 0 for l_v = 2.
     """
-    qubits, rows = _prelude(p._shape)
-    adj, live = list(rows), [True] * len(qubits)
+    adj, live = list(rows), [True] * len(rows)
     e = h = 0
-    for v in range(len(qubits)):
+    for v in range(len(rows)):
         if not live[v]:
             continue
         live[v] = False
@@ -721,9 +722,9 @@ def _constant_law(p: MeasurementPattern) -> tuple[int, int]:
     gives num / 2^bits.  A P that round-off lifts above 1 draws every shot
     Constant (:func:`_drawn_count`)."""
     exponent = len(p.angles) + len(p.readouts)
-    turns = _clifford_turns(p)
-    if turns is not None:
-        s = _sum_exact(p, turns)
+    clifford = _clifford_turns(p)
+    if clifford is not None:
+        s = _sum_exact(*clifford)
         if s is None:
             return 0, 0
         return 1, exponent - s[1]
@@ -832,17 +833,18 @@ def _reduction(s: _Shape, spare_angles: tuple) -> tuple[_Template, tuple]:
         {q: ZERO if q in _LATTICE_CARRIER_IDS else next(spares)
          for q in qubits}, s.edges, s.readouts, s.z_basis)
     d = pattern_to_diagram(p)  # diagram ids in ascending qubit order
-    steps, formulas = simplify_core(
-        d, {v for v, q in enumerate(qubits) if q in _LATTICE_CARRIER_IDS})
-    survivors = {v for v, _, _ in formulas}
+    carriers = tuple([(v, ZERO, (q,)) for v, q in enumerate(qubits)
+                      if q in _LATTICE_CARRIER_IDS])
+    reduced, steps = _rewrite.__wrapped__(
+        _Record(d, carriers), frozenset([v for v, _, _ in carriers]))
+    d, survivors = reduced.diagram, {v for v, _, _ in reduced.carriers}
     stuck = sorted(v for v in d.spiders
                    if v not in survivors and d.degree(v) <= 2)
     if stuck:
         raise ReductionStuckError(
             f"spiders {stuck} outside the carriers survive with degree <= 2")
-    r = pattern_from_graph_like(d, [qubits.index(q) for q in s.readouts])
-    return _Template(r, tuple((v, const, tuple(qubits[c] for c in inputs))
-                              for v, const, inputs in formulas)), tuple(steps)
+    return _Template(_read(d, [qubits.index(q) for q in s.readouts]),
+                     reduced.carriers), steps
 
 
 def reduce_lattice(p: MeasurementPattern):
@@ -850,16 +852,17 @@ def reduce_lattice(p: MeasurementPattern):
     simplifier core, with the parameter carriers protected.  Returns the
     reduced pattern, in the diagram's ids (qubit ranks), with the lattice's
     readouts, and a fresh list of the rewrite trace.  Raises
-    ``ReductionStuckError`` when a spider holding no carrier (the survivors
-    ``simplify_core``'s formulas name hold them) survives with degree at
-    most 2, as a missing spare or a tampered angle can leave.
+    ``ReductionStuckError`` when a spider holding no carrier (the reduced
+    record's carriers hold them) survives with degree at most 2, as a
+    missing spare or a tampered angle can leave.
 
     The reduction (:func:`_reduction`) is built from the pattern's shape
     and its non-carrier angles in qubit order alone, with the carriers at
     angle 0, and memoized by them: no rule reads a carrier's angle, so all
     72 variants share a key.  It stores the reduced pattern as a template
-    whose carriers are the survivors the lattice carriers fused into, and
-    :func:`_fill` sets each to a stored constant plus their angles."""
+    whose carriers are those of the reduced record (``rewrite._rewrite``):
+    the survivors the lattice carriers fused into, and :func:`_fill` sets
+    each to its reduced angle plus their angles."""
     template, steps = _reduction(p._shape, tuple([
         p.angles[q] for q in p.qubits() if q not in _LATTICE_CARRIER_IDS]))
     return _fill(template, p.angles), list(steps)

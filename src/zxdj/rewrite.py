@@ -9,13 +9,15 @@ Every memo in the package is a ``functools.lru_cache`` of ``MEMO_SHAPES``
 keys on a builder whose arguments are its whole key, so a builder cannot
 read what its key leaves out, and a build that raises stores nothing.
 
-:func:`simplify_mbqc` of a ``diagram._View`` whose replaced phases are all
+:func:`simplify_mbqc` of a ``diagram._View`` whose carriers are all
 protected reads its record, not its state.  No rule reads a protected
 phase, so the record's diagram and the view have the same trace and
-reduced graph, and each survivor's phase is a constant plus the phases of
-the protected input spiders fused into it.  Which survivor holds which
-input is tracked in one place: each fusion in :func:`simplify_core` hands
-them on, and its formulas are read off that.
+reduced graph, and each survivor's phase is its phase in the reduced
+record plus the values of the sources of the carriers fused into it.  So
+the reduced record's carriers are the survivors, in the view's own
+format, and the view's values pass through unchanged.  Which survivor
+holds which protected spider is tracked in one place: each fusion in
+:func:`simplify_core` hands them on.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     UnknownNodeError,
     WouldSelfLoopError,
 )
-from .phase import HALF_PI, MINUS_HALF_PI, PI, Phase, ZERO
+from .phase import HALF_PI, MINUS_HALF_PI, PI, ZERO
 
 
 @dataclass(frozen=True)
@@ -404,63 +406,39 @@ _RULES = ((1, _state_rule), (2, _hadamard_wire_rule), (2, _clifford_wire_rule))
 MEMO_SHAPES = 64
 
 
-def _carrier_sum(offset: Phase, sources, values) -> Phase:
-    """``offset`` plus ``values.get(s, ZERO)`` summed over ``sources``: the
-    phase of a survivor whose protected inputs fused into it, and the angle
-    of a pattern template's carrier (``mbqc._fill``)."""
-    for s in sources:
-        offset = offset + values.get(s, ZERO)
-    return offset
-
-
 def simplify_core(d: ZxDiagram, protected) -> tuple[list[RewriteStep], tuple]:
     """The simplifier core, unmemoized: plug the boundary, decouple X
     states (before the graph-like pass color-changes them), then remove
     trailing caps, phase-0 and +-pi/2 wires in that priority, all in place.
     A fusion hands the ``protected`` inputs its spider holds to the
     survivor; ``protected`` itself is left as it was.  Returns the trace
-    and the formulas ``(survivor, constant, inputs)`` of each survivor
-    that absorbed protected inputs: its phase is the constant plus the
-    inputs' phases.  They come by lowest input, inputs ascending."""
+    and the pairs ``(survivor, inputs)`` of each survivor that absorbed
+    protected inputs, by lowest input, inputs ascending."""
     held = {p: [p] for p in protected if p in d.spiders}
-    inputs = {p: d.spiders[p].phase for p in held}
     steps: list[RewriteStep] = []
     if not d.is_closed():
         _plug_inplace(d, steps)
     _drive(d, held, steps, _RULES[:1])
     _to_graph_like_inplace(d, held, steps)
     _drive(d, held, steps, _RULES)
-    formulas = []
-    for ps, v in sorted((sorted(ps), v) for v, ps in held.items()):
-        constant = d.spiders[v].phase
-        for p in ps:
-            constant = constant - inputs[p]
-        formulas.append((v, constant, tuple(ps)))
-    return steps, tuple(formulas)
-
-
-@dataclass(frozen=True, eq=False)
-class _Rewrite(_Record):
-    """A reduced diagram's record (see :func:`_rewrite`): its trace
-    (``steps``), the :func:`simplify_core` formulas of the survivors in
-    ``phased``, and the protected phases they were read at (``inputs``)."""
-
-    steps: tuple[RewriteStep, ...]
-    formulas: tuple[tuple[int, Phase, tuple[int, ...]], ...]
-    inputs: dict[int, Phase]
+    return steps, tuple([(v, tuple(ps)) for ps, v in
+                         sorted((sorted(ps), v) for v, ps in held.items())])
 
 
 @functools.lru_cache(MEMO_SHAPES)
-def _rewrite(record: _Record, protected: frozenset) -> _Rewrite:
-    """The record of ``record.diagram`` reduced.  It keeps a copy of the
-    reduced diagram, whose dicts the deletions left sparse and slow to copy
-    on each build of a view."""
+def _rewrite(record: _Record, protected: frozenset) -> tuple[_Record, tuple]:
+    """The record of ``record.diagram`` reduced, whose carriers must all be
+    ``protected``, and the trace.  The reduced record's carriers are the
+    survivors, each at its reduced phase, with the sources of the carriers
+    fused into it.  It keeps a copy of the reduced diagram, whose dicts the
+    deletions left sparse and slow to copy on each build of a view."""
     reduced = record.diagram.copy()
-    inputs = {p: reduced.spiders[p].phase for p in protected
-              if p in reduced.spiders}
-    steps, formulas = simplify_core(reduced, protected)
-    return _Rewrite(reduced.copy(), tuple([v for v, _, _ in formulas]),
-                    tuple(steps), formulas, inputs)
+    steps, survivors = simplify_core(reduced, protected)
+    sources = {v: s for v, _, s in record.carriers}
+    return _Record(reduced.copy(), tuple([
+        (v, reduced.spiders[v].phase,
+         tuple([s for p in inputs for s in sources.get(p, ())]))
+        for v, inputs in survivors])), tuple(steps)
 
 
 def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
@@ -472,17 +450,15 @@ def simplify_mbqc(d: ZxDiagram, protected=frozenset()):
     their phases alone that vary between variants.  Returns the reduced
     diagram and a fresh list of the full step trace.
 
-    A view (``diagram._View``) whose replaced phases are all protected
-    takes the rewrite of its record's diagram by the protected set
-    (:func:`_rewrite`), and returns a view of the reduced diagram whose
-    survivors take their formulas' phases at the view's protected phases:
-    only a miss runs the rules.  Any other diagram is simplified on a copy.
+    A view (``diagram._View``) whose carriers are all protected takes the
+    rewrite of its record by the protected set (:func:`_rewrite`), and
+    returns a view of the reduced record with the same values: only a miss
+    runs the rules.  Any other diagram is simplified on a copy.
     """
     protected = frozenset(protected)
-    if d.__class__ is _View and d._phases.keys() <= protected:
-        r = _rewrite(d._record, protected)
-        values = {**r.inputs, **d._phases}
-        return _View(r, {v: _carrier_sum(constant, ps, values)
-                         for v, constant, ps in r.formulas}), list(r.steps)
+    if d.__class__ is _View and all(
+            v in protected for v, _, _ in d._record.carriers):
+        reduced, steps = _rewrite(d._record, protected)
+        return _View(reduced, d._values), list(steps)
     d = d.copy()
     return d, simplify_core(d, protected)[0]

@@ -267,19 +267,24 @@ def test_zx_memo_keys_on_shape_not_phases(cold_memos):
 
 def test_translate_reads_only_the_memo_key():
     """``_translate`` of to_zx_tracked's key is the translation of the
-    circuit with every phase gate at phase 0."""
+    circuit with every phase gate at phase 0, whose record's carriers are
+    the phase gates' spiders in gate order, the i-th with the source i."""
     circuits = ([oracle_circuit_3q(f) for f in enumerate_promise(3)[::9]]
                 + [_mixed_circuit(phases) for phases in _MIXED_PHASES])
     for c in circuits:
-        record = circuit._translate.__wrapped__(
+        record, carriers = circuit._translate.__wrapped__(
             c.width, tuple([(g.op, tuple(g.qubits)) for g in c.gates]))
-        d, carriers, phased = record.diagram, record.carriers, record.phased
+        d = record.diagram
         zeroed = Circuit(c.width, [phase_gate(g.qubits[0], ZERO)
                                    if g.op == "phase" else g for g in c.gates])
         e, expected = to_zx_tracked(zeroed)
         assert d.to_json_dict() == e.to_json_dict()
         assert (list(carriers), d._next_node, d._next_edge) == (
             expected, e._next_node, e._next_edge)
+        # the phase gates' spiders are the carriers at 0, the Paulis' at pi
+        phased = [v for v in expected if e.spiders[v].phase == ZERO]
+        assert record.carriers == tuple(
+            [(v, ZERO, (i,)) for i, v in enumerate(phased)])
         # the phase gates' spiders take their phases back
         for v, g in zip(phased, [g for g in c.gates if g.op == "phase"],
                         strict=True):

@@ -793,13 +793,12 @@ def test_lattice_reduce_output_is_byte_identical(capsys, cold_memos):
 # by conftest.MEMOS name; a memo not named stays untouched.  Every pattern
 # these commands build fills a template, so each key after the first hits:
 # a key that stops hitting shows here, not only as a slower benchmark.
-# run_postselected looks the exact prelude up twice per pattern.
 _TRAFFIC = {
     "verify-all-n3": ([["verify-all", "--n", "3"]], {
         "zx": (71, 1), "rewrite": (71, 1), "template": (71, 1),
-        "exact": (429, 3)}),
+        "exact": (213, 3)}),
     "verify-all-n2": ([["verify-all", "--n", "2"]], {
-        "exact": (32, 1), "flow": (7, 1)}),
+        "exact": (16, 1), "flow": (7, 1)}),
     "lattice-reduce": ([["lattice", "--n", "3", "--table",
                          format(f.table, "08b"), "--reduce"]
                         for f in enumerate_promise(3)], {"lattice": (71, 1)}),

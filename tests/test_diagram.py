@@ -121,22 +121,30 @@ def test_copy_is_independent(d):
 
 # -- views ---------------------------------------------------------------------
 
-def _view_of(d, phases):
-    """A view of a record of ``d`` that sets ``phases``."""
-    return _View(_Record(d, tuple(phases)), phases)
+def _view_of(d, values):
+    """A view of a record of ``d`` whose carriers are the spiders
+    ``values`` names, each its own source."""
+    return _View(_Record(d, tuple([(v, d.spiders[v].phase, (v,))
+                                   for v in values])), values)
 
 
 @given(diagrams, st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_a_view_builds_its_state_on_first_read(d, rng):
-    phases = {v: Phase(rng.randrange(8), 4) for v in d.spiders
-              if rng.random() < 0.5}
+    # each carrier takes its offset, the phase the record holds it at,
+    # plus the values of its sources; a source without a value adds 0
+    carriers = tuple([(v, d.spiders[v].phase,
+                       tuple(rng.sample(range(4), rng.randrange(4))))
+                      for v in d.spiders if rng.random() < 0.5])
+    values = {k: Phase(rng.randrange(8), 4) for k in range(4)
+              if rng.random() < 0.75}
     expected = d.copy()
-    for v, phase in phases.items():
-        expected.spiders[v].phase = phase
+    for v, _, sources in carriers:
+        for k in sources:
+            expected.spiders[v].phase += values.get(k, ZERO)
     record = d.to_json()
-    view = _view_of(d, phases)
-    assert set(vars(view)) == {"_record", "_phases"}  # no state yet
+    view = _View(_Record(d, carriers), values)
+    assert set(vars(view)) == {"_record", "_values"}  # no state yet
     assert view.to_json() == expected.to_json()
     # the read made it an ordinary diagram, which holds its state alone
     assert type(view) is ZxDiagram and set(vars(view)) == _STATE

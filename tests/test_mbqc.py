@@ -961,7 +961,7 @@ def test_clifford_star_samples_past_the_frontier_cap(monkeypatch):
     out = run_sampled(p, shots=1000)
     # the hub pivots on one leaf and the other 29 leaves are free at angle
     # 0, so S = 2^30 = sqrt(2)^60 and P(Constant) = |S|^2 / 2^(31 + 30) = 1/2
-    assert mbqc._sum_exact(p, mbqc._clifford_turns(p)) == (0, 60)
+    assert mbqc._sum_exact(*mbqc._clifford_turns(p)) == (0, 60)
     assert out.shots == 1000 and abs(out.agreeing_shots - 500) <= 80  # 5 sigma
 
 
@@ -1147,7 +1147,7 @@ def _drawn_exponent(p):
     """d = n + r - h of a Clifford gflow pattern with S = omega^e *
     sqrt(2)^h, whose drawn route reads Constant with probability 2^-d;
     None when S = 0."""
-    s = mbqc._sum_exact(p, mbqc._clifford_turns(p))
+    s = mbqc._sum_exact(*mbqc._clifford_turns(p))
     if s is None:
         return None
     return len(p.angles) + len(p.readouts) - s[1]

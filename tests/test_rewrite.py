@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zxdj.diagram import (
-    _STATE, EdgeKind, SpiderKind, ZxDiagram, new_diagram)
+    _STATE, EdgeKind, SpiderKind, ZxDiagram, _Record, _View, new_diagram)
 from zxdj.errors import (
     KindMismatchError,
     NotAdjacentError,
@@ -308,8 +308,8 @@ def test_simplify_mbqc_random_circuit_sweep():
 def _assert_fixpoint(d, protected):
     """Run ``simplify_core`` on ``d``; no rule may still apply at any of the
     spiders it leaves."""
-    _, formulas = rewrite.simplify_core(d, protected)
-    held = {u: list(ps) for u, _, ps in formulas}
+    _, survivors = rewrite.simplify_core(d, protected)
+    held = {u: list(ps) for u, ps in survivors}
     for _, rule in rewrite._RULES:
         for v in sorted(d.spiders):
             assert rule(d.copy(), v, held, []) is None
@@ -333,11 +333,11 @@ def test_simplified_diagrams_are_fixpoints(d, rng):
     _assert_fixpoint(d, {v for v in d.spiders if rng.random() < 0.5})
 
 
-def _replayed_formulas(d, inputs, steps):
-    """The phase formulas as they were read before the simplifier tracked
-    its carriers itself, kept as the reference: follow each protected input
-    through the trace's fusions to the spider it ends in; the constant is
-    what that survivor holds beyond the inputs."""
+def _replayed_formulas(inputs, steps):
+    """The ``(survivor, inputs)`` pairs as they were read before the
+    simplifier tracked its carriers itself, kept as the reference: follow
+    each protected input through the trace's fusions to the spider it ends
+    in."""
     merged_into = {s.before[1]: s.before[0] for s in steps
                    if s.rule == "fuse_spiders"}
     groups: dict[int, list[int]] = {}
@@ -346,40 +346,34 @@ def _replayed_formulas(d, inputs, steps):
         while v in merged_into:
             v = merged_into[v]
         groups.setdefault(v, []).append(p)
-    formulas = []
-    for v, ps in groups.items():
-        constant = d.spiders[v].phase
-        for p in ps:
-            constant = constant - inputs[p]
-        formulas.append((v, constant, tuple(ps)))
-    return tuple(formulas)
+    return tuple([(v, tuple(ps)) for v, ps in groups.items()])
 
 
 def _assert_formulas_match_the_replay(d, protected):
     """Run ``simplify_core`` on ``d``; it leaves ``protected`` as it was and
-    gives the formulas the trace replay gives."""
-    inputs = {p: d.spiders[p].phase for p in protected if p in d.spiders}
+    gives the pairs the trace replay gives."""
+    inputs = {p for p in protected if p in d.spiders}
     before = set(protected)
-    steps, formulas = rewrite.simplify_core(d, protected)
+    steps, survivors = rewrite.simplify_core(d, protected)
     assert protected == before
-    assert formulas == _replayed_formulas(d, inputs, steps)
-    return formulas
+    assert survivors == _replayed_formulas(inputs, steps)
+    return survivors
 
 
 def test_simplify_core_formulas_match_the_trace_replay():
     for f in enumerate_promise(3):
         d, carriers = to_zx_tracked(oracle_circuit_3q(f))
-        formulas = _assert_formulas_match_the_replay(d, set(carriers))
-        assert sorted(p for _, _, ps in formulas for p in ps) == sorted(carriers)
+        survivors = _assert_formulas_match_the_replay(d, set(carriers))
+        assert sorted(p for _, ps in survivors for p in ps) == sorted(carriers)
         p = lattice_pattern_3q(f)
-        formulas = _assert_formulas_match_the_replay(
+        survivors = _assert_formulas_match_the_replay(
             mbqc.pattern_to_diagram(p), set(mbqc._LATTICE_CARRIER_IDS))
-        assert len(formulas) == 7
+        assert len(survivors) == 7
         # carrier (6, 1) fuses into the spare at pi
         p = replace(p, angles={**p.angles, mbqc._grid_id((3, 1)): PI})
-        formulas = _assert_formulas_match_the_replay(
+        survivors = _assert_formulas_match_the_replay(
             mbqc.pattern_to_diagram(p), set(mbqc._LATTICE_CARRIER_IDS))
-        assert mbqc._grid_id((3, 1)) in {v for v, _, _ in formulas}
+        assert mbqc._grid_id((3, 1)) in {v for v, _ in survivors}
 
 
 @given(diagrams, st.randoms(use_true_random=False))
@@ -387,6 +381,35 @@ def test_simplify_core_formulas_match_the_trace_replay():
 def test_simplify_core_formulas_match_the_trace_replay_on_any_diagram(d, rng):
     _assert_formulas_match_the_replay(
         d, {v for v in d.spiders if rng.random() < 0.5})
+
+
+@given(diagrams, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_a_rewrite_records_view_equals_a_cold_run(d, rng):
+    # some protected spiders are carriers with fresh sources, held at their
+    # offsets; the others are no carriers and hold nonzero phases, which
+    # the survivors' offsets must keep
+    protected = {v for v in d.spiders if rng.random() < 0.6}
+    carriers, fresh = [], itertools.count()
+    for v in sorted(protected):
+        if rng.random() < 0.5:
+            sources = tuple(itertools.islice(fresh, rng.randint(1, 2)))
+            carriers.append((v, d.spiders[v].phase, sources))
+        else:
+            d.spiders[v].phase = Phase(rng.randrange(1, 8), 4)
+    values = {k: Phase(rng.randrange(16), 8) for k in range(next(fresh))
+              if rng.random() < 0.8}
+    cold = d.copy()
+    for v, _, sources in carriers:
+        for k in sources:
+            cold.spiders[v].phase += values.get(k, ZERO)
+    steps, _ = rewrite.simplify_core(cold, frozenset(protected))
+    reduced, trace = rewrite._rewrite.__wrapped__(
+        _Record(d, tuple(carriers)), frozenset(protected))
+    view = _View(reduced, values)
+    assert list(trace) == steps
+    assert (view.to_json(), view._next_node, view._next_edge) == (
+        cold.to_json(), cold._next_node, cold._next_edge)
 
 
 def _unblocked_wire(step):
@@ -605,8 +628,8 @@ def _rephased(c, rng):
 
 def test_memo_hit_equals_a_cold_run(cold_memos):
     # a circuit of a known shape takes the rewrite record of its
-    # translation's record, and evaluates the phase formulas on its own
-    # phases; it must leave what the rule search would leave
+    # translation's record, and a view of it with its own phases as
+    # values; it must leave what the rule search would leave
     rng = random.Random(17)
     hits = 0
     for _ in range(200):
@@ -667,9 +690,11 @@ def test_memo_key_holds_what_the_rules_read(monkeypatch, cold_memos):
 
     assert run(view(), protected) > 0
     assert run(view(), protected) == 0  # a hit
-    # the first phase gate's pi/4 is unprotected: the rules read it
-    assert run(view(), protected - {carriers[0]}) > 0
-    assert run(view(), protected - {carriers[0]}) > 0
+    # with any phase gate unprotected, such as the first one's pi/4, which
+    # the rules read, the view takes no record: each run searches
+    for gate in carriers:
+        assert run(view(), protected - {gate}) > 0
+        assert run(view(), protected - {gate}) > 0
     built = view()
     built.spiders[carriers[0]].phase = PI  # a write builds the state
     assert run(built, protected) > 0
@@ -903,10 +928,31 @@ def test_every_oracle_translation_shares_one_memo_entry(cold_memos):
         pattern_from_graph_like(reduced)
         records.add((d._record, reduced._record))
     ((translation, reduction),) = records
-    assert type(translation) is circuit._Translation
-    assert type(reduction) is rewrite._Rewrite
+    assert type(translation) is type(reduction) is _Record
     for memo in (circuit._translate, rewrite._rewrite, mbqc._view_template):
         assert memo.cache_info()[:2] == (71, 1)
+
+
+def test_a_translation_its_rewrite_and_its_pattern_share_one_values_dict(
+        cold_memos):
+    # the values pass through the rewrite and the read untouched; writing a
+    # built view's phases changes neither the other view nor the pattern
+    c = oracle_circuit_3q(enumerate_promise(3)[5])
+    for _ in range(2):  # the second round is warm
+        d, carriers = to_zx_tracked(c)
+        reduced, _ = simplify_mbqc(d, frozenset(carriers))
+        p = pattern_from_graph_like(reduced)
+        shared = d._values
+        assert reduced._values is shared
+        values = dict(shared)
+        expected = (d.copy().to_json(), reduced.copy().to_json(), p.to_json())
+        for v in carriers:
+            d.spiders[v].phase += PI
+        assert (reduced.copy().to_json(), p.to_json()) == expected[1:]
+        for v in reduced.spiders:
+            reduced.spiders[v].phase += HALF_PI
+        assert p.to_json() == expected[2] and shared == values
+        assert to_zx_tracked(c)[0].to_json() == expected[0]
 
 
 def _reversed(d):

@@ -125,6 +125,11 @@ MUTANTS = [
            "return 1, exponent - s[1]\n",
            "return 1, exponent - s[1] + 1\n",
            "_constant_law's Clifford exponent is n + r - h + 1"),
+    Mutant("exact-sum-rows-of-another-shape", MBQC,
+           "qubits, rows = _prelude(p._shape)\n",
+           "qubits, rows = _prelude(p._shape._replace(edges=frozenset()))\n",
+           "_clifford_turns hands _sum_exact the rows of the pattern's shape "
+           "without its edges"),
     Mutant("local-complement-h-plus-2", MBQC,
            "            h += 1\n",
            "            h += 2\n",
@@ -143,26 +148,41 @@ MUTANTS = [
            "the two differ only when |amplitude| equals the floor to the "
            "last bit"),
     Mutant("view-guard-dropped", REWRITE,
-           "if d.__class__ is _View and d._phases.keys() <= protected:",
+           "if d.__class__ is _View and all(\n"
+           "            v in protected for v, _, _ in d._record.carriers):",
            "if d.__class__ is _View:",
            "simplify_mbqc takes a view's record even where a rule may read "
            "a phase the view sets"),
+    Mutant("view-guard-reads-the-first-carrier", REWRITE,
+           "v in protected for v, _, _ in d._record.carriers):",
+           "v in protected for v, _, _ in d._record.carriers[:1]):",
+           "simplify_mbqc checks only a view's first carrier for protection"),
+    Mutant("rewrite-drops-fused-sources", REWRITE,
+           "tuple([s for p in inputs for s in sources.get(p, ())]))",
+           "tuple(sources.get(inputs[0], ())))",
+           "a survivor keeps only its lowest input's sources, dropping "
+           "those of the carriers fused into it"),
+    Mutant("rewrite-offset-zero", REWRITE,
+           "(v, reduced.spiders[v].phase,",
+           "(v, ZERO,",
+           "a survivor's offset is 0, not its reduced phase"),
     Mutant("view-build-drops-the-phases", DIAGRAM,
-           "        for v, phase in phases.items():\n"
-           "            self.spiders[v].phase = phase\n",
+           "        for v, offset, sources in record.carriers:\n"
+           "            self.spiders[v].phase = _carrier_sum(offset, sources, "
+           "values)\n",
            "",
-           "a view builds its record's state without its own phases"),
+           "a view builds its record's state without its carriers' phases"),
     Mutant("view-build-leaves-the-view", DIAGRAM,
            '        object.__setattr__(self, "__class__", ZxDiagram)\n',
            "",
            "a built view stays a view"),
     Mutant("template-key-without-readouts", MBQC,
-           "return _fill(_view_template(d._record, readouts), d._phases)",
-           "return _fill(_view_template(d._record, None), d._phases)",
+           "return _fill(_view_template(d._record, readouts), d._values)",
+           "return _fill(_view_template(d._record, None), d._values)",
            "a view's pattern templates are kept per record, not per readout "
            "choice"),
     Mutant("view-copy-shares-state", DIAGRAM,
-           "        return _View(self._record, self._phases)",
+           "        return _View(self._record, self._values)",
            "        return self",
            "copy() of a view returns the view itself"),
     Mutant("zero-plus-phase-is-zero", PHASE,
